@@ -1,0 +1,13 @@
+"""Self-tests of the benchmark harness: `python -m pytest bench/tests -q`.
+
+Not part of the tier-1 suite (`testpaths` is `tests`).
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+ROOT = BENCH.parent
+for path in (BENCH, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))

@@ -775,6 +775,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _serve() -> None:
         service = DiagnosisService(config)
+        # Before the listener opens: a client that can see the socket can
+        # signal us, and episode 0 is still being built at that point.
+        service.install_signal_handlers()
         await service.start(
             unix_path=args.unix, host=args.host, port=args.port
         )

@@ -380,17 +380,21 @@ class FabricSession:
     - **batch** (``repro run`` and every experiment harness):
       :meth:`advance` once to the scenario's duration, then
       :meth:`finish` — exactly the old ``run_scenario`` body;
-    - **service** (``repro serve``): :meth:`advance` repeatedly in
-      *bounded sim-time slices* on an executor thread (so an asyncio loop
-      stays responsive between slices), answer on-demand
-      :meth:`diagnose_now` queries between slices, and :meth:`finish`
+    - **service** (``repro serve``): :meth:`advance` repeatedly on an
+      executor thread in *preemptible chunks* — a sim-time target plus an
+      event budget, so the thread comes up for air every few milliseconds
+      of host time however dense the timeline is — answer on-demand
+      :meth:`diagnose_now` queries between chunks, and :meth:`finish`
       when the episode's duration is reached.
 
-    Because :meth:`~repro.sim.engine.Simulator.run` executes events in
-    timestamp order regardless of how many ``until_ns`` stops partition
-    the timeline, slicing never reorders work: a session advanced in N
-    slices produces byte-identical diagnoses to one advanced in a single
-    call (pinned by ``tests/serve/test_differential.py``).
+    :meth:`~repro.sim.engine.Simulator.run` executes events in timestamp
+    order regardless of where it stops, and a budget stop is an
+    ``until_ns`` stop at an instant the event count picked rather than
+    the caller (the instant in progress always drains first).  So
+    chunking, by time or by count, never reorders work: a session
+    advanced in N pieces produces byte-identical diagnoses to one
+    advanced in a single call (pinned by
+    ``tests/serve/test_differential.py``).
     """
 
     def __init__(
@@ -521,18 +525,19 @@ class FabricSession:
         """Has the scenario's full duration been simulated?"""
         return self.net.sim.now >= self.scenario.duration_ns
 
-    def advance(self, until_ns: int) -> int:
+    def advance(self, until_ns: int, max_events: Optional[int] = None) -> int:
         """Run the fabric up to ``until_ns`` (clamped to the duration).
 
-        Returns the new simulated time.  Bounded slices are the service
-        plane's unit of work: each call runs on an executor thread while
-        the event loop serves clients, and the clock never runs past the
-        scenario's end.
+        Returns the new simulated time, which is short of the target only
+        when ``max_events`` (see :meth:`Simulator.run
+        <repro.sim.engine.Simulator.run>`) ran out first; calling again
+        resumes.  Batch callers pass no budget.  The clock never runs past
+        the scenario's end.
         """
         target = min(until_ns, self.scenario.duration_ns)
         if target > self.net.sim.now:
             with self.profile.stage("simulate"):
-                self.net.run(target)
+                self.net.run(target, max_events)
         return self.net.sim.now
 
     def finalize(self) -> None:
@@ -853,7 +858,10 @@ def summarize_run(
     return RunSummary(
         spec=spec,
         diagnosis_text=diagnosis.describe() if diagnosis is not None else None,
-        correct=diagnosis_correct(diagnosis, scenario.truth),
+        # No victim complained (a silent lordma-attack seed): nothing was
+        # diagnosed, so nothing was diagnosed correctly.
+        correct=diagnosis is not None
+        and diagnosis_correct(diagnosis, scenario.truth),
         causal_coverage=result.causal_coverage,
         events_run=result.events_run,
         processing_bytes=result.processing_bytes,

@@ -9,14 +9,26 @@ query — runs on a **single** executor thread, submitted job by job from
 the event loop:
 
 - the **slice loop** (:meth:`DiagnosisService._pump`) advances the
-  current episode ``slice_ns`` of simulated time per job, then drains
-  newly raised monitor alerts/timeline incidents into the
-  :class:`~repro.serve.broker.StreamBroker`;
+  current episode up to ``slice_ns`` of simulated time per job, then
+  drains newly raised monitor alerts/timeline incidents into the
+  :class:`~repro.serve.broker.StreamBroker`.  A job is a loop of
+  :data:`CHUNK_EVENTS`-event chunks, and between chunks the sim thread
+  reads one integer — how many queries and exports the loop thread has
+  waiting for the executor.  Non-zero ends the slice at that instant
+  (``serve.slices.preempted``); zero costs nothing, so an idle server
+  runs exactly the slices ``--slice-us`` asks for;
 - **queries** interleave between slices on the same thread, so a query
   observes a quiescent fabric and the sim never races a diagnosis.
-  Query latency is therefore bounded by (queue wait + one slice + the
-  diagnosis itself) — which is exactly what the admission controller
-  bounds and the ``serve_scale`` bench gates at p99.
+  Query latency is therefore bounded by (queue wait + one *chunk* + the
+  diagnosis itself), however many events the storm packs into a slice
+  — split per query into ``serve.query.wait_s`` and
+  ``serve.query.exec_s``; the admission controller bounds the queue
+  and the ``serve_scale`` bench gates the p99.
+
+A chunk ends between simulated instants, exactly where a slice boundary
+could have fallen (:meth:`Simulator.run
+<repro.sim.engine.Simulator.run>`), so when queries happen to arrive
+changes where the timeline is cut and never what runs or in what order.
 
 Episodes: the fabric replays its scenario continuously.  Episode ``k``
 is built at ``seed + k``, advanced to its duration, finished (the batch
@@ -36,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -68,6 +81,15 @@ from .protocol import (
 
 __all__ = ["ServeConfig", "DiagnosisService"]
 
+# Events a slice runs between looks at the waiting count.  The served
+# simulator costs ~5 us/event on the reference box (pfc-storm with the
+# monitor on: 62k events in ~0.31 s), so 512 events is 2-3 ms of host time:
+# below the ~5 ms interpreter-lock hand-off a query pays anyway, and ~120
+# integer reads per episode.
+CHUNK_EVENTS = 512
+
+_STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -76,7 +98,7 @@ class ServeConfig:
     scenario: str = "pfc-storm"
     seed: int = 1
     episodes: Optional[int] = None      # None = replay forever
-    slice_us: float = 200.0             # sim time advanced per executor job
+    slice_us: float = 200.0             # sim time per executor job, at most
     interval_us: float = 100.0          # monitor sampling cadence
     max_inflight: int = 2               # admitted queries executing/waiting
     max_queue: int = 32                 # extra admitted queries queued
@@ -143,6 +165,19 @@ def _execute_query(
     }
 
 
+def _timed_query(
+    session: FabricSession, victim_str: Optional[str], submitted_s: float
+) -> Tuple[Dict[str, Any], float, float]:
+    """The query's executor job: ``(body, wait_s, exec_s)``.
+
+    ``wait_s`` runs from submission on the loop thread to this job
+    starting on the sim thread; ``exec_s`` is the diagnosis itself.
+    """
+    started_s = time.perf_counter()
+    body = _execute_query(session, victim_str)
+    return body, started_s - submitted_s, time.perf_counter() - started_s
+
+
 class DiagnosisService:
     """The long-lived server; all state lives on the event loop thread."""
 
@@ -175,6 +210,10 @@ class DiagnosisService:
         self._alert_cursor = 0
         self._incident_cursor = 0
         self._episode_finished = False
+        # Queries and exports submitted to the executor and not yet
+        # answered.  Written by the loop thread only; the sim thread reads
+        # it between chunks, so it needs no lock.
+        self._waiting = 0
         self._running = False
         self._started_s = time.monotonic()
         self._last_slice_s = time.monotonic()
@@ -183,6 +222,7 @@ class DiagnosisService:
         self._forwarders: Set[asyncio.Task] = set()
         self._writers: Set[asyncio.StreamWriter] = set()
         self._stopped = asyncio.Event()
+        self._stop_requested: Optional[asyncio.Event] = None
         self.addresses: List[str] = []
 
     # -- episode lifecycle ---------------------------------------------------
@@ -222,6 +262,27 @@ class DiagnosisService:
             self.broker.publish("incident", episode=self.episode, **doc)
         self._incident_cursor = len(incidents)
 
+    async def _run_exclusive(self, fn, *args):
+        """Run ``fn`` on the sim thread, preempting the slice in its way.
+
+        Queries and exporters both read live fabric/monitor state, so
+        both serialize with the sim here.
+        """
+        self._waiting += 1
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor, fn, *args
+            )
+        finally:
+            self._waiting -= 1
+
+    def _advance_slice(self, session: FabricSession, target_ns: int) -> bool:
+        """The slice's executor job; True if it yielded before ``target_ns``."""
+        while session.advance(target_ns, CHUNK_EVENTS) < target_ns:
+            if self._waiting:
+                return True
+        return False
+
     async def _pump(self) -> None:
         """The slice loop: advance, drain, finish, repeat (or idle)."""
         loop = asyncio.get_running_loop()
@@ -233,11 +294,13 @@ class DiagnosisService:
                 continue
             if not session.complete:
                 t0 = time.perf_counter()
-                target = session.now_ns + slice_ns
-                await loop.run_in_executor(
-                    self._executor, session.advance, target
+                target = min(session.now_ns + slice_ns, session.duration_ns)
+                preempted = await loop.run_in_executor(
+                    self._executor, self._advance_slice, session, target
                 )
                 self.registry.inc("serve.slices")
+                if preempted:
+                    self.registry.inc("serve.slices.preempted")
                 self.registry.histogram("serve.slice.wall_s").observe(
                     time.perf_counter() - t0
                 )
@@ -291,17 +354,22 @@ class DiagnosisService:
             if session is None:
                 return error("not-ready", "no episode is live yet", request_id)
             t0 = time.perf_counter()
-            body = await asyncio.get_running_loop().run_in_executor(
-                self._executor, _execute_query, session, victim
+            body, wait_s, exec_s = await self._run_exclusive(
+                _timed_query, session, victim, t0
             )
             wall_s = time.perf_counter() - t0
-            self.registry.histogram("serve.query.wall_s").observe(wall_s)
+            histogram = self.registry.histogram
+            histogram("serve.query.wall_s").observe(wall_s)
+            histogram("serve.query.wait_s").observe(wait_s)
+            histogram("serve.query.exec_s").observe(exec_s)
             self.registry.inc("serve.queries.completed")
             return ok(
                 "result",
                 request_id,
                 episode=self.episode,
                 wall_s=round(wall_s, 6),
+                wait_s=round(wait_s, 6),
+                exec_s=round(exec_s, 6),
                 **body,
             )
         finally:
@@ -337,6 +405,7 @@ class DiagnosisService:
             "feed_staleness_s": round(staleness, 3),
             "slice_us": self.config.slice_us,
             "slices": counters.get("serve.slices", 0),
+            "slices_preempted": counters.get("serve.slices.preempted", 0),
             "connections": len(self._writers),
             "stream": {
                 "active": self.broker.active,
@@ -347,16 +416,12 @@ class DiagnosisService:
             "admission": self.admission.counters(),
             "tenants": tenants,
             "query_wall_s": doc["histograms"].get("serve.query.wall_s", {}),
+            "query_wait_s": doc["histograms"].get("serve.query.wait_s", {}),
+            "query_exec_s": doc["histograms"].get("serve.query.exec_s", {}),
             "slice_wall_s": doc["histograms"].get("serve.slice.wall_s", {}),
         }
 
     # -- HTTP (scrape endpoints on the same listener) ------------------------
-
-    async def _render_in_executor(self, fn, *args) -> str:
-        """Exporters read live monitor state: serialize with the sim."""
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, fn, *args
-        )
 
     async def _handle_http(
         self, request_line: str, reader: asyncio.StreamReader,
@@ -384,16 +449,16 @@ class DiagnosisService:
             status, body = 503, "no live episode\n"
         elif path == "/metrics":
             content_type = "text/plain; version=0.0.4; charset=utf-8"
-            body = await self._render_in_executor(prometheus_text, monitor)
+            body = await self._run_exclusive(prometheus_text, monitor)
             body += registry_prometheus_text(self.registry)
         elif path == "/jsonl":
             content_type = "application/x-ndjson"
-            body = await self._render_in_executor(
+            body = await self._run_exclusive(
                 lambda m: "\n".join(jsonl_snapshot(m)) + "\n", monitor
             )
         elif path in ("/html", "/dashboard"):
             content_type = "text/html; charset=utf-8"
-            body = await self._render_in_executor(
+            body = await self._run_exclusive(
                 render_html, monitor, f"repro serve: {self.config.scenario}"
             )
         else:
@@ -609,17 +674,28 @@ class DiagnosisService:
         self._executor.shutdown(wait=True)
         self._stopped.set()
 
+    def install_signal_handlers(self) -> None:
+        """Route SIGTERM/SIGINT to :meth:`run_until_signalled`'s clean stop.
+
+        Call it before :meth:`start`: the listener is visible while
+        episode 0 is still being built, and a signal landing in that
+        window must wait for the shutdown path, not kill the loop.
+        Idempotent.
+        """
+        if self._stop_requested is not None:
+            return
+        self._stop_requested = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for sig in _STOP_SIGNALS:
+            loop.add_signal_handler(sig, self._stop_requested.set)
+
     async def run_until_signalled(self) -> None:
         """Serve until SIGTERM/SIGINT (the CLI's main loop)."""
-        import signal
-
-        loop = asyncio.get_running_loop()
-        stop_requested = asyncio.Event()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, stop_requested.set)
+        self.install_signal_handlers()
         try:
-            await stop_requested.wait()
+            await self._stop_requested.wait()
         finally:
-            for sig in (signal.SIGTERM, signal.SIGINT):
+            loop = asyncio.get_running_loop()
+            for sig in _STOP_SIGNALS:
                 loop.remove_signal_handler(sig)
             await self.stop(reason="signal")

@@ -226,7 +226,9 @@ class Simulator:
 
     # -- the event loop ---------------------------------------------------------
 
-    def run(self, until_ns: Optional[int] = None) -> None:
+    def run(
+        self, until_ns: Optional[int] = None, max_events: Optional[int] = None
+    ) -> None:
         """Drain the event queue, optionally stopping at ``until_ns``.
 
         Events scheduled exactly at ``until_ns`` still execute; the clock
@@ -237,11 +239,29 @@ class Simulator:
         Deliveries queued via :meth:`schedule_delivery` for an instant run
         only once every ordinary slot at that instant (including same-time
         chains the slot spawns) has drained, in ``order_key`` order.
+
+        ``max_events`` is an event budget.  Once that many events have
+        run, the call becomes ``run(now)``: the instant in progress drains
+        (a slot/band merge is never split, so the overshoot is at most that
+        instant's batch), ``now`` stays there instead of jumping to
+        ``until_ns``, and the next call resumes.  A budget stop is thus an
+        ``until_ns`` stop at an instant the budget picked; it does not move
+        the compaction schedule, so a run chopped into budgets has the
+        event order and :meth:`counters` of one unbudgeted call.
         """
+        if max_events is not None and max_events < 1:
+            raise ValueError(f"max_events must be positive, got {max_events}")
         slots = self._slots
         slot_heap = self._slot_heap
         bands = self._bands
         band_heap = self._band_heap
+        # One comparison per instant covers both the compaction cadence and
+        # the budget: a run without a budget pays nothing for it.
+        check_at = self._next_compact_at
+        stop_at: Optional[int] = None
+        if max_events is not None:
+            stop_at = self._events_run + max_events
+            check_at = min(check_at, stop_at)
         while True:
             # Find the next live ordinary slot, purging dead heads on the way.
             slot_time: Optional[int] = None
@@ -331,11 +351,23 @@ class Simulator:
                 bi += 1
                 self.exec_sched = entry[0][0]
                 entry[1](*entry[2])
-            self._events_run += slot_run + blen
+            events_run = self._events_run + slot_run + blen
+            self._events_run = events_run
             self._events_purged += n - slot_run
-            if self._events_run >= self._next_compact_at:
-                self._next_compact_at = self._events_run + COMPACT_INTERVAL_EVENTS
-                self.compact()
+            if events_run >= check_at:
+                if events_run >= self._next_compact_at:
+                    self._next_compact_at = events_run + COMPACT_INTERVAL_EVENTS
+                    self.compact()
+                check_at = self._next_compact_at
+                if stop_at is not None:
+                    if events_run >= stop_at:
+                        # Budget spent: from here this call is ``run(now)``
+                        # — same-time chains drain, then the ordinary
+                        # ``until_ns`` stop ends it.
+                        until_ns = next_time
+                        stop_at = None
+                    elif stop_at < check_at:
+                        check_at = stop_at
         if until_ns is not None and self.now < until_ns:
             self.now = until_ns
 

@@ -142,8 +142,8 @@ class Network:
         self.flows.append(flow)
         host.start_flow(flow)
 
-    def run(self, until_ns: int) -> None:
-        self.sim.run(until_ns)
+    def run(self, until_ns: int, max_events: Optional[int] = None) -> None:
+        self.sim.run(until_ns, max_events)
 
     # -- helpers --------------------------------------------------------------------
 

@@ -6,10 +6,13 @@ from repro.baselines import SystemKind
 from repro.core import AnomalyType
 from repro.experiments import (
     RunConfig,
+    ScenarioSpec,
     causal_switches_of,
     diagnosis_correct,
     run_scenario,
+    run_scenarios_parallel,
     select_reports,
+    summarize_run,
 )
 from repro.telemetry import SwitchReport
 from repro.units import usec
@@ -133,3 +136,25 @@ class TestEndToEnd:
         sc = incast_backpressure_scenario(seed=1)
         result = run_scenario(sc, RunConfig(epoch_size_ns=2 << 20))
         assert result.diagnosis() is not None
+
+
+class TestSilentRun:
+    """lordma-attack seed 11: no victim's RTT crosses the trigger, so the
+    run ends with no diagnosis at all.  That is a wrong answer to score,
+    not a crash."""
+
+    SPEC = ScenarioSpec("lordma-attack", seed=11)
+
+    def test_summarize_run_scores_it_incorrect(self):
+        scenario = self.SPEC.build()
+        result = run_scenario(scenario, RunConfig())
+        assert result.diagnosis() is None
+        summary = summarize_run(self.SPEC, scenario, result)
+        assert summary.correct is False
+        assert summary.diagnosis_text is None
+
+    def test_parallel_runner_survives_it(self):
+        specs = [self.SPEC, ScenarioSpec("lordma-attack", seed=1)]
+        silent, loud = run_scenarios_parallel(specs, jobs=2)
+        assert silent.correct is False and silent.diagnosis_text is None
+        assert loud.diagnosis_text is not None

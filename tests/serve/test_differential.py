@@ -1,15 +1,17 @@
 """The service's binding contract: served episodes == batch runs, bytes.
 
-``repro serve`` advances the fabric in small time slices on an executor
-thread; ``repro run`` advances it in one shot.  Both ride
+``repro serve`` advances the fabric in small time slices, each a loop of
+fixed-event-budget chunks, on an executor thread; ``repro run`` advances
+it in one shot.  Both ride
 :class:`~repro.experiments.runner.FabricSession`, and the simulator
-executes events in timestamp order regardless of how ``run(until_ns)``
-partitions the clock — so episode ``k`` at seed ``s`` must produce
-verdicts *byte-identical* to ``run_scenario`` at seed ``s + k``.  This
-test pins that equivalence end to end, through the live service.
+executes events in timestamp order regardless of how ``run(until_ns,
+max_events)`` partitions the clock — so episode ``k`` at seed ``s`` must
+produce verdicts *byte-identical* to ``run_scenario`` at seed ``s + k``.
+This test pins that equivalence end to end, through the live service.
 """
 
 import asyncio
+import functools
 
 import pytest
 
@@ -17,9 +19,12 @@ from tests.serve.conftest import wait_episode_complete
 
 from repro.experiments import run_scenario
 from repro.serve import ServeClient, ServeConfig
+from repro.serve import service as service_module
 from repro.workloads import SCENARIO_BUILDERS
 
 SCENARIOS = ["pfc-storm", "incast-backpressure"]
+CHUNK_BUDGETS = [1, 7, 512]
+AWKWARD_SLICES_US = [333.0, 500.0]
 
 
 def _batch(scenario_name, seed):
@@ -51,6 +56,48 @@ def _verdict_fingerprint(result):
             ],
         }
     return {"outcomes": outcomes, "monitor": monitor}
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_storm_seed7():
+    result = _batch("pfc-storm", seed=7)
+    return _verdict_fingerprint(result), result.primary_outcome()
+
+
+class TestChunkBudgetNeverChangesTheEpisode:
+    """Where a slice is cut — by ``slice_us``, by the chunk budget, by a
+    query arriving — moves no verdict, alert or diagnosis line."""
+
+    @pytest.mark.parametrize("slice_us", AWKWARD_SLICES_US)
+    @pytest.mark.parametrize("budget", CHUNK_BUDGETS)
+    def test_verdicts_alerts_and_text_match_batch(
+        self, budget, slice_us, serving, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "CHUNK_EVENTS", budget)
+        batch, primary = _batch_storm_seed7()
+
+        async def main():
+            async with serving(
+                scenario="pfc-storm", seed=7, episodes=1, slice_us=slice_us
+            ) as (service, path):
+                client = await ServeClient.connect(unix_path=path, tenant="t")
+                # Queries land mid-slice, so slices really do end on
+                # budget stops rather than only on their time targets.
+                while not service._episode_finished:
+                    await client.query()
+                    await asyncio.sleep(0.005)
+                await client.close()
+                # Its own tenant: the hammering above may have drained
+                # tenant "t"'s token bucket.
+                client = await ServeClient.connect(unix_path=path, tenant="u")
+                reply = await client.query(victim=str(primary.victim))
+                await client.close()
+                return service.last_result, reply
+
+        result, reply = asyncio.run(main())
+        # The fingerprint carries every alert and incident, not just counts.
+        assert _verdict_fingerprint(result) == batch
+        assert reply["diagnosis"] == primary.diagnosis.describe()
 
 
 class TestServedEpisodeEqualsBatchRun:

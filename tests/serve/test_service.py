@@ -189,6 +189,13 @@ class TestQueries:
                 assert reply["confidence"] == "full"
                 assert "pfc-storm" in reply["diagnosis"]
                 assert reply["trigger_ns"] > 0
+                # Where the latency went: executor wait + the diagnosis
+                # itself, both inside the reply's end-to-end wall_s.
+                assert reply["wait_s"] >= 0 and reply["exec_s"] > 0
+                assert reply["wait_s"] + reply["exec_s"] <= reply["wall_s"] + 1e-5
+                histograms = service.registry.to_dict()["histograms"]
+                for name in ("wall_s", "wait_s", "exec_s"):
+                    assert histograms[f"serve.query.{name}"]["count"] == 1
                 await client.close()
 
         asyncio.run(main())
@@ -230,6 +237,53 @@ class TestQueries:
         asyncio.run(main())
 
 
+class TestPreemptibleSlices:
+    def test_query_preempts_the_slice_in_flight(self, serving):
+        """One slice spans the whole episode (~0.3 s of host time); a
+        query sent meanwhile is answered from inside it, not after it."""
+
+        async def main():
+            async with serving(slice_us=1e6) as (service, path):
+                duration_ns = service.session.duration_ns
+                assert duration_ns < 1e6 * 1000  # one slice would cover it
+                client = await ServeClient.connect(unix_path=path, tenant="t")
+                reply = await client.query()
+                stats = (await client.stats())["stats"]
+                await client.close()
+                assert reply["ok"] is True
+                assert 0 < reply["sim_ns"] < duration_ns
+                assert stats["slices_preempted"] >= 1
+
+        asyncio.run(main())
+
+    def test_scrape_preempts_too(self, serving):
+        async def main():
+            async with serving(slice_us=1e6) as (service, path):
+                loop = asyncio.get_running_loop()
+                status, _headers, _body = await loop.run_in_executor(
+                    None, lambda: http_get("/metrics", unix_path=path)
+                )
+                assert status == 200
+                assert not service._episode_finished
+                counters = service.registry.to_dict()["counters"]
+                assert counters["serve.slices.preempted"] >= 1
+
+        asyncio.run(main())
+
+    def test_idle_server_runs_exactly_the_configured_slices(self, serving):
+        """Nobody waiting, nothing yields: ceil(duration / slice) jobs."""
+
+        async def main():
+            async with serving(slice_us=333.0) as (service, path):
+                duration_ns = service.session.duration_ns
+                await wait_episode_complete(service)
+                counters = service.registry.to_dict()["counters"]
+                assert counters["serve.slices"] == -(-duration_ns // 333_000)
+                assert counters.get("serve.slices.preempted", 0) == 0
+
+        asyncio.run(main())
+
+
 class TestHttpEndpoints:
     def _get(self, path, sock):
         return http_get(path, unix_path=sock)
@@ -261,6 +315,10 @@ class TestHttpEndpoints:
                 assert doc["uptime_s"] >= 0
                 assert "admission" in doc
                 assert "tenants" in doc
+                # The query-latency decomposition sits beside the totals.
+                for key in ("query_wall_s", "query_wait_s", "query_exec_s"):
+                    assert key in doc
+                assert doc["slices_preempted"] <= doc["slices"]
 
         asyncio.run(main())
 

@@ -9,6 +9,8 @@ counterpart (executor-thread leak check) lives in test_service.py.
 import asyncio
 import os
 import signal
+
+import pytest
 import subprocess
 import sys
 import time
@@ -38,12 +40,12 @@ def _spawn_serve(sock_path):
     )
 
 
-def _wait_for_socket(sock_path, timeout_s=60.0):
+def _wait_for_socket(sock_path, timeout_s=60.0, poll_s=0.05):
     deadline = time.monotonic() + timeout_s
     while not os.path.exists(sock_path):
         if time.monotonic() > deadline:
             raise TimeoutError("serve socket never appeared")
-        time.sleep(0.05)
+        time.sleep(poll_s)
 
 
 class TestSigtermSwarm:
@@ -130,6 +132,31 @@ class TestSigtermSwarm:
             stdout, stderr = proc.communicate(timeout=30.0)
             assert proc.returncode == 0, f"stderr: {stderr}"
             assert "shut down cleanly" in stdout
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+
+class TestSignalDuringStartup:
+    """The socket appears while episode 0 is still being built on the
+    loop thread; a signal sent the moment it does used to land before
+    the handlers were installed and kill the loop with KeyboardInterrupt
+    (or the default SIGTERM action) instead of shutting down."""
+
+    @pytest.mark.parametrize(
+        "sig", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_signal_as_soon_as_the_socket_exists(self, tmp_path, sig):
+        sock_path = str(tmp_path / "serve.sock")
+        proc = _spawn_serve(sock_path)
+        try:
+            _wait_for_socket(sock_path, poll_s=0.0005)
+            proc.send_signal(sig)
+            stdout, stderr = proc.communicate(timeout=30.0)
+            assert proc.returncode == 0, f"stderr: {stderr}"
+            assert "shut down cleanly" in stdout
+            assert "Traceback" not in stderr
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -33,10 +33,10 @@ class PerfStats:
     events_purged: int = 0
     compactions: int = 0
     # Memoization-cache effectiveness: cache name -> {"hits": N, "misses": N}.
-    # Covers the process-global caches (serialization delay, pause quanta,
-    # report aggregation, replay contribution) scoped to this run by
-    # before/after differencing, plus the per-run instance caches (ECMP
-    # select, telemetry snapshot/epoch materialization).
+    # Covers the process-global caches (pause quanta, report aggregation,
+    # replay contribution) scoped to this run by before/after differencing,
+    # plus the per-run instance caches (ECMP select, telemetry
+    # snapshot/epoch materialization).
     caches: Dict[str, Dict[str, int]] = field(default_factory=dict)
     # Fault-injection and reliability counters (chaos runs): incident kind
     # or recovery action -> count.  Empty on fault-free runs.
@@ -110,10 +110,8 @@ def global_cache_counters() -> Dict[str, Tuple[int, int]]:
     from ..core.build import CONTRIB_CACHE_STATS
     from ..sim.packet import PAUSE_NS_CACHE_STATS
     from ..telemetry.snapshot import AGG_CACHE_STATS
-    from ..units import SER_DELAY_CACHE_STATS
 
     return {
-        "serialization_delay": (SER_DELAY_CACHE_STATS[0], SER_DELAY_CACHE_STATS[1]),
         "pause_quanta": (PAUSE_NS_CACHE_STATS[0], PAUSE_NS_CACHE_STATS[1]),
         "report_agg": (AGG_CACHE_STATS[0], AGG_CACHE_STATS[1]),
         "replay_contribution": (CONTRIB_CACHE_STATS[0], CONTRIB_CACHE_STATS[1]),

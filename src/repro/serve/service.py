@@ -82,8 +82,8 @@ from .protocol import (
 __all__ = ["ServeConfig", "DiagnosisService"]
 
 # Events a slice runs between looks at the waiting count.  The served
-# simulator costs ~5 us/event on the reference box (pfc-storm with the
-# monitor on: 62k events in ~0.31 s), so 512 events is 2-3 ms of host time:
+# simulator costs ~4 us/event on the reference box (pfc-storm with the
+# monitor on: 62.7k events in ~0.25 s), so 512 events is ~2 ms of host time:
 # below the ~5 ms interpreter-lock hand-off a query pays anyway, and ~120
 # integer reads per episode.
 CHUNK_EVENTS = 512

@@ -166,7 +166,23 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay_ns`` nanoseconds of simulated time."""
         if delay_ns < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay_ns})")
-        return self.schedule_at(self.now + delay_ns, fn, *args)
+        # The slot-append body of ``schedule_at``, repeated on purpose: three
+        # schedules in four come through here, and the trampoline cost them
+        # a call frame and an ``*args`` re-pack each.  Keep the two in step.
+        now = self.now
+        time_ns = now + delay_ns
+        handle = EventHandle(time_ns, now, fn, args)
+        slot = self._slots.get(time_ns)
+        if slot is None:
+            self._slots[time_ns] = [handle]
+            heappush(self._slot_heap, time_ns)
+        else:
+            slot.append(handle)
+        pending = self._pending + 1
+        self._pending = pending
+        if pending > self._max_pending:
+            self._max_pending = pending
+        return handle
 
     def schedule_at(self, time_ns: int, fn: Callable[..., None], *args) -> EventHandle:
         """Run ``fn(*args)`` at an absolute simulated time."""
@@ -265,7 +281,6 @@ class Simulator:
         while True:
             # Find the next live ordinary slot, purging dead heads on the way.
             slot_time: Optional[int] = None
-            slot: List[EventHandle] = []
             i = 0
             while slot_heap:
                 time_ns = slot_heap[0]
@@ -301,56 +316,76 @@ class Simulator:
             # scheduled by callbacks open a fresh slot and run in a later
             # pass (their schedule time equals this instant, so they sort
             # after every already-queued entry).
-            batch: List[tuple] = []
-            if band_time == next_time:
-                heappop(band_heap)
-                batch = bands.pop(next_time)
-                if len(batch) > 1:
-                    batch.sort(key=_DELIVERY_ORDER)
-            if slot_time == next_time:
+            self.now = next_time
+            if band_time != next_time:
+                # Ordinary events only.  The detached list is never mutated
+                # again, so plain iteration is safe; a callback may still
+                # cancel a later entry of it, hence the per-entry check.
                 heappop(slot_heap)
                 del slots[next_time]
-            else:
-                slot = []
-                i = 0
-            self.now = next_time
-            n = len(slot)
-            blen = len(batch)
-            self._pending -= n + blen
-            # Merge by schedule/send time: earlier-scheduled runs first, an
-            # ordinary entry wins an exact tie.  Slot entries are appended
-            # in nondecreasing schedule order and the band is sorted, so a
-            # single forward merge reproduces the global order.
-            slot_run = 0
-            bi = 0
-            while i < n and bi < blen:
-                handle = slot[i]
-                if handle.cancelled:
-                    i += 1
-                    continue
-                if handle.sched <= batch[bi][0][0]:
-                    i += 1
+                n = len(slot)
+                blen = 0
+                self._pending -= n
+                slot_run = 0
+                for handle in slot:
+                    if handle.cancelled:
+                        continue
                     slot_run += 1
                     self.exec_sched = handle.sched
                     handle.fn(*handle.args)
+            else:
+                heappop(band_heap)
+                batch = bands.pop(next_time)
+                blen = len(batch)
+                if blen > 1:
+                    batch.sort(key=_DELIVERY_ORDER)
+                if slot_time != next_time:
+                    # Deliveries only.
+                    n = slot_run = 0
+                    self._pending -= blen
+                    for entry in batch:
+                        self.exec_sched = entry[0][0]
+                        entry[1](*entry[2])
                 else:
-                    entry = batch[bi]
-                    bi += 1
-                    self.exec_sched = entry[0][0]
-                    entry[1](*entry[2])
-            while i < n:
-                handle = slot[i]
-                i += 1
-                if handle.cancelled:
-                    continue
-                slot_run += 1
-                self.exec_sched = handle.sched
-                handle.fn(*handle.args)
-            while bi < blen:
-                entry = batch[bi]
-                bi += 1
-                self.exec_sched = entry[0][0]
-                entry[1](*entry[2])
+                    heappop(slot_heap)
+                    del slots[next_time]
+                    n = len(slot)
+                    self._pending -= n + blen
+                    # Merge by schedule/send time: earlier-scheduled runs
+                    # first, an ordinary entry wins an exact tie.  Slot
+                    # entries are appended in nondecreasing schedule order
+                    # and the band is sorted, so a single forward merge
+                    # reproduces the global order.
+                    slot_run = 0
+                    bi = 0
+                    while i < n and bi < blen:
+                        handle = slot[i]
+                        if handle.cancelled:
+                            i += 1
+                            continue
+                        if handle.sched <= batch[bi][0][0]:
+                            i += 1
+                            slot_run += 1
+                            self.exec_sched = handle.sched
+                            handle.fn(*handle.args)
+                        else:
+                            entry = batch[bi]
+                            bi += 1
+                            self.exec_sched = entry[0][0]
+                            entry[1](*entry[2])
+                    while i < n:
+                        handle = slot[i]
+                        i += 1
+                        if handle.cancelled:
+                            continue
+                        slot_run += 1
+                        self.exec_sched = handle.sched
+                        handle.fn(*handle.args)
+                    while bi < blen:
+                        entry = batch[bi]
+                        bi += 1
+                        self.exec_sched = entry[0][0]
+                        entry[1](*entry[2])
             events_run = self._events_run + slot_run + blen
             self._events_run = events_run
             self._events_purged += n - slot_run

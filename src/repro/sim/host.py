@@ -58,6 +58,9 @@ class Host:
         self.bandwidth: float = 0.0
         self.delay_ns: int = 0
         self.peer: Optional[PortRef] = None
+        # Wire time of every frame size sent on the uplink (size -> ns),
+        # filled on miss; reset when the uplink is (re)attached.
+        self._ser_ns: Dict[int, int] = {}
         # Transmitter state.
         self.busy_until = 0
         self.paused_until: Dict[int, int] = {}
@@ -86,6 +89,7 @@ class Host:
         self.bandwidth = bandwidth
         self.delay_ns = delay_ns
         self.peer = peer
+        self._ser_ns = {}
 
     def cc_state(self, key: FlowKey) -> Optional[DcqcnState]:
         return self._cc.get(key)
@@ -291,9 +295,12 @@ class Host:
 
     def _transmit(self, pkt: Packet) -> None:
         now = self.sim.now
-        ser = serialization_delay_ns(pkt.size, self.bandwidth)
+        size = pkt.size
+        ser = self._ser_ns.get(size)
+        if ser is None:
+            ser = self._ser_ns[size] = serialization_delay_ns(size, self.bandwidth)
         self.busy_until = now + ser
-        self.tx_bytes += pkt.size
+        self.tx_bytes += size
         self.tx_pkts += 1
         self.network.deliver(self.peer, pkt, ser + self.delay_ns, self.name)
         self._schedule_pump(self.busy_until)

@@ -32,6 +32,7 @@ from ..units import serialization_delay_ns
 from .config import SimConfig
 from .packet import (
     DATA_PRIORITY,
+    PFC_FRAME_SIZE,
     Packet,
     PacketType,
     pause_quanta_to_ns,
@@ -45,6 +46,12 @@ LOSSLESS_PRIORITIES = frozenset({DATA_PRIORITY})
 
 # Signature: (switch, packet, ingress_port) -> [(egress_port, flag), ...]
 PollingHandler = Callable[["Switch", Packet, int], List[Tuple[int, object]]]
+
+# Module-level members: the per-frame type tests load one global each
+# instead of a global plus an enum attribute.
+_DATA = PacketType.DATA
+_PFC = PacketType.PFC
+_POLLING = PacketType.POLLING
 
 
 class SwitchObserver:
@@ -125,6 +132,7 @@ class _Port:
         "tx_bytes",
         "tx_pkts",
         "pfc_tx_latency",
+        "ser_ns",
     )
 
     def __init__(self, port_no: int, bandwidth: float, delay_ns: int, peer: PortRef, peer_is_host: bool) -> None:
@@ -141,9 +149,10 @@ class _Port:
         self.tx_pkts = 0
         # PFC frames are fixed-size and out-of-band: the wire latency is a
         # per-port constant, precomputed at wiring time.
-        from .packet import PFC_FRAME_SIZE
-
         self.pfc_tx_latency = serialization_delay_ns(PFC_FRAME_SIZE, bandwidth) + delay_ns
+        # Wire time of every frame size this port has sent (size -> ns),
+        # filled on miss: a port sees a handful of sizes, once per frame.
+        self.ser_ns: Dict[int, int] = {}
 
     def queue(self, priority: int) -> _EgressQueue:
         q = self.queues.get(priority)
@@ -201,6 +210,11 @@ class Switch:
         self._ecn_kmin = config.ecn.kmin_bytes
         self._pfc_xoff = config.pfc.xoff_bytes
         self._pfc_xon = config.pfc.xon_bytes
+        # Bound once: each is called once per forwarded frame.  Route
+        # overrides still take effect — the table flushes its own cache.
+        self._select_port = network.routing.select_port
+        self._deliver = network.deliver
+        self._schedule = self.sim.schedule
 
     # -- wiring ---------------------------------------------------------------
 
@@ -237,23 +251,17 @@ class Switch:
         """Entry point for frames delivered by an attached link."""
         self.stats.rx_pkts += 1
         ptype = pkt.ptype
-        if ptype is PacketType.PFC:
+        if ptype is _PFC:
             self._handle_pfc(pkt, ingress_port)
             return
-        if ptype is PacketType.POLLING:
+        if ptype is _POLLING:
             self._handle_polling(pkt, ingress_port)
             return
-        self._forward(pkt, ingress_port)
-
-    def _forward(self, pkt: Packet, ingress_port: int) -> None:
-        assert pkt.flow is not None
+        flow = pkt.flow
+        assert flow is not None
         # ACKs and CNPs travel back toward the flow source.
-        if pkt.ptype in (PacketType.ACK, PacketType.CNP):
-            dst_ip = pkt.flow.src_ip
-        else:
-            dst_ip = pkt.flow.dst_ip
-        egress_port = self.network.routing.select_port(self.name, dst_ip, pkt.flow)
-        self.enqueue(pkt, egress_port, ingress_port)
+        dst_ip = flow.dst_ip if ptype is _DATA else flow.src_ip
+        self.enqueue(pkt, self._select_port(self.name, dst_ip, flow), ingress_port)
 
     def _handle_pfc(self, pkt: Packet, port_no: int) -> None:
         """A PAUSE/RESUME frame arrived: (un)pause our egress on that port."""
@@ -317,7 +325,7 @@ class Switch:
         queue.bytes = depth_bytes + size
         stats = self.stats
         stats.enqueued_bytes += size
-        if pkt.ptype is PacketType.DATA:
+        if pkt.ptype is _DATA:
             stats.data_pkts += 1
             stats.data_bytes += size
 
@@ -340,7 +348,7 @@ class Switch:
     def _assert_pause(self, key: Tuple[int, int]) -> None:
         self._pausing[key] = True
         self._send_pfc(key[0], key[1], self.config.pfc.pause_quanta)
-        self.sim.schedule(
+        self._schedule(
             self.config.pfc.refresh_interval_ns, self._refresh_pause, key
         )
 
@@ -350,7 +358,7 @@ class Switch:
         # Still above Xon?  Keep the upstream paused.
         if self._ingress_bytes.get(key, 0) >= self._pfc_xon:
             self._send_pfc(key[0], key[1], self.config.pfc.pause_quanta)
-            self.sim.schedule(
+            self._schedule(
                 self.config.pfc.refresh_interval_ns, self._refresh_pause, key
             )
         else:
@@ -371,7 +379,7 @@ class Switch:
         for obs in self._obs_pfc_tx:
             obs.on_pfc_sent(self, now, port_no, priority, quanta)
         frame = Packet.pfc(priority, quanta, now)
-        self.network.deliver(port.peer, frame, port.pfc_tx_latency, self.name)
+        self._deliver(port.peer, frame, port.pfc_tx_latency, self.name)
 
     # -- transmit path -------------------------------------------------------------
 
@@ -383,24 +391,28 @@ class Switch:
 
         # Pick the highest-priority head-of-line packet whose class is not
         # paused (inlined: this runs for every enqueue and wire-idle event).
-        queues = port.queues
         paused_until = port.paused_until
-        best_prio = None
-        for prio, queue in queues.items():
+        best_prio = best = None
+        blocked = False  # saw a non-empty queue held back by a pause
+        for prio, queue in port.queues.items():
             if not queue.pkts:
                 continue
             if paused_until.get(prio, 0) > now:
+                blocked = True
                 continue
             if best_prio is None or prio > best_prio:
                 best_prio = prio
-        if best_prio is None:
-            self._schedule_unpause_wake(port)
+                best = queue
+        if best is None:
+            # Nothing sendable.  Only a paused backlog needs a wake; the
+            # common wire-idle event on a drained port ends here.
+            if blocked:
+                self._schedule_unpause_wake(port)
             return
 
-        queue = queues[best_prio]
-        pkt = queue.pkts.popleft()
+        pkt = best.pkts.popleft()
         size = pkt.size
-        queue.bytes -= size
+        best.bytes -= size
         port.tx_bytes += size
         port.tx_pkts += 1
         self.stats.tx_pkts += 1
@@ -417,24 +429,12 @@ class Switch:
         for obs in self._obs_dequeue:
             obs.on_egress_dequeue(self, now, pkt, port_no)
 
-        ser = serialization_delay_ns(size, port.bandwidth)
+        ser = port.ser_ns.get(size)
+        if ser is None:
+            ser = port.ser_ns[size] = serialization_delay_ns(size, port.bandwidth)
         port.busy_until = now + ser
-        self.network.deliver(port.peer, pkt, ser + port.delay_ns, self.name)
-        self.sim.schedule(ser, self._try_transmit, port_no)
-
-    def _pick_packet(self, port: _Port, now: int) -> Optional[Packet]:
-        """Highest-priority head-of-line packet whose class is not paused."""
-        best_prio = None
-        for prio, queue in port.queues.items():
-            if not queue.pkts:
-                continue
-            if port.is_paused(prio, now):
-                continue
-            if best_prio is None or prio > best_prio:
-                best_prio = prio
-        if best_prio is None:
-            return None
-        return port.queues[best_prio].pkts[0]
+        self._deliver(port.peer, pkt, ser + port.delay_ns, self.name)
+        self._schedule(ser, self._try_transmit, port_no)
 
     def _schedule_unpause_wake(self, port: _Port) -> None:
         """If everything queued is paused, wake when the earliest pause lapses.
@@ -443,14 +443,16 @@ class Switch:
         otherwise accumulate one event per enqueue attempt.
         """
         now = self.sim.now
-        times = [
-            port.paused_until.get(prio, 0)
-            for prio, q in port.queues.items()
-            if q.pkts and port.is_paused(prio, now)
-        ]
-        if not times:
+        paused_until = port.paused_until
+        earliest = None
+        for prio, q in port.queues.items():
+            if q.pkts:
+                until = paused_until.get(prio, 0)
+                if until > now and (earliest is None or until < earliest):
+                    earliest = until
+        if earliest is None:
             return
-        wake_at = max(min(times) + 1, now + 1)
+        wake_at = earliest + 1  # every candidate is > now
         pending = port.wake
         if pending is not None and not pending.cancelled and pending.time <= wake_at:
             return

@@ -73,30 +73,16 @@ def mbps(value: float) -> float:
     return value * 1e6 / 8.0
 
 
-# Fabrics use a handful of (frame size, link speed) combinations, but the
-# conversion runs once per transmitted frame — memoize it.
-_SER_DELAY_CACHE: dict = {}
-SER_DELAY_CACHE_STATS = [0, 0]  # [hits, misses], surfaced via PerfStats
-
-
 def serialization_delay_ns(size_bytes: int, bandwidth_bytes_per_sec: float) -> int:
     """Time to put ``size_bytes`` on a wire of the given bandwidth.
 
     Always at least 1 ns so that back-to-back transmissions of tiny frames
-    still advance simulated time.
+    still advance simulated time.  Not memoized: the per-frame callers
+    (switch ports, host uplinks) keep their own size -> ns table.
     """
-    key = (size_bytes, bandwidth_bytes_per_sec)
-    cached = _SER_DELAY_CACHE.get(key)
-    if cached is None:
-        if bandwidth_bytes_per_sec <= 0:
-            raise ValueError("bandwidth must be positive")
-        delay = size_bytes * SEC / bandwidth_bytes_per_sec
-        cached = max(1, int(round(delay)))
-        _SER_DELAY_CACHE[key] = cached
-        SER_DELAY_CACHE_STATS[1] += 1
-    else:
-        SER_DELAY_CACHE_STATS[0] += 1
-    return cached
+    if bandwidth_bytes_per_sec <= 0:
+        raise ValueError("bandwidth must be positive")
+    return max(1, int(round(size_bytes * SEC / bandwidth_bytes_per_sec)))
 
 
 def bytes_per_ns(bandwidth_bytes_per_sec: float) -> float:

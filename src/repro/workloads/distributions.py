@@ -115,6 +115,8 @@ class PoissonArrivals:
             raise ValueError("need at least two hosts")
         events: List[Tuple[int, str, str, int]] = []
         aggregate_rate = self.rate_per_ns * len(hosts)
+        if not aggregate_rate > 0:  # a denormal load underflows to 0.0
+            return events
         t = float(start_ns)
         end = start_ns + duration_ns
         while True:

@@ -44,16 +44,20 @@ def ring4():
     return build_ring(num_switches=4, hosts_per_switch=2)
 
 
-@pytest.fixture
-def tiny_topo():
+def build_tiny(bandwidth: float = gbps(100)) -> Topology:
     """Two hosts, one switch: the smallest routable fabric."""
     topo = Topology("tiny")
     topo.add_switch("SW")
     topo.add_host("A", ip="10.0.0.1")
     topo.add_host("B", ip="10.0.0.2")
-    topo.add_link("A", "SW", gbps(100), usec(1))
-    topo.add_link("B", "SW", gbps(100), usec(1))
+    topo.add_link("A", "SW", bandwidth, usec(1))
+    topo.add_link("B", "SW", bandwidth, usec(1))
     return topo
+
+
+@pytest.fixture
+def tiny_topo():
+    return build_tiny()
 
 
 @pytest.fixture

@@ -7,8 +7,9 @@ exact inverse of itself.
 """
 
 import random
+from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fuzz import (
@@ -86,6 +87,9 @@ class TestMutantsBuildRunnableScenarios:
     least the victim flow scheduled."""
 
     @given(genomes(), st.integers(0, 2**31))
+    # A denormal background load survives normalization (it is > 0) and
+    # used to underflow the Poisson rate to 0.0 -> ZeroDivisionError.
+    @example(replace(ScenarioGenome(), background_load=5e-324), 0)
     @settings(max_examples=25, deadline=None)
     def test_mutant_builds(self, genome, rng_seed):
         rng = random.Random(rng_seed)

@@ -251,6 +251,43 @@ class TestSlotScheduler:
         sim.run()
         assert seen == ["a", "b"]
 
+    def test_relative_and_absolute_share_one_fifo(self):
+        """``schedule`` appends to the slot itself rather than calling
+        ``schedule_at``; both must feed the same per-timestamp FIFO, with
+        the same bookkeeping."""
+        sim = Simulator()
+        seen = []
+
+        def burst():
+            now = sim.now
+            handles = [
+                sim.schedule(5, seen.append, 0),
+                sim.schedule_at(now + 5, seen.append, 1),
+                sim.schedule(5, seen.append, 2),
+                sim.schedule_at(now + 5, seen.append, 3),
+                sim.schedule(0, seen.append, "same-instant"),
+            ]
+            assert [h.time for h in handles] == [now + 5] * 4 + [now]
+            assert all(h.sched == now and not h.cancelled for h in handles)
+            assert sim.pending_entries == 5
+
+        sim.schedule(10, burst)
+        sim.run()
+        assert seen == ["same-instant", 0, 1, 2, 3]
+        assert sim.events_run == 6 and sim.max_pending_entries == 5
+
+    def test_past_rejected_after_clock_moved(self):
+        sim = Simulator()
+        sim.run(until_ns=100)
+        with pytest.raises(ValueError, match=r"in the past \(delay=-1\)"):
+            sim.schedule(-1, lambda: None)
+        with pytest.raises(ValueError, match=r"at 99 \(now is 100\)"):
+            sim.schedule_at(sim.now - 1, lambda: None)
+        assert sim.pending_entries == 0
+        sim.schedule(0, lambda: None)
+        sim.schedule_at(sim.now, lambda: None)
+        assert sim.pending_entries == 2
+
 
 class TestDeterminism:
     @given(st.lists(st.integers(min_value=0, max_value=1000), max_size=60))

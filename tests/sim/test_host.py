@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sim import DATA_PRIORITY, Network, Packet, SimConfig
-from repro.units import KB, msec, usec
+from repro.units import KB, gbps, msec, serialization_delay_ns, usec
+from tests.conftest import build_tiny
 
 
 class TestFlowTransmission:
@@ -27,6 +28,32 @@ class TestFlowTransmission:
         tiny_net.run(msec(1))
         assert flow.completed
         assert flow.packets_sent == 3
+
+    @pytest.mark.parametrize("rate_gbps", [10, 25, 100])
+    def test_uplink_wire_time_table(self, rate_gbps):
+        """The host's size -> ns table is ``serialization_delay_ns`` at the
+        uplink's bandwidth, 1 ns floor and flow-tail sizes included."""
+        bandwidth = gbps(rate_gbps)
+        net = Network(build_tiny(bandwidth), config=SimConfig(data_packet_size=1500))
+        mtu = net.config.data_packet_size
+        flows = [
+            net.make_flow("A", "B", size, usec(1), src_port=10000 + i)
+            for i, size in enumerate((1, 64, 1000, mtu + 37))
+        ]
+        for flow in flows:
+            net.start_flow(flow)
+        net.run(msec(1))
+        assert all(flow.completed for flow in flows)
+        table = net.host("A")._ser_ns
+        assert table == {
+            size: serialization_delay_ns(size, bandwidth)
+            for size in (1, 64, 1000, mtu, 37)
+        }
+        assert table[1] == 1  # the 1 ns floor
+        # Re-attaching the uplink at another speed must not reuse the table.
+        host = net.host("A")
+        host.attach_uplink(bandwidth / 2, host.delay_ns, host.peer)
+        assert host._ser_ns == {}
 
     def test_rate_capped_flow_is_slower(self, tiny_topo):
         from repro.sim import Network

@@ -13,7 +13,8 @@ from repro.sim import (
 )
 from repro.sim.config import PfcConfig
 from repro.topology import build_dumbbell, build_line
-from repro.units import KB, msec, usec
+from repro.units import KB, gbps, msec, serialization_delay_ns, usec
+from tests.conftest import build_tiny
 
 
 class Recorder(SwitchObserver):
@@ -202,3 +203,119 @@ class TestPriorityScheduling:
         assert flow.completed and reverse.completed
         prios = {e[2].priority for e in rec.enqueues}
         assert CONTROL_PRIORITY in prios and DATA_PRIORITY in prios
+
+
+def data_pkt(net, size=1 * KB, src="B", dst="A"):
+    return Packet.data(net.make_flow(src, dst, size, 0).key, size, 0, net.sim.now)
+
+
+class TestWireIdleWake:
+    """``_try_transmit`` with nothing sendable: a wake is owed only to a
+    paused backlog, one per port, at the earliest expiry + 1 ns."""
+
+    def test_idle_wake_on_drained_port_schedules_nothing(self, tiny_net):
+        net = tiny_net
+        sw = net.switch("SW")
+        port_no = net.topology.attachment_of("A").port
+        flow = net.make_flow("B", "A", 10 * KB, usec(1))
+        net.start_flow(flow)
+        net.run(msec(1))
+        port = sw.ports[port_no]
+        assert flow.completed and port.queues and not any(port.queues.values())
+        pending = net.sim.pending_entries
+        sw._try_transmit(port_no)  # what the post-serialization event does
+        assert net.sim.pending_entries == pending and port.wake is None
+        # Paused but empty: still nothing to wake for.
+        sw.receive(Packet.pfc(DATA_PRIORITY, 0xFFFF, net.sim.now), port_no)
+        sw._try_transmit(port_no)
+        assert net.sim.pending_entries == pending and port.wake is None
+
+    def test_paused_backlog_gets_exactly_one_wake(self, tiny_net):
+        net = tiny_net
+        sim = net.sim
+        sw = net.switch("SW")
+        port_no = net.topology.attachment_of("A").port
+        port = sw.ports[port_no]
+        sw.receive(Packet.pfc(DATA_PRIORITY, 1000, 0), port_no)
+        expiry = port.paused_until[DATA_PRIORITY]
+        assert expiry > 0 and sim.pending_entries == 0
+
+        sw.enqueue(data_pkt(net), port_no, None)
+        wake = port.wake
+        assert wake is not None and wake.time == expiry + 1
+        assert sim.pending_entries == 1
+        # More backlog and more wire-idle events: still the one wake.
+        sw.enqueue(data_pkt(net), port_no, None)
+        sw._try_transmit(port_no)
+        assert port.wake is wake and sim.pending_entries == 1
+
+        # A refresh pushes the expiry out; the earlier wake stays (it will
+        # re-arm when it fires), no second event is added.
+        net.run(expiry // 2)
+        sw.receive(Packet.pfc(DATA_PRIORITY, 1000, sim.now), port_no)
+        assert port.paused_until[DATA_PRIORITY] > expiry
+        assert port.wake is wake and not wake.cancelled
+        assert sim.pending_entries == 1
+
+        # A shorter pause expires before the pending wake: it is replaced.
+        sw.receive(Packet.pfc(DATA_PRIORITY, 10, sim.now), port_no)
+        sooner = port.paused_until[DATA_PRIORITY]
+        assert sim.now < sooner < expiry
+        assert wake.cancelled and port.wake is not wake
+        assert port.wake.time == sooner + 1
+
+        net.run(msec(1))
+        assert port.wake is None and port.tx_pkts == 2
+
+
+class TestPortWireTimeTable:
+    @pytest.mark.parametrize("rate_gbps", [10, 25, 100])
+    def test_table_matches_serialization_delay(self, rate_gbps):
+        bandwidth = gbps(rate_gbps)
+        topo = build_tiny(bandwidth)
+        net = Network(topo, config=SimConfig(data_packet_size=1500))
+        sw = net.switch("SW")
+        port_no = topo.attachment_of("A").port
+        port = sw.ports[port_no]
+        assert port.ser_ns == {}
+        sizes = (1, 64, 1000, net.config.data_packet_size, 37)
+        for size in sizes:
+            sw.enqueue(data_pkt(net, size), port_no, None)
+        net.run(msec(1))
+        assert port.tx_pkts == len(sizes)
+        assert port.ser_ns == {
+            size: serialization_delay_ns(size, bandwidth) for size in sizes
+        }
+        assert port.ser_ns[1] == 1  # the 1 ns floor (0.08-0.8 ns of wire)
+        # The table is what paced the wire: back-to-back frames, no gaps.
+        assert port.busy_until == sum(port.ser_ns.values())
+
+
+class TestStaticRouteMidRun:
+    def test_override_moves_the_next_packet(self, fat_tree):
+        """The switch calls a ``select_port`` bound at construction; an
+        override installed mid-run must still reach it."""
+        net = Network(fat_tree)
+        egress = []  # egress port of each data packet, in enqueue order
+
+        class DataEgress(SwitchObserver):
+            def on_egress_enqueue(self, sw, t, pkt, eport, iport, qd, qb, paused):
+                if pkt.ptype is PacketType.DATA:
+                    egress.append(eport)
+
+        net.add_switch_observer(DataEgress(), ["E0_0"])
+        flow = net.make_flow("H0_0_0", "H3_1_1", 60 * KB, usec(1))
+        net.start_flow(flow)
+        net.run(usec(4))
+        before = len(egress)
+        assert 0 < before < 60 and len(set(egress)) == 1
+        natural = egress[0]
+        (other,) = [
+            port
+            for port, peer in fat_tree.neighbors("E0_0")
+            if fat_tree.node(peer.node).is_switch and port != natural
+        ]
+        net.routing.set_static_route("E0_0", flow.key.dst_ip, other)
+        net.run(msec(1))
+        assert flow.completed
+        assert len(egress) == 60 and set(egress[before:]) == {other}

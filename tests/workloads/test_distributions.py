@@ -72,6 +72,13 @@ class TestPoissonArrivals:
         events = self.make().generate(["a", "b"], duration_ns=msec(10))
         assert all(src != dst for _, src, dst, _ in events)
 
+    def test_denormal_load_generates_nothing(self):
+        """A load so small the aggregate rate underflows to 0.0 is simply
+        silent — it used to divide by zero inside ``expovariate``."""
+        arrivals = self.make(load=5e-324)
+        assert arrivals.rate_per_ns * 3 == 0.0
+        assert arrivals.generate(["a", "b", "c"], duration_ns=msec(10)) == []
+
     def test_rate_scales_with_load(self):
         low = len(self.make(load=0.05).generate(["a", "b", "c", "d"], msec(20)))
         high = len(self.make(load=0.4).generate(["a", "b", "c", "d"], msec(20)))

@@ -150,6 +150,28 @@ def test_incast_speedup_and_identical_diagnosis():
     write_bench_json(REPO_ROOT / BENCH_PERF_FILENAME, payload)
 
 
+def _interleaved_best(configs, rounds=7):
+    """Best ``(wall_s, diagnosis, alerts)`` per config over interleaved passes.
+
+    The 5% gates below compare two arms' wall clocks.  Alternating the
+    arms every pass puts both under the same machine drift, and the
+    minimum over seven passes discards scheduler hiccups; one arm run to
+    completion before the other lets drift alone cross 5%.
+    """
+    best = [None] * len(configs)
+    for _ in range(rounds):
+        for i, config in enumerate(configs):
+            scenario = incast_on_fat_tree(4)
+            gc.collect()
+            result = run_scenario(scenario, config)
+            alerts = len(result.monitor.alerts) if result.monitor else 0
+            sample = (result.perf.wall_s, result.diagnosis().describe(), alerts)
+            del scenario, result
+            if best[i] is None or sample[0] < best[i][0]:
+                best[i] = sample
+    return best
+
+
 @pytest.mark.benchmark(group="perf")
 def test_obs_off_path_costs_nothing():
     """The observability layer's leave-it-compiled-in contract.
@@ -161,21 +183,8 @@ def test_obs_off_path_costs_nothing():
     work); 5% covers scheduler noise.  Both runs must produce the same
     diagnosis — the tracer is a pure observer.
     """
-    def best_wall(config):
-        best = None
-        for _ in range(2):
-            scenario = incast_on_fat_tree(4)
-            gc.collect()
-            result = run_scenario(scenario, config)
-            sample = (result.perf.wall_s, result.diagnosis().describe())
-            del scenario, result
-            if best is None or sample[0] < best[0]:
-                best = sample
-        return best
-
-    off_wall, off_diagnosis = best_wall(RunConfig())
-    on_wall, on_diagnosis = best_wall(
-        RunConfig(obs=ObsConfig(trace=True, sink="ring"))
+    (off_wall, off_diagnosis, _), (on_wall, on_diagnosis, _) = _interleaved_best(
+        [RunConfig(), RunConfig(obs=ObsConfig(trace=True, sink="ring"))]
     )
     assert off_diagnosis == on_diagnosis
     overhead = off_wall / on_wall
@@ -215,22 +224,8 @@ def test_monitor_overhead_bounded():
     """
     from repro.monitor import MonitorConfig
 
-    def best_wall(config):
-        best = None
-        for _ in range(3):
-            scenario = incast_on_fat_tree(4)
-            gc.collect()
-            result = run_scenario(scenario, config)
-            alerts = len(result.monitor.alerts) if result.monitor else 0
-            sample = (result.perf.wall_s, result.diagnosis().describe(), alerts)
-            del scenario, result
-            if best is None or sample[0] < best[0]:
-                best = sample
-        return best
-
-    off_wall, off_diagnosis, _ = best_wall(RunConfig())
-    on_wall, on_diagnosis, alerts = best_wall(
-        RunConfig(monitor=MonitorConfig())
+    (off_wall, off_diagnosis, _), (on_wall, on_diagnosis, alerts) = (
+        _interleaved_best([RunConfig(), RunConfig(monitor=MonitorConfig())])
     )
     assert on_diagnosis == off_diagnosis
     assert alerts > 0, "the monitored incast run must raise alerts"

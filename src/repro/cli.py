@@ -395,6 +395,14 @@ def _resolve_analyzer_jobs(args: argparse.Namespace) -> int:
     return jobs
 
 
+def _warn_shard_fallback(supervision: dict) -> None:
+    """A sharded run that lost a worker must say so, not only in perf JSON."""
+    if supervision.get("fallback_ran"):
+        lost = ",".join(str(sid) for sid in supervision["lost_shards"])
+        print(f"warning: shard {lost} lost ({supervision['failure_kind']}); "
+              f"{supervision['fallback_ran']} fallback ran", file=sys.stderr)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     builder = SCENARIO_BUILDERS[args.scenario]
     scenario = builder(seed=args.seed)
@@ -437,6 +445,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ).print_stats(args.profile)
     else:
         result = _execute()
+    _warn_shard_fallback(result.perf.supervision)
 
     outcome = result.primary_outcome()
     if outcome is None:
@@ -639,6 +648,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     print("\n" + header)
     print("-" * len(header))
     for o in outcomes:
+        _warn_shard_fallback(o.supervision)
         if o.crashed:
             verdict = "CRASH"
         elif not o.diagnosed:

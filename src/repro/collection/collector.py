@@ -274,6 +274,20 @@ class TelemetryCollector:
         self._last_delivery_ns = now
         self._delivery_times[report.switch] = now
 
+    @property
+    def delivery_times(self) -> Dict[str, int]:
+        """Switch -> sim time its latest report reached the analyzer."""
+        return self._delivery_times
+
+    def note_remote_delivery(self, switch_name: str, time_ns: int) -> None:
+        """Another shard's collector delivered ``switch_name``'s report at
+        ``time_ns``: the retransmission probes below must see the
+        fabric-wide picture the single-process collector has."""
+        if self._delivery_times.get(switch_name, -1) < time_ns:
+            self._delivery_times[switch_name] = time_ns
+        if self._last_delivery_ns < time_ns:
+            self._last_delivery_ns = time_ns
+
     def has_report_since(self, victim, since_ns: int) -> bool:
         """Has *any* report been delivered at/after ``since_ns``?  The
         coarse retransmission probe (victim-agnostic: a trigger's polling

@@ -23,7 +23,6 @@ walk around deadlock loops after one full cycle.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -79,30 +78,6 @@ class PollingEngine:
         for name in deployment.telemetry:
             network.switches[name].polling_handler = self._handle
 
-    # One warning per process, not per access: hot paths may read the alias
-    # in a loop and a warning flood would bury the signal.
-    _dropped_alias_warned = False
-
-    @property
-    def polling_packets_dropped(self) -> int:
-        """Deprecated alias for :attr:`polling_packets_suppressed`.
-
-        The counter tallies per-switch dedup *suppressions*, never actual
-        packet drops (injected loss is :attr:`polling_packets_lost`); the
-        old name misled.  Kept one deprecation cycle for external callers;
-        in-tree callers have migrated.
-        """
-        if not PollingEngine._dropped_alias_warned:
-            PollingEngine._dropped_alias_warned = True
-            warnings.warn(
-                "polling_packets_dropped is deprecated; use "
-                "polling_packets_suppressed (dedup suppressions) or "
-                "polling_packets_lost (injected loss)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.polling_packets_suppressed
-
     def add_mirror_listener(self, fn) -> None:
         """``fn(switch_name, pkt, now)`` is the CPU-mirror notification."""
         self._mirror_listeners.append(fn)
@@ -110,6 +85,15 @@ class PollingEngine:
     def switches_traced_for(self, victim) -> set:
         """Switches a victim's polling packets visited — its causal trace."""
         return set(self._victim_switches.get(victim, ()))
+
+    @property
+    def victim_traces(self) -> Dict:
+        """Victim -> the switch set :meth:`switches_traced_for` copies from."""
+        return self._victim_switches
+
+    def note_remote_trace(self, victim, switch_name: str) -> None:
+        """Another shard's engine saw ``victim``'s trace reach ``switch_name``."""
+        self._victim_switches.setdefault(victim, set()).add(switch_name)
 
     def reset_victim(self, victim) -> None:
         """Reopen the per-victim dedup windows (retransmission support).

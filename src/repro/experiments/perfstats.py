@@ -56,41 +56,14 @@ class PerfStats:
     barrier_epochs: int = 0
     barrier_stall_s: float = 0.0
     aggregate_events_per_sec: float = 0.0
-    # Cross-shard frame transport accounting (sharded runs only): the mode
-    # actually used ("shm" rings or pickled "pipe"), frames carried by each
-    # path, and fallbacks (ring overflow / codec misses / rows failing the
-    # write-back integrity verify).  Empty on single-process runs.
+    # Cross-shard frame traffic (sharded runs only): ``{"pipe_frames": N}``,
+    # the frames the barrier pipes carried.  Empty on single-process runs.
     transport: Dict[str, Any] = field(default_factory=dict)
     # Worker-supervision accounting (sharded runs only): the watchdog
     # timeout and fallback mode in force, plus — after a worker loss —
     # which shards were lost and which fallback actually ran.  Empty on
     # single-process runs.
     supervision: Dict[str, Any] = field(default_factory=dict)
-
-    @classmethod
-    def from_run(
-        cls,
-        scenario_name: str,
-        sim: Any,
-        wall_s: float,
-        caches: Optional[Dict[str, Dict[str, int]]] = None,
-        faults: Optional[Dict[str, int]] = None,
-        stages: Optional[Dict[str, Dict[str, Any]]] = None,
-    ) -> "PerfStats":
-        """Snapshot a :class:`~repro.sim.engine.Simulator`'s counters."""
-        events = sim.events_run
-        return cls(
-            scenario=scenario_name,
-            wall_s=wall_s,
-            events_run=events,
-            events_per_sec=events / wall_s if wall_s > 0 else 0.0,
-            peak_pending_events=sim.max_pending_entries,
-            events_purged=sim.events_purged,
-            compactions=sim.compactions,
-            caches=caches if caches is not None else {},
-            faults=faults if faults is not None else {},
-            stages=stages if stages is not None else {},
-        )
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)

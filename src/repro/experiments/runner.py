@@ -19,7 +19,7 @@ import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..baselines.systems import (
     SystemKind,
@@ -31,7 +31,7 @@ from ..collection.agent import AgentConfig, DetectionAgent, TriggerEvent
 from ..collection.collector import TelemetryCollector
 from ..collection.polling import PollingConfig, PollingEngine
 from ..core.build import AnnotatedGraph, build_provenance
-from ..faults.injector import make_injector
+from ..faults.injector import FaultIncident, make_injector
 from ..faults.plan import FaultPlan, RetryPolicy
 from ..core.diagnosis import Diagnoser
 from ..core.report import Diagnosis
@@ -371,11 +371,187 @@ def causal_switches_of(scenario: Scenario, victim: FlowKey) -> Set[str]:
     return causal
 
 
+@dataclass
+class SessionTotals:
+    """What one session's simulation amounted to, as plain picklable data.
+
+    The in-process run reads one from its own session
+    (:meth:`FabricSession.totals`); the sharded parent sums its workers'
+    (``repro.experiments.shardrun``).  Either way :func:`account_run`
+    turns the record into the :class:`RunResult`, so every overhead,
+    fault and metrics figure is computed in one place.
+    """
+
+    reports: List[SwitchReport]
+    triggers: List[TriggerEvent]
+    # victim -> switches its polling trace visited; None without an engine.
+    traced: Optional[Dict[FlowKey, Set[str]]]
+    collection: Dict[str, int]
+    polling: Dict[str, int]
+    agent: Dict[str, int]
+    sim: Dict[str, int]
+    data_pkt_hops: int
+    data_pkts_sent: int
+    # Per-run instance caches (ECMP select, telemetry materialization).
+    caches: Dict[str, Dict[str, int]]
+    fault_stats: Dict[str, int]
+    fault_incidents: List[FaultIncident]
+    monitor_alerts: Optional[list] = None
+    monitor_counters: Optional[Dict[str, Any]] = None
+    # Filled by shard workers only: the trace payload and live registry
+    # counters the parent folds into its own tracer/registry, and the
+    # worker's busy CPU seconds and stage profile.
+    obs: Optional[Dict[str, Any]] = None
+    registry: Dict[str, int] = field(default_factory=dict)
+    busy_s: float = 0.0
+    stages: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Reports cross the worker boundary in the columnar wire format:
+        # flat interned arrays pickle far smaller than the object graphs.
+        return {**self.__dict__, "reports": [r.to_columnar() for r in self.reports]}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        state["reports"] = [SwitchReport.from_columnar(b) for b in state["reports"]]
+        self.__dict__.update(state)
+
+
+def account_run(
+    scenario: Scenario,
+    config: RunConfig,
+    totals: SessionTotals,
+    now_ns: int,
+    profile: StageProfile,
+    wall_start: float,
+    caches_before: Dict[str, Tuple[int, int]],
+    obs: Optional[PipelineObs] = None,
+    monitor=None,
+) -> RunResult:
+    """Diagnose every victim from ``totals`` and account the run.
+
+    The one epilogue of every execution mode.  ``profile`` (and the
+    registry it feeds), ``obs`` and ``monitor`` are the caller's live
+    objects: the session's own in-process, the parent's merged ones when
+    sharded.  ``caches_before`` scopes the process-global cache counters
+    to this run by differencing.
+    """
+    net = scenario.network
+    kind = config.system
+    metrics = profile.metrics
+    traced = totals.traced
+    traced_of: Optional[Callable[[FlowKey], Set[str]]] = None
+    if traced is not None:
+        traced_of = lambda key: set(traced.get(key, ()))  # noqa: E731
+
+    outcomes = diagnose_victims(
+        scenario, config, net, totals.reports, totals.triggers, traced_of,
+        now_ns, obs=obs, monitor=monitor, profile=profile,
+    )
+
+    data_pkt_hops = totals.data_pkt_hops
+    polling_pkts = totals.polling.get("packets_forwarded", 0) + len(totals.triggers)
+    # Processing overhead = the telemetry one diagnosis consumes
+    # (Fig 9a); NetSight is the exception: it ships every postcard
+    # regardless.
+    primary = min(
+        (o for o in outcomes if o.trigger is not None),
+        key=lambda o: o.trigger.time_ns,
+        default=None,
+    )
+    diagnosis_reports = primary.reports_used if primary is not None else {}
+    processing = processing_overhead_bytes(kind, diagnosis_reports, data_pkt_hops)
+    bandwidth = bandwidth_overhead_bytes(
+        kind, polling_pkts, POLLING_PACKET_SIZE, totals.data_pkts_sent, data_pkt_hops
+    )
+
+    causal: Set[str] = set()
+    for victim in scenario.victims:
+        causal |= causal_switches_of(scenario, victim.key)
+
+    cache_stats = diff_cache_counters(caches_before, global_cache_counters())
+    cache_stats.update(totals.caches)
+
+    fault_counters: Dict[str, int] = dict(totals.fault_stats)
+    collection, agent = totals.collection, totals.agent
+    for name, value in (
+        ("agent_retransmissions", agent["retransmissions"]),
+        ("agent_retries_recovered", agent["retries_recovered"]),
+        ("agent_retries_exhausted", agent["retries_exhausted"]),
+        ("agent_restarts", agent["restarts"]),
+        ("polling_packets_lost", totals.polling.get("packets_lost", 0)),
+        ("dma_retries", collection["dma_retries"]),
+        ("dma_reads_abandoned", collection["dma_reads_abandoned"]),
+        ("stale_reads", collection["stale_reads"]),
+        ("reports_lost", collection["reports_lost"]),
+        ("reports_truncated", collection["reports_truncated"]),
+        ("reports_delayed", collection["reports_delayed"]),
+    ):
+        if value:
+            fault_counters[name] = value
+
+    sim = totals.sim
+    wall_s = time.perf_counter() - wall_start
+    perf = PerfStats(
+        scenario=scenario.name,
+        wall_s=wall_s,
+        events_run=sim["events_run"],
+        events_per_sec=sim["events_run"] / wall_s if wall_s > 0 else 0.0,
+        peak_pending_events=sim["max_pending_entries"],
+        events_purged=sim["events_purged"],
+        compactions=sim["compactions"],
+        caches=cache_stats,
+        faults=fault_counters,
+        stages=profile.to_dict(),
+    )
+
+    # Fold every legacy counter surface into the one registry the
+    # ``--metrics-json`` export reads (the trace-derived ``events.*``
+    # counters are already live in it).
+    metrics.absorb_counters("sim", sim)
+    metrics.absorb_counters("cache", cache_stats)
+    metrics.absorb_counters("collection", collection)
+    metrics.absorb_counters("agent", {"triggers": len(totals.triggers), **agent})
+    if traced is not None:
+        metrics.absorb_counters("polling", totals.polling)
+    if fault_counters:
+        metrics.absorb_counters("faults", fault_counters)
+    if monitor is not None:
+        metrics.absorb_counters("monitor", monitor.counters())
+    metrics.gauge("run.wall_s").set(perf.wall_s)
+    metrics.gauge("run.sim_ns").set(float(now_ns))
+
+    if obs is not None:
+        obs.end_scenario(now_ns)
+
+    return RunResult(
+        scenario=scenario,
+        config=config,
+        outcomes=outcomes,
+        collected_switches=sorted({r.switch for r in totals.reports}),
+        causal_switches=causal,
+        processing_bytes=processing,
+        bandwidth_bytes=bandwidth,
+        polling_packets=polling_pkts,
+        collections=collection["collections"],
+        events_run=sim["events_run"],
+        data_pkt_hops=data_pkt_hops,
+        perf=perf,
+        fault_counters=fault_counters,
+        fault_incidents=[
+            i.describe()
+            for i in sorted(totals.fault_incidents, key=FaultIncident.sort_key)
+        ],
+        metrics=metrics,
+        obs=obs,
+        monitor=monitor,
+    )
+
+
 class FabricSession:
     """A live monitored fabric with the system under test attached.
 
-    The construction half of :func:`run_scenario`, factored out so two
-    execution modes share one attach path:
+    The construction half of :func:`run_scenario`, factored out so every
+    execution mode shares one attach path:
 
     - **batch** (``repro run`` and every experiment harness):
       :meth:`advance` once to the scenario's duration, then
@@ -385,7 +561,11 @@ class FabricSession:
       event budget, so the thread comes up for air every few milliseconds
       of host time however dense the timeline is — answer on-demand
       :meth:`diagnose_now` queries between chunks, and :meth:`finish`
-      when the episode's duration is reached.
+      when the episode's duration is reached;
+    - **shard worker** (``repro.experiments.shardrun``): a session on a
+      shard view of the scenario, run epoch by epoch under the parent's
+      barrier, then :meth:`totals` — the parent sums the workers' totals
+      and calls the same :func:`account_run` that :meth:`finish` does.
 
     :meth:`~repro.sim.engine.Simulator.run` executes events in timestamp
     order regardless of where it stops, and a budget stop is an
@@ -398,8 +578,13 @@ class FabricSession:
     """
 
     def __init__(
-        self, scenario: Scenario, config: Optional[RunConfig] = None
+        self,
+        scenario: Scenario,
+        config: Optional[RunConfig] = None,
+        obs: Optional[PipelineObs] = None,
     ) -> None:
+        """``obs`` hands in a ready facade in place of one built from
+        ``config.obs`` — a shard worker's, which owns no scenario root."""
         self.wall_start = time.perf_counter()
         self.scenario = scenario
         self.config = config = config if config is not None else RunConfig()
@@ -414,12 +599,13 @@ class FabricSession:
             net.routing.select_cache_hits, net.routing.select_cache_misses
         )
 
-        self.metrics = metrics = MetricsRegistry()
+        self.metrics = metrics = (
+            obs.metrics if obs is not None else MetricsRegistry()
+        )
         self.profile = StageProfile(metrics)
-        self.obs: Optional[PipelineObs] = None
         self._sim_obs: Optional[SimTraceObserver] = None
-        if config.obs is not None and config.obs.trace:
-            self.obs = obs = PipelineObs(Tracer(config.obs.build_sink()), metrics)
+        if obs is None and config.obs is not None and config.obs.trace:
+            obs = PipelineObs(Tracer(config.obs.build_sink()), metrics)
             obs.begin_scenario(
                 scenario.name, start_ns=net.sim.now, system=kind.value
             )
@@ -429,7 +615,7 @@ class FabricSession:
                 )
                 for switch in net.switches.values():
                     switch.add_observer(self._sim_obs)
-        obs = self.obs
+        self.obs = obs
 
         self.monitor: Optional[FabricMonitor] = None
         if config.monitor is not None and config.monitor.enabled:
@@ -438,7 +624,7 @@ class FabricSession:
             ).start()
         monitor = self.monitor
 
-        self.injector = make_injector(config.faults)
+        self.injector = make_injector(config.faults, shard_id=net.shard_id)
         self.deployment = HawkeyeDeployment(
             net, TelemetryConfig(scheme=scheme, flow_slots=config.flow_slots)
         )
@@ -595,147 +781,57 @@ class FabricSession:
 
     # -- completion ----------------------------------------------------------
 
-    def finish(self) -> RunResult:
-        """Finalize, diagnose every victim and account — the batch epilogue."""
+    def totals(self) -> SessionTotals:
+        """Finalize and read what this session's run amounted to."""
         self.finalize()
-        scenario, config, net = self.scenario, self.config, self.net
-        kind = config.system
-        collector, engine, agent = self.collector, self.engine, self.agent
-        monitor, obs, metrics = self.monitor, self.obs, self.metrics
-
-        outcomes = diagnose_victims(
-            scenario,
-            config,
-            net,
-            collector.reports,
-            agent.triggers,
-            engine.switches_traced_for if engine is not None else None,
-            net.sim.now,
-            obs=obs,
-            monitor=monitor,
-            profile=self.profile,
+        net, collector, engine, agent = (
+            self.net, self.collector, self.engine, self.agent
         )
-
-        data_pkt_hops = sum(sw.stats.data_pkts for sw in net.switches.values())
-        data_pkts_sent = sum(f.packets_sent for f in net.flows)
-        polling_pkts = (engine.polling_packets_forwarded if engine else 0) + len(
-            agent.triggers
-        )
-        # Processing overhead = the telemetry one diagnosis consumes
-        # (Fig 9a); NetSight is the exception: it ships every postcard
-        # regardless.
-        primary = next(
-            (o for o in sorted(
-                (o for o in outcomes if o.trigger is not None),
-                key=lambda o: o.trigger.time_ns,
-            )),
-            None,
-        )
-        diagnosis_reports = primary.reports_used if primary is not None else {}
-        processing = processing_overhead_bytes(
-            kind, diagnosis_reports, data_pkt_hops
-        )
-        bandwidth = bandwidth_overhead_bytes(
-            kind, polling_pkts, POLLING_PACKET_SIZE, data_pkts_sent, data_pkt_hops
-        )
-
-        causal: Set[str] = set()
-        for victim in scenario.victims:
-            causal |= causal_switches_of(scenario, victim.key)
-
-        cache_stats = diff_cache_counters(
-            self._caches_before, global_cache_counters()
-        )
-        cache_stats["ecmp_select"] = {
-            "hits": net.routing.select_cache_hits - self._ecmp_before[0],
-            "misses": net.routing.select_cache_misses - self._ecmp_before[1],
+        injector, monitor = self.injector, self.monitor
+        caches = {
+            "ecmp_select": {
+                "hits": net.routing.select_cache_hits - self._ecmp_before[0],
+                "misses": net.routing.select_cache_misses - self._ecmp_before[1],
+            }
         }
         for name, (hits, misses) in self.deployment.cache_counters().items():
-            cache_stats[name] = {"hits": hits, "misses": misses}
-
-        fault_counters: Dict[str, int] = {}
-        fault_incidents: List[str] = []
-        if self.injector is not None:
-            fault_counters.update(self.injector.stats)
-            fault_incidents = self.injector.incident_log()
-        for name, value in (
-            ("agent_retransmissions", agent.retransmissions),
-            ("agent_retries_recovered", agent.retries_recovered),
-            ("agent_retries_exhausted", agent.retries_exhausted),
-            ("agent_restarts", agent.restarts),
-            ("polling_packets_lost", engine.polling_packets_lost if engine else 0),
-            ("dma_retries", collector.stats.dma_retries),
-            ("dma_reads_abandoned", collector.stats.dma_reads_abandoned),
-            ("stale_reads", collector.stats.stale_reads),
-            ("reports_lost", collector.stats.reports_lost),
-            ("reports_truncated", collector.stats.reports_truncated),
-            ("reports_delayed", collector.stats.reports_delayed),
-        ):
-            if value:
-                fault_counters[name] = value
-
-        perf = PerfStats.from_run(
-            scenario.name,
-            net.sim,
-            time.perf_counter() - self.wall_start,
-            caches=cache_stats,
-            faults=fault_counters,
-            stages=self.profile.to_dict(),
-        )
-
-        # Fold every legacy counter surface into the one registry the
-        # ``--metrics-json`` export reads (the trace-derived ``events.*``
-        # counters are already live in it).
-        metrics.absorb_counters("sim", net.sim.counters())
-        metrics.absorb_counters("cache", cache_stats)
-        metrics.absorb_counters("collection", asdict(collector.stats))
-        metrics.absorb_counters(
-            "agent",
-            {
-                "triggers": len(agent.triggers),
+            caches[name] = {"hits": hits, "misses": misses}
+        return SessionTotals(
+            reports=collector.reports,
+            triggers=agent.triggers,
+            traced=engine.victim_traces if engine is not None else None,
+            collection=asdict(collector.stats),
+            polling=(
+                {
+                    "packets_forwarded": engine.polling_packets_forwarded,
+                    "packets_suppressed": engine.polling_packets_suppressed,
+                    "packets_lost": engine.polling_packets_lost,
+                }
+                if engine is not None
+                else {}
+            ),
+            agent={
                 "retransmissions": agent.retransmissions,
                 "retries_recovered": agent.retries_recovered,
                 "retries_exhausted": agent.retries_exhausted,
                 "restarts": agent.restarts,
             },
+            sim=net.sim.counters(),
+            data_pkt_hops=sum(sw.stats.data_pkts for sw in net.switches.values()),
+            data_pkts_sent=sum(f.packets_sent for f in net.flows),
+            caches=caches,
+            fault_stats=injector.stats if injector is not None else {},
+            fault_incidents=injector.incidents if injector is not None else [],
+            monitor_alerts=monitor.alerts if monitor is not None else None,
+            monitor_counters=monitor.counters() if monitor is not None else None,
         )
-        if engine is not None:
-            metrics.absorb_counters(
-                "polling",
-                {
-                    "packets_forwarded": engine.polling_packets_forwarded,
-                    "packets_suppressed": engine.polling_packets_suppressed,
-                    "packets_lost": engine.polling_packets_lost,
-                },
-            )
-        if fault_counters:
-            metrics.absorb_counters("faults", fault_counters)
-        if monitor is not None:
-            metrics.absorb_counters("monitor", monitor.counters())
-        metrics.gauge("run.wall_s").set(perf.wall_s)
-        metrics.gauge("run.sim_ns").set(float(net.sim.now))
 
-        if obs is not None:
-            obs.end_scenario(net.sim.now)
-
-        return RunResult(
-            scenario=scenario,
-            config=config,
-            outcomes=outcomes,
-            collected_switches=collector.collected_switches(),
-            causal_switches=causal,
-            processing_bytes=processing,
-            bandwidth_bytes=bandwidth,
-            polling_packets=polling_pkts,
-            collections=collector.stats.collections,
-            events_run=net.sim.events_run,
-            data_pkt_hops=data_pkt_hops,
-            perf=perf,
-            fault_counters=fault_counters,
-            fault_incidents=fault_incidents,
-            metrics=metrics,
-            obs=obs,
-            monitor=monitor,
+    def finish(self) -> RunResult:
+        """Finalize, diagnose every victim and account — the batch epilogue."""
+        return account_run(
+            self.scenario, self.config, self.totals(), self.net.sim.now,
+            self.profile, self.wall_start, self._caches_before,
+            obs=self.obs, monitor=self.monitor,
         )
 
 

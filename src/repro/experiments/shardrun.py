@@ -6,8 +6,9 @@ per shard, and advances all shards in lockstep epochs under a
 conservative-lookahead barrier:
 
 - every worker owns the switches and hosts of its shard and simulates
-  them with a full private pipeline (telemetry deployment, collector,
-  polling engine, detection agent, fault injector, fabric monitor);
+  them with a full private pipeline (one ``FabricSession``: telemetry
+  deployment, collector, polling engine, detection agent, fault
+  injector, fabric monitor);
 - frames addressed to a remote node are flattened into the shard's
   outbox (:class:`repro.sim.network.Network`) instead of its event loop;
 - at each barrier the orchestrator grants a new epoch horizon
@@ -35,25 +36,24 @@ rule is per-subject and every subject lives in exactly one shard, so
 per-worker monitors sample exactly their slice and the parent merges
 alerts canonically (:class:`repro.monitor.merge.MergedMonitor`).
 
-Cross-shard frames travel over one of two transports
-(``REPRO_SHARD_TRANSPORT`` selects: ``auto``/``pipe``/``shm``): large
-per-destination batches ride fixed-width int64 rows in parity-split
-``multiprocessing.shared_memory`` rings (:mod:`repro.experiments
-.shmring`) with only row *counts* crossing the barrier pipes, while
-small batches, codec misses and ring overflows ride the pickled pipe
-path unchanged.  Every ring row carries an epoch/index integrity stamp:
-torn or stale rows raise at drain time (surfacing as a ``transport``
-worker failure), and rows that fail the writer's read-back verify spill
-to the pipe per frame (``PerfStats.transport["integrity_spills"]``).
+Cross-shard frames ride the barrier pipes, pickled, in per-destination
+batches — the one carrier that runs on every platform.
+
+One model, not a second runner: a worker is a
+:class:`~repro.experiments.runner.FabricSession` on its shard view (the
+attach path the in-process run takes, so same-timestamp timer
+tie-breaking cannot fork), and the parent is the barrier, a sum of the
+workers' :class:`~repro.experiments.runner.SessionTotals`, and the shared
+:func:`~repro.experiments.runner.account_run` epilogue — so the analyzer
+half (report selection through verdict) runs once, in the parent.
 
 Worker supervision: a barrier watchdog (``--shard-timeout`` /
 ``REPRO_SHARD_TIMEOUT``, default 60 s) bounds every wait on a worker.  A
-hung, crashed or transport-poisoned worker trips the watchdog; the
-parent then terminates the fleet, cleans up the shared segment on every
-exit path (``finally`` + ``atexit`` + SIGTERM), and follows
-``REPRO_SHARD_FALLBACK``: ``serial`` (default) reruns the scenario once
-on the single-process engine — byte-identical result, just slower;
-``degrade`` finishes the survivors and returns a diagnosis whose
+hung or crashed worker trips the watchdog; the parent then terminates
+the fleet on every exit path (``finally`` + ``atexit`` + SIGTERM) and
+follows ``REPRO_SHARD_FALLBACK``: ``serial`` (default) reruns the
+scenario once on the single-process engine — byte-identical result, just
+slower; ``degrade`` finishes the survivors and returns a diagnosis whose
 ``completeness``/``missing_switches`` reflect the lost pods (never a
 full-confidence verdict); ``fail`` raises.
 
@@ -63,11 +63,6 @@ per-timestamp delivery band, never by schedule-call order — so merging
 frames from another process reproduces the exact per-node event order of
 the single-process engine, and the merged diagnosis (and canonicalized
 obs trace, see :mod:`repro.obs.canon`) is byte-identical to ``shards=1``.
-
-The analyzer half (report selection through verdict) runs once, in the
-parent, over the merged worker state — the same
-:func:`repro.experiments.runner.diagnose_victims` the in-process runner
-uses.
 
 Not supported with ``shards > 1`` (raises ``ValueError``): full-network
 collection baselines (global trigger fan-out) and per-packet sim tracing
@@ -84,19 +79,13 @@ import os
 import signal
 import threading
 import time
+import traceback
 from dataclasses import asdict
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..baselines.systems import (
-    bandwidth_overhead_bytes,
-    processing_overhead_bytes,
-)
-from ..collection.agent import AgentConfig, DetectionAgent
-from ..collection.collector import TelemetryCollector
-from ..collection.polling import PollingConfig, PollingEngine
-from ..faults.injector import make_injector, merge_shard_incidents
+from ..collection.collector import CollectionStats
+from ..faults.injector import merge_shard_incidents
 from ..monitor.merge import MergedMonitor
-from ..monitor.monitor import FabricMonitor
 from ..obs import (
     Event,
     MetricsRegistry,
@@ -107,19 +96,10 @@ from ..obs import (
     merge_stage_dicts,
 )
 from ..obs.trace import NullSink
-from ..sim.packet import POLLING_PACKET_SIZE, FlowKey
+from ..sim.packet import FlowKey
 from ..sim.shard import shard_build_context
-from ..telemetry.hawkeye import HawkeyeDeployment, TelemetryConfig
-from ..telemetry.snapshot import SwitchReport
 from ..topology.partition import ShardPlan, partition_topology
-from ..units import usec
-from .perfstats import PerfStats, diff_cache_counters, global_cache_counters
-from .shmring import (
-    SHM_MIN_FRAMES,
-    ShmFrameTransport,
-    ShmRingIntegrityError,
-    build_transport,
-)
+from .perfstats import global_cache_counters
 from .supervise import (
     FALLBACK_DEGRADE,
     FALLBACK_FAIL,
@@ -129,14 +109,14 @@ from .supervise import (
     ShardWorkerError,
     resolve_fallback,
     resolve_timeout,
-    resolve_transport_mode,
 )
 from .runner import (
+    FabricSession,
     RunConfig,
     RunResult,
     ScenarioSpec,
-    causal_switches_of,
-    diagnose_victims,
+    SessionTotals,
+    account_run,
     run_scenario,
 )
 
@@ -144,8 +124,7 @@ from .runner import (
 # top of every epoch inside each worker (inherited through fork).  A
 # returned action string simulates a failure mode: ``"sigkill"`` kills
 # the worker outright, ``"hang"`` wedges it past any sane watchdog
-# deadline, ``"corrupt-ring"`` scribbles over an inbound shm ring row so
-# the drain trips the integrity check.  ``None`` / unknown = no-op.
+# deadline.  ``None`` / unknown = no-op.
 _TEST_WORKER_ABORT: Optional[Callable[[int, int], Optional[str]]] = None
 
 
@@ -202,6 +181,22 @@ class ShardPipelineObs(PipelineObs):
         super().on_report(fate, switch, victim, time_ns, faults, delay_ns)
 
 
+    def payload(self) -> Dict[str, Any]:
+        """This worker's trace records plus what :func:`_merge_obs` needs
+        to renumber and re-anchor them in the parent."""
+        tracer = self.tracer
+        return {
+            "spans": [s.to_record() for s in tracer.spans],
+            "events": [e.to_record() for e in tracer.events],
+            "open_ids": [s.span_id for s in tracer.open_spans()],
+            "diag_spans": {v: s.span_id for v, s in self._diagnosis.items()},
+            "round_spans": {v: s.span_id for v, s in self._round.items()},
+            "round_no": dict(self._round_no),
+            "fallbacks": list(self.fallbacks),
+            "next_id": tracer._next_id,
+        }
+
+
 def _unsupported(config: RunConfig) -> Optional[str]:
     if config.obs is not None and config.obs.sim_events:
         return "per-packet sim tracing (per-shard record floods)"
@@ -216,121 +211,40 @@ def _unsupported(config: RunConfig) -> Optional[str]:
 
 
 def _shard_worker_main(
-    conn,
-    spec: ScenarioSpec,
-    config: RunConfig,
-    plan: ShardPlan,
-    shard_id: int,
-    transport: Optional[ShmFrameTransport],
-    transport_mode: str,
+    conn, spec: ScenarioSpec, config: RunConfig, plan: ShardPlan, shard_id: int
 ) -> None:
-    """One shard's process: build the shard view, obey epoch barriers.
-
-    ``transport`` is the parent-created shared-memory ring set, inherited
-    through fork (never pickled); ``transport_mode`` is the effective
-    mode — ``"shm"`` forces every routable batch onto the rings,
-    ``"auto"`` applies the :data:`~repro.experiments.shmring
-    .SHM_MIN_FRAMES` threshold per batch, ``"pipe"`` (or a ``None``
-    transport) keeps the legacy pickled path.
-    """
+    """One shard's process: a session on the shard view, obeying barriers."""
     try:
         with shard_build_context(plan.assignment, shard_id):
             scenario = spec.build()
-        net = scenario.network
-        metrics = MetricsRegistry()
         obs: Optional[ShardPipelineObs] = None
         if config.obs is not None and config.obs.trace:
-            obs = ShardPipelineObs(Tracer(NullSink()), metrics)
-        # Construction order mirrors run_scenario exactly: same-timestamp
-        # timer events (monitor ticks vs stall checks vs DMA reads) break
-        # ties by schedule order, which must match the in-process engine.
-        monitor: Optional[FabricMonitor] = None
-        if config.monitor is not None and config.monitor.enabled:
-            monitor = FabricMonitor(net, config.monitor, metrics=metrics).start()
-        injector = make_injector(config.faults, shard_id=shard_id)
-        deployment = HawkeyeDeployment(
-            net,
-            TelemetryConfig(scheme=config.scheme(), flow_slots=config.flow_slots),
+            obs = ShardPipelineObs(Tracer(NullSink()), MetricsRegistry())
+        session = FabricSession(scenario, config, obs=obs)
+        net, collector, engine, agent = (
+            session.net, session.collector, session.engine, session.agent
         )
-        collector = TelemetryCollector(
-            deployment, injector=injector, retry=config.retry, obs=obs
-        )
-        kind = config.system
-        engine: Optional[PollingEngine] = None
-        if kind.uses_polling_packets or kind.pfc_blind:
-            engine = PollingEngine(
-                net,
-                deployment,
-                PollingConfig(
-                    trace_pfc=kind.traces_pfc, use_meters=config.use_meters
-                ),
-                injector=injector,
-                obs=obs,
-            )
-            engine.add_mirror_listener(collector.on_polling_mirror)
-        agent = DetectionAgent(
-            net,
-            AgentConfig(threshold_multiplier=config.threshold_multiplier),
-            retry=config.retry,
-            injector=injector,
-            obs=obs,
-            monitor=monitor,
-        )
+        profile = session.profile
 
-        # Remote-shard control view (retry runs only): latest report
-        # delivery per remote switch and remote trace sets per victim,
-        # built from the control records the barrier relays.  Complete
-        # through the previous epoch's horizon — the parent's checkpoint
-        # capping guarantees no retry check fires needing fresher state.
+        # Retry runs exchange *control records* through the barrier: this
+        # shard's new report deliveries, trace visits and retransmission
+        # resets go out as diffs; the other shards' come in and are fed to
+        # the collector/engine state the session's retry probe reads.  The
+        # view is complete through the previous epoch's horizon — the
+        # parent's checkpoint capping guarantees no retry check fires
+        # needing fresher state.
         retry_on = config.retry is not None
-        view_deliveries: Dict[str, int] = {}
-        view_traces: Dict[FlowKey, Set[str]] = {}
         resets_out: List[Tuple[int, FlowKey]] = []
         shipped_deliveries: Dict[str, int] = {}
         shipped_traces: Dict[FlowKey, Set[str]] = {}
-        spills_shipped = 0
-        if retry_on:
-            if engine is not None:
-                # The sharded path-coverage probe: identical to the
-                # in-process probe in run_scenario, with the remote halves
-                # of "traced" and "reported" supplied by the control view.
-                probe_slack_ns = usec(200)
-
-                def _path_probe(victim_key: FlowKey, since_ns: int) -> bool:
-                    src_host = net.topology.host_of_ip(victim_key.src_ip)
-                    expected = set(
-                        net.routing.switch_path(
-                            src_host, victim_key.dst_ip, victim_key
-                        )
-                    )
-                    expected |= engine.switches_traced_for(victim_key)
-                    expected |= view_traces.get(victim_key, set())
-                    cutoff = since_ns - probe_slack_ns
-                    reported = collector.switches_reported_since(cutoff)
-                    for sw, t in view_deliveries.items():
-                        if t >= cutoff:
-                            reported.add(sw)
-                    return expected <= reported
-
-                agent.set_report_probe(_path_probe)
-                agent.add_retransmit_listener(engine.reset_victim)
-
-                def _note_reset(victim: FlowKey) -> None:
-                    resets_out.append((net.sim.now, victim))
-
-                agent.add_retransmit_listener(_note_reset)
-            else:
-
-                def _any_probe(victim_key: FlowKey, since_ns: int) -> bool:
-                    if collector.has_report_since(victim_key, since_ns):
-                        return True
-                    return any(t >= since_ns for t in view_deliveries.values())
-
-                agent.set_report_probe(_any_probe)
+        if retry_on and engine is not None:
+            agent.add_retransmit_listener(
+                lambda victim: resets_out.append((net.sim.now, victim))
+            )
 
         duration = scenario.duration_ns
         node_shard = plan.assignment
-        profile = StageProfile()
+        local_switches = net.switches.keys()
         # Construction allocated the long-lived object graph; what follows
         # is steady-state churn that reference counting alone reclaims, so
         # cycle-collector sweeps are pure overhead on the busy path.
@@ -340,227 +254,99 @@ def _shard_worker_main(
         busy_s = 0.0
         while True:
             msg = conn.recv()
-            op = msg[0]
-            if op == "epoch":
-                epoch_no, until, frames, shm_counts, control = msg[1:6]
-                if _TEST_WORKER_ABORT is not None:
-                    action = _TEST_WORKER_ABORT(shard_id, epoch_no)
-                    if action == "sigkill":
-                        os.kill(os.getpid(), signal.SIGKILL)
-                    elif action == "hang":
-                        time.sleep(3600)
-                    elif (
-                        action == "corrupt-ring"
-                        and transport is not None
-                        and shm_counts
-                    ):
-                        src0 = next(iter(shm_counts))
-                        transport._words[
-                            transport._base(src0, shard_id, epoch_no - 1)
-                        ] = 0
-                if shm_counts:
-                    with profile.stage("shard_transport"):
-                        for src, count in shm_counts.items():
-                            frames.extend(
-                                transport.read_epoch(
-                                    src, shard_id, epoch_no - 1, count
-                                )
-                            )
-                if control:
-                    for sw, t in control["deliveries"]:
-                        if view_deliveries.get(sw, -1) < t:
-                            view_deliveries[sw] = t
-                    for victim, sw in control["traces"]:
-                        view_traces.setdefault(victim, set()).add(sw)
-                    if engine is not None and control["resets"]:
-                        # Remote retransmissions reopen this shard's dedup
-                        # windows before any retransmitted frame can arrive
-                        # (arrivals land strictly beyond the grant that
-                        # contained the reset).  Canonical order keeps
-                        # multi-reset epochs deterministic.
-                        for _t, victim in sorted(
-                            control["resets"], key=lambda r: (r[0], str(r[1]))
-                        ):
-                            engine.reset_victim(victim)
-                # CPU time, not wall time: on a machine with fewer cores
-                # than shards the workers time-share, and wall time would
-                # charge each shard for its siblings' slices.  With one
-                # core per shard the two are equal.
-                t0 = time.process_time()
-                with profile.stage("shard_run"):
-                    net.deliver_wire_batch(frames)
-                    net.run(until)
-                busy_s += time.process_time() - t0
-                outbox = net.outbox
-                net.outbox = []
-                # Route the outbox here (not in the parent): per-dest
-                # batches go to the rings when eligible, the rest rides
-                # the pipe.  ``out_min`` covers *every* frame — arrivals
-                # past the horizon still bound the next epoch grant.
-                out_min: Optional[int] = None
-                shm_counts_out: Dict[int, int] = {}
-                pipe_out: Dict[int, List[tuple]] = {}
-                overflow = 0
-                if outbox:
-                    with profile.stage("shard_transport"):
-                        by_dest: Dict[int, List[tuple]] = {}
-                        for frame in outbox:
-                            arrival = frame[0]
-                            if out_min is None or arrival < out_min:
-                                out_min = arrival
-                            if arrival <= duration:
-                                by_dest.setdefault(
-                                    node_shard[frame[1]], []
-                                ).append(frame)
-                        for dest, dest_frames in by_dest.items():
-                            use_shm = transport is not None and (
-                                transport_mode == "shm"
-                                or len(dest_frames) >= SHM_MIN_FRAMES
-                            )
-                            if use_shm:
-                                written, leftover = transport.write_epoch(
-                                    shard_id, dest, epoch_no, dest_frames
-                                )
-                                if written:
-                                    shm_counts_out[dest] = written
-                                if leftover:
-                                    overflow += len(leftover)
-                                    pipe_out[dest] = leftover
-                            else:
-                                pipe_out[dest] = dest_frames
-                next_ckpt = (
-                    agent.next_pending_retry(net.sim.now) if retry_on else None
-                )
-                control_out: Optional[Dict[str, list]] = None
-                if retry_on:
-                    deliveries_diff: List[Tuple[str, int]] = []
-                    for sw, t in collector._delivery_times.items():
-                        if shipped_deliveries.get(sw, -1) < t:
-                            shipped_deliveries[sw] = t
-                            deliveries_diff.append((sw, t))
-                    traces_diff: List[Tuple[FlowKey, str]] = []
-                    if engine is not None:
-                        for victim, sws in engine._victim_switches.items():
-                            shipped = shipped_traces.setdefault(victim, set())
-                            fresh = sws - shipped
-                            if fresh:
-                                shipped |= fresh
-                                traces_diff.extend(
-                                    (victim, sw) for sw in sorted(fresh)
-                                )
-                    control_out = {
-                        "deliveries": deliveries_diff,
-                        "traces": traces_diff,
-                        "resets": resets_out[:],
-                    }
-                    resets_out.clear()
-                integrity_delta = 0
-                if transport is not None:
-                    integrity_delta = transport.integrity_spills - spills_shipped
-                    spills_shipped = transport.integrity_spills
-                conn.send(
-                    (
-                        "done",
-                        shm_counts_out,
-                        pipe_out,
-                        overflow,
-                        net.sim.peek_next_time(),
-                        out_min,
-                        next_ckpt,
-                        control_out,
-                        integrity_delta,
-                    )
-                )
-            elif op == "finish":
-                collector.flush_pending(net.sim.now)
-                if monitor is not None:
-                    monitor.finish(net.sim.now)
-                conn.send(
-                    (
-                        "final",
-                        _final_blob(
-                            net, collector, engine, agent, deployment, obs,
-                            metrics, busy_s, profile, injector, monitor,
-                        ),
-                    )
-                )
+            if msg[0] == "finish":
+                totals = session.totals()
+                totals.obs = obs.payload() if obs is not None else None
+                totals.registry = session.metrics.to_dict()["counters"]
+                totals.busy_s = busy_s
+                totals.stages = profile.to_dict()
+                conn.send(("final", totals))
                 conn.close()
                 return
-            else:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"unknown shard op {op!r}")
-    except Exception as exc:  # pragma: no cover - shipped to parent for re-raise
-        import traceback
-
-        kind = "transport" if isinstance(exc, ShmRingIntegrityError) else "worker"
+            _, epoch_no, until, frames, control = msg
+            if _TEST_WORKER_ABORT is not None:
+                action = _TEST_WORKER_ABORT(shard_id, epoch_no)
+                if action == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                elif action == "hang":
+                    time.sleep(3600)
+            if control:
+                for sw, t in control["deliveries"]:
+                    collector.note_remote_delivery(sw, t)
+                if engine is not None:
+                    for victim, sw in control["traces"]:
+                        engine.note_remote_trace(victim, sw)
+                    # Remote retransmissions reopen this shard's dedup
+                    # windows before any retransmitted frame can arrive
+                    # (arrivals land strictly beyond the grant that
+                    # contained the reset).  Canonical order keeps
+                    # multi-reset epochs deterministic.
+                    for _t, victim in sorted(
+                        control["resets"], key=lambda r: (r[0], str(r[1]))
+                    ):
+                        engine.reset_victim(victim)
+            # CPU time, not wall time: on a machine with fewer cores
+            # than shards the workers time-share, and wall time would
+            # charge each shard for its siblings' slices.  With one
+            # core per shard the two are equal.
+            t0 = time.process_time()
+            with profile.stage("shard_run"):
+                net.deliver_wire_batch(frames)
+                net.run(until)
+            busy_s += time.process_time() - t0
+            outbox = net.outbox
+            net.outbox = []
+            # Batch the outbox per destination shard here, not in the
+            # parent.  ``out_min`` covers *every* frame — arrivals past
+            # the horizon still bound the next epoch grant.
+            out_min: Optional[int] = None
+            frames_out: Dict[int, List[tuple]] = {}
+            if outbox:
+                with profile.stage("shard_transport"):
+                    for frame in outbox:
+                        arrival = frame[0]
+                        if out_min is None or arrival < out_min:
+                            out_min = arrival
+                        if arrival <= duration:
+                            frames_out.setdefault(
+                                node_shard[frame[1]], []
+                            ).append(frame)
+            next_ckpt: Optional[int] = None
+            control_out: Optional[Dict[str, list]] = None
+            if retry_on:
+                next_ckpt = agent.next_pending_retry(net.sim.now)
+                # Only what this shard originated goes out: the collector
+                # and engine also hold what the other shards told us.
+                deliveries_diff: List[Tuple[str, int]] = []
+                for sw, t in collector.delivery_times.items():
+                    if sw in local_switches and shipped_deliveries.get(sw, -1) < t:
+                        shipped_deliveries[sw] = t
+                        deliveries_diff.append((sw, t))
+                traces_diff: List[Tuple[FlowKey, str]] = []
+                if engine is not None:
+                    for victim, sws in engine.victim_traces.items():
+                        shipped = shipped_traces.setdefault(victim, set())
+                        fresh = (sws & local_switches) - shipped
+                        if fresh:
+                            shipped |= fresh
+                            traces_diff.extend((victim, sw) for sw in sorted(fresh))
+                control_out = {
+                    "deliveries": deliveries_diff,
+                    "traces": traces_diff,
+                    "resets": resets_out[:],
+                }
+                resets_out.clear()
+            conn.send(
+                (
+                    "done", frames_out, net.sim.peek_next_time(), out_min,
+                    next_ckpt, control_out,
+                )
+            )
+    except Exception:  # pragma: no cover - shipped to parent for re-raise
         try:
-            conn.send(("error", traceback.format_exc(), kind))
+            conn.send(("error", traceback.format_exc()))
         except Exception:
             pass
-
-
-def _final_blob(
-    net, collector, engine, agent, deployment, obs, metrics, busy_s, profile,
-    injector, monitor,
-) -> Dict[str, Any]:
-    """Everything the parent needs to merge one shard's finished state."""
-    blob: Dict[str, Any] = {
-        "shard_id": net.shard_id,
-        "reports": [r.to_columnar() for r in collector.reports],
-        "triggers": list(agent.triggers),
-        "victim_switches": (
-            {k: set(v) for k, v in engine._victim_switches.items()}
-            if engine is not None
-            else {}
-        ),
-        "collector_stats": asdict(collector.stats),
-        "polling_counters": {
-            "packets_forwarded": engine.polling_packets_forwarded if engine else 0,
-            "packets_suppressed": engine.polling_packets_suppressed if engine else 0,
-            "packets_lost": engine.polling_packets_lost if engine else 0,
-        },
-        "fault_incidents": list(injector.incidents) if injector is not None else [],
-        "agent_counters": {
-            "retransmissions": agent.retransmissions,
-            "retries_recovered": agent.retries_recovered,
-            "retries_exhausted": agent.retries_exhausted,
-            "restarts": agent.restarts,
-        },
-        "monitor": (
-            {"alerts": list(monitor.alerts), "counters": monitor.counters()}
-            if monitor is not None
-            else None
-        ),
-        "sim_counters": net.sim.counters(),
-        "data_pkt_hops": sum(sw.stats.data_pkts for sw in net.switches.values()),
-        "data_pkts_sent": sum(f.packets_sent for f in net.flows),
-        "cache_counters": {
-            name: {"hits": h, "misses": m}
-            for name, (h, m) in deployment.cache_counters().items()
-        },
-        "ecmp_cache": {
-            "hits": net.routing.select_cache_hits,
-            "misses": net.routing.select_cache_misses,
-        },
-        "metrics_counters": {
-            name: counter.value for name, counter in metrics._counters.items()
-        },
-        "busy_s": busy_s,
-        "stages": profile.to_dict(),
-        "trigger_count": len(agent.triggers),
-    }
-    if obs is not None:
-        tracer = obs.tracer
-        blob["obs"] = {
-            "spans": [s.to_record() for s in tracer.spans],
-            "events": [e.to_record() for e in tracer.events],
-            "open_ids": [s.span_id for s in tracer.open_spans()],
-            "diag_spans": {v: s.span_id for v, s in obs._diagnosis.items()},
-            "round_spans": {v: s.span_id for v, s in obs._round.items()},
-            "round_no": dict(obs._round_no),
-            "fallbacks": list(obs.fallbacks),
-            "next_id": tracer._next_id,
-        }
-    return blob
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +354,7 @@ def _final_blob(
 # ---------------------------------------------------------------------------
 
 
-def _merge_obs(
-    parent_obs: PipelineObs, blobs: List[Dict[str, Any]]
-) -> None:
+def _merge_obs(parent_obs: PipelineObs, payloads: List[Dict[str, Any]]) -> None:
     """Fold worker trace records into the parent tracer, re-anchored.
 
     Worker record ids are offset into one global sequence; spans and
@@ -590,10 +374,7 @@ def _merge_obs(
     events_by_id: Dict[int, Event] = {}
     fallbacks: List[Tuple[int, str]] = []
 
-    for blob in blobs:
-        payload = blob.get("obs")
-        if payload is None:
-            continue
+    for payload in payloads:
         offset = next_id
         next_id += payload["next_id"]
         open_ids = set(payload["open_ids"])
@@ -673,7 +454,7 @@ def _merge_obs(
 
 
 def _degrade_outcomes(
-    outcomes, scenario, net, traced_of, lost_switches: Set[str]
+    outcomes, scenario, net, traced, lost_switches: Set[str]
 ) -> None:
     """Stamp every diagnosis with the telemetry the lost shards took.
 
@@ -693,14 +474,86 @@ def _degrade_outcomes(
         expected = set(
             net.routing.switch_path(victim.src_host, victim.key.dst_ip, victim.key)
         )
-        if traced_of is not None:
-            expected |= traced_of(victim.key)
+        if traced is not None:
+            expected |= traced.get(victim.key, set())
         expected |= prev_missing | lost_switches
         missing = prev_missing | lost_switches
         diagnosis.missing_switches = sorted(missing)
         diagnosis.completeness = (
             len(expected - missing) / len(expected) if expected else 1.0
         )
+
+
+def _add_counters(into: Dict[str, Any], counters: Dict[str, Any]) -> None:
+    """Key-wise ``into += counters`` (nested hit/miss dicts recurse)."""
+    for key, value in counters.items():
+        if isinstance(value, dict):
+            _add_counters(into.setdefault(key, {}), value)
+        else:
+            into[key] = into.get(key, 0) + value
+
+
+def _sum_totals(parts: Sequence[Optional[SessionTotals]]) -> SessionTotals:
+    """The fabric's totals from its shards' (``None`` = a lost shard).
+
+    Every entity is homed on exactly one shard, so counters add.  The
+    exceptions are the canonical merges: reports and triggers sort into
+    one fabric-wide order, trace sets union, incident logs go through
+    :func:`merge_shard_incidents`, and what every shard holds a *copy*
+    of takes the max — agent restarts (all shards draw the shared
+    restart stream identically), the peak queue depth, and ``busy_s``
+    (the slowest shard is the critical path).
+    """
+    live = [part for part in parts if part is not None]
+    traced: Optional[Dict[FlowKey, Set[str]]] = None
+    # Seeded with the keys the epilogue indexes, so a degraded run that
+    # lost *every* shard still accounts (to zeros) instead of raising.
+    summed: Dict[str, Dict[str, Any]] = {
+        "collection": asdict(CollectionStats()),
+        "polling": {},
+        "agent": dict.fromkeys(
+            ("retransmissions", "retries_recovered", "retries_exhausted", "restarts"), 0
+        ),
+        "sim": dict.fromkeys(
+            ("events_run", "events_purged", "compactions", "max_pending_entries"), 0
+        ),
+        "caches": {},
+        "registry": {},
+    }
+    for part in live:
+        if part.traced is not None:
+            traced = traced if traced is not None else {}
+            for victim, switches in part.traced.items():
+                traced.setdefault(victim, set()).update(switches)
+        for name, into in summed.items():
+            _add_counters(into, getattr(part, name))
+    summed["agent"]["restarts"] = max(
+        (p.agent["restarts"] for p in live), default=0
+    )
+    summed["sim"]["max_pending_entries"] = max(
+        (p.sim["max_pending_entries"] for p in live), default=0
+    )
+    incidents, fault_stats = merge_shard_incidents(
+        [part.fault_incidents if part is not None else None for part in parts]
+    )
+    return SessionTotals(
+        reports=sorted(
+            (r for part in live for r in part.reports),
+            key=lambda r: (r.collect_time, r.switch),
+        ),
+        triggers=sorted(
+            (t for part in live for t in part.triggers),
+            key=lambda t: (t.time_ns, str(t.victim)),
+        ),
+        traced=traced,
+        data_pkt_hops=sum(part.data_pkt_hops for part in live),
+        data_pkts_sent=sum(part.data_pkts_sent for part in live),
+        fault_stats=fault_stats,
+        fault_incidents=incidents,
+        busy_s=max((part.busy_s for part in live), default=0.0),
+        stages=merge_stage_dicts([part.stages for part in live]),
+        **summed,
+    )
 
 
 def run_scenario_sharded(
@@ -725,7 +578,6 @@ def run_scenario_sharded(
     # default applied mid-fleet.
     timeout_s = resolve_timeout(getattr(config, "shard_timeout_s", None))
     fallback = resolve_fallback()
-    requested_mode = resolve_transport_mode()
 
     wall_start = time.perf_counter()
     scenario = spec.build()
@@ -743,39 +595,27 @@ def run_scenario_sharded(
     caches_before = global_cache_counters()
     metrics = MetricsRegistry()
     profile = StageProfile(metrics)
-    kind = config.system
     retry_on = config.retry is not None
 
     obs: Optional[PipelineObs] = None
     if config.obs is not None and config.obs.trace:
         obs = PipelineObs(Tracer(config.obs.build_sink()), metrics)
-        obs.begin_scenario(scenario.name, start_ns=0, system=kind.value)
+        obs.begin_scenario(scenario.name, start_ns=0, system=config.system.value)
 
     fork_available = "fork" in multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if fork_available else None)
-
-    # Shared-memory rings must exist before forking (workers inherit the
-    # mapping; under spawn the transport object cannot cross at all, so
-    # non-fork platforms stay on the pipe path).
-    transport: Optional[ShmFrameTransport] = None
-    if requested_mode != "pipe" and fork_available:
-        transport = build_transport(plan.shards, net.topology)
-    transport_mode = requested_mode if transport is not None else "pipe"
 
     conns: List[Any] = []
     procs: List[Any] = []
 
     # Every exit path — normal return, exception unwind, SIGTERM, even
     # interpreter shutdown with workers still forked — must kill the
-    # fleet and unlink the shared segment; both operations are
-    # idempotent, so belt (finally) and suspenders (atexit/signal)
-    # cannot double-free.
+    # fleet; killing is idempotent, so belt (finally) and suspenders
+    # (atexit/signal) cannot collide.
     def _emergency_cleanup() -> None:
         for proc in procs:
             if proc.is_alive():
                 proc.kill()
-        if transport is not None:
-            transport.destroy()
 
     atexit.register(_emergency_cleanup)
     installed_sig = False
@@ -794,16 +634,12 @@ def run_scenario_sharded(
     duration = scenario.duration_ns
     lookahead = max(plan.lookahead_ns, 1)
     frames_for: List[List[tuple]] = [[] for _ in range(plan.shards)]
-    shm_counts_for: List[Dict[int, int]] = [{} for _ in range(plan.shards)]
     control_for: List[Optional[dict]] = [None] * plan.shards
     barrier_epochs = 0
-    shm_frames = 0
     pipe_frames = 0
-    shm_fallback = 0
-    integrity_spills = 0
     failure: Optional[ShardWorkerError] = None
     lost_shards: Set[int] = set()
-    blobs: List[Optional[Dict[str, Any]]] = [None] * plan.shards
+    shard_totals: List[Optional[SessionTotals]] = [None] * plan.shards
 
     def _recv(shard_id: int, deadline: float):
         """Watchdog recv: bounded by ``deadline``, alive-checked.
@@ -824,11 +660,8 @@ def run_scenario_sharded(
                         f"(exitcode {proc.exitcode})",
                     ) from None
                 if msg[0] == "error":
-                    err_kind = msg[2] if len(msg) > 2 else "worker"
                     raise ShardWorkerError(
-                        shard_id,
-                        f"shard {shard_id} failed:\n{msg[1]}",
-                        kind=err_kind,
+                        shard_id, f"shard {shard_id} failed:\n{msg[1]}"
                     )
                 return msg
             if not proc.is_alive() and not conn.poll(0):
@@ -863,7 +696,7 @@ def run_scenario_sharded(
                 while True:
                     msg = _recv(sid, deadline)
                     if msg[0] == "final":
-                        blobs[msg[1]["shard_id"]] = msg[1]
+                        shard_totals[sid] = msg[1]
                         break
                     # A stale "done" from the epoch in flight when the
                     # fleet failed: drop it and keep draining.
@@ -876,10 +709,7 @@ def run_scenario_sharded(
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_shard_worker_main,
-                args=(
-                    child_conn, spec, config, plan, shard_id, transport,
-                    transport_mode,
-                ),
+                args=(child_conn, spec, config, plan, shard_id),
                 daemon=True,
             )
             proc.start()
@@ -896,25 +726,19 @@ def run_scenario_sharded(
                 for shard_id, conn in enumerate(conns):
                     conn.send(
                         (
-                            "epoch",
-                            epoch_no,
-                            until,
-                            frames_for[shard_id],
-                            shm_counts_for[shard_id],
+                            "epoch", epoch_no, until, frames_for[shard_id],
                             control_for[shard_id],
                         )
                     )
                     frames_for[shard_id] = []
-                    shm_counts_for[shard_id] = {}
                     control_for[shard_id] = None
                 earliest: Optional[int] = None
                 min_ckpt: Optional[int] = None
                 round_controls: List[Optional[dict]] = [None] * plan.shards
                 for shard_id in range(plan.shards):
-                    (
-                        _, counts_out, pipe_out, overflow, peek, out_min,
-                        next_ckpt, control_out, integrity_delta,
-                    ) = _recv(shard_id, deadline)
+                    _, frames_out, peek, out_min, next_ckpt, control_out = _recv(
+                        shard_id, deadline
+                    )
                     if peek is not None and (earliest is None or peek < earliest):
                         earliest = peek
                     if out_min is not None and (
@@ -926,14 +750,9 @@ def run_scenario_sharded(
                     ):
                         min_ckpt = next_ckpt
                     round_controls[shard_id] = control_out
-                    integrity_spills += integrity_delta
-                    for dest, count in counts_out.items():
-                        shm_counts_for[dest][shard_id] = count
-                        shm_frames += count
-                    for dest, dest_frames in pipe_out.items():
+                    for dest, dest_frames in frames_out.items():
                         frames_for[dest].extend(dest_frames)
                         pipe_frames += len(dest_frames)
-                    shm_fallback += overflow
                 if until >= duration:
                     break
                 if earliest is None:
@@ -974,8 +793,7 @@ def run_scenario_sharded(
             for conn in conns:
                 conn.send(("finish",))
             for shard_id in range(plan.shards):
-                msg = _recv(shard_id, deadline)
-                blobs[msg[1]["shard_id"]] = msg[1]
+                shard_totals[shard_id] = _recv(shard_id, deadline)[1]
     except ShardWorkerError as exc:
         failure = exc
         if fallback == FALLBACK_FAIL:
@@ -998,270 +816,73 @@ def run_scenario_sharded(
                 conn.close()
             except OSError:  # pragma: no cover - already closed
                 pass
-        if transport is not None:
-            transport.destroy()
         atexit.unregister(_emergency_cleanup)
         if installed_sig:
             signal.signal(signal.SIGTERM, old_sigterm)
 
     supervision: Dict[str, Any] = {"timeout_s": timeout_s, "fallback": fallback}
+    if failure is not None:
+        supervision.update(
+            {
+                "fallback_ran": fallback,
+                "lost_shards": sorted(lost_shards) or [failure.shard_id],
+                "failure": str(failure),
+                "failure_kind": "worker",
+            }
+        )
     if failure is not None and fallback == FALLBACK_SERIAL:
         # The parent's scenario was built but never run — rerunning it on
         # the single-process engine reproduces the sharded result
         # byte-for-byte (the same path ``shards<=1`` takes).
         result = run_scenario(scenario, config)
-        supervision.update(
-            {
-                "fallback_ran": "serial",
-                "lost_shards": [failure.shard_id],
-                "failure": str(failure),
-                "failure_kind": failure.kind,
-            }
-        )
-        if result.perf is not None:
-            result.perf.supervision = supervision
+        result.perf.supervision = supervision
+        result.metrics.counter("shard.fallbacks").inc()
         return result
-    if failure is not None:
-        supervision.update(
-            {
-                "fallback_ran": "degrade",
-                "lost_shards": sorted(lost_shards),
-                "failure": str(failure),
-                "failure_kind": failure.kind,
-            }
-        )
 
-    # -- merge ---------------------------------------------------------------
-    live_blobs = [blob for blob in blobs if blob is not None]
-    reports: List[SwitchReport] = []
-    for blob in live_blobs:
-        reports.extend(SwitchReport.from_columnar(b) for b in blob["reports"])
-    reports.sort(key=lambda r: (r.collect_time, r.switch))
-    triggers = sorted(
-        (t for blob in live_blobs for t in blob["triggers"]),
-        key=lambda t: (t.time_ns, str(t.victim)),
-    )
-    victim_switches: Dict[FlowKey, set] = {}
-    for blob in live_blobs:
-        for victim, switches in blob["victim_switches"].items():
-            victim_switches.setdefault(victim, set()).update(switches)
-    traced_of: Optional[Callable[[FlowKey], set]] = None
-    if kind.uses_polling_packets or kind.pfc_blind:
-        traced_of = lambda key: set(victim_switches.get(key, ()))  # noqa: E731
+    total = _sum_totals(shard_totals)
+    metrics.absorb_counters("", total.registry)
     if obs is not None:
-        _merge_obs(obs, live_blobs)
-
+        _merge_obs(obs, [part.obs for part in shard_totals if part is not None])
     merged_monitor: Optional[MergedMonitor] = None
     if config.monitor is not None and config.monitor.enabled:
         merged_monitor = MergedMonitor(
-            [
-                blob["monitor"]["alerts"] if blob and blob.get("monitor") else None
-                for blob in blobs
-            ],
-            [
-                blob["monitor"]["counters"] if blob and blob.get("monitor") else None
-                for blob in blobs
-            ],
+            [part.monitor_alerts if part else None for part in shard_totals],
+            [part.monitor_counters if part else None for part in shard_totals],
         )
-
-    outcomes = diagnose_victims(
-        scenario,
-        config,
-        net,
-        reports,
-        triggers,
-        traced_of,
-        duration,
-        obs=obs,
-        monitor=merged_monitor,
-        profile=profile,
+    result = account_run(
+        scenario, config, total, duration, profile, wall_start, caches_before,
+        obs=obs, monitor=merged_monitor,
     )
+
     if lost_shards:
         lost_switch_names = {
             name
             for name, sid in plan.assignment.items()
             if sid in lost_shards and name in net.switches
         }
-        _degrade_outcomes(outcomes, scenario, net, traced_of, lost_switch_names)
-
-    # -- accounting ----------------------------------------------------------
-    data_pkt_hops = sum(blob["data_pkt_hops"] for blob in live_blobs)
-    data_pkts_sent = sum(blob["data_pkts_sent"] for blob in live_blobs)
-    polling_pkts = sum(
-        blob["polling_counters"]["packets_forwarded"] for blob in live_blobs
-    ) + len(triggers)
-    primary = next(
-        (
-            o
-            for o in sorted(
-                (o for o in outcomes if o.trigger is not None),
-                key=lambda o: o.trigger.time_ns,
-            )
-        ),
-        None,
-    )
-    diagnosis_reports = primary.reports_used if primary is not None else {}
-    processing = processing_overhead_bytes(kind, diagnosis_reports, data_pkt_hops)
-    bandwidth = bandwidth_overhead_bytes(
-        kind, polling_pkts, POLLING_PACKET_SIZE, data_pkts_sent, data_pkt_hops
-    )
-    causal: set = set()
-    for victim in scenario.victims:
-        causal |= causal_switches_of(scenario, victim.key)
-
-    cache_stats = diff_cache_counters(caches_before, global_cache_counters())
-    ecmp = {"hits": 0, "misses": 0}
-    merged_caches: Dict[str, Dict[str, int]] = {}
-    collector_stats: Dict[str, int] = {}
-    sim_counters: Dict[str, int] = {}
-    agent_counters = {
-        "retransmissions": 0,
-        "retries_recovered": 0,
-        "retries_exhausted": 0,
-        "restarts": 0,
-    }
-    for blob in live_blobs:
-        ecmp["hits"] += blob["ecmp_cache"]["hits"]
-        ecmp["misses"] += blob["ecmp_cache"]["misses"]
-        for name, hm in blob["cache_counters"].items():
-            slot = merged_caches.setdefault(name, {"hits": 0, "misses": 0})
-            slot["hits"] += hm["hits"]
-            slot["misses"] += hm["misses"]
-        for name, value in blob["collector_stats"].items():
-            collector_stats[name] = collector_stats.get(name, 0) + value
-        for name, value in blob["sim_counters"].items():
-            sim_counters[name] = sim_counters.get(name, 0) + value
-        ac = blob["agent_counters"]
-        agent_counters["retransmissions"] += ac["retransmissions"]
-        agent_counters["retries_recovered"] += ac["retries_recovered"]
-        agent_counters["retries_exhausted"] += ac["retries_exhausted"]
-        # Every shard draws the shared agent-restart stream identically;
-        # the counts are copies of one another, not parts of a sum.
-        agent_counters["restarts"] = max(
-            agent_counters["restarts"], ac["restarts"]
+        _degrade_outcomes(
+            result.outcomes, scenario, net, total.traced, lost_switch_names
         )
-        metrics.absorb_counters("", blob["metrics_counters"])
-    cache_stats["ecmp_select"] = ecmp
-    cache_stats.update(merged_caches)
-
-    # -- chaos accounting (canonical incident merge) --------------------------
-    incidents_merged, fault_stats = merge_shard_incidents(
-        [blob["fault_incidents"] if blob is not None else None for blob in blobs]
-    )
-    fault_counters: Dict[str, int] = {}
-    fault_incidents: List[str] = []
-    if config.faults is not None and config.faults.enabled:
-        fault_counters.update(fault_stats)
-        fault_incidents = [i.describe() for i in incidents_merged]
-    for name, value in (
-        ("agent_retransmissions", agent_counters["retransmissions"]),
-        ("agent_retries_recovered", agent_counters["retries_recovered"]),
-        ("agent_retries_exhausted", agent_counters["retries_exhausted"]),
-        ("agent_restarts", agent_counters["restarts"]),
-        (
-            "polling_packets_lost",
-            sum(
-                blob["polling_counters"]["packets_lost"] for blob in live_blobs
-            ),
-        ),
-        ("dma_retries", collector_stats.get("dma_retries", 0)),
-        ("dma_reads_abandoned", collector_stats.get("dma_reads_abandoned", 0)),
-        ("stale_reads", collector_stats.get("stale_reads", 0)),
-        ("reports_lost", collector_stats.get("reports_lost", 0)),
-        ("reports_truncated", collector_stats.get("reports_truncated", 0)),
-        ("reports_delayed", collector_stats.get("reports_delayed", 0)),
-    ):
-        if value:
-            fault_counters[name] = value
-    for sid in sorted(lost_shards):
-        fault_incidents.append(
-            f"t={duration} shard_worker_lost @ shard{sid} "
-            f"({supervision.get('failure_kind', 'worker')})"
+        result.fault_incidents.extend(
+            f"t={duration} shard_worker_lost @ shard{sid} (worker)"
+            for sid in sorted(lost_shards)
         )
+        metrics.counter("shard.fallbacks").inc()
 
-    events_run = sim_counters.get("events_run", 0)
-    busy = [blob["busy_s"] for blob in live_blobs]
-    max_busy_s = max(busy) if busy else 0.0
-    wall_s = time.perf_counter() - wall_start
     # Parent stages (simulate, flush_pending, analyzer stages) carry
     # wall_s/calls; worker stages (shard_run, shard_transport) are merged
     # across shards into summed wall_s plus max_wall_s — the slowest
     # shard, i.e. the stage's critical-path contribution.
-    stages = {
-        **profile.to_dict(),
-        **merge_stage_dicts([blob.get("stages", {}) for blob in live_blobs]),
-    }
-    sim_wall_s = stages.get("simulate", {}).get("wall_s", wall_s)
-    perf = PerfStats(
-        scenario=scenario.name,
-        wall_s=wall_s,
-        events_run=events_run,
-        events_per_sec=events_run / wall_s if wall_s > 0 else 0.0,
-        peak_pending_events=max(
-            (blob["sim_counters"].get("max_pending_entries", 0) for blob in live_blobs),
-            default=0,
-        ),
-        events_purged=sim_counters.get("events_purged", 0),
-        compactions=sim_counters.get("compactions", 0),
-        caches=cache_stats,
-        faults=fault_counters,
-        stages=stages,
-        shards=plan.shards,
-        barrier_epochs=barrier_epochs,
-        barrier_stall_s=max(sim_wall_s - max_busy_s, 0.0),
-        aggregate_events_per_sec=(
-            events_run / max_busy_s if max_busy_s > 0 else 0.0
-        ),
-        transport={
-            "mode": transport_mode,
-            "requested": requested_mode,
-            "capacity": transport.capacity if transport is not None else 0,
-            "shm_frames": shm_frames,
-            "pipe_frames": pipe_frames,
-            "shm_fallback_frames": shm_fallback,
-            "integrity_spills": integrity_spills,
-        },
-        supervision=supervision,
+    perf = result.perf
+    for name, entry in total.stages.items():
+        perf.stages.setdefault(name, entry)
+    sim_wall_s = perf.stages.get("simulate", {}).get("wall_s", perf.wall_s)
+    perf.shards = plan.shards
+    perf.barrier_epochs = barrier_epochs
+    perf.barrier_stall_s = max(sim_wall_s - total.busy_s, 0.0)
+    perf.aggregate_events_per_sec = (
+        perf.events_run / total.busy_s if total.busy_s > 0 else 0.0
     )
-
-    metrics.absorb_counters("sim", sim_counters)
-    metrics.absorb_counters("cache", cache_stats)
-    metrics.absorb_counters("collection", collector_stats)
-    metrics.absorb_counters(
-        "agent", {"triggers": len(triggers), **agent_counters}
-    )
-    if traced_of is not None:
-        polling_totals = {"packets_forwarded": 0, "packets_suppressed": 0, "packets_lost": 0}
-        for blob in live_blobs:
-            for name in polling_totals:
-                polling_totals[name] += blob["polling_counters"][name]
-        metrics.absorb_counters("polling", polling_totals)
-    if fault_counters:
-        metrics.absorb_counters("faults", fault_counters)
-    if merged_monitor is not None:
-        metrics.absorb_counters("monitor", merged_monitor.counters())
-    metrics.gauge("run.wall_s").set(perf.wall_s)
-    metrics.gauge("run.sim_ns").set(float(duration))
-
-    if obs is not None:
-        obs.end_scenario(duration)
-
-    return RunResult(
-        scenario=scenario,
-        config=config,
-        outcomes=outcomes,
-        collected_switches=sorted({r.switch for r in reports}),
-        causal_switches=causal,
-        processing_bytes=processing,
-        bandwidth_bytes=bandwidth,
-        polling_packets=polling_pkts,
-        collections=collector_stats.get("collections", 0),
-        events_run=events_run,
-        data_pkt_hops=data_pkt_hops,
-        perf=perf,
-        fault_counters=fault_counters,
-        fault_incidents=fault_incidents,
-        metrics=metrics,
-        obs=obs,
-        monitor=merged_monitor,
-    )
+    perf.transport = {"pipe_frames": pipe_frames}
+    perf.supervision = supervision
+    return result

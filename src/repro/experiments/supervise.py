@@ -10,9 +10,9 @@ it:
   barrier watchdog waits for any single worker reply before declaring
   the worker lost (seconds, strictly positive float; default 60).
 * ``REPRO_SHARD_FALLBACK`` — what happens after a loss:
-  ``serial`` (default) terminates every worker, cleans up the shared
-  segment, and reruns the scenario once on the deterministic
-  single-process engine — byte-identical output, just slower;
+  ``serial`` (default) terminates every worker and reruns the scenario
+  once on the deterministic single-process engine — byte-identical
+  output, just slower;
   ``degrade`` keeps the survivors' partial results and surfaces a
   degraded diagnosis whose completeness reflects the lost pods;
   ``fail`` raises.
@@ -34,21 +34,13 @@ FALLBACK_DEGRADE = "degrade"
 FALLBACK_FAIL = "fail"
 FALLBACK_MODES = (FALLBACK_SERIAL, FALLBACK_DEGRADE, FALLBACK_FAIL)
 
-TRANSPORT_MODES = ("auto", "shm", "pipe")
-
 
 class ShardWorkerError(RuntimeError):
-    """A shard/analyzer worker failed; the watchdog decides what's next.
+    """A shard/analyzer worker failed; the watchdog decides what's next."""
 
-    ``kind`` distinguishes worker faults (crash, unhandled exception)
-    from transport faults (a torn/stale shm ring detected at drain time)
-    — both take the same fallback path but are accounted separately.
-    """
-
-    def __init__(self, shard_id: int, message: str, kind: str = "worker") -> None:
+    def __init__(self, shard_id: int, message: str) -> None:
         super().__init__(message)
         self.shard_id = shard_id
-        self.kind = kind
 
 
 class ShardTimeout(ShardWorkerError):
@@ -101,19 +93,3 @@ def resolve_fallback() -> str:
         )
     return raw
 
-
-def resolve_transport_mode() -> str:
-    """The requested cross-shard transport (``REPRO_SHARD_TRANSPORT``).
-
-    Unknown values are rejected at startup — a typo like ``shmem`` must
-    not silently behave like ``auto``.
-    """
-    raw = os.environ.get("REPRO_SHARD_TRANSPORT")
-    if raw is None or raw == "":
-        return "auto"
-    if raw not in TRANSPORT_MODES:
-        raise ValueError(
-            f"unknown REPRO_SHARD_TRANSPORT={raw!r} "
-            f"(expected one of: {', '.join(TRANSPORT_MODES)})"
-        )
-    return raw

@@ -47,6 +47,9 @@ class ChaosOutcome:
     # Per-stage wall seconds of this cell's run (PerfStats.stages), so the
     # chaos harness shows where fault handling spends its time.
     stage_wall_s: Dict[str, float] = field(default_factory=dict)
+    # PerfStats.supervision of a sharded cell: says when a worker was lost
+    # and which fallback produced this outcome.
+    supervision: Dict[str, object] = field(default_factory=dict)
 
     @property
     def crashed(self) -> bool:
@@ -113,6 +116,7 @@ def run_chaos_cell(
             outcome.stage_wall_s = {
                 name: s["wall_s"] for name, s in result.perf.stages.items()
             }
+            outcome.supervision = dict(result.perf.supervision)
     except Exception:  # noqa: BLE001 - the whole point is "never crashes"
         outcome.error = traceback.format_exc()
     return outcome

@@ -73,11 +73,7 @@ class TestVictimPathForwarding:
         assert engine.polling_packets_suppressed > 0
         assert engine.polling_packets_forwarded == 2  # second copy went nowhere
 
-    def test_dropped_counter_is_deprecated_alias(self):
-        import warnings
-
-        from repro.collection.polling import PollingEngine
-
+    def test_dropped_alias_is_gone(self):
         topo, net = make_line_net()
         dep, collector, engine = deploy(net)
         flow = net.make_flow("H1_0", "H3_0", 20 * KB, usec(1))
@@ -86,22 +82,9 @@ class TestVictimPathForwarding:
         net.hosts["H1_0"].inject_polling(flow.key, PollingFlag.VICTIM_PATH)
         net.hosts["H1_0"].inject_polling(flow.key, PollingFlag.VICTIM_PATH)
         net.run(net.sim.now + msec(1))
-        # The alias still answers, but warns exactly once per process.
-        PollingEngine._dropped_alias_warned = False
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                value = engine.polling_packets_dropped
-                value_again = engine.polling_packets_dropped
-            deprecations = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1
-            assert "polling_packets_suppressed" in str(deprecations[0].message)
-        finally:
-            PollingEngine._dropped_alias_warned = True
-        assert value == value_again == engine.polling_packets_suppressed
-        assert value > 0
+        # Dedup suppressions have one name; the old "dropped" alias is gone.
+        assert engine.polling_packets_suppressed > 0
+        assert not hasattr(engine, "polling_packets_dropped")
 
     def test_reset_victim_reopens_dedup(self):
         topo, net = make_line_net()

@@ -1,9 +1,9 @@
 """Worker supervision: watchdog, fallbacks, and leak-free cleanup.
 
 The chaos contract for the parallel planes: a shard worker that dies
-(SIGKILL), hangs, or poisons its shm ring must never hang the parent,
-never strand a ``/dev/shm`` segment or a child process, and never
-produce a *wrong* full-confidence verdict.  Depending on
+(SIGKILL) or hangs must never hang the parent, never strand a
+``/dev/shm`` segment or a child process, and never produce a *wrong*
+full-confidence verdict.  Depending on
 ``REPRO_SHARD_FALLBACK`` the parent either reruns serially
 (byte-identical result), finishes the survivors (degraded diagnosis), or
 raises.
@@ -22,11 +22,7 @@ from repro.experiments import (
     run_scenario_sharded,
 )
 from repro.experiments import shardrun
-from repro.experiments.supervise import (
-    resolve_fallback,
-    resolve_timeout,
-    resolve_transport_mode,
-)
+from repro.experiments.supervise import resolve_fallback, resolve_timeout
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -105,17 +101,35 @@ class TestSerialFallback:
         assert _diagnoses(result) == _diagnoses(serial)
         assert result.perf.supervision["fallback_ran"] == "serial"
 
-    def test_corrupted_ring_is_a_transport_failure(self, abort_hook, leak_check):
-        """A torn/stale ring row is detected and classified, then recovered."""
-        serial = run_scenario(SPEC.build(), RunConfig())
-        abort_hook(
-            lambda sid, ep: "corrupt-ring" if (sid == 1 and ep >= 10) else None
-        )
-        result = run_scenario_sharded(
-            SPEC, RunConfig(shards=2, shard_timeout_s=30)
-        )
-        assert _diagnoses(result) == _diagnoses(serial)
-        assert result.perf.supervision["failure_kind"] == "transport"
+
+    def test_cli_run_says_when_the_fallback_ran(
+        self, abort_hook, leak_check, monkeypatch, capsys, tmp_path
+    ):
+        """A lost shard is a stderr line and a counter, not a silent rerun."""
+        import json
+        import os
+
+        from repro.cli import main
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        abort_hook(lambda sid, ep: "sigkill" if (sid == 1 and ep == 3) else None)
+        metrics_json = tmp_path / "metrics.json"
+        main(["run", "pfc-storm", "--seed", "7", "--shards", "2",
+              "--metrics-json", str(metrics_json)])
+        err = capsys.readouterr().err
+        assert "warning: shard 1 lost (worker); serial fallback ran" in err
+        counters = json.loads(metrics_json.read_text())["counters"]
+        assert counters["shard.fallbacks"] == 1
+
+    def test_cli_chaos_says_when_the_fallback_ran(
+        self, abort_hook, leak_check, capsys
+    ):
+        from repro.cli import main
+
+        abort_hook(lambda sid, ep: "sigkill" if (sid == 1 and ep == 3) else None)
+        main(["chaos", "pfc-storm", "--loss-rates", "0.05", "--shards", "2"])
+        err = capsys.readouterr().err
+        assert "warning: shard 1 lost (worker); serial fallback ran" in err
 
 
 class TestFailMode:
@@ -171,13 +185,6 @@ class TestDegradeMode:
 
 
 class TestPolicyValidation:
-    def test_unknown_transport_env_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_TRANSPORT", "shmem")
-        with pytest.raises(ValueError, match="REPRO_SHARD_TRANSPORT"):
-            resolve_transport_mode()
-        with pytest.raises(ValueError, match="REPRO_SHARD_TRANSPORT"):
-            run_scenario_sharded(SPEC, RunConfig(shards=2))
-
     def test_unknown_fallback_env_is_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_FALLBACK", "retry-forever")
         with pytest.raises(ValueError, match="REPRO_SHARD_FALLBACK"):

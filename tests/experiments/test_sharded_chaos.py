@@ -25,6 +25,7 @@ from repro.faults.chaos import run_chaos_cell
 from repro.monitor import MonitorConfig
 from repro.monitor.merge import alert_sort_key
 from repro.units import usec
+from tests.experiments.test_sharded_determinism import accounting
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -75,6 +76,7 @@ def test_lossy_parity_two_shards(name):
     serial = run_scenario(spec.build(), RunConfig(**config))
     sharded = run_scenario_sharded(spec, RunConfig(shards=2, **config))
     assert _chaos_fingerprint(sharded) == _chaos_fingerprint(serial)
+    assert accounting(sharded) == accounting(serial)
 
 
 def test_full_category_parity_across_shard_counts():

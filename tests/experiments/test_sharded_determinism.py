@@ -16,13 +16,16 @@ the byte comparison.
 import pytest
 
 from repro.experiments import (
+    FabricSession,
     RunConfig,
     ScenarioSpec,
     run_scenario,
     run_scenario_sharded,
 )
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RetryPolicy
+from repro.monitor import MonitorConfig
 from repro.obs import ObsConfig, canonical_jsonl
+from repro.sim.shard import shard_build_context
 
 ANOMALY_SCENARIOS = [
     "in-loop-deadlock",
@@ -31,12 +34,35 @@ ANOMALY_SCENARIOS = [
     "incast-backpressure",
     "lordma-attack",
     "normal-contention",
+    "contention-masked-storm",
 ]
 
 
 def _describe(result):
     diagnosis = result.diagnosis()
     return diagnosis.describe() if diagnosis else None
+
+
+def accounting(result):
+    """Every figure the shared epilogue accounts that is not engine-local
+    (event counts, queue depths and cache rows legitimately differ: each
+    shard runs its own timers and caches)."""
+    counters = result.metrics.to_dict()["counters"]
+    return {
+        "processing_bytes": result.processing_bytes,
+        "bandwidth_bytes": result.bandwidth_bytes,
+        "polling_packets": result.polling_packets,
+        "collections": result.collections,
+        "data_pkt_hops": result.data_pkt_hops,
+        "causal_switches": result.causal_switches,
+        "fault_counters": result.fault_counters,
+        "fault_incidents": result.fault_incidents,
+        "counters": {
+            name: value
+            for name, value in counters.items()
+            if name.startswith(("collection.", "agent.", "polling."))
+        },
+    }
 
 
 def _canonical_trace(result):
@@ -56,6 +82,31 @@ def test_two_shards_match_single_process(name):
     assert len(sharded.outcomes) == len(single.outcomes)
     assert sharded.collected_switches == single.collected_switches
     assert _canonical_trace(sharded) == _canonical_trace(single)
+    assert accounting(sharded) == accounting(single)
+
+
+def test_worker_attach_is_the_in_process_attach():
+    """A shard worker is a FabricSession on a shard view, nothing more: on
+    a plan that keeps every node in shard 0 it leaves the simulator exactly
+    where the in-process attach does, so an edit to the attach order cannot
+    fork sharded tie-breaking silently."""
+    spec = ScenarioSpec("pfc-storm", seed=1)
+    config = RunConfig(
+        monitor=MonitorConfig(),
+        faults=FaultPlan.lossy(0.05, seed=1),
+        retry=RetryPolicy(),
+    )
+    local = FabricSession(spec.build(), config)
+    assignment = {node.name: 0 for node in local.net.topology.nodes}
+    with shard_build_context(assignment, 0):
+        scenario = spec.build()
+    worker = FabricSession(scenario, config)
+
+    assert local.net.shard_id is None and worker.net.shard_id == 0
+    assert worker.injector.shard_id == 0
+    assert worker.net.sim.counters() == local.net.sim.counters()
+    assert worker.net.sim.counters()["pending_entries"] > 0
+    assert worker.net.sim.peek_next_time() == local.net.sim.peek_next_time()
 
 
 def test_shard_request_of_one_runs_in_process():

@@ -321,15 +321,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="stop advancing after N episodes "
                             "(default: replay forever)")
     serve.add_argument("--slice-us", type=_positive_float, default=200.0,
-                       help="sim time advanced per executor slice "
-                            "(default 200)")
+                       help="sim time advanced per slice (default 200)")
     serve.add_argument("--interval-us", type=_positive_float, default=100.0,
                        help="monitor sampling cadence (default 100)")
-    serve.add_argument("--max-inflight", type=_positive_int, default=2,
-                       help="admitted queries executing/waiting (default 2)")
-    serve.add_argument("--max-queue", type=_nonnegative_int, default=32,
-                       help="admitted queries queued beyond that "
-                            "(default 32)")
     serve.add_argument("--tenant-rate", type=_positive_float, default=50.0,
                        help="per-tenant query tokens per second (default 50)")
     serve.add_argument("--tenant-burst", type=_positive_float, default=20.0,
@@ -776,8 +770,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         episodes=args.episodes,
         slice_us=args.slice_us,
         interval_us=args.interval_us,
-        max_inflight=args.max_inflight,
-        max_queue=args.max_queue,
         tenant_rate_per_s=args.tenant_rate,
         tenant_burst=args.tenant_burst,
         sub_queue=args.sub_queue,

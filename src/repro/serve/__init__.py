@@ -3,8 +3,8 @@
 ``repro serve`` turns the replay-a-scenario-then-exit pipeline into a
 resident service (SwitchPointer/007-style: operators query a monitor that
 is already running).  One asyncio process owns a continuously-running
-monitored fabric — the simulator advanced in bounded sim-time slices on a
-single executor thread so the event loop stays responsive — and serves
+monitored fabric — the simulator advanced on the event loop itself, a
+~2 ms chunk of events between polls of the sockets — and serves
 concurrent clients over a line-oriented JSON protocol:
 
 - **streaming subscriptions** to the live alert/incident feed

@@ -1,20 +1,21 @@
 """Admission control for the query path: stay responsive by refusing work.
 
-Two independent guards, both answering with an explicit reason instead of
-letting latency grow without bound:
+One guard, answering with an explicit reason instead of letting latency
+grow without bound: **per-tenant token buckets** — each tenant refills at
+``rate_per_s`` up to ``burst``; a query with no token is rejected
+``rate-limit`` with a ``retry_after_s`` hint.  One noisy tenant cannot
+starve the rest.
 
-- **per-tenant token buckets** — each tenant refills at ``rate_per_s``
-  up to ``burst``; a query with no token is rejected ``rate-limit`` with
-  a ``retry_after_s`` hint.  One noisy tenant cannot starve the rest.
-- **global capacity** — at most ``max_inflight`` queries admitted at
-  once plus ``max_queue`` waiting behind them; beyond that the service
-  sheds load with ``overload``.  The sim/diagnosis executor is a single
-  thread, so "in flight" means "admitted and not yet answered" — the
-  bound is on total queued latency, not CPU parallelism.
+There is no server-side queue to bound: the service answers a query
+synchronously between :meth:`~AdmissionController.admit` and
+:meth:`~AdmissionController.release` on its one thread, so at most one
+query is ever in flight and excess load waits where it arrived — in its
+connection's socket buffer — until the loop reads it, is admitted or
+shed there, and answered in arrival order per connection.
 
-Both guards count every decision into the ``serve.*`` metrics registry
-so ``/servicez`` and the Prometheus endpoint expose admission behaviour
-per tenant.
+Every decision is counted into the ``serve.*`` metrics registry so
+``/servicez`` and the Prometheus endpoint expose admission behaviour per
+tenant.
 """
 
 from __future__ import annotations
@@ -64,33 +65,21 @@ class TokenBucket:
 
 
 class AdmissionController:
-    """Decide, count and bound the concurrently admitted queries."""
+    """Decide and count query admissions, one token bucket per tenant."""
 
     def __init__(
         self,
-        max_inflight: int = 2,
-        max_queue: int = 32,
         tenant_rate_per_s: float = 50.0,
         tenant_burst: float = 20.0,
         metrics: Optional[MetricsRegistry] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        if max_queue < 0:
-            raise ValueError("max_queue must be >= 0")
-        self.max_inflight = max_inflight
-        self.max_queue = max_queue
         self.tenant_rate_per_s = tenant_rate_per_s
         self.tenant_burst = tenant_burst
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.clock = clock
         self.inflight = 0
         self._buckets: Dict[str, TokenBucket] = {}
-
-    @property
-    def capacity(self) -> int:
-        return self.max_inflight + self.max_queue
 
     def bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
@@ -104,9 +93,7 @@ class AdmissionController:
         """Try to admit one query for ``tenant``.
 
         Returns ``(None, 0.0)`` on admission (the caller must pair it
-        with :meth:`release`), else ``(reason, retry_after_s)``.  Rate
-        limits are checked before capacity so a throttled tenant never
-        consumes queue slots.
+        with :meth:`release`), else ``(reason, retry_after_s)``.
         """
         metrics = self.metrics
         now_s = self.clock()
@@ -115,14 +102,9 @@ class AdmissionController:
             metrics.inc("serve.queries.rejected.rate_limit")
             metrics.inc(f"serve.tenant.{tenant}.rejected")
             return "rate-limit", bucket.retry_after_s(now_s)
-        if self.inflight >= self.capacity:
-            metrics.inc("serve.queries.rejected.overload")
-            metrics.inc(f"serve.tenant.{tenant}.rejected")
-            return "overload", 0.0
         self.inflight += 1
         metrics.inc("serve.queries.accepted")
         metrics.inc(f"serve.tenant.{tenant}.queries")
-        metrics.gauge("serve.queue.depth").set(float(self.inflight))
         return None, 0.0
 
     def release(self) -> None:
@@ -130,7 +112,6 @@ class AdmissionController:
         if self.inflight <= 0:
             raise RuntimeError("release() without a matching admit()")
         self.inflight -= 1
-        self.metrics.gauge("serve.queue.depth").set(float(self.inflight))
 
     def counters(self) -> Dict[str, int]:
         """The admission slice of the ``/servicez`` document."""
@@ -140,6 +121,4 @@ class AdmissionController:
             "rejected_rate_limit": doc.get(
                 "serve.queries.rejected.rate_limit", 0
             ),
-            "rejected_overload": doc.get("serve.queries.rejected.overload", 0),
-            "inflight": self.inflight,
         }

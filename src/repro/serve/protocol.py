@@ -18,8 +18,8 @@ Request ops::
 Responses are ``{"ok": true, "type": ..., "id": ...}`` or
 ``{"ok": false, "type": "error" | "rejected", ...}``.  ``rejected`` is
 load shedding, not failure: the admission controller refused the query
-(``reason`` is ``rate-limit`` or ``overload``) and the client should back
-off.  A terminal event — ``{"type": "event", "event": "shutdown"}`` or
+(``reason`` is ``rate-limit``) and the client should back off.  A
+terminal event — ``{"type": "event", "event": "shutdown"}`` or
 ``"evicted"`` — is always the last line a subscriber receives.
 
 Framing is bounded: a request line longer than :data:`MAX_LINE_BYTES`

@@ -3,32 +3,35 @@
 Execution model
 ---------------
 
-The simulator is not thread-safe and diagnosis reads its live state, so
-*all* fabric work — advancing the sim, finishing an episode, answering a
-query — runs on a **single** executor thread, submitted job by job from
-the event loop:
+One thread.  The simulator is pure Python and never releases the
+interpreter lock, and diagnosis reads its live state, so a second thread
+could add no parallelism — only a lock hand-off in front of every
+request.  *All* fabric work — advancing the sim, finishing an episode,
+answering a query, rendering an export — is therefore a plain call on
+the event loop, exclusive by construction:
 
 - the **slice loop** (:meth:`DiagnosisService._pump`) advances the
-  current episode up to ``slice_ns`` of simulated time per job, then
-  drains newly raised monitor alerts/timeline incidents into the
-  :class:`~repro.serve.broker.StreamBroker`.  A job is a loop of
-  :data:`CHUNK_EVENTS`-event chunks, and between chunks the sim thread
-  reads one integer — how many queries and exports the loop thread has
-  waiting for the executor.  Non-zero ends the slice at that instant
-  (``serve.slices.preempted``); zero costs nothing, so an idle server
-  runs exactly the slices ``--slice-us`` asks for;
-- **queries** interleave between slices on the same thread, so a query
-  observes a quiescent fabric and the sim never races a diagnosis.
-  Query latency is therefore bounded by (queue wait + one *chunk* + the
-  diagnosis itself), however many events the storm packs into a slice
-  — split per query into ``serve.query.wait_s`` and
-  ``serve.query.exec_s``; the admission controller bounds the queue
-  and the ``serve_scale`` bench gates the p99.
+  current episode ``slice_ns`` of simulated time per slice, in chunks of
+  at most :data:`CHUNK_EVENTS` events.  After each chunk it drains newly
+  raised monitor alerts/timeline incidents into the
+  :class:`~repro.serve.broker.StreamBroker` and hands the loop
+  :data:`IO_PASSES` passes, enough for every request that was readable
+  when the chunk ended to be read, answered and written before the next
+  chunk starts;
+- **queries** run inside those passes, so a query observes a quiescent
+  fabric and the sim never races a diagnosis.  A request waits for at
+  most the chunk in progress (``serve.chunk.wall_s``: the longest the
+  loop goes without polling a socket, and the part of a request's
+  latency the server cannot see), then costs its own handling
+  (``serve.query.wall_s``, of which ``serve.query.exec_s`` is the
+  diagnosis) — however many events the storm packs into a slice.  Excess
+  load waits in the connections' socket buffers; the per-tenant token
+  bucket sheds it and the ``serve_scale`` bench gates the p99.
 
 A chunk ends between simulated instants, exactly where a slice boundary
 could have fallen (:meth:`Simulator.run
-<repro.sim.engine.Simulator.run>`), so when queries happen to arrive
-changes where the timeline is cut and never what runs or in what order.
+<repro.sim.engine.Simulator.run>`), so chunking changes where the
+timeline is cut and never what runs or in what order.
 
 Episodes: the fabric replays its scenario continuously.  Episode ``k``
 is built at ``seed + k``, advanced to its duration, finished (the batch
@@ -48,11 +51,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import os
 import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from ..experiments.runner import FabricSession, RunConfig, RunResult
 from ..monitor.export import (
@@ -81,12 +84,20 @@ from .protocol import (
 
 __all__ = ["ServeConfig", "DiagnosisService"]
 
-# Events a slice runs between looks at the waiting count.  The served
-# simulator costs ~4 us/event on the reference box (pfc-storm with the
-# monitor on: 62.7k events in ~0.25 s), so 512 events is ~2 ms of host time:
-# below the ~5 ms interpreter-lock hand-off a query pays anyway, and ~120
-# integer reads per episode.
+# Events the sim runs between polls of the sockets.  The served simulator
+# costs ~4 us/event on the reference box (pfc-storm with the monitor on:
+# 62.7k events in ~0.25 s), so 512 events is ~2 ms of host time: the most a
+# request waits before the loop reads it, against ~120 rounds of loop
+# passes per episode (a few percent of a chunk each).
 CHUNK_EVENTS = 512
+
+# Loop passes handed over after each chunk.  asyncio runs the pump's own
+# continuation before the I/O callbacks polled in the same pass, and a
+# StreamReader request is a chain: pass 1 polls the socket and feeds the
+# reader, pass 2 wakes the handler task, which answers and writes; only in
+# pass 3 is the pump's turn behind them.  Each missing pass puts one chunk
+# in front of every request (measured p50: 6.2 / 4.5 / 2.6 ms at 1 / 2 / 3).
+IO_PASSES = 3
 
 _STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
@@ -98,10 +109,8 @@ class ServeConfig:
     scenario: str = "pfc-storm"
     seed: int = 1
     episodes: Optional[int] = None      # None = replay forever
-    slice_us: float = 200.0             # sim time per executor job, at most
+    slice_us: float = 200.0             # sim time per slice
     interval_us: float = 100.0          # monitor sampling cadence
-    max_inflight: int = 2               # admitted queries executing/waiting
-    max_queue: int = 32                 # extra admitted queries queued
     tenant_rate_per_s: float = 50.0     # per-tenant token refill
     tenant_burst: float = 20.0          # per-tenant token cap
     sub_queue: int = 256                # per-subscriber event queue bound
@@ -116,11 +125,11 @@ class ServeConfig:
 def _execute_query(
     session: FabricSession, victim_str: Optional[str]
 ) -> Dict[str, Any]:
-    """Resolve and diagnose one victim on the executor thread.
+    """Resolve and diagnose one victim.
 
-    Runs with exclusive access to the fabric (single-thread executor), so
-    it may read triggers/reports freely.  Returns the JSON-ready body of
-    the ``result`` response.
+    Runs on the event loop between two chunks, so it may read
+    triggers/reports freely.  Returns the JSON-ready body of the
+    ``result`` response.
     """
     scenario = session.scenario
     victims = {str(v.key): v.key for v in scenario.victims}
@@ -165,21 +174,8 @@ def _execute_query(
     }
 
 
-def _timed_query(
-    session: FabricSession, victim_str: Optional[str], submitted_s: float
-) -> Tuple[Dict[str, Any], float, float]:
-    """The query's executor job: ``(body, wait_s, exec_s)``.
-
-    ``wait_s`` runs from submission on the loop thread to this job
-    starting on the sim thread; ``exec_s`` is the diagnosis itself.
-    """
-    started_s = time.perf_counter()
-    body = _execute_query(session, victim_str)
-    return body, started_s - submitted_s, time.perf_counter() - started_s
-
-
 class DiagnosisService:
-    """The long-lived server; all state lives on the event loop thread."""
+    """The long-lived server; everything runs on the event loop."""
 
     def __init__(
         self, config: Optional[ServeConfig] = None,
@@ -194,14 +190,9 @@ class DiagnosisService:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.broker = StreamBroker(self.registry)
         self.admission = AdmissionController(
-            max_inflight=self.config.max_inflight,
-            max_queue=self.config.max_queue,
             tenant_rate_per_s=self.config.tenant_rate_per_s,
             tenant_burst=self.config.tenant_burst,
             metrics=self.registry,
-        )
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-sim"
         )
         self.session: Optional[FabricSession] = None
         self.last_result: Optional[RunResult] = None
@@ -210,13 +201,9 @@ class DiagnosisService:
         self._alert_cursor = 0
         self._incident_cursor = 0
         self._episode_finished = False
-        # Queries and exports submitted to the executor and not yet
-        # answered.  Written by the loop thread only; the sim thread reads
-        # it between chunks, so it needs no lock.
-        self._waiting = 0
         self._running = False
         self._started_s = time.monotonic()
-        self._last_slice_s = time.monotonic()
+        self._last_chunk_s = time.monotonic()
         self._servers: List[asyncio.AbstractServer] = []
         self._pump_task: Optional[asyncio.Task] = None
         self._forwarders: Set[asyncio.Task] = set()
@@ -262,90 +249,83 @@ class DiagnosisService:
             self.broker.publish("incident", episode=self.episode, **doc)
         self._incident_cursor = len(incidents)
 
-    async def _run_exclusive(self, fn, *args):
-        """Run ``fn`` on the sim thread, preempting the slice in its way.
+    async def _yield_to_io(self) -> None:
+        """Let every request already readable be answered (IO_PASSES)."""
+        for _ in range(IO_PASSES):
+            await asyncio.sleep(0)
+        # A reader this thread just woke is often queued on this CPU,
+        # behind the chunk about to start: let it run first (stream lag
+        # p95 4.7 -> 0.8 ms; returns at once when nobody is waiting).
+        os.sched_yield()
 
-        Queries and exporters both read live fabric/monitor state, so
-        both serialize with the sim here.
-        """
-        self._waiting += 1
-        try:
-            return await asyncio.get_running_loop().run_in_executor(
-                self._executor, fn, *args
-            )
-        finally:
-            self._waiting -= 1
+    async def _run_slice(self, session: FabricSession, target_ns: int) -> None:
+        """Advance to ``target_ns`` chunk by chunk, serving between chunks."""
+        histogram = self.registry.histogram
+        sim_s = 0.0
+        while self._running and session.now_ns < target_ns:
+            t0 = time.perf_counter()
+            session.advance(target_ns, CHUNK_EVENTS)
+            chunk_s = time.perf_counter() - t0
+            histogram("serve.chunk.wall_s").observe(chunk_s)
+            sim_s += chunk_s
+            self._last_chunk_s = time.monotonic()
+            self._drain_feed()
+            await self._yield_to_io()
+        self.registry.inc("serve.slices")
+        histogram("serve.slice.wall_s").observe(sim_s)
 
-    def _advance_slice(self, session: FabricSession, target_ns: int) -> bool:
-        """The slice's executor job; True if it yielded before ``target_ns``."""
-        while session.advance(target_ns, CHUNK_EVENTS) < target_ns:
-            if self._waiting:
-                return True
-        return False
+    def _finish_episode(self, session: FabricSession) -> None:
+        """The batch epilogue, then the episode's closing stream event."""
+        result = session.finish()
+        self._episode_finished = True
+        self.last_result = result
+        self.episodes_completed += 1
+        self.registry.inc("serve.episodes.completed")
+        self._drain_feed()  # finish() records the incidents
+        outcome = result.primary_outcome()
+        self.broker.publish(
+            "episode-end",
+            episode=self.episode,
+            scenario=self.config.scenario,
+            seed=self.config.seed + self.episode,
+            alerts=len(result.monitor.alerts)
+            if result.monitor is not None else 0,
+            verdict=(
+                outcome.diagnosis.primary().anomaly.value
+                if outcome is not None and outcome.diagnosis is not None
+                else None
+            ),
+        )
 
     async def _pump(self) -> None:
-        """The slice loop: advance, drain, finish, repeat (or idle)."""
-        loop = asyncio.get_running_loop()
+        """The slice loop: advance, finish, start the next episode (or idle)."""
         slice_ns = max(1, int(usec(self.config.slice_us)))
         while self._running:
             session = self.session
-            if session is None:
-                self._start_episode()
-                continue
             if not session.complete:
-                t0 = time.perf_counter()
-                target = min(session.now_ns + slice_ns, session.duration_ns)
-                preempted = await loop.run_in_executor(
-                    self._executor, self._advance_slice, session, target
+                await self._run_slice(
+                    session,
+                    min(session.now_ns + slice_ns, session.duration_ns),
                 )
-                self.registry.inc("serve.slices")
-                if preempted:
-                    self.registry.inc("serve.slices.preempted")
-                self.registry.histogram("serve.slice.wall_s").observe(
-                    time.perf_counter() - t0
-                )
-                self.registry.gauge("serve.sim_ns").set(float(session.now_ns))
-                self._last_slice_s = time.monotonic()
-                self._drain_feed()
-                continue
-            if not self._episode_finished:
-                result = await loop.run_in_executor(
-                    self._executor, session.finish
-                )
-                self._episode_finished = True
-                self.last_result = result
-                self.episodes_completed += 1
-                self.registry.inc("serve.episodes.completed")
-                self._drain_feed()  # finish() records the incidents
-                outcome = result.primary_outcome()
-                self.broker.publish(
-                    "episode-end",
-                    episode=self.episode,
-                    scenario=self.config.scenario,
-                    seed=self.config.seed + self.episode,
-                    alerts=len(result.monitor.alerts)
-                    if result.monitor is not None else 0,
-                    verdict=(
-                        outcome.diagnosis.primary().anomaly.value
-                        if outcome is not None and outcome.diagnosis is not None
-                        else None
-                    ),
-                )
-                continue
-            if (
+            elif not self._episode_finished:
+                self._finish_episode(session)
+                await self._yield_to_io()
+            elif (
                 self.config.episodes is None
                 or self.episode + 1 < self.config.episodes
             ):
                 self._start_episode()
-                continue
-            # All episodes replayed: stay up, serve queries/scrapes/streams.
-            await asyncio.sleep(self.config.idle_sleep_s)
+                await self._yield_to_io()
+            else:
+                # All episodes replayed: stay up, serve queries/scrapes/streams.
+                await asyncio.sleep(self.config.idle_sleep_s)
 
     # -- query path ----------------------------------------------------------
 
-    async def _handle_query(
+    def _handle_query(
         self, tenant: str, victim: Optional[str], request_id: Any
     ) -> Dict[str, Any]:
+        t0 = time.perf_counter()
         reason, retry_after = self.admission.admit(tenant)
         if reason is not None:
             return rejected(reason, request_id, retry_after_s=retry_after)
@@ -353,22 +333,18 @@ class DiagnosisService:
         try:
             if session is None:
                 return error("not-ready", "no episode is live yet", request_id)
-            t0 = time.perf_counter()
-            body, wait_s, exec_s = await self._run_exclusive(
-                _timed_query, session, victim, t0
-            )
-            wall_s = time.perf_counter() - t0
-            histogram = self.registry.histogram
-            histogram("serve.query.wall_s").observe(wall_s)
-            histogram("serve.query.wait_s").observe(wait_s)
-            histogram("serve.query.exec_s").observe(exec_s)
+            t1 = time.perf_counter()
+            body = _execute_query(session, victim)
+            now = time.perf_counter()
+            wall_s, exec_s = now - t0, now - t1
+            self.registry.histogram("serve.query.wall_s").observe(wall_s)
+            self.registry.histogram("serve.query.exec_s").observe(exec_s)
             self.registry.inc("serve.queries.completed")
             return ok(
                 "result",
                 request_id,
                 episode=self.episode,
                 wall_s=round(wall_s, 6),
-                wait_s=round(wait_s, 6),
                 exec_s=round(exec_s, 6),
                 **body,
             )
@@ -377,9 +353,21 @@ class DiagnosisService:
 
     # -- self-observability --------------------------------------------------
 
+    def _refresh_gauges(self) -> None:
+        """Gauges that are only true at the instant they are read; every
+        exposition (``/metrics``, ``/servicez``, ``stats``) calls this."""
+        now_s = time.monotonic()
+        gauge = self.registry.gauge
+        gauge("serve.uptime_s").set(now_s - self._started_s)
+        gauge("serve.feed_staleness_s").set(now_s - self._last_chunk_s)
+        if self.session is not None:
+            gauge("serve.sim_ns").set(float(self.session.now_ns))
+
     def servicez(self) -> Dict[str, Any]:
         """The ``/servicez`` document (also the ``stats`` op's body)."""
+        self._refresh_gauges()
         doc = self.registry.to_dict()
+        gauges = doc["gauges"]
         counters = doc["counters"]
         tenants: Dict[str, Dict[str, int]] = {}
         for name, value in counters.items():
@@ -388,24 +376,19 @@ class DiagnosisService:
             tenant, _, field = name[len("serve.tenant."):].rpartition(".")
             tenants.setdefault(tenant, {})[field] = value
         session = self.session
-        uptime_s = time.monotonic() - self._started_s
-        self.registry.gauge("serve.uptime_s").set(uptime_s)
-        staleness = time.monotonic() - self._last_slice_s
-        self.registry.gauge("serve.feed_staleness_s").set(staleness)
         return {
             "protocol": PROTOCOL_VERSION,
             "scenario": self.config.scenario,
             "seed": self.config.seed,
-            "uptime_s": round(uptime_s, 3),
+            "uptime_s": round(gauges["serve.uptime_s"], 3),
             "episode": self.episode,
             "episodes_completed": self.episodes_completed,
             "episode_complete": self._episode_finished,
             "sim_ns": session.now_ns if session is not None else 0,
             "sim_duration_ns": session.duration_ns if session is not None else 0,
-            "feed_staleness_s": round(staleness, 3),
+            "feed_staleness_s": round(gauges["serve.feed_staleness_s"], 3),
             "slice_us": self.config.slice_us,
             "slices": counters.get("serve.slices", 0),
-            "slices_preempted": counters.get("serve.slices.preempted", 0),
             "connections": len(self._writers),
             "stream": {
                 "active": self.broker.active,
@@ -416,9 +399,9 @@ class DiagnosisService:
             "admission": self.admission.counters(),
             "tenants": tenants,
             "query_wall_s": doc["histograms"].get("serve.query.wall_s", {}),
-            "query_wait_s": doc["histograms"].get("serve.query.wait_s", {}),
             "query_exec_s": doc["histograms"].get("serve.query.exec_s", {}),
             "slice_wall_s": doc["histograms"].get("serve.slice.wall_s", {}),
+            "chunk_wall_s": doc["histograms"].get("serve.chunk.wall_s", {}),
         }
 
     # -- HTTP (scrape endpoints on the same listener) ------------------------
@@ -449,17 +432,16 @@ class DiagnosisService:
             status, body = 503, "no live episode\n"
         elif path == "/metrics":
             content_type = "text/plain; version=0.0.4; charset=utf-8"
-            body = await self._run_exclusive(prometheus_text, monitor)
+            self._refresh_gauges()
+            body = prometheus_text(monitor)
             body += registry_prometheus_text(self.registry)
         elif path == "/jsonl":
             content_type = "application/x-ndjson"
-            body = await self._run_exclusive(
-                lambda m: "\n".join(jsonl_snapshot(m)) + "\n", monitor
-            )
+            body = "\n".join(jsonl_snapshot(monitor)) + "\n"
         elif path in ("/html", "/dashboard"):
             content_type = "text/html; charset=utf-8"
-            body = await self._run_exclusive(
-                render_html, monitor, f"repro serve: {self.config.scenario}"
+            body = render_html(
+                monitor, f"repro serve: {self.config.scenario}"
             )
         else:
             status, body = 404, f"no such endpoint: {path}\n"
@@ -550,7 +532,7 @@ class DiagnosisService:
             state["sub"] = None
             return ok("unsubscribed", request_id, sub=sub.sub_id)
         if op == "query":
-            return await self._handle_query(
+            return self._handle_query(
                 state["tenant"], request.get("victim"), request_id
             )
         raise ProtocolError("unknown-op", f"unhandled op {op!r}")
@@ -640,15 +622,15 @@ class DiagnosisService:
         self._pump_task = asyncio.ensure_future(self._pump())
 
     async def stop(self, reason: str = "requested") -> None:
-        """Shut down cleanly: goodbye every stream, close every socket,
-        join the executor.  Idempotent."""
+        """Shut down cleanly: goodbye every stream, close every socket.
+        Idempotent."""
         if not self._running:
             await self._stopped.wait()
             return
         self._running = False
         if self._pump_task is not None:
-            # The pump exits on the flag; it only ever awaits one bounded
-            # slice (or a short idle nap), so this join is bounded too.
+            # The pump exits on the flag after the chunk in progress (or a
+            # short idle nap), so this join is bounded.
             with contextlib.suppress(asyncio.CancelledError):
                 await self._pump_task
         self.broker.close_all("shutdown", reason=reason)
@@ -671,7 +653,6 @@ class DiagnosisService:
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
         self._writers.clear()
-        self._executor.shutdown(wait=True)
         self._stopped.set()
 
     def install_signal_handlers(self) -> None:

@@ -107,13 +107,13 @@ class TestRegistryExposition:
     def test_counters_gauges_summaries(self):
         registry = MetricsRegistry()
         registry.inc("serve.queries.accepted", 3)
-        registry.gauge("serve.queue.depth").set(2.0)
+        registry.gauge("serve.uptime_s").set(2.0)
         hist = registry.histogram("serve.query.wall_s")
         for value in (0.1, 0.2, 0.3):
             hist.observe(value)
         families = validate_exposition(registry_prometheus_text(registry))
         assert families["repro_serve_queries_accepted"][0] == "counter"
-        assert families["repro_serve_queue_depth"][0] == "gauge"
+        assert families["repro_serve_uptime_s"][0] == "gauge"
         kind, samples = families["repro_serve_query_wall_s"]
         assert kind == "summary"
         assert "repro_serve_query_wall_s_sum" in samples

@@ -85,7 +85,7 @@ class TestResponses:
         assert message["retry_after_s"] == 0.25
 
     def test_rejected_omits_zero_hint(self):
-        assert "retry_after_s" not in rejected("overload", 1)
+        assert "retry_after_s" not in rejected("rate-limit", 1)
 
     def test_event_carries_clock_and_seq(self):
         message = event("alert", 123.5, 9, category="pfc_storm")

@@ -189,12 +189,12 @@ class TestQueries:
                 assert reply["confidence"] == "full"
                 assert "pfc-storm" in reply["diagnosis"]
                 assert reply["trigger_ns"] > 0
-                # Where the latency went: executor wait + the diagnosis
-                # itself, both inside the reply's end-to-end wall_s.
-                assert reply["wait_s"] >= 0 and reply["exec_s"] > 0
-                assert reply["wait_s"] + reply["exec_s"] <= reply["wall_s"] + 1e-5
+                # Where the server's share went: the diagnosis itself,
+                # inside the handling of the request end to end.
+                assert "wait_s" not in reply
+                assert 0 < reply["exec_s"] <= reply["wall_s"]
                 histograms = service.registry.to_dict()["histograms"]
-                for name in ("wall_s", "wait_s", "exec_s"):
+                for name in ("wall_s", "exec_s"):
                     assert histograms[f"serve.query.{name}"]["count"] == 1
                 await client.close()
 
@@ -248,11 +248,9 @@ class TestPreemptibleSlices:
                 assert duration_ns < 1e6 * 1000  # one slice would cover it
                 client = await ServeClient.connect(unix_path=path, tenant="t")
                 reply = await client.query()
-                stats = (await client.stats())["stats"]
                 await client.close()
                 assert reply["ok"] is True
                 assert 0 < reply["sim_ns"] < duration_ns
-                assert stats["slices_preempted"] >= 1
 
         asyncio.run(main())
 
@@ -265,13 +263,44 @@ class TestPreemptibleSlices:
                 )
                 assert status == 200
                 assert not service._episode_finished
-                counters = service.registry.to_dict()["counters"]
-                assert counters["serve.slices.preempted"] >= 1
+
+        asyncio.run(main())
+
+    def test_request_readable_at_chunk_end_beats_the_next_chunk(self, serving):
+        """The loop gets enough passes after a chunk: a request that
+        arrived while the chunk ran is read, answered and written before
+        the next chunk starts (one pass too few costs it a whole chunk)."""
+
+        async def main():
+            async with serving(slice_us=1e6) as (service, path):
+                reader, writer = await asyncio.open_unix_connection(path)
+                writer.write(encode({"op": "ping"}))
+                await reader.readline()  # the handler task is up and waiting
+                session = service.session
+                advance, chunks, sent = session.advance, [0], {}
+
+                def sending_advance(until_ns, max_events=None):
+                    now_ns = advance(until_ns, max_events)
+                    chunks[0] += 1
+                    if chunks[0] % 4 == 0 and len(sent) < 5:
+                        # Lands in the server's socket buffer mid-chunk,
+                        # as far as the loop can tell.
+                        writer.write(encode({"op": "query", "id": chunks[0]}))
+                        sent[chunks[0]] = now_ns
+                    return now_ns
+
+                session.advance = sending_advance
+                for _ in range(5):
+                    reply = json.loads(await reader.readline())
+                    # Answered at the instant the chunk it arrived in ended.
+                    assert reply["sim_ns"] == sent[reply["id"]], reply
+                writer.close()
+                await writer.wait_closed()
 
         asyncio.run(main())
 
     def test_idle_server_runs_exactly_the_configured_slices(self, serving):
-        """Nobody waiting, nothing yields: ceil(duration / slice) jobs."""
+        """ceil(duration / slice) slices, however they split into chunks."""
 
         async def main():
             async with serving(slice_us=333.0) as (service, path):
@@ -279,7 +308,6 @@ class TestPreemptibleSlices:
                 await wait_episode_complete(service)
                 counters = service.registry.to_dict()["counters"]
                 assert counters["serve.slices"] == -(-duration_ns // 333_000)
-                assert counters.get("serve.slices.preempted", 0) == 0
 
         asyncio.run(main())
 
@@ -315,10 +343,37 @@ class TestHttpEndpoints:
                 assert doc["uptime_s"] >= 0
                 assert "admission" in doc
                 assert "tenants" in doc
-                # The query-latency decomposition sits beside the totals.
-                for key in ("query_wall_s", "query_wait_s", "query_exec_s"):
+                # The query-latency decomposition sits beside the totals:
+                # a chunk to wait out, then the handling itself.
+                for key in ("query_wall_s", "query_exec_s", "chunk_wall_s"):
                     assert key in doc
-                assert doc["slices_preempted"] <= doc["slices"]
+                assert "query_wait_s" not in doc
+                assert "slices_preempted" not in doc
+
+        asyncio.run(main())
+
+    def test_every_scrape_refreshes_uptime_and_staleness(self, serving):
+        def gauge(body, name):
+            for line in body.splitlines():
+                if line.startswith(name + " "):
+                    return float(line.split()[1])
+            raise AssertionError(f"{name} missing from the exposition")
+
+        async def main():
+            async with serving() as (service, path):
+                loop = asyncio.get_running_loop()
+                # No /servicez hit first: /metrics sets the gauges itself.
+                _, _, first = await loop.run_in_executor(
+                    None, self._get, "/metrics", path
+                )
+                assert gauge(first, "repro_serve_feed_staleness_s") >= 0
+                await asyncio.sleep(0.05)
+                _, _, second = await loop.run_in_executor(
+                    None, self._get, "/metrics", path
+                )
+                assert gauge(second, "repro_serve_uptime_s") >= (
+                    gauge(first, "repro_serve_uptime_s") + 0.05
+                )
 
         asyncio.run(main())
 
@@ -355,23 +410,23 @@ class TestHttpEndpoints:
 
 class TestLifecycle:
     def test_stop_leaves_no_threads_behind(self, serving):
-        before = {t.name for t in threading.enumerate()}
+        """The service never starts a thread: the count is the same before
+        start(), while serving a stream and a query, and after stop()."""
 
         async def main():
+            before = threading.active_count()
             async with serving() as (service, path):
                 client = await ServeClient.connect(unix_path=path)
                 await client.subscribe()
+                assert (await client.query())["ok"] is True
+                await asyncio.sleep(0.1)
+                assert threading.active_count() == before
                 # stop() runs in the fixture's finally; close the client
                 # here so its reader task dies inside the loop.
-                await asyncio.sleep(0.1)
                 await client.close()
+            assert threading.active_count() == before
 
         asyncio.run(main())
-        after = {t.name for t in threading.enumerate()}
-        leaked = {
-            name for name in after - before if name.startswith("repro-serve")
-        }
-        assert not leaked, f"leaked executor threads: {leaked}"
 
     def test_stop_is_idempotent_and_notifies_streams(self, serving):
         async def main():

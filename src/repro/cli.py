@@ -193,17 +193,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(clamped to the CPU count and the topology's "
                           "pod groups; diagnoses are byte-identical to "
                           "--shards 1)")
-    run.add_argument("--analyzer-jobs", type=_positive_int, default=1,
-                     metavar="N",
-                     help="fan the analysis plane (per-victim provenance "
-                          "builds, per-epoch replay prewarm) across N "
-                          "worker processes (clamped to the CPU count; "
-                          "diagnoses are byte-identical to "
-                          "--analyzer-jobs 1)")
     run.add_argument("--shard-timeout", type=_positive_float, default=None,
                      metavar="SECONDS",
-                     help="watchdog deadline for any single shard/analyzer "
-                          "worker reply (default: REPRO_SHARD_TIMEOUT or 60)")
+                     help="watchdog deadline for any single shard worker "
+                          "reply (default: 60)")
 
     trace = sub.add_parser(
         "trace",
@@ -370,25 +363,6 @@ def _resolve_shards(args: argparse.Namespace, scenario) -> int:
     return shards
 
 
-def _resolve_analyzer_jobs(args: argparse.Namespace) -> int:
-    """Clamp ``--analyzer-jobs`` to the CPU count (warning, not an error).
-
-    Unlike ``--shards`` there is no topology bound: victims and epochs are
-    freely divisible work.
-    """
-    jobs = args.analyzer_jobs
-    if jobs <= 1:
-        return 1
-    import os
-
-    cpus = os.cpu_count() or 1
-    if jobs > cpus:
-        print(f"warning: --analyzer-jobs {jobs} exceeds the {cpus} available "
-              f"CPU(s); clamping to {cpus}", file=sys.stderr)
-        jobs = cpus
-    return jobs
-
-
 def _warn_shard_fallback(supervision: dict) -> None:
     """A sharded run that lost a worker must say so, not only in perf JSON."""
     if supervision.get("fallback_ran"):
@@ -405,7 +379,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         epoch_size_ns=usec(args.epoch_us),
         threshold_multiplier=args.threshold,
         shards=_resolve_shards(args, scenario),
-        analyzer_jobs=_resolve_analyzer_jobs(args),
         shard_timeout_s=args.shard_timeout,
     )
     print(f"scenario : {scenario.name}")
@@ -413,8 +386,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"system   : {config.system.value}")
     if config.shards > 1:
         print(f"shards   : {config.shards} worker processes")
-    if config.analyzer_jobs > 1:
-        print(f"analyzer : {config.analyzer_jobs} worker processes")
 
     def _execute():
         if config.shards > 1:

@@ -28,13 +28,6 @@ from ..sim.packet import FlowKey
 from ..telemetry.records import FlowEntry
 from . import columnar
 
-# Shared numpy handle (None when absent or REPRO_NO_NUMPY is set) — the
-# pure-Python path below is authoritative.
-_np = columnar._np
-
-# Below this sequence length the numpy setup cost outweighs the win.
-_VECTORIZE_MIN_PACKETS = columnar.MIN_COLUMNAR_PACKETS
-
 
 def replay_queue(
     entries: Sequence[FlowEntry],
@@ -136,23 +129,3 @@ def _wait_weights_python(
             outgoing[waiter] += w
             incoming[waited_on] += w
     return incoming, outgoing
-
-
-def _wait_weights_numpy(
-    live: Sequence[FlowEntry],
-    sequence: List[Tuple[int, FlowKey]],
-    depth: Dict[FlowKey, int],
-    pkt_num: Dict[FlowKey, int],
-) -> Tuple[Dict[FlowKey, float], Dict[FlowKey, float]]:
-    """Prefix-count formulation over an explicit replayed sequence.
-
-    Thin wrapper over :func:`repro.core.columnar.wait_weights_from_ids` for
-    callers that already hold a ``replay_queue`` result; ``contribution``
-    itself uses the fully columnar path that never builds the sequence.
-    """
-    keys = [e.key for e in live]
-    index = {k: i for i, k in enumerate(keys)}
-    seq_ids = _np.fromiter(
-        (index[k] for _, k in sequence), dtype=_np.int64, count=len(sequence)
-    )
-    return columnar.wait_weights_from_ids(keys, seq_ids, depth, pkt_num)

@@ -29,6 +29,7 @@ from .runner import (
     summarize_run,
 )
 from .shardrun import run_scenario_sharded
+from .supervise import fork_map
 
 __all__ = [
     "MemoryBreakdown",
@@ -51,6 +52,7 @@ __all__ = [
     "VictimOutcome",
     "causal_switches_of",
     "diagnose_victims",
+    "fork_map",
     "run_scenario",
     "run_scenario_sharded",
     "run_scenarios_parallel",

@@ -59,10 +59,6 @@ class AnalyzerConfig:
     # Delay from trigger to diagnosis, covering polling propagation and the
     # collector's asynchronous register reads.
     diagnosis_delay_ns: int = usec(400)
-    # Fan the per-epoch replay prewarm of each incident's telemetry across
-    # this many forked workers before building the victims' graphs
-    # (see ``repro.experiments.analyzerpool``); 1 stays in-process.
-    analyzer_jobs: int = 1
 
 
 class AnalyzerService:
@@ -137,18 +133,6 @@ class AnalyzerService:
         if raw is None:
             raw = select_reports(self.collector.reports, incident.time_ns)
             self._select_cache[select_key] = raw
-        if self.config.analyzer_jobs > 1:
-            # Hot replay caches before the (serial, sim-clocked) victim
-            # loop; results are identical either way — the cache entries
-            # are exactly what _epoch_contribution would compute inline.
-            from .analyzerpool import warm_replay_caches
-
-            warm_replay_caches(
-                list(raw.values()),
-                self.scheme.epoch_size_ns,
-                True,
-                self.config.analyzer_jobs,
-            )
         best: Optional[Diagnosis] = None
         best_annotated: Optional[AnnotatedGraph] = None
         for victim in dict.fromkeys(incident.victims):

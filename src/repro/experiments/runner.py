@@ -6,18 +6,17 @@ system under test, runs the simulator, then produces per-victim diagnoses
 plus the overhead/coverage accounting the evaluation figures need.
 
 :func:`run_scenarios_parallel` fans independent scenario runs out over a
-process pool.  Scenarios are rebuilt inside each worker from a
-:class:`ScenarioSpec` (a live scenario holds scheduled closures and cannot
-cross a process boundary) and reduced to a picklable :class:`RunSummary`;
+process pool (:func:`~repro.experiments.supervise.fork_map`).  Scenarios
+are rebuilt inside each worker from a :class:`ScenarioSpec` (a live
+scenario holds scheduled closures and cannot cross a process boundary)
+and reduced to a picklable :class:`RunSummary`;
 because every run is seeded through its spec and the simulator is
 deterministic, ``jobs=N`` produces byte-identical summaries to ``jobs=1``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -52,6 +51,7 @@ from ..units import usec
 from ..workloads.scenario import Scenario
 from .metrics import diagnosis_correct
 from .perfstats import PerfStats, diff_cache_counters, global_cache_counters
+from .supervise import fork_map
 
 
 @dataclass
@@ -82,15 +82,9 @@ class RunConfig:
     # ``repro.experiments.shardrun``).  ``1`` runs in-process; values above
     # the topology's pod count are clamped by the partitioner.
     shards: int = 1
-    # Fan the analysis plane (per-victim provenance construction, or the
-    # per-epoch replay prewarm when only one victim triggered) across this
-    # many worker processes (see ``repro.experiments.analyzerpool``).
-    # ``1`` keeps diagnosis in-process; outcomes are identical either way.
-    analyzer_jobs: int = 1
-    # Watchdog deadline (seconds) for any single shard/analyzer worker
-    # reply before the parent declares the worker lost (see
-    # ``repro.experiments.supervise``).  ``None`` defers to the
-    # ``REPRO_SHARD_TIMEOUT`` environment, then the 60 s default.
+    # Watchdog deadline (seconds) for any single shard worker reply
+    # before the parent declares the worker lost (see
+    # ``repro.experiments.supervise``).  ``None`` is the 60 s default.
     shard_timeout_s: Optional[float] = None
 
     def scheme(self) -> EpochScheme:
@@ -249,39 +243,18 @@ def diagnose_victims(
     if profile is None:
         profile = StageProfile(MetricsRegistry())
     diagnoser = Diagnoser()
-
-    pending: List[Tuple] = []  # (victim, trigger) pairs in victim order
-    outcomes_by_victim: Dict[FlowKey, VictimOutcome] = {}
+    outcomes: List[VictimOutcome] = []
     for victim in scenario.victims:
         trigger = next((t for t in triggers if t.victim == victim.key), None)
         if trigger is None:
-            outcomes_by_victim[victim.key] = VictimOutcome(victim.key, None, None)
+            outcome = VictimOutcome(victim.key, None, None)
         else:
-            pending.append((victim, trigger))
-
-    jobs = max(1, config.analyzer_jobs)
-    if jobs > 1 and obs is None and monitor is None and pending:
-        # The analysis fan-out (repro.experiments.analyzerpool): victims
-        # across workers when several triggered, otherwise the per-epoch
-        # replay prewarm.  obs/monitor hooks need the live in-parent
-        # objects, so tracing/monitoring runs pin diagnosis in-process.
-        from . import analyzerpool  # deferred: import cycle
-
-        done = analyzerpool.diagnose_pending_parallel(
-            scenario, config, net, reports_list,
-            traced_of, now_ns, pending, profile, jobs,
-        )
-        if done is not None:
-            outcomes_by_victim.update((o.victim, o) for o in done)
-            pending = []
-
-    for victim, trigger in pending:
-        outcome = _diagnose_one(
-            victim, trigger, config, net, reports_list, traced_of,
-            now_ns, diagnoser, profile, obs=obs, monitor=monitor,
-        )
-        outcomes_by_victim[outcome.victim] = outcome
-    return [outcomes_by_victim[v.key] for v in scenario.victims]
+            outcome = _diagnose_one(
+                victim, trigger, config, net, reports_list, traced_of,
+                now_ns, diagnoser, profile, obs=obs, monitor=monitor,
+            )
+        outcomes.append(outcome)
+    return outcomes
 
 
 def _diagnose_one(
@@ -300,8 +273,7 @@ def _diagnose_one(
     """Diagnose one triggered victim: the per-victim unit of the analyzer.
 
     Pure function of its telemetry inputs (plus perf side effects on
-    ``profile``), so the analyzer pool can run it in forked workers and get
-    outcomes identical to the in-process loop.
+    ``profile`` and the ``obs``/``monitor`` hooks).
     """
     kind = config.system
     scheme = config.scheme()
@@ -914,43 +886,15 @@ class RunSummary:
     incidents: int = 0
     alert_categories: Dict[str, int] = field(default_factory=dict)
     early_warnings: int = 0
-    # The primary diagnosis's input telemetry in the columnar wire format
-    # (switch -> SwitchReport.to_columnar()): flat interned arrays pickle
-    # far smaller and faster across the worker boundary than per-entry
-    # FlowEntry/PortEntry object graphs.
-    primary_reports_columnar: Optional[Dict[str, Dict]] = None
-
-    def primary_reports(self) -> Optional[Dict[str, SwitchReport]]:
-        """Rebuild the shipped diagnosis-input reports (orders intact)."""
-        if self.primary_reports_columnar is None:
-            return None
-        return {
-            name: SwitchReport.from_columnar(blob)
-            for name, blob in self.primary_reports_columnar.items()
-        }
 
 
 def summarize_run(
     spec: ScenarioSpec,
     scenario: Scenario,
     result: RunResult,
-    ship_reports: bool = False,
 ) -> RunSummary:
-    """Reduce a completed run to its picklable summary.
-
-    ``ship_reports`` additionally packs the primary diagnosis's input
-    telemetry as columnar blobs so the parent process can re-run provenance
-    construction without re-simulating.
-    """
+    """Reduce a completed run to its picklable summary."""
     diagnosis = result.diagnosis()
-    reports_columnar = None
-    if ship_reports:
-        primary = result.primary_outcome()
-        if primary is not None:
-            reports_columnar = {
-                name: report.to_columnar()
-                for name, report in primary.reports_used.items()
-            }
     return RunSummary(
         spec=spec,
         diagnosis_text=diagnosis.describe() if diagnosis is not None else None,
@@ -989,45 +933,27 @@ def summarize_run(
             if result.monitor is not None
             else 0
         ),
-        primary_reports_columnar=reports_columnar,
     )
 
 
-def _run_spec_worker(item: Tuple[ScenarioSpec, RunConfig, bool]) -> RunSummary:
+def _run_spec_worker(item: Tuple[ScenarioSpec, RunConfig]) -> RunSummary:
     """Process-pool entry point: build, run, summarize one spec."""
-    spec, config, ship_reports = item
+    spec, config = item
     scenario = spec.build()
     result = run_scenario(scenario, config)
-    return summarize_run(spec, scenario, result, ship_reports=ship_reports)
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer ``fork``: workers inherit the parent's interpreter state
-    (including the hash salt), so any hash-order-dependent iteration
-    behaves exactly as in-process execution."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
+    return summarize_run(spec, scenario, result)
 
 
 def run_scenarios_parallel(
     specs: Iterable[ScenarioSpec],
     config: Optional[RunConfig] = None,
     jobs: int = 1,
-    ship_reports: bool = False,
 ) -> List[RunSummary]:
     """Run independent scenarios across a process pool.
 
     Results come back in spec order regardless of completion order, and
     are identical to ``jobs=1`` (each run is fully determined by its spec's
     seed).  ``jobs=1`` runs in-process with no pool overhead.
-    ``ship_reports`` makes each summary carry the primary diagnosis's input
-    telemetry as compact columnar blobs (see :class:`RunSummary`).
     """
     config = config if config is not None else RunConfig()
-    spec_list = list(specs)
-    items = [(spec, config, ship_reports) for spec in spec_list]
-    if jobs <= 1 or len(spec_list) <= 1:
-        return [_run_spec_worker(item) for item in items]
-    workers = min(jobs, len(spec_list))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context()) as pool:
-        return list(pool.map(_run_spec_worker, items))
+    return fork_map(_run_spec_worker, [(spec, config) for spec in specs], jobs)

@@ -47,10 +47,10 @@ workers' :class:`~repro.experiments.runner.SessionTotals`, and the shared
 :func:`~repro.experiments.runner.account_run` epilogue — so the analyzer
 half (report selection through verdict) runs once, in the parent.
 
-Worker supervision: a barrier watchdog (``--shard-timeout`` /
-``REPRO_SHARD_TIMEOUT``, default 60 s) bounds every wait on a worker.  A
-hung or crashed worker trips the watchdog; the parent then terminates
-the fleet on every exit path (``finally`` + ``atexit`` + SIGTERM) and
+Worker supervision: a barrier watchdog (``--shard-timeout``, default
+60 s) bounds every wait on a worker.  A hung or crashed worker trips the
+watchdog; the parent then terminates the fleet on every exit path
+(``finally`` + ``atexit`` + SIGTERM) and
 follows ``REPRO_SHARD_FALLBACK``: ``serial`` (default) reruns the
 scenario once on the single-process engine — byte-identical result, just
 slower; ``degrade`` finishes the survivors and returns a diagnosis whose
@@ -107,6 +107,7 @@ from .supervise import (
     ShardCrashed,
     ShardTimeout,
     ShardWorkerError,
+    fork_context,
     resolve_fallback,
     resolve_timeout,
 )
@@ -567,8 +568,6 @@ def run_scenario_sharded(
     :class:`RunResult` whose diagnoses are byte-identical to
     :func:`run_scenario` on the same spec.
     """
-    import multiprocessing
-
     config = config if config is not None else RunConfig()
     reason = _unsupported(config)
     if config.shards > 1 and reason is not None:
@@ -602,8 +601,7 @@ def run_scenario_sharded(
         obs = PipelineObs(Tracer(config.obs.build_sink()), metrics)
         obs.begin_scenario(scenario.name, start_ns=0, system=config.system.value)
 
-    fork_available = "fork" in multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if fork_available else None)
+    ctx = fork_context()
 
     conns: List[Any] = []
     procs: List[Any] = []

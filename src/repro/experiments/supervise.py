@@ -1,14 +1,19 @@
-"""Worker supervision policy for the multiprocess planes.
+"""Process policy for the multiprocess planes.
 
-The sharded simulator (:mod:`repro.experiments.shardrun`) and the
-analyzer pool (:mod:`repro.experiments.analyzerpool`) both fork workers
-that can hang or die (OOM kill, SIGKILL, a crashed native extension).
-This module centralizes the knobs that decide what the parent does about
-it:
+:func:`fork_map` is the embarrassingly parallel fan-out: independent
+seeded evaluations (``--jobs`` of ``repro sweep`` / ``repro fuzz``,
+:func:`~repro.experiments.runner.run_scenarios_parallel`) mapped over a
+short-lived process pool, results in item order.  It is unsupervised on
+purpose — a dead worker raises ``BrokenProcessPool``, loudly.
 
-* ``--shard-timeout`` / ``REPRO_SHARD_TIMEOUT`` — how long the parent's
-  barrier watchdog waits for any single worker reply before declaring
-  the worker lost (seconds, strictly positive float; default 60).
+The shard fleet (:mod:`repro.experiments.shardrun`) is the other shape:
+long-lived barrier peers that can hang or die (OOM kill, SIGKILL, a
+crashed native extension), so the parent runs a watchdog over them.  The
+knobs that decide what the parent does about a lost shard worker:
+
+* ``--shard-timeout`` / ``RunConfig.shard_timeout_s`` — how long the
+  parent's barrier watchdog waits for any single worker reply before
+  declaring the worker lost (seconds, strictly positive; default 60).
 * ``REPRO_SHARD_FALLBACK`` — what happens after a loss:
   ``serial`` (default) terminates every worker and reruns the scenario
   once on the deterministic single-process engine — byte-identical
@@ -24,8 +29,13 @@ must never quietly run the serial one.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from typing import Optional
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Iterable, List, Optional, TypeVar
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 DEFAULT_SHARD_TIMEOUT_S = 60.0
 
@@ -35,8 +45,34 @@ FALLBACK_FAIL = "fail"
 FALLBACK_MODES = (FALLBACK_SERIAL, FALLBACK_DEGRADE, FALLBACK_FAIL)
 
 
+def fork_context() -> multiprocessing.context.BaseContext:
+    """Prefer ``fork``: workers inherit the parent's interpreter state
+    (including the hash salt), so any hash-order-dependent iteration
+    behaves exactly as in-process execution."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
+def fork_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> List[R]:
+    """``[fn(item) for item in items]`` across up to ``jobs`` processes.
+
+    Results come back in item order regardless of completion order.
+    ``jobs <= 1`` or a single item runs in-process with no pool.  ``fn``
+    and every item and result cross the pool pickled, so ``fn`` must be a
+    module-level function.  An exception raised by ``fn`` is re-raised
+    here; a worker that dies raises ``BrokenProcessPool``.
+    """
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(items)), mp_context=fork_context()
+    ) as pool:
+        return list(pool.map(fn, items))
+
+
 class ShardWorkerError(RuntimeError):
-    """A shard/analyzer worker failed; the watchdog decides what's next."""
+    """A shard worker failed; the watchdog decides what's next."""
 
     def __init__(self, shard_id: int, message: str) -> None:
         super().__init__(message)
@@ -54,31 +90,17 @@ class ShardCrashed(ShardWorkerError):
 def resolve_timeout(config_timeout_s: Optional[float] = None) -> float:
     """The barrier watchdog deadline in seconds.
 
-    Precedence: explicit config (``--shard-timeout``) over the
-    ``REPRO_SHARD_TIMEOUT`` environment, over the default.  Rejects
-    non-positive and non-numeric values loudly.
+    Explicit config (``--shard-timeout``) over the default.  Rejects
+    non-positive values loudly.
     """
-    if config_timeout_s is not None:
-        if config_timeout_s <= 0:
-            raise ValueError(
-                f"shard timeout must be a positive number of seconds, "
-                f"got {config_timeout_s!r}"
-            )
-        return float(config_timeout_s)
-    raw = os.environ.get("REPRO_SHARD_TIMEOUT")
-    if raw is None or raw == "":
+    if config_timeout_s is None:
         return DEFAULT_SHARD_TIMEOUT_S
-    try:
-        value = float(raw)
-    except ValueError:
+    if config_timeout_s <= 0:
         raise ValueError(
-            f"REPRO_SHARD_TIMEOUT={raw!r} is not a number (seconds expected)"
-        ) from None
-    if value <= 0:
-        raise ValueError(
-            f"REPRO_SHARD_TIMEOUT={raw!r} must be a positive number of seconds"
+            f"shard timeout must be a positive number of seconds, "
+            f"got {config_timeout_s!r}"
         )
-    return value
+    return float(config_timeout_s)
 
 
 def resolve_fallback() -> str:
@@ -92,4 +114,3 @@ def resolve_fallback() -> str:
             f"(expected one of: {', '.join(FALLBACK_MODES)})"
         )
     return raw
-

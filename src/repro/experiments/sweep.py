@@ -13,13 +13,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, IO, Iterable, List, Optional, Sequence, Tuple
 
-from concurrent.futures import ProcessPoolExecutor
-
 from ..baselines.systems import SystemKind
 from ..monitor.monitor import MonitorConfig
 from ..workloads.scenario import Scenario
 from .metrics import AccuracyCounter, ScoreConfig
-from .runner import RunConfig, _pool_context, run_scenario
+from .runner import RunConfig, run_scenario
+from .supervise import fork_map
 
 ScenarioBuilder = Callable[..., Scenario]
 
@@ -132,14 +131,7 @@ def run_sweep(
     items = [
         (point, builders[point.scenario], seed) for point in points for seed in seeds
     ]
-    if jobs > 1 and len(items) > 1:
-        workers = min(jobs, len(items))
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=_pool_context()
-        ) as pool:
-            cells = list(pool.map(_sweep_cell, items))
-    else:
-        cells = [_sweep_cell(item) for item in items]
+    cells = fork_map(_sweep_cell, items, jobs)
 
     results: List[SweepResult] = []
     per_point = len(list(seeds))

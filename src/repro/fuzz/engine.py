@@ -17,11 +17,11 @@ graph shape) is new; retained genomes become mutation/crossover parents.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..experiments.runner import RunConfig, _pool_context, run_scenario
+from ..experiments.runner import RunConfig, run_scenario
+from ..experiments.supervise import fork_map
 from ..monitor.monitor import MonitorConfig
 from ..units import usec
 from .coverage import FuzzObservation, interest_of, observe
@@ -96,19 +96,6 @@ def _eval_worker(item: Tuple[ScenarioGenome, RunConfig]) -> FuzzEvaluation:
     return evaluate_genome(genome, run_config)
 
 
-def _evaluate_batch(
-    batch: List[ScenarioGenome], run_config: RunConfig, jobs: int
-) -> List[FuzzEvaluation]:
-    items = [(genome, run_config) for genome in batch]
-    if jobs <= 1 or len(batch) <= 1:
-        return [_eval_worker(item) for item in items]
-    workers = min(jobs, len(batch))
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=_pool_context()
-    ) as pool:
-        return list(pool.map(_eval_worker, items))
-
-
 def seed_genomes() -> List[ScenarioGenome]:
     """The deterministic first generation: one probe per fabric family."""
     base = ScenarioGenome()
@@ -171,7 +158,8 @@ def run_fuzz(
             batch = _compose_generation(
                 min(config.generation, room), rng, parents
             )
-        for evaluation in _evaluate_batch(batch, run_config, config.jobs):
+        items = [(genome, run_config) for genome in batch]
+        for evaluation in fork_map(_eval_worker, items, config.jobs):
             report.evaluated += 1
             if evaluation.fingerprint in seen:
                 continue

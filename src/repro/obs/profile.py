@@ -52,11 +52,6 @@ class StageProfile:
             for name in sorted(self._wall)
         }
 
-    def absorb(self, stages: Dict[str, Dict[str, Any]]) -> None:
-        """Fold another profile's ``to_dict`` payload into this one."""
-        for name, entry in stages.items():
-            self.add(name, entry.get("wall_s", 0.0), entry.get("calls", 1))
-
 
 def merge_stage_dicts(
     stage_dicts: "list[Dict[str, Dict[str, Any]]]",

@@ -5,14 +5,15 @@ columns.  Three contracts pin it down:
 
 - the vectorized replay ordering (``replay_ids``) reproduces the scalar
   ``replay_queue`` merge *exactly* — same flow at every position;
-- the fully columnar wait weights are **bit-identical** to the legacy
-  vectorized path that walked an explicit ``replay_queue`` sequence
-  (both now share :func:`~repro.core.columnar.wait_weights_from_ids`,
-  so this checks the index algebra, not float luck);
-- against the pure-Python reference walk, weights agree to float
-  tolerance and the *signs* that drive verdicts agree exactly, with the
-  end-to-end diagnosis equality covered in the scenario differential
-  below.
+- against the pure-Python reference walk, the integer wait counts are
+  the same but the float normalisation sums in another order, so weights
+  agree to 1e-9 and the *signs* that drive verdicts agree exactly;
+- end to end (the scenario differential below) the two paths reach the
+  same anomaly class, PFC path and culprit order with weights equal to
+  1e-9.  The *printed* verdict is byte-identical on the six seed-1
+  scenarios listed, but not in general: a weight that sits exactly on a
+  ``.xx5`` boundary can print its last ``w=`` digit differently
+  (``fleet-incast-k8`` seed 1: 32.52 columnar, 32.53 scalar).
 """
 
 import os
@@ -24,10 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import columnar, contribution, replay_queue
-from repro.core.replay import (
-    _wait_weights_numpy,
-    _wait_weights_python,
-)
+from repro.core.replay import _wait_weights_python
 from repro.sim import FlowKey
 from repro.telemetry import FlowEntry
 
@@ -75,24 +73,6 @@ class TestReplayIds:
 
 
 class TestWaitWeights:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        counts=counts_strategy,
-        depths=st.lists(st.integers(min_value=0, max_value=30), min_size=8, max_size=8),
-    )
-    def test_bit_identical_to_legacy_vectorized_path(self, counts, depths):
-        """Columnar == the sequence-walking numpy path, float for float."""
-        entries = [
-            entry(i, pkts=c, qdepth_avg=depths[i]) for i, c in enumerate(counts)
-        ]
-        cnt = {e.key: e.pkt_count for e in entries}
-        depth = {e.key: int(round(e.avg_qdepth_pkts())) for e in entries}
-        pkt_num = dict(cnt)
-        sequence = replay_queue(entries, 1000, counts=cnt)
-        legacy = _wait_weights_numpy(entries, sequence, depth, pkt_num)
-        col = columnar.wait_weights_columnar(entries, cnt, depth, pkt_num, 1000)
-        assert col == legacy  # exact: same kernel, same float order
-
     @settings(max_examples=40, deadline=None)
     @given(
         counts=counts_strategy,
@@ -197,3 +177,28 @@ def test_scalar_and_columnar_diagnoses_byte_identical(name):
     columnar_diag, columnar_trace = run()
     assert columnar_diag == scalar_diag
     assert columnar_trace == scalar_trace
+
+
+def test_scalar_and_columnar_agree_where_a_printed_weight_differs():
+    """``fleet-incast-k8`` seed 1: the culprit's weight sits on a ``.xx5``
+    boundary, so ``w=`` prints 32.52 columnar and 32.53 scalar.  What the
+    two paths do guarantee is the verdict itself: anomaly class, PFC path,
+    culprit order, and weights equal to 1e-9."""
+    from repro.experiments import ScenarioSpec, run_scenario
+
+    def findings():
+        result = run_scenario(ScenarioSpec("fleet-incast-k8", seed=1).build())
+        return [
+            (f.anomaly, f.root_cause, f.initial_port, f.pfc_path, f.loop,
+             f.injecting_source, f.culprit_keys(),
+             [w for _, w in f.culprit_flows])
+            for f in result.diagnosis().findings
+        ]
+
+    with columnar.force_scalar():
+        scalar = findings()
+    fast = findings()
+    assert fast and len(fast) == len(scalar)
+    for (*fast_verdict, fast_w), (*scalar_verdict, scalar_w) in zip(fast, scalar):
+        assert fast_verdict == scalar_verdict
+        assert fast_w == pytest.approx(scalar_w, abs=1e-9)

@@ -190,40 +190,57 @@ class TestShards:
         assert "CORRECT" in captured.out
 
 
-class TestAnalyzerJobs:
-    """``--analyzer-jobs`` validation mirrors ``--shards``: reject
-    non-positive values, clamp oversubscription to the CPU count."""
+class TestOptionsCensus:
+    """Every knob is a cost (ROADMAP aim 2).  The sets are literal so the
+    next env name, config field or ``repro run`` flag is a diff in review."""
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_non_positive_rejected(self, value, capsys):
+    def test_analyzer_jobs_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["run", "pfc-storm", "--analyzer-jobs", value])
+            main(["run", "pfc-storm", "--analyzer-jobs", "2"])
         assert exc.value.code == 2
-        assert "must be" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_clamped_to_cpu_count(self, monkeypatch, capsys):
-        import os
+    def test_env_names_read_in_src(self):
+        import pathlib
+        import re
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        rc = main(["run", "incast-backpressure", "--analyzer-jobs", "8"])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "--analyzer-jobs 8 exceeds the 1 available CPU" in captured.err
-        # Clamped to 1: serial analysis, no fan-out banner.
-        assert "analyzer :" not in captured.out
+        import repro
 
-    def test_parallel_run_diagnoses(self, monkeypatch, capsys):
-        import os
+        found = set()
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            found.update(re.findall(r"REPRO_[A-Z0-9_]+", path.read_text()))
+        assert found == {"REPRO_NO_NUMPY", "REPRO_SHARD_FALLBACK"}
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        rc = main(["run", "in-loop-deadlock", "--analyzer-jobs", "2"])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "analyzer : 2 worker processes" in captured.out
-        assert "CORRECT" in captured.out
+    def test_config_fields(self):
+        import dataclasses
 
-    def test_default_stays_serial(self, capsys):
-        rc = main(["run", "normal-contention"])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "analyzer :" not in captured.out
+        from repro.experiments import AnalyzerConfig, RunConfig
+
+        assert {f.name for f in dataclasses.fields(RunConfig)} == {
+            "system", "epoch_size_ns", "epoch_index_bits",
+            "threshold_multiplier", "flow_slots",
+            "exclude_paused_in_contention", "use_meters", "faults", "retry",
+            "obs", "monitor", "shards", "shard_timeout_s",
+        }
+        assert {f.name for f in dataclasses.fields(AnalyzerConfig)} == {
+            "incident_window_ns", "diagnosis_delay_ns",
+        }
+
+    def test_run_subcommand_options(self):
+        import argparse
+
+        from repro.cli import _build_parser
+
+        subparsers = next(
+            a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        options = {
+            opt for action in subparsers.choices["run"]._actions
+            for opt in action.option_strings
+        }
+        assert options == {
+            "-h", "--help", "--seed", "--system", "--epoch-us", "--threshold",
+            "--dot", "--perf-json", "--metrics-json", "--profile", "--shards",
+            "--shard-timeout",
+        }

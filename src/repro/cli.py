@@ -265,10 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "function of seed + plan)")
     chaos.add_argument("--no-retries", action="store_true",
                        help="disable agent retransmission and DMA retries")
-    chaos.add_argument("--shards", type=_positive_int, default=1, metavar="N",
-                       help="run every cell on the sharded engine with N "
-                            "worker processes (verdicts identical to "
-                            "--shards 1)")
     chaos.add_argument("--json", metavar="FILE",
                        help="write per-cell outcomes as JSON")
 
@@ -333,13 +329,15 @@ def _cmd_list() -> int:
     return 0
 
 
-def _resolve_shards(args: argparse.Namespace, scenario) -> int:
-    """Clamp ``--shards`` to what the machine and topology can honor.
+def _resolve_shards(args: argparse.Namespace, scenario, config: RunConfig) -> int:
+    """Clamp ``--shards`` to what the machine, topology and engine honor.
 
     More worker processes than CPUs time-share cores for no aggregate
     gain; more shards than partitionable pod groups is impossible by
     construction.  Both clamp with a warning rather than erroring, so
-    scripted invocations stay portable across machine sizes.
+    scripted invocations stay portable across machine sizes.  A config
+    the shard engine does not take (``shardrun.serial_reason``) runs on
+    the serial engine — same verdict by contract — with a note.
     """
     shards = args.shards
     if shards <= 1:
@@ -352,6 +350,7 @@ def _resolve_shards(args: argparse.Namespace, scenario) -> int:
               f"CPU(s); clamping to {cpus}", file=sys.stderr)
         shards = cpus
     if shards > 1:
+        from .experiments.shardrun import serial_reason
         from .topology.partition import partition_topology
 
         plan = partition_topology(scenario.network.topology, shards)
@@ -360,15 +359,12 @@ def _resolve_shards(args: argparse.Namespace, scenario) -> int:
                   f"{plan.shards} partitionable pod group(s); clamping to "
                   f"{plan.shards}", file=sys.stderr)
             shards = plan.shards
+        reason = serial_reason(config, plan)
+        if reason is not None:
+            print(f"note: --shards {args.shards} not used: {reason}; "
+                  f"ran on the serial engine", file=sys.stderr)
+            shards = 1
     return shards
-
-
-def _warn_shard_fallback(supervision: dict) -> None:
-    """A sharded run that lost a worker must say so, not only in perf JSON."""
-    if supervision.get("fallback_ran"):
-        lost = ",".join(str(sid) for sid in supervision["lost_shards"])
-        print(f"warning: shard {lost} lost ({supervision['failure_kind']}); "
-              f"{supervision['fallback_ran']} fallback ran", file=sys.stderr)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -378,9 +374,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         system=SystemKind(args.system),
         epoch_size_ns=usec(args.epoch_us),
         threshold_multiplier=args.threshold,
-        shards=_resolve_shards(args, scenario),
         shard_timeout_s=args.shard_timeout,
     )
+    config.shards = _resolve_shards(args, scenario, config)
     print(f"scenario : {scenario.name}")
     print(f"           {scenario.description}")
     print(f"system   : {config.system.value}")
@@ -410,7 +406,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ).print_stats(args.profile)
     else:
         result = _execute()
-    _warn_shard_fallback(result.perf.supervision)
+    supervision = result.perf.supervision
+    if supervision.get("fallback_ran"):
+        # A sharded run that lost a worker says so, not only in perf JSON.
+        lost = ",".join(str(sid) for sid in supervision["lost_shards"])
+        print(f"warning: shard {lost} lost ({supervision['failure_kind']}); "
+              f"{supervision['fallback_ran']} fallback ran", file=sys.stderr)
 
     outcome = result.primary_outcome()
     if outcome is None:
@@ -597,23 +598,20 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             return 2
     scenarios = tuple(args.scenarios) if args.scenarios else CHAOS_SCENARIOS
     retry = None if args.no_retries else RetryPolicy()
-    sharded = f", shards {args.shards}" if args.shards > 1 else ""
     print(f"chaos sweep: {len(scenarios)} scenarios x "
           f"{len(args.loss_rates)} loss rates (fault seed {args.chaos_seed}, "
-          f"retries {'off' if retry is None else 'on'}{sharded})")
+          f"retries {'off' if retry is None else 'on'})")
     outcomes = chaos_sweep(
         scenarios=scenarios,
         loss_rates=tuple(args.loss_rates),
         seed=args.chaos_seed,
         retry=retry,
-        shards=args.shards,
     )
     header = (f"{'scenario':24s} {'loss':>6s} {'verdict':>9s} "
               f"{'confidence':>10s} {'complete':>8s} {'incidents':>9s}")
     print("\n" + header)
     print("-" * len(header))
     for o in outcomes:
-        _warn_shard_fallback(o.supervision)
         if o.crashed:
             verdict = "CRASH"
         elif not o.diagnosed:

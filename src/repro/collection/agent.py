@@ -13,7 +13,6 @@ duplicated tracing that switch detection would start at every hop.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
@@ -93,10 +92,6 @@ class DetectionAgent:
         self.retries_recovered = 0
         self.retries_exhausted = 0
         self.restarts = 0
-        # Absolute times of scheduled-but-not-yet-executed _retry_check
-        # events (sharded runs: the barrier must land before the earliest
-        # one so remote delivery state is complete when the check fires).
-        self._pending_retry: List[int] = []
         self._blackout_until = -1
         self._last_restart = -1
         for host in network.hosts.values():
@@ -163,7 +158,6 @@ class DetectionAgent:
             fn(event)
         if self.retry is not None and self._report_probe is not None:
             delay = self.retry.report_timeout_ns + self._jitter(flow.key)
-            heapq.heappush(self._pending_retry, now + delay)
             self.network.sim.schedule(
                 delay,
                 self._retry_check,
@@ -179,18 +173,6 @@ class DetectionAgent:
         if self.retry is None or self._injector is None:
             return 0
         return self._injector.retry_jitter(self.retry.jitter_ns, str(victim))
-
-    def next_pending_retry(self, now: int) -> Optional[int]:
-        """Earliest scheduled retry check strictly after ``now``, or None.
-
-        Valid at a barrier (all events <= now have executed, so stale heap
-        entries are simply popped); the sharded parent uses it to cap the
-        next epoch so every check fires with complete remote state.
-        """
-        heap = self._pending_retry
-        while heap and heap[0] <= now:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
 
     def _retry_check(
         self, victim: FlowKey, src_host: str, attempt: int, trigger_time: int
@@ -224,7 +206,6 @@ class DetectionAgent:
             self._obs.on_polling_injected(victim, now, attempt=attempt)
         self.network.hosts[src_host].inject_polling(victim, PollingFlag.VICTIM_PATH)
         delay = self.retry.backoff_ns(attempt) + self._jitter(victim)
-        heapq.heappush(self._pending_retry, now + delay)
         self.network.sim.schedule(
             delay,
             self._retry_check,

@@ -102,9 +102,6 @@ class TelemetryCollector:
         self.stats = CollectionStats()
         self._last_collect: Dict[str, int] = {}
         self._pending: Dict[str, int] = {}
-        # Freshest report per switch, maintained incrementally so the
-        # analyzer-side lookup is O(switches) rather than O(reports).
-        self._latest: Dict[str, SwitchReport] = {}
         # Sim time of the most recent report delivery (retransmission probe),
         # plus per-switch delivery times for the path-coverage probe.
         self._last_delivery_ns = -1
@@ -266,27 +263,10 @@ class TelemetryCollector:
                 faults=report.faults,
             )
         self.reports.append(report)
-        existing = self._latest.get(report.switch)
-        if existing is None or report.collect_time > existing.collect_time:
-            self._latest[report.switch] = report
         self._account(report, telem)
         now = self.deployment.network.sim.now
         self._last_delivery_ns = now
         self._delivery_times[report.switch] = now
-
-    @property
-    def delivery_times(self) -> Dict[str, int]:
-        """Switch -> sim time its latest report reached the analyzer."""
-        return self._delivery_times
-
-    def note_remote_delivery(self, switch_name: str, time_ns: int) -> None:
-        """Another shard's collector delivered ``switch_name``'s report at
-        ``time_ns``: the retransmission probes below must see the
-        fabric-wide picture the single-process collector has."""
-        if self._delivery_times.get(switch_name, -1) < time_ns:
-            self._delivery_times[switch_name] = time_ns
-        if self._last_delivery_ns < time_ns:
-            self._last_delivery_ns = time_ns
 
     def has_report_since(self, victim, since_ns: int) -> bool:
         """Has *any* report been delivered at/after ``since_ns``?  The
@@ -331,14 +311,6 @@ class TelemetryCollector:
             self.collect(switch_name, now)
 
     # -- analyzer-side access ----------------------------------------------------
-
-    def reports_by_switch(self) -> Dict[str, SwitchReport]:
-        """Latest report per switch (what the analyzer diagnoses from).
-
-        Maintained incrementally at collect time; key order matches the
-        order switches were first collected, as the scan-based version had.
-        """
-        return dict(self._latest)
 
     def collected_switches(self) -> List[str]:
         return sorted({r.switch for r in self.reports})

@@ -91,10 +91,6 @@ class PollingEngine:
         """Victim -> the switch set :meth:`switches_traced_for` copies from."""
         return self._victim_switches
 
-    def note_remote_trace(self, victim, switch_name: str) -> None:
-        """Another shard's engine saw ``victim``'s trace reach ``switch_name``."""
-        self._victim_switches.setdefault(victim, set()).add(switch_name)
-
     def reset_victim(self, victim) -> None:
         """Reopen the per-victim dedup windows (retransmission support).
 

@@ -83,11 +83,6 @@ class AnalyzerService:
         self.diagnoser = diagnoser if diagnoser is not None else Diagnoser()
         self.incidents: List[Incident] = []
         self._open: List[Incident] = []
-        # (incident time, reports seen) -> report selection.  The collector's
-        # report list is append-only, so the pair fully determines the result;
-        # deadlock incidents whose four victims trigger within one window
-        # re-select against an unchanged list.
-        self._select_cache: dict = {}
         agent.add_trigger_listener(self._on_trigger)
 
     # -- trigger handling -------------------------------------------------------
@@ -128,11 +123,7 @@ class AnalyzerService:
         diagnosis is the most severe (deepest) of its victims' diagnoses.
         """
         self.collector.flush_pending(self.network.sim.now)
-        select_key = (incident.time_ns, len(self.collector.reports))
-        raw = self._select_cache.get(select_key)
-        if raw is None:
-            raw = select_reports(self.collector.reports, incident.time_ns)
-            self._select_cache[select_key] = raw
+        raw = select_reports(self.collector.reports, incident.time_ns)
         best: Optional[Diagnosis] = None
         best_annotated: Optional[AnnotatedGraph] = None
         for victim in dict.fromkeys(incident.victims):

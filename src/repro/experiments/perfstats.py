@@ -59,10 +59,11 @@ class PerfStats:
     # Cross-shard frame traffic (sharded runs only): ``{"pipe_frames": N}``,
     # the frames the barrier pipes carried.  Empty on single-process runs.
     transport: Dict[str, Any] = field(default_factory=dict)
-    # Worker-supervision accounting (sharded runs only): the watchdog
-    # timeout and fallback mode in force, plus — after a worker loss —
-    # which shards were lost and which fallback actually ran.  Empty on
-    # single-process runs.
+    # What ``run_scenario_sharded`` decided: ``{"timeout_s": ...}`` for a
+    # sharded run, plus ``fallback_ran`` / ``lost_shards`` / ``failure`` /
+    # ``failure_kind`` when a lost worker made it rerun serially; or
+    # ``{"serial_reason": ...}`` when the config never went to the shard
+    # engine.  Empty on plain ``run_scenario`` runs.
     supervision: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:

@@ -80,7 +80,9 @@ class RunConfig:
     monitor: Optional[MonitorConfig] = None
     # Partition one fabric across this many worker processes (see
     # ``repro.experiments.shardrun``).  ``1`` runs in-process; values above
-    # the topology's pod count are clamped by the partitioner.
+    # the topology's pod count are clamped by the partitioner, and a config
+    # ``shardrun.serial_reason`` names a reason for (faults, retry, monitor,
+    # sim tracing, collect-everywhere systems) runs on the serial engine.
     shards: int = 1
     # Watchdog deadline (seconds) for any single shard worker reply
     # before the parent declares the worker lost (see
@@ -368,8 +370,6 @@ class SessionTotals:
     caches: Dict[str, Dict[str, int]]
     fault_stats: Dict[str, int]
     fault_incidents: List[FaultIncident]
-    monitor_alerts: Optional[list] = None
-    monitor_counters: Optional[Dict[str, Any]] = None
     # Filled by shard workers only: the trace payload and live registry
     # counters the parent folds into its own tracer/registry, and the
     # worker's busy CPU seconds and stage profile.
@@ -403,9 +403,10 @@ def account_run(
 
     The one epilogue of every execution mode.  ``profile`` (and the
     registry it feeds), ``obs`` and ``monitor`` are the caller's live
-    objects: the session's own in-process, the parent's merged ones when
-    sharded.  ``caches_before`` scopes the process-global cache counters
-    to this run by differencing.
+    objects: the session's own in-process, the parent's merged profile
+    and tracer when sharded (a monitored run is never sharded).
+    ``caches_before`` scopes the process-global cache counters to this
+    run by differencing.
     """
     net = scenario.network
     kind = config.system
@@ -596,7 +597,7 @@ class FabricSession:
             ).start()
         monitor = self.monitor
 
-        self.injector = make_injector(config.faults, shard_id=net.shard_id)
+        self.injector = make_injector(config.faults)
         self.deployment = HawkeyeDeployment(
             net, TelemetryConfig(scheme=scheme, flow_slots=config.flow_slots)
         )
@@ -759,7 +760,7 @@ class FabricSession:
         net, collector, engine, agent = (
             self.net, self.collector, self.engine, self.agent
         )
-        injector, monitor = self.injector, self.monitor
+        injector = self.injector
         caches = {
             "ecmp_select": {
                 "hits": net.routing.select_cache_hits - self._ecmp_before[0],
@@ -794,8 +795,6 @@ class FabricSession:
             caches=caches,
             fault_stats=injector.stats if injector is not None else {},
             fault_incidents=injector.incidents if injector is not None else [],
-            monitor_alerts=monitor.alerts if monitor is not None else None,
-            monitor_counters=monitor.counters() if monitor is not None else None,
         )
 
     def finish(self) -> RunResult:

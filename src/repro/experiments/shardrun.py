@@ -7,8 +7,7 @@ conservative-lookahead barrier:
 
 - every worker owns the switches and hosts of its shard and simulates
   them with a full private pipeline (one ``FabricSession``: telemetry
-  deployment, collector, polling engine, detection agent, fault
-  injector, fabric monitor);
+  deployment, collector, polling engine, detection agent);
 - frames addressed to a remote node are flattened into the shard's
   outbox (:class:`repro.sim.network.Network`) instead of its event loop;
 - at each barrier the orchestrator grants a new epoch horizon
@@ -17,24 +16,6 @@ conservative-lookahead barrier:
   minimum cut-link latency.  No frame sent inside an epoch can arrive
   within it (delivery delay >= link latency + serialization), so workers
   never see a remote frame late.
-
-Chaos runs shard cleanly because the fault injector draws every decision
-from a per-``(category, entity)`` RNG stream (see
-:mod:`repro.faults.injector`): a switch's fault fates are identical
-whether it is simulated in-process or in any worker, and the per-shard
-incident logs merge canonically (:func:`repro.faults.injector
-.merge_shard_incidents`).  Polling retry/backoff needs two extras: the
-parent caps each epoch so no retry check fires with incomplete remote
-state (workers report their earliest pending check; the barrier lands
-just before it, with a one-tick micro-epoch when the check is immediately
-due), and workers exchange *control records* — per-switch report-delivery
-times, per-victim trace sets and retransmission resets — as diffs
-relayed through the barrier, so the path-coverage probe and the polling
-dedup windows see the same fabric-wide state the single-process run
-sees.  The continuous fabric monitor shards the same way: every alert
-rule is per-subject and every subject lives in exactly one shard, so
-per-worker monitors sample exactly their slice and the parent merges
-alerts canonically (:class:`repro.monitor.merge.MergedMonitor`).
 
 Cross-shard frames ride the barrier pipes, pickled, in per-destination
 batches — the one carrier that runs on every platform.
@@ -50,12 +31,9 @@ half (report selection through verdict) runs once, in the parent.
 Worker supervision: a barrier watchdog (``--shard-timeout``, default
 60 s) bounds every wait on a worker.  A hung or crashed worker trips the
 watchdog; the parent then terminates the fleet on every exit path
-(``finally`` + ``atexit`` + SIGTERM) and
-follows ``REPRO_SHARD_FALLBACK``: ``serial`` (default) reruns the
-scenario once on the single-process engine — byte-identical result, just
-slower; ``degrade`` finishes the survivors and returns a diagnosis whose
-``completeness``/``missing_switches`` reflect the lost pods (never a
-full-confidence verdict); ``fail`` raises.
+(``finally`` + ``atexit`` + SIGTERM) and reruns the scenario once on the
+single-process engine — byte-identical result, just slower — recording
+what happened in ``PerfStats.supervision``.
 
 Determinism: deliveries are ordered by the engine's canonical
 ``(send time, trigger schedule time, source, per-source seq)`` key in a
@@ -64,11 +42,14 @@ frames from another process reproduces the exact per-node event order of
 the single-process engine, and the merged diagnosis (and canonicalized
 obs trace, see :mod:`repro.obs.canon`) is byte-identical to ``shards=1``.
 
-Not supported with ``shards > 1`` (raises ``ValueError``): full-network
-collection baselines (global trigger fan-out) and per-packet sim tracing
-(per-shard record floods).  Retry policies whose ``report_timeout_ns``
-does not exceed the partition's lookahead fall back to the serial engine
-(the barrier cannot land between a trigger and its first check).
+What the engine takes is one rule, :func:`serial_reason`.  Byte-identity
+makes the serial engine an exact substitute for any config, so the only
+reason to shard a run is wall clock — and the modes that need
+fabric-global mutable state (fault injection, retry, the fabric monitor,
+per-packet sim tracing, collect-everywhere baselines) measured slower or
+no faster sharded.  They run on :func:`run_scenario` with
+``PerfStats.supervision == {"serial_reason": ...}``; the barrier carries
+the horizon and frames, nothing else.
 """
 
 from __future__ import annotations
@@ -80,12 +61,8 @@ import signal
 import threading
 import time
 import traceback
-from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..collection.collector import CollectionStats
-from ..faults.injector import merge_shard_incidents
-from ..monitor.merge import MergedMonitor
 from ..obs import (
     Event,
     MetricsRegistry,
@@ -101,14 +78,10 @@ from ..sim.shard import shard_build_context
 from ..topology.partition import ShardPlan, partition_topology
 from .perfstats import global_cache_counters
 from .supervise import (
-    FALLBACK_DEGRADE,
-    FALLBACK_FAIL,
-    FALLBACK_SERIAL,
     ShardCrashed,
     ShardTimeout,
     ShardWorkerError,
     fork_context,
-    resolve_fallback,
     resolve_timeout,
 )
 from .runner import (
@@ -198,11 +171,25 @@ class ShardPipelineObs(PipelineObs):
         }
 
 
-def _unsupported(config: RunConfig) -> Optional[str]:
+def serial_reason(config: RunConfig, plan: ShardPlan) -> Optional[str]:
+    """What keeps this run off the shard engine, or ``None`` if it shards.
+
+    The one rule for what the engine takes.  Each named mode holds
+    fabric-global mutable state that would have to ride the barrier; the
+    serial engine is byte-identical by contract, so they run there.
+    """
+    if plan.shards <= 1:
+        return "the partition is a single shard"
+    if config.faults is not None and config.faults.enabled:
+        return "fault injection"
+    if config.retry is not None:
+        return "a retry policy"
+    if config.monitor is not None and config.monitor.enabled:
+        return "the fabric monitor"
     if config.obs is not None and config.obs.sim_events:
-        return "per-packet sim tracing (per-shard record floods)"
+        return "per-packet sim tracing"
     if config.system.collects_everywhere:
-        return "full-network collection baselines (global trigger fan-out)"
+        return "a collect-everywhere system"
     return None
 
 
@@ -222,30 +209,11 @@ def _shard_worker_main(
         if config.obs is not None and config.obs.trace:
             obs = ShardPipelineObs(Tracer(NullSink()), MetricsRegistry())
         session = FabricSession(scenario, config, obs=obs)
-        net, collector, engine, agent = (
-            session.net, session.collector, session.engine, session.agent
-        )
+        net = session.net
         profile = session.profile
-
-        # Retry runs exchange *control records* through the barrier: this
-        # shard's new report deliveries, trace visits and retransmission
-        # resets go out as diffs; the other shards' come in and are fed to
-        # the collector/engine state the session's retry probe reads.  The
-        # view is complete through the previous epoch's horizon — the
-        # parent's checkpoint capping guarantees no retry check fires
-        # needing fresher state.
-        retry_on = config.retry is not None
-        resets_out: List[Tuple[int, FlowKey]] = []
-        shipped_deliveries: Dict[str, int] = {}
-        shipped_traces: Dict[FlowKey, Set[str]] = {}
-        if retry_on and engine is not None:
-            agent.add_retransmit_listener(
-                lambda victim: resets_out.append((net.sim.now, victim))
-            )
 
         duration = scenario.duration_ns
         node_shard = plan.assignment
-        local_switches = net.switches.keys()
         # Construction allocated the long-lived object graph; what follows
         # is steady-state churn that reference counting alone reclaims, so
         # cycle-collector sweeps are pure overhead on the busy path.
@@ -264,28 +232,13 @@ def _shard_worker_main(
                 conn.send(("final", totals))
                 conn.close()
                 return
-            _, epoch_no, until, frames, control = msg
+            _, epoch_no, until, frames = msg
             if _TEST_WORKER_ABORT is not None:
                 action = _TEST_WORKER_ABORT(shard_id, epoch_no)
                 if action == "sigkill":
                     os.kill(os.getpid(), signal.SIGKILL)
                 elif action == "hang":
                     time.sleep(3600)
-            if control:
-                for sw, t in control["deliveries"]:
-                    collector.note_remote_delivery(sw, t)
-                if engine is not None:
-                    for victim, sw in control["traces"]:
-                        engine.note_remote_trace(victim, sw)
-                    # Remote retransmissions reopen this shard's dedup
-                    # windows before any retransmitted frame can arrive
-                    # (arrivals land strictly beyond the grant that
-                    # contained the reset).  Canonical order keeps
-                    # multi-reset epochs deterministic.
-                    for _t, victim in sorted(
-                        control["resets"], key=lambda r: (r[0], str(r[1]))
-                    ):
-                        engine.reset_victim(victim)
             # CPU time, not wall time: on a machine with fewer cores
             # than shards the workers time-share, and wall time would
             # charge each shard for its siblings' slices.  With one
@@ -312,37 +265,7 @@ def _shard_worker_main(
                             frames_out.setdefault(
                                 node_shard[frame[1]], []
                             ).append(frame)
-            next_ckpt: Optional[int] = None
-            control_out: Optional[Dict[str, list]] = None
-            if retry_on:
-                next_ckpt = agent.next_pending_retry(net.sim.now)
-                # Only what this shard originated goes out: the collector
-                # and engine also hold what the other shards told us.
-                deliveries_diff: List[Tuple[str, int]] = []
-                for sw, t in collector.delivery_times.items():
-                    if sw in local_switches and shipped_deliveries.get(sw, -1) < t:
-                        shipped_deliveries[sw] = t
-                        deliveries_diff.append((sw, t))
-                traces_diff: List[Tuple[FlowKey, str]] = []
-                if engine is not None:
-                    for victim, sws in engine.victim_traces.items():
-                        shipped = shipped_traces.setdefault(victim, set())
-                        fresh = (sws & local_switches) - shipped
-                        if fresh:
-                            shipped |= fresh
-                            traces_diff.extend((victim, sw) for sw in sorted(fresh))
-                control_out = {
-                    "deliveries": deliveries_diff,
-                    "traces": traces_diff,
-                    "resets": resets_out[:],
-                }
-                resets_out.clear()
-            conn.send(
-                (
-                    "done", frames_out, net.sim.peek_next_time(), out_min,
-                    next_ckpt, control_out,
-                )
-            )
+            conn.send(("done", frames_out, net.sim.peek_next_time(), out_min))
     except Exception:  # pragma: no cover - shipped to parent for re-raise
         try:
             conn.send(("error", traceback.format_exc()))
@@ -454,37 +377,6 @@ def _merge_obs(parent_obs: PipelineObs, payloads: List[Dict[str, Any]]) -> None:
             event.span_id = target.span_id
 
 
-def _degrade_outcomes(
-    outcomes, scenario, net, traced, lost_switches: Set[str]
-) -> None:
-    """Stamp every diagnosis with the telemetry the lost shards took.
-
-    ``Diagnosis.confidence`` is derived (full iff completeness is 1.0
-    with nothing missing or degraded), so folding the lost pods' switches
-    into ``missing_switches`` and recomputing completeness against the
-    enlarged expected set guarantees no full-confidence verdict can
-    survive a lost shard.
-    """
-    if not lost_switches:
-        return
-    for victim, outcome in zip(scenario.victims, outcomes):
-        diagnosis = outcome.diagnosis
-        if diagnosis is None:
-            continue
-        prev_missing = set(diagnosis.missing_switches)
-        expected = set(
-            net.routing.switch_path(victim.src_host, victim.key.dst_ip, victim.key)
-        )
-        if traced is not None:
-            expected |= traced.get(victim.key, set())
-        expected |= prev_missing | lost_switches
-        missing = prev_missing | lost_switches
-        diagnosis.missing_switches = sorted(missing)
-        diagnosis.completeness = (
-            len(expected - missing) / len(expected) if expected else 1.0
-        )
-
-
 def _add_counters(into: Dict[str, Any], counters: Dict[str, Any]) -> None:
     """Key-wise ``into += counters`` (nested hit/miss dicts recurse)."""
     for key, value in counters.items():
@@ -494,65 +386,47 @@ def _add_counters(into: Dict[str, Any], counters: Dict[str, Any]) -> None:
             into[key] = into.get(key, 0) + value
 
 
-def _sum_totals(parts: Sequence[Optional[SessionTotals]]) -> SessionTotals:
-    """The fabric's totals from its shards' (``None`` = a lost shard).
+def _sum_totals(parts: Sequence[SessionTotals]) -> SessionTotals:
+    """The fabric's totals from its shards'.
 
     Every entity is homed on exactly one shard, so counters add.  The
-    exceptions are the canonical merges: reports and triggers sort into
-    one fabric-wide order, trace sets union, incident logs go through
-    :func:`merge_shard_incidents`, and what every shard holds a *copy*
-    of takes the max — agent restarts (all shards draw the shared
-    restart stream identically), the peak queue depth, and ``busy_s``
-    (the slowest shard is the critical path).
+    exceptions are the canonical merges — reports and triggers sort into
+    one fabric-wide order, trace sets union — and the two figures that
+    take the max: the peak queue depth, and ``busy_s`` (the slowest shard
+    is the critical path).
     """
-    live = [part for part in parts if part is not None]
     traced: Optional[Dict[FlowKey, Set[str]]] = None
-    # Seeded with the keys the epilogue indexes, so a degraded run that
-    # lost *every* shard still accounts (to zeros) instead of raising.
     summed: Dict[str, Dict[str, Any]] = {
-        "collection": asdict(CollectionStats()),
-        "polling": {},
-        "agent": dict.fromkeys(
-            ("retransmissions", "retries_recovered", "retries_exhausted", "restarts"), 0
-        ),
-        "sim": dict.fromkeys(
-            ("events_run", "events_purged", "compactions", "max_pending_entries"), 0
-        ),
-        "caches": {},
-        "registry": {},
+        name: {}
+        for name in ("collection", "polling", "agent", "sim", "caches", "registry")
     }
-    for part in live:
+    for part in parts:
         if part.traced is not None:
             traced = traced if traced is not None else {}
             for victim, switches in part.traced.items():
                 traced.setdefault(victim, set()).update(switches)
         for name, into in summed.items():
             _add_counters(into, getattr(part, name))
-    summed["agent"]["restarts"] = max(
-        (p.agent["restarts"] for p in live), default=0
-    )
     summed["sim"]["max_pending_entries"] = max(
-        (p.sim["max_pending_entries"] for p in live), default=0
-    )
-    incidents, fault_stats = merge_shard_incidents(
-        [part.fault_incidents if part is not None else None for part in parts]
+        part.sim["max_pending_entries"] for part in parts
     )
     return SessionTotals(
         reports=sorted(
-            (r for part in live for r in part.reports),
+            (r for part in parts for r in part.reports),
             key=lambda r: (r.collect_time, r.switch),
         ),
         triggers=sorted(
-            (t for part in live for t in part.triggers),
+            (t for part in parts for t in part.triggers),
             key=lambda t: (t.time_ns, str(t.victim)),
         ),
         traced=traced,
-        data_pkt_hops=sum(part.data_pkt_hops for part in live),
-        data_pkts_sent=sum(part.data_pkts_sent for part in live),
-        fault_stats=fault_stats,
-        fault_incidents=incidents,
-        busy_s=max((part.busy_s for part in live), default=0.0),
-        stages=merge_stage_dicts([part.stages for part in live]),
+        data_pkt_hops=sum(part.data_pkt_hops for part in parts),
+        data_pkts_sent=sum(part.data_pkts_sent for part in parts),
+        # No injector ever runs in a worker (``serial_reason``).
+        fault_stats={},
+        fault_incidents=[],
+        busy_s=max(part.busy_s for part in parts),
+        stages=merge_stage_dicts([part.stages for part in parts]),
         **summed,
     )
 
@@ -566,35 +440,26 @@ def run_scenario_sharded(
     ground truth and the analyzer phase; each forked worker rebuilds the
     scenario as a shard view and simulates only its own nodes.  Returns a
     :class:`RunResult` whose diagnoses are byte-identical to
-    :func:`run_scenario` on the same spec.
+    :func:`run_scenario` on the same spec — which is also what runs, on
+    the scenario already built and with nothing forked, whenever
+    :func:`serial_reason` names a reason.
     """
     config = config if config is not None else RunConfig()
-    reason = _unsupported(config)
-    if config.shards > 1 and reason is not None:
-        raise ValueError(f"shards={config.shards} does not support {reason}")
-    # Supervision policy resolves before anything forks: an unknown
-    # environment value must be a loud startup error, never a silent
-    # default applied mid-fleet.
-    timeout_s = resolve_timeout(getattr(config, "shard_timeout_s", None))
-    fallback = resolve_fallback()
+    timeout_s = resolve_timeout(config.shard_timeout_s)
 
     wall_start = time.perf_counter()
     scenario = spec.build()
     net = scenario.network
     plan = partition_topology(net.topology, config.shards)
-    if plan.shards <= 1:
-        return run_scenario(scenario, config)
-    if config.retry is not None and plan.lookahead_ns >= config.retry.report_timeout_ns:
-        # A retry check could fire inside the epoch that scheduled it,
-        # before its checkpoint ever reaches a barrier — the capping
-        # protocol cannot protect it.  The serial engine is the correct
-        # executor for such a tightly-wound policy.
-        return run_scenario(scenario, config)
+    reason = serial_reason(config, plan)
+    if reason is not None:
+        result = run_scenario(scenario, config)
+        result.perf.supervision = {"serial_reason": reason}
+        return result
 
     caches_before = global_cache_counters()
     metrics = MetricsRegistry()
     profile = StageProfile(metrics)
-    retry_on = config.retry is not None
 
     obs: Optional[PipelineObs] = None
     if config.obs is not None and config.obs.trace:
@@ -632,12 +497,10 @@ def run_scenario_sharded(
     duration = scenario.duration_ns
     lookahead = max(plan.lookahead_ns, 1)
     frames_for: List[List[tuple]] = [[] for _ in range(plan.shards)]
-    control_for: List[Optional[dict]] = [None] * plan.shards
     barrier_epochs = 0
     pipe_frames = 0
     failure: Optional[ShardWorkerError] = None
-    lost_shards: Set[int] = set()
-    shard_totals: List[Optional[SessionTotals]] = [None] * plan.shards
+    shard_totals: List[SessionTotals] = []
 
     def _recv(shard_id: int, deadline: float):
         """Watchdog recv: bounded by ``deadline``, alive-checked.
@@ -675,33 +538,6 @@ def run_scenario_sharded(
                     f"({timeout_s:g}s)",
                 )
 
-    def _collect_degraded(exc: ShardWorkerError) -> Set[int]:
-        """Degrade path: finish the survivors, record who was lost."""
-        lost = {exc.shard_id}
-        procs[exc.shard_id].kill()  # reaped in the outer finally
-        deadline = time.monotonic() + timeout_s
-        for sid in range(plan.shards):
-            if sid in lost:
-                continue
-            try:
-                conns[sid].send(("finish",))
-            except (BrokenPipeError, OSError):
-                lost.add(sid)
-        for sid in range(plan.shards):
-            if sid in lost:
-                continue
-            try:
-                while True:
-                    msg = _recv(sid, deadline)
-                    if msg[0] == "final":
-                        shard_totals[sid] = msg[1]
-                        break
-                    # A stale "done" from the epoch in flight when the
-                    # fleet failed: drop it and keep draining.
-            except ShardWorkerError:
-                lost.add(sid)
-        return lost
-
     try:
         for shard_id in range(plan.shards):
             parent_conn, child_conn = ctx.Pipe()
@@ -722,84 +558,36 @@ def run_scenario_sharded(
                 barrier_epochs += 1
                 deadline = time.monotonic() + timeout_s
                 for shard_id, conn in enumerate(conns):
-                    conn.send(
-                        (
-                            "epoch", epoch_no, until, frames_for[shard_id],
-                            control_for[shard_id],
-                        )
-                    )
+                    conn.send(("epoch", epoch_no, until, frames_for[shard_id]))
                     frames_for[shard_id] = []
-                    control_for[shard_id] = None
                 earliest: Optional[int] = None
-                min_ckpt: Optional[int] = None
-                round_controls: List[Optional[dict]] = [None] * plan.shards
                 for shard_id in range(plan.shards):
-                    _, frames_out, peek, out_min, next_ckpt, control_out = _recv(
-                        shard_id, deadline
-                    )
+                    _, frames_out, peek, out_min = _recv(shard_id, deadline)
                     if peek is not None and (earliest is None or peek < earliest):
                         earliest = peek
                     if out_min is not None and (
                         earliest is None or out_min < earliest
                     ):
                         earliest = out_min
-                    if next_ckpt is not None and (
-                        min_ckpt is None or next_ckpt < min_ckpt
-                    ):
-                        min_ckpt = next_ckpt
-                    round_controls[shard_id] = control_out
                     for dest, dest_frames in frames_out.items():
                         frames_for[dest].extend(dest_frames)
                         pipe_frames += len(dest_frames)
                 if until >= duration:
                     break
                 if earliest is None:
-                    until_next = duration
+                    until = duration
                 else:
-                    until_next = min(
+                    until = min(
                         duration, max(earliest + lookahead - 1, until + 1)
                     )
-                if min_ckpt is not None:
-                    # Land the barrier just before the earliest pending
-                    # retry check, so the check executes with the remote
-                    # control view complete through check-time - 1.  A
-                    # check due on the very next tick gets a one-tick
-                    # micro-epoch ending exactly AT it — with concurrent
-                    # victims two checks can share one grant otherwise.
-                    if min_ckpt - 1 > until:
-                        until_next = min(until_next, min_ckpt - 1)
-                    elif min_ckpt == until + 1:
-                        until_next = min(until_next, min_ckpt)
-                if retry_on:
-                    # Relay each shard the union of the *other* shards'
-                    # control records from this round.
-                    for dest in range(plan.shards):
-                        merged = {"deliveries": [], "traces": [], "resets": []}
-                        for sid in range(plan.shards):
-                            if sid == dest:
-                                continue
-                            c = round_controls[sid]
-                            if not c:
-                                continue
-                            merged["deliveries"].extend(c["deliveries"])
-                            merged["traces"].extend(c["traces"])
-                            merged["resets"].extend(c["resets"])
-                        control_for[dest] = merged
-                until = until_next
         with profile.stage("flush_pending"):
             deadline = time.monotonic() + timeout_s
             for conn in conns:
                 conn.send(("finish",))
             for shard_id in range(plan.shards):
-                shard_totals[shard_id] = _recv(shard_id, deadline)[1]
+                shard_totals.append(_recv(shard_id, deadline)[1])
     except ShardWorkerError as exc:
         failure = exc
-        if fallback == FALLBACK_FAIL:
-            raise RuntimeError(
-                f"sharded run lost a worker and REPRO_SHARD_FALLBACK=fail: {exc}"
-            ) from exc
-        if fallback == FALLBACK_DEGRADE:
-            lost_shards = _collect_degraded(exc)
     finally:
         for proc in procs:
             if proc.is_alive():
@@ -818,54 +606,29 @@ def run_scenario_sharded(
         if installed_sig:
             signal.signal(signal.SIGTERM, old_sigterm)
 
-    supervision: Dict[str, Any] = {"timeout_s": timeout_s, "fallback": fallback}
     if failure is not None:
-        supervision.update(
-            {
-                "fallback_ran": fallback,
-                "lost_shards": sorted(lost_shards) or [failure.shard_id],
-                "failure": str(failure),
-                "failure_kind": "worker",
-            }
-        )
-    if failure is not None and fallback == FALLBACK_SERIAL:
-        # The parent's scenario was built but never run — rerunning it on
-        # the single-process engine reproduces the sharded result
-        # byte-for-byte (the same path ``shards<=1`` takes).
+        # A lost worker has one answer.  The parent's scenario was built
+        # but never run — rerunning it on the single-process engine
+        # reproduces the sharded result byte-for-byte.
         result = run_scenario(scenario, config)
-        result.perf.supervision = supervision
+        result.perf.supervision = {
+            "timeout_s": timeout_s,
+            "fallback_ran": "serial",
+            "lost_shards": [failure.shard_id],
+            "failure": str(failure),
+            "failure_kind": "worker",
+        }
         result.metrics.counter("shard.fallbacks").inc()
         return result
 
     total = _sum_totals(shard_totals)
     metrics.absorb_counters("", total.registry)
     if obs is not None:
-        _merge_obs(obs, [part.obs for part in shard_totals if part is not None])
-    merged_monitor: Optional[MergedMonitor] = None
-    if config.monitor is not None and config.monitor.enabled:
-        merged_monitor = MergedMonitor(
-            [part.monitor_alerts if part else None for part in shard_totals],
-            [part.monitor_counters if part else None for part in shard_totals],
-        )
+        _merge_obs(obs, [part.obs for part in shard_totals])
     result = account_run(
         scenario, config, total, duration, profile, wall_start, caches_before,
-        obs=obs, monitor=merged_monitor,
+        obs=obs,
     )
-
-    if lost_shards:
-        lost_switch_names = {
-            name
-            for name, sid in plan.assignment.items()
-            if sid in lost_shards and name in net.switches
-        }
-        _degrade_outcomes(
-            result.outcomes, scenario, net, total.traced, lost_switch_names
-        )
-        result.fault_incidents.extend(
-            f"t={duration} shard_worker_lost @ shard{sid} (worker)"
-            for sid in sorted(lost_shards)
-        )
-        metrics.counter("shard.fallbacks").inc()
 
     # Parent stages (simulate, flush_pending, analyzer stages) carry
     # wall_s/calls; worker stages (shard_run, shard_transport) are merged
@@ -882,5 +645,5 @@ def run_scenario_sharded(
         perf.events_run / total.busy_s if total.busy_s > 0 else 0.0
     )
     perf.transport = {"pipe_frames": pipe_frames}
-    perf.supervision = supervision
+    perf.supervision = {"timeout_s": timeout_s}
     return result

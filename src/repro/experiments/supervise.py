@@ -8,29 +8,18 @@ purpose — a dead worker raises ``BrokenProcessPool``, loudly.
 
 The shard fleet (:mod:`repro.experiments.shardrun`) is the other shape:
 long-lived barrier peers that can hang or die (OOM kill, SIGKILL, a
-crashed native extension), so the parent runs a watchdog over them.  The
-knobs that decide what the parent does about a lost shard worker:
-
-* ``--shard-timeout`` / ``RunConfig.shard_timeout_s`` — how long the
-  parent's barrier watchdog waits for any single worker reply before
-  declaring the worker lost (seconds, strictly positive; default 60).
-* ``REPRO_SHARD_FALLBACK`` — what happens after a loss:
-  ``serial`` (default) terminates every worker and reruns the scenario
-  once on the deterministic single-process engine — byte-identical
-  output, just slower;
-  ``degrade`` keeps the survivors' partial results and surfaces a
-  degraded diagnosis whose completeness reflects the lost pods;
-  ``fail`` raises.
-
-Unknown environment values are a loud startup error, not a silent
-default: a chaos harness that *thinks* it is testing the degrade path
-must never quietly run the serial one.
+crashed native extension), so the parent runs a watchdog over them.
+``--shard-timeout`` / ``RunConfig.shard_timeout_s`` is how long the
+barrier waits for any single worker reply before declaring the worker
+lost (seconds, strictly positive; default 60).  A lost worker has one
+answer: terminate the fleet and rerun the scenario once on the
+deterministic single-process engine — byte-identical output, just
+slower.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, TypeVar
 
@@ -38,11 +27,6 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 DEFAULT_SHARD_TIMEOUT_S = 60.0
-
-FALLBACK_SERIAL = "serial"
-FALLBACK_DEGRADE = "degrade"
-FALLBACK_FAIL = "fail"
-FALLBACK_MODES = (FALLBACK_SERIAL, FALLBACK_DEGRADE, FALLBACK_FAIL)
 
 
 def fork_context() -> multiprocessing.context.BaseContext:
@@ -72,7 +56,7 @@ def fork_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> List[R]:
 
 
 class ShardWorkerError(RuntimeError):
-    """A shard worker failed; the watchdog decides what's next."""
+    """A shard worker failed; the parent reruns the scenario serially."""
 
     def __init__(self, shard_id: int, message: str) -> None:
         super().__init__(message)
@@ -102,15 +86,3 @@ def resolve_timeout(config_timeout_s: Optional[float] = None) -> float:
         )
     return float(config_timeout_s)
 
-
-def resolve_fallback() -> str:
-    """The configured reaction to a lost worker (``REPRO_SHARD_FALLBACK``)."""
-    raw = os.environ.get("REPRO_SHARD_FALLBACK")
-    if raw is None or raw == "":
-        return FALLBACK_SERIAL
-    if raw not in FALLBACK_MODES:
-        raise ValueError(
-            f"unknown REPRO_SHARD_FALLBACK={raw!r} "
-            f"(expected one of: {', '.join(FALLBACK_MODES)})"
-        )
-    return raw

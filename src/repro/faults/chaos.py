@@ -47,9 +47,6 @@ class ChaosOutcome:
     # Per-stage wall seconds of this cell's run (PerfStats.stages), so the
     # chaos harness shows where fault handling spends its time.
     stage_wall_s: Dict[str, float] = field(default_factory=dict)
-    # PerfStats.supervision of a sharded cell: says when a worker was lost
-    # and which fallback produced this outcome.
-    supervision: Dict[str, object] = field(default_factory=dict)
 
     @property
     def crashed(self) -> bool:
@@ -73,36 +70,26 @@ def run_chaos_cell(
     retry: Optional[RetryPolicy],
     loss_rate: float,
     obs=None,
-    shards: int = 1,
 ) -> ChaosOutcome:
     """Run one scenario under one fault plan; never raises.
 
     ``obs`` (an :class:`~repro.obs.pipeline.ObsConfig`) turns tracing on
     for the cell — the chaos trace-invariant tests use it to assert that
     faults *flag* causal chains as degraded but never delete them.
-    ``shards > 1`` runs the cell on the sharded engine (per-shard fault
-    injection; verdicts identical to in-process).
     """
     # Deferred: repro.experiments.runner imports repro.faults.plan.
     from ..experiments.metrics import diagnosis_correct
-    from ..experiments.runner import RunConfig, ScenarioSpec, run_scenario
+    from ..experiments.runner import RunConfig, run_scenario
     from ..workloads import SCENARIO_BUILDERS
 
     outcome = ChaosOutcome(
         scenario=scenario_name, loss_rate=loss_rate, seed=plan.seed
     )
     try:
-        config = RunConfig(faults=plan, retry=retry, obs=obs, shards=shards)
-        if shards > 1:
-            from ..experiments.shardrun import run_scenario_sharded
-
-            result = run_scenario_sharded(
-                ScenarioSpec(scenario_name, seed=plan.seed), config
-            )
-            scenario = result.scenario
-        else:
-            scenario = SCENARIO_BUILDERS[scenario_name](seed=plan.seed)
-            result = run_scenario(scenario, config)
+        scenario = SCENARIO_BUILDERS[scenario_name](seed=plan.seed)
+        result = run_scenario(
+            scenario, RunConfig(faults=plan, retry=retry, obs=obs)
+        )
         primary = result.primary_outcome()
         if primary is not None and primary.diagnosis is not None:
             diagnosis = primary.diagnosis
@@ -116,7 +103,6 @@ def run_chaos_cell(
             outcome.stage_wall_s = {
                 name: s["wall_s"] for name, s in result.perf.stages.items()
             }
-            outcome.supervision = dict(result.perf.supervision)
     except Exception:  # noqa: BLE001 - the whole point is "never crashes"
         outcome.error = traceback.format_exc()
     return outcome
@@ -129,14 +115,12 @@ def chaos_sweep(
     retry: Optional[RetryPolicy] = RetryPolicy(),
     extra_plan_kwargs: Optional[Dict] = None,
     obs=None,
-    shards: int = 1,
 ) -> List[ChaosOutcome]:
     """Sweep loss rates across scenarios under a fixed seed.
 
     ``extra_plan_kwargs`` lets callers add non-loss faults (DMA failures,
     clock skew, agent restarts) on top of the canonical lossy plan;
-    ``obs`` (an :class:`~repro.obs.pipeline.ObsConfig`) traces every cell;
-    ``shards`` runs every cell on the sharded engine.
+    ``obs`` (an :class:`~repro.obs.pipeline.ObsConfig`) traces every cell.
     """
     outcomes: List[ChaosOutcome] = []
     for loss_rate in loss_rates:
@@ -149,9 +133,7 @@ def chaos_sweep(
             if extra_plan_kwargs:
                 kwargs.update(extra_plan_kwargs)
             plan = FaultPlan(**kwargs)
-            outcomes.append(
-                run_chaos_cell(name, plan, retry, loss_rate, obs=obs, shards=shards)
-            )
+            outcomes.append(run_chaos_cell(name, plan, retry, loss_rate, obs=obs))
     return outcomes
 
 

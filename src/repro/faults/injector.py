@@ -4,25 +4,24 @@ A :class:`FaultInjector` turns a :class:`~repro.faults.plan.FaultPlan`
 into per-event decisions.  Every fault category draws from its own
 ``random.Random`` stream keyed by ``(category, entity)`` — the entity is
 the switch (or victim flow) the decision is about — so adding a new
-category, consulting one category more often, *or partitioning the
-fabric across shard workers* never perturbs the draw sequence of the
-others.  Entity keying is what makes sharded chaos deterministic: a
-switch's fault stream is identical whether it is simulated in-process or
-inside any shard worker, so the merged incident log is a pure function
-of (scenario seed, fault plan) at every shard count.
+category, consulting one category more often, or visiting the switches
+in another order never perturbs the draw sequence of the others.  Entity
+keying is why incident logs reproduce at all: a switch's fault stream is
+a pure function of (plan seed, category, switch), whatever else shares
+the run.
 
 Each decision is recorded twice: as a counter in :attr:`FaultInjector.stats`
 (surfaced through ``PerfStats``/``--perf-json``) and as a
 :class:`FaultIncident` in the incident log.  ``incident_log()`` renders
-the log in canonical ``(time, where, kind, detail)`` order — the order
-the sharded merge reproduces — which the determinism tests compare.
+the log in canonical ``(time, where, kind, detail)`` order, which the
+determinism tests compare.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .plan import FaultPlan
 
@@ -57,18 +56,12 @@ class FaultIncident:
 class FaultInjector:
     """Draws fault decisions from a plan's seeded per-entity streams.
 
-    ``shard_id`` is provenance only: it never enters a seed string, so a
-    shard worker's decisions for its switches match the single-process
-    run exactly.  The one genuinely fabric-global stream — agent restarts
-    — is keyed by a fixed entity (``"agent"``); every shard draws the
-    identical sequence (stall ticks fire on the same cadence in every
-    worker), so restarts and blackout windows agree across the fleet and
-    the merge keeps a single copy.
+    The one genuinely fabric-global stream — agent restarts — is keyed by
+    a fixed entity (``"agent"``).
     """
 
-    def __init__(self, plan: FaultPlan, shard_id: Optional[int] = None) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.shard_id = shard_id
         self.stats: Dict[str, int] = {}
         self.incidents: List[FaultIncident] = []
         self._streams: Dict[Tuple[str, str], random.Random] = {}
@@ -94,8 +87,8 @@ class FaultInjector:
         """The canonically ordered, human-readable incident log.
 
         Sorted by ``(time, where, kind, detail)`` rather than raw record
-        order so a merged multi-shard log and a single-process log are
-        string-identical (the determinism anchor).
+        order: the one order every consumer compares (the determinism
+        anchor).
         """
         return [
             incident.describe()
@@ -186,8 +179,8 @@ class FaultInjector:
     def retry_jitter(self, max_ns: int, victim: str = "-") -> int:
         """Seeded jitter for one victim's retransmission backoff.
 
-        Keyed by the victim flow so concurrent victims homed on different
-        shards draw the same jitter they would draw in-process.
+        Keyed by the victim flow so concurrent victims' draws are
+        independent of one another's retry timing.
         """
         if max_ns <= 0:
             return 0
@@ -214,45 +207,9 @@ class FaultInjector:
         return skew
 
 
-def make_injector(
-    plan: Optional[FaultPlan], shard_id: Optional[int] = None
-) -> Optional[FaultInjector]:
+def make_injector(plan: Optional[FaultPlan]) -> Optional[FaultInjector]:
     """Build an injector, or ``None`` for an absent/no-op plan — call sites
     guard on ``None`` so the fault-free hot path pays a single comparison."""
     if plan is None or not plan.enabled:
         return None
-    return FaultInjector(plan, shard_id=shard_id)
-
-
-def merge_shard_incidents(
-    per_shard: Sequence[Optional[Iterable[FaultIncident]]],
-) -> Tuple[List[FaultIncident], Dict[str, int]]:
-    """Canonically merge per-shard incident logs into one fabric-wide log.
-
-    Every incident is entity-homed on exactly one shard — except
-    ``agent_restarted``, which every shard draws identically from the
-    shared agent stream; those are taken from the first shard that
-    reports any so the merged log holds a single copy.  The merge sorts
-    by :meth:`FaultIncident.sort_key` (matching the single-process
-    ``incident_log()`` order) and recomputes the stats counters from the
-    merged log, so ``shards=N`` and ``shards=1`` agree string-for-string
-    and count-for-count.  ``None`` entries (lost shards on a degraded
-    run) are skipped.
-    """
-    merged: List[FaultIncident] = []
-    for incidents in per_shard:
-        if incidents is None:
-            continue
-        merged.extend(i for i in incidents if i.kind != "agent_restarted")
-    for incidents in per_shard:
-        if incidents is None:
-            continue
-        restarts = [i for i in incidents if i.kind == "agent_restarted"]
-        if restarts:
-            merged.extend(restarts)
-            break
-    merged.sort(key=FaultIncident.sort_key)
-    stats: Dict[str, int] = {}
-    for incident in merged:
-        stats[incident.kind] = stats.get(incident.kind, 0) + 1
-    return merged, stats
+    return FaultInjector(plan)

@@ -429,9 +429,6 @@ class FabricMonitor(SwitchObserver):
     def alerts(self) -> List[Alert]:
         return self.engine.alerts
 
-    def tracked_subjects(self, metric: str) -> List[str]:
-        return sorted(self.series.get(metric, ()))
-
     def counters(self) -> Dict[str, object]:
         """Flat-ish counter view for ``MetricsRegistry.absorb_counters``."""
         return {

@@ -148,9 +148,6 @@ class RuleEngine:
         for rule in self.rules:
             self._by_metric.setdefault(rule.metric, []).append((rule, {}))
 
-    def rules_for(self, metric: str) -> List[AlertRule]:
-        return [rule for rule, _ in self._by_metric.get(metric, ())]
-
     def step(self, series: RingSeries, now_ns: int) -> List[Alert]:
         """Evaluate every rule watching ``series.metric`` at this sample.
 

@@ -16,7 +16,7 @@ Three planes, one package:
 
 from .canon import canonical_jsonl, canonicalize
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .pipeline import ObsConfig, PipelineObs, build_pipeline_obs
+from .pipeline import ObsConfig, PipelineObs
 from .profile import StageProfile, merge_stage_dicts
 from .simtrace import SimTraceObserver
 from .trace import (
@@ -65,7 +65,6 @@ __all__ = [
     "StageProfile",
     "merge_stage_dicts",
     "Tracer",
-    "build_pipeline_obs",
     "build_tree",
     "canonical_jsonl",
     "canonicalize",

@@ -49,7 +49,6 @@ from .trace import (
     RingBufferSink,
     Sink,
     Span,
-    Tracer,
 )
 
 
@@ -321,11 +320,3 @@ class PipelineObs:
             if diagnosis.confidence != "full":
                 attrs["degraded"] = True
             self.tracer.end_span(span, time_ns, **attrs)
-
-
-def build_pipeline_obs(config: Optional[ObsConfig]) -> Optional[PipelineObs]:
-    """The runner's entry point: ``None`` config (or trace off) -> ``None``,
-    keeping every instrumented call site on the one-comparison fast path."""
-    if config is None or not config.trace:
-        return None
-    return PipelineObs(Tracer(config.build_sink()), MetricsRegistry())

@@ -239,9 +239,6 @@ class Switch:
     def egress_queue_bytes(self, port: int, priority: int = DATA_PRIORITY) -> int:
         return self.ports[port].queue(priority).bytes
 
-    def egress_queue_pkts(self, port: int, priority: int = DATA_PRIORITY) -> int:
-        return len(self.ports[port].queue(priority))
-
     def egress_paused(self, port: int, priority: int = DATA_PRIORITY) -> bool:
         return self.ports[port].is_paused(priority, self.sim.now)
 

@@ -10,7 +10,7 @@ cell of the port-pair causality structure (Figure 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..sim.packet import FlowKey
 
@@ -131,6 +131,3 @@ class EpochData:
     # PFC causality meters: (ingress_port, egress_port) -> bytes (Figure 3)
     meters: Dict[Tuple[int, int], int] = field(default_factory=dict)
     replay_cache: Dict = field(default_factory=dict, repr=False, compare=False)
-
-    def merged_flow(self, key: FlowKey, egress_port: int) -> Optional[FlowEntry]:
-        return self.flows.get((key, egress_port))

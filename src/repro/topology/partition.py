@@ -41,9 +41,6 @@ class ShardPlan:
     cut_links: Tuple[Link, ...] = field(compare=False)
     lookahead_ns: int = 0
 
-    def nodes_of(self, shard_id: int) -> List[str]:
-        return sorted(n for n, s in self.assignment.items() if s == shard_id)
-
     def shard_sizes(self) -> List[int]:
         sizes = [0] * self.shards
         for sid in self.assignment.values():

@@ -165,10 +165,6 @@ class RoutingTable:
         self._static.pop((switch, dst_ip), None)
         self._select_cache.clear()
 
-    @property
-    def static_routes(self) -> Dict[Tuple[str, str], int]:
-        return dict(self._static)
-
     # -- lookups --------------------------------------------------------------
 
     def ecmp_ports(self, switch: str, dst_ip: str) -> List[int]:

@@ -38,7 +38,3 @@ class Scenario:
     victims: List[Flow]
     duration_ns: int
     description: str = ""
-
-    @property
-    def victim_keys(self) -> List[FlowKey]:
-        return [flow.key for flow in self.victims]

@@ -75,13 +75,6 @@ class TestCollection:
         collector.collect_all(0)
         assert collector.collected_switches() == ["SW1", "SW2", "SW3"]
 
-    def test_reports_by_switch_keeps_freshest(self, tiny_net):
-        dep = HawkeyeDeployment(tiny_net)
-        collector = TelemetryCollector(dep, dedup_interval_ns=0, read_delay_ns=0)
-        collector.collect("SW", 10)
-        collector.collect("SW", 20)
-        assert collector.reports_by_switch()["SW"].collect_time == 20
-
 
 class TestAccounting:
     def test_filtered_smaller_than_full_dump(self, tiny_net):

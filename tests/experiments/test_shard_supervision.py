@@ -1,12 +1,10 @@
-"""Worker supervision: watchdog, fallbacks, and leak-free cleanup.
+"""Worker supervision: watchdog, serial rerun, and leak-free cleanup.
 
 The chaos contract for the parallel planes: a shard worker that dies
 (SIGKILL) or hangs must never hang the parent, never strand a
 ``/dev/shm`` segment or a child process, and never produce a *wrong*
-full-confidence verdict.  Depending on
-``REPRO_SHARD_FALLBACK`` the parent either reruns serially
-(byte-identical result), finishes the survivors (degraded diagnosis), or
-raises.
+full-confidence verdict.  A lost worker has one answer: the parent
+terminates the fleet and reruns serially (byte-identical result).
 """
 
 import glob
@@ -22,7 +20,7 @@ from repro.experiments import (
     run_scenario_sharded,
 )
 from repro.experiments import shardrun
-from repro.experiments.supervise import resolve_fallback, resolve_timeout
+from repro.experiments.supervise import resolve_timeout
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -101,7 +99,6 @@ class TestSerialFallback:
         assert _diagnoses(result) == _diagnoses(serial)
         assert result.perf.supervision["fallback_ran"] == "serial"
 
-
     def test_cli_run_says_when_the_fallback_ran(
         self, abort_hook, leak_check, monkeypatch, capsys, tmp_path
     ):
@@ -121,75 +118,8 @@ class TestSerialFallback:
         counters = json.loads(metrics_json.read_text())["counters"]
         assert counters["shard.fallbacks"] == 1
 
-    def test_cli_chaos_says_when_the_fallback_ran(
-        self, abort_hook, leak_check, capsys
-    ):
-        from repro.cli import main
-
-        abort_hook(lambda sid, ep: "sigkill" if (sid == 1 and ep == 3) else None)
-        main(["chaos", "pfc-storm", "--loss-rates", "0.05", "--shards", "2"])
-        err = capsys.readouterr().err
-        assert "warning: shard 1 lost (worker); serial fallback ran" in err
-
-
-class TestFailMode:
-    def test_fail_mode_raises(self, abort_hook, leak_check, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_FALLBACK", "fail")
-        abort_hook(lambda sid, ep: "sigkill" if (sid == 0 and ep == 2) else None)
-        with pytest.raises(RuntimeError, match="REPRO_SHARD_FALLBACK=fail"):
-            run_scenario_sharded(SPEC, RunConfig(shards=2, shard_timeout_s=30))
-
-
-class TestDegradeMode:
-    def test_degrade_returns_partial_never_full_confidence(
-        self, abort_hook, leak_check, monkeypatch
-    ):
-        """Losing a pod late yields a diagnosis that admits what's missing."""
-        clean = run_scenario_sharded(SPEC, RunConfig(shards=2))
-        late = clean.perf.barrier_epochs - 3
-        assert late > 0
-        monkeypatch.setenv("REPRO_SHARD_FALLBACK", "degrade")
-        # Shard 1 holds remote telemetry for this victim; shard 0 keeps the
-        # trigger, so a diagnosis is still produced — degraded.
-        abort_hook(
-            lambda sid, ep: "sigkill" if (sid == 1 and ep == late) else None
-        )
-        result = run_scenario_sharded(
-            SPEC, RunConfig(shards=2, shard_timeout_s=30)
-        )
-        supervision = result.perf.supervision
-        assert supervision["fallback_ran"] == "degrade"
-        assert supervision["lost_shards"] == [1]
-        assert any("shard_worker_lost" in line for line in result.fault_incidents)
-        produced = [o.diagnosis for o in result.outcomes if o.diagnosis is not None]
-        assert produced, "survivor shard held the trigger; expected a verdict"
-        for diagnosis in produced:
-            assert diagnosis.confidence != "full"
-            assert diagnosis.completeness < 1.0
-            assert diagnosis.missing_switches
-
-    def test_degrade_with_victim_shard_lost_gives_no_verdict(
-        self, abort_hook, leak_check, monkeypatch
-    ):
-        """Losing the victim's own pod early means no verdict — which is
-        still never a wrong full-confidence one."""
-        monkeypatch.setenv("REPRO_SHARD_FALLBACK", "degrade")
-        abort_hook(lambda sid, ep: "sigkill" if (sid == 0 and ep == 3) else None)
-        result = run_scenario_sharded(
-            SPEC, RunConfig(shards=2, shard_timeout_s=30)
-        )
-        assert result.perf.supervision["fallback_ran"] == "degrade"
-        for outcome in result.outcomes:
-            if outcome.diagnosis is not None:
-                assert outcome.diagnosis.confidence != "full"
-
 
 class TestPolicyValidation:
-    def test_unknown_fallback_env_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_FALLBACK", "retry-forever")
-        with pytest.raises(ValueError, match="REPRO_SHARD_FALLBACK"):
-            resolve_fallback()
-
     def test_timeout_precedence_config_over_default(self):
         assert resolve_timeout(5.0) == 5.0
         assert resolve_timeout() == 60.0
@@ -197,6 +127,9 @@ class TestPolicyValidation:
     def test_nonpositive_config_timeout_is_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             resolve_timeout(0)
+        # The one ValueError run_scenario_sharded raises; no config does.
+        with pytest.raises(ValueError, match="positive"):
+            run_scenario_sharded(SPEC, RunConfig(shards=2, shard_timeout_s=0))
 
     @pytest.mark.parametrize("value", ["0", "-2.5"])
     def test_cli_rejects_nonpositive_shard_timeout(self, value):

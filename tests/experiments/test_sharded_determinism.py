@@ -11,19 +11,27 @@ Traces are compared in canonical form (:func:`repro.obs.canonical_jsonl`):
 span ids are allocation-order artifacts that legitimately differ across
 process layouts, so records are renumbered by content signature before
 the byte comparison.
+
+What the shard engine does *not* take is one rule
+(``shardrun.serial_reason``): those configs run on ``run_scenario`` with
+nothing forked, which the second half of this file pins reason by reason.
 """
+
+import multiprocessing
 
 import pytest
 
+from repro.baselines import SystemKind
 from repro.experiments import (
     FabricSession,
     RunConfig,
     ScenarioSpec,
     run_scenario,
     run_scenario_sharded,
+    shardrun,
 )
 from repro.faults import FaultPlan, RetryPolicy
-from repro.monitor import MonitorConfig
+from repro.monitor import MonitorConfig, prometheus_text, render_dashboard
 from repro.obs import ObsConfig, canonical_jsonl
 from repro.sim.shard import shard_build_context
 
@@ -103,7 +111,6 @@ def test_worker_attach_is_the_in_process_attach():
     worker = FabricSession(scenario, config)
 
     assert local.net.shard_id is None and worker.net.shard_id == 0
-    assert worker.injector.shard_id == 0
     assert worker.net.sim.counters() == local.net.sim.counters()
     assert worker.net.sim.counters()["pending_entries"] > 0
     assert worker.net.sim.peek_next_time() == local.net.sim.peek_next_time()
@@ -112,17 +119,62 @@ def test_worker_attach_is_the_in_process_attach():
 def test_shard_request_of_one_runs_in_process():
     spec = ScenarioSpec("incast-backpressure", seed=1)
     result = run_scenario_sharded(spec, RunConfig(shards=1))
-    assert result.perf is None or result.perf.shards <= 1  # in-process path
+    assert result.perf.shards == 0  # in-process path
+    assert result.perf.supervision == {
+        "serial_reason": "the partition is a single shard"
+    }
     assert _describe(result) is not None
 
 
-def test_unsupported_features_are_rejected():
-    spec = ScenarioSpec("incast-backpressure", seed=1)
-    with pytest.raises(ValueError, match="shards"):
-        run_scenario_sharded(
-            spec,
-            RunConfig(shards=2, obs=ObsConfig(trace=True, sink="ring", sim_events=True)),
-        )
+@pytest.mark.parametrize("reason, mode", [
+    pytest.param(
+        "fault injection", dict(faults=FaultPlan.lossy(0.1, seed=11)),
+        id="faults",
+    ),
+    pytest.param("a retry policy", dict(retry=RetryPolicy()), id="retry"),
+    pytest.param(
+        "the fabric monitor", dict(monitor=MonitorConfig()), id="monitor"
+    ),
+    pytest.param(
+        "per-packet sim tracing",
+        dict(obs=ObsConfig(trace=True, sink="ring", sim_events=True)),
+        id="sim_events",
+    ),
+    pytest.param(
+        "a collect-everywhere system", dict(system=SystemKind.FULL_POLLING),
+        id="full_polling",
+    ),
+])
+def test_serial_reason_reroutes(reason, mode, monkeypatch):
+    """A config the engine does not take is the serial run, not an error:
+    nothing forks, the reason is recorded, every figure equals serial."""
+    spec = ScenarioSpec("pfc-storm", seed=5)
+    serial = run_scenario(spec.build(), RunConfig(**mode))
+
+    children_at_run = []
+    real_run = shardrun.run_scenario
+
+    def spy(scenario, config):
+        children_at_run.append(multiprocessing.active_children())
+        return real_run(scenario, config)
+
+    monkeypatch.setattr(shardrun, "run_scenario", spy)
+    sharded = run_scenario_sharded(spec, RunConfig(shards=2, **mode))
+
+    assert children_at_run == [[]]
+    assert sharded.perf.shards == 0
+    assert sharded.perf.supervision == {"serial_reason": reason}
+    assert _describe(sharded) == _describe(serial)
+    assert sharded.fault_incidents == serial.fault_incidents
+    assert sharded.fault_counters == serial.fault_counters
+    assert accounting(sharded) == accounting(serial)
+    if "monitor" in mode:
+        # The serial stream itself, in rule-table order, on an object both
+        # exporters take.
+        assert sharded.monitor.alerts == serial.monitor.alerts
+        assert sharded.monitor.alerts
+        assert render_dashboard(sharded.monitor)
+        assert prometheus_text(sharded.monitor)
 
 
 def test_zero_fault_plan_matches_fault_free_run():
@@ -133,6 +185,7 @@ def test_zero_fault_plan_matches_fault_free_run():
     zeroed = run_scenario_sharded(
         spec, RunConfig(obs=obs, shards=2, faults=FaultPlan(seed=99))
     )
+    assert zeroed.perf.shards == 2  # a disabled plan is no reason
     assert _describe(zeroed) == _describe(plain)
     assert zeroed.fault_incidents == [] and zeroed.fault_counters == {}
     assert _canonical_trace(zeroed) == _canonical_trace(plain)

@@ -9,7 +9,7 @@ pool (``jobs``), or on the sharded simulator (``shards``).
 import dataclasses
 import json
 
-from repro.experiments import run_scenario
+from repro.experiments import RunConfig, run_scenario
 from repro.experiments.runner import ScenarioSpec
 from repro.experiments.shardrun import run_scenario_sharded
 from repro.fuzz import (
@@ -48,12 +48,12 @@ class TestShardInvariance:
             ScenarioGenome(), storm_us=2500, storm_start_us=80
         ).normalized()
         spec = ScenarioSpec("genome", genome_json=genome.to_json())
-        config = FuzzConfig().run_config()
 
-        serial = run_scenario(spec.build(), config)
-        sharded = run_scenario_sharded(
-            spec, dataclasses.replace(config, shards=2)
-        )
+        # Monitor off: a monitored run is serial by rule, and this case is
+        # here so a genome-built (non-fat-tree) fabric crosses the engine.
+        serial = run_scenario(spec.build(), RunConfig())
+        sharded = run_scenario_sharded(spec, RunConfig(shards=2))
+        assert sharded.perf.shards == 2
 
         obs_serial, obs_sharded = observe(serial), observe(sharded)
         assert obs_serial == obs_sharded

@@ -189,6 +189,27 @@ class TestShards:
         assert "shards   : 2 worker processes" in captured.out
         assert "CORRECT" in captured.out
 
+    def test_config_the_engine_does_not_take_runs_serially(
+        self, monkeypatch, capsys
+    ):
+        """``--system full-polling --shards 2`` used to print the shard
+        banner and then a ValueError traceback; it is the serial run plus
+        one note."""
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ["run", "pfc-storm", "--system", "full-polling"]
+        plain_rc = main(argv)
+        plain = capsys.readouterr()
+        rc = main(argv + ["--shards", "2"])
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "note: --shards 2 not used: a collect-everywhere system; "
+            "ran on the serial engine\n"
+        )
+        assert "shards   :" not in captured.out
+        assert (rc, captured.out) == (plain_rc, plain.out)
+
 
 class TestOptionsCensus:
     """Every knob is a cost (ROADMAP aim 2).  The sets are literal so the
@@ -209,7 +230,7 @@ class TestOptionsCensus:
         found = set()
         for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
             found.update(re.findall(r"REPRO_[A-Z0-9_]+", path.read_text()))
-        assert found == {"REPRO_NO_NUMPY", "REPRO_SHARD_FALLBACK"}
+        assert found == {"REPRO_NO_NUMPY"}
 
     def test_config_fields(self):
         import dataclasses
@@ -226,7 +247,14 @@ class TestOptionsCensus:
             "incident_window_ns", "diagnosis_delay_ns",
         }
 
-    def test_run_subcommand_options(self):
+    def test_chaos_shards_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "pfc-storm", "--shards", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @staticmethod
+    def _options(command):
         import argparse
 
         from repro.cli import _build_parser
@@ -235,12 +263,20 @@ class TestOptionsCensus:
             a for a in _build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
         )
-        options = {
-            opt for action in subparsers.choices["run"]._actions
+        return {
+            opt for action in subparsers.choices[command]._actions
             for opt in action.option_strings
         }
-        assert options == {
+
+    def test_run_subcommand_options(self):
+        assert self._options("run") == {
             "-h", "--help", "--seed", "--system", "--epoch-us", "--threshold",
             "--dot", "--perf-json", "--metrics-json", "--profile", "--shards",
             "--shard-timeout",
+        }
+
+    def test_chaos_subcommand_options(self):
+        assert self._options("chaos") == {
+            "-h", "--help", "--loss-rates", "--chaos-seed", "--no-retries",
+            "--json",
         }

@@ -16,9 +16,11 @@ deterministic, ``jobs=N`` produces byte-identical summaries to ``jobs=1``.
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..baselines.systems import (
     SystemKind,
@@ -520,6 +522,20 @@ def account_run(
     )
 
 
+@contextmanager
+def cycle_sweeps_off() -> Iterator[None]:
+    """No automatic cycle sweeps while the simulator runs: it only churns
+    events and packets that reference counting reclaims, so a sweep finds
+    nothing.  The caller's setting is restored, also when a callback raises."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class FabricSession:
     """A live monitored fabric with the system under test attached.
 
@@ -529,12 +545,12 @@ class FabricSession:
     - **batch** (``repro run`` and every experiment harness):
       :meth:`advance` once to the scenario's duration, then
       :meth:`finish` — exactly the old ``run_scenario`` body;
-    - **service** (``repro serve``): :meth:`advance` repeatedly on an
-      executor thread in *preemptible chunks* — a sim-time target plus an
-      event budget, so the thread comes up for air every few milliseconds
-      of host time however dense the timeline is — answer on-demand
-      :meth:`diagnose_now` queries between chunks, and :meth:`finish`
-      when the episode's duration is reached;
+    - **service** (``repro serve``): :meth:`advance` repeatedly on the
+      event loop's own thread in *preemptible chunks* — a sim-time target
+      plus an event budget, so the loop comes up for air every few
+      milliseconds of host time however dense the timeline is — answer
+      on-demand :meth:`diagnose_now` queries between chunks, and
+      :meth:`finish` when the episode's duration is reached;
     - **shard worker** (``repro.experiments.shardrun``): a session on a
       shard view of the scenario, run epoch by epoch under the parent's
       barrier, then :meth:`totals` — the parent sums the workers' totals
@@ -695,7 +711,7 @@ class FabricSession:
         """
         target = min(until_ns, self.scenario.duration_ns)
         if target > self.net.sim.now:
-            with self.profile.stage("simulate"):
+            with self.profile.stage("simulate"), cycle_sweeps_off():
                 self.net.run(target, max_events)
         return self.net.sim.now
 

@@ -55,7 +55,6 @@ the horizon and frames, nothing else.
 from __future__ import annotations
 
 import atexit
-import gc
 import os
 import signal
 import threading
@@ -91,6 +90,7 @@ from .runner import (
     ScenarioSpec,
     SessionTotals,
     account_run,
+    cycle_sweeps_off,
     run_scenario,
 )
 
@@ -214,11 +214,6 @@ def _shard_worker_main(
 
         duration = scenario.duration_ns
         node_shard = plan.assignment
-        # Construction allocated the long-lived object graph; what follows
-        # is steady-state churn that reference counting alone reclaims, so
-        # cycle-collector sweeps are pure overhead on the busy path.
-        gc.collect()
-        gc.disable()
 
         busy_s = 0.0
         while True:
@@ -244,7 +239,7 @@ def _shard_worker_main(
             # charge each shard for its siblings' slices.  With one
             # core per shard the two are equal.
             t0 = time.process_time()
-            with profile.stage("shard_run"):
+            with profile.stage("shard_run"), cycle_sweeps_off():
                 net.deliver_wire_batch(frames)
                 net.run(until)
             busy_s += time.process_time() - t0

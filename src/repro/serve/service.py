@@ -52,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
+import resource
 import signal
 import time
 from dataclasses import dataclass
@@ -100,6 +101,16 @@ CHUNK_EVENTS = 512
 IO_PASSES = 3
 
 _STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
+def _rss_mb() -> float:
+    """Resident set in MiB (the high-water mark where ``/proc`` is missing)."""
+    try:
+        with open("/proc/self/statm") as statm:
+            pages = int(statm.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+    except (OSError, ValueError, IndexError):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 @dataclass(frozen=True)
@@ -215,6 +226,10 @@ class DiagnosisService:
     # -- episode lifecycle ---------------------------------------------------
 
     def _start_episode(self) -> None:
+        # Let go of the finished episode first: its fabric is reclaimed
+        # when the next one attaches, so the service holds one, not two.
+        self.session = None
+        self.last_result = None
         self.episode += 1
         seed = self.config.seed + self.episode
         scenario = SCENARIO_BUILDERS[self.config.scenario](seed=seed)
@@ -314,6 +329,7 @@ class DiagnosisService:
                 self.config.episodes is None
                 or self.episode + 1 < self.config.episodes
             ):
+                del session  # it would pin the finished fabric
                 self._start_episode()
                 await self._yield_to_io()
             else:
@@ -360,6 +376,7 @@ class DiagnosisService:
         gauge = self.registry.gauge
         gauge("serve.uptime_s").set(now_s - self._started_s)
         gauge("serve.feed_staleness_s").set(now_s - self._last_chunk_s)
+        gauge("serve.rss_mb").set(_rss_mb())
         if self.session is not None:
             gauge("serve.sim_ns").set(float(self.session.now_ns))
 
@@ -381,6 +398,7 @@ class DiagnosisService:
             "scenario": self.config.scenario,
             "seed": self.config.seed,
             "uptime_s": round(gauges["serve.uptime_s"], 3),
+            "rss_mb": round(gauges["serve.rss_mb"], 1),
             "episode": self.episode,
             "episodes_completed": self.episodes_completed,
             "episode_complete": self._episode_finished,

@@ -111,21 +111,11 @@ class Network:
                 (now + delay_ns, target.node, target.port, key, packet_to_wire(pkt))
             )
 
-    def deliver_from_wire(self, frame: tuple) -> None:
-        """Queue a frame shipped from another shard (see :data:`WireFrame`)."""
-        from .shard import packet_from_wire
-
-        arrival_ns, node, port, key, wire = frame
-        self.sim.schedule_delivery(
-            arrival_ns, key, self._receive_of[node], packet_from_wire(wire), port
-        )
-
     def deliver_wire_batch(self, frames: List[tuple]) -> None:
         """Queue a barrier epoch's worth of cross-shard frames.
 
-        Same per-frame semantics as :meth:`deliver_from_wire` with the
-        import and attribute lookups hoisted out of the loop — the barrier
-        hot path at fleet scale.  Insertion order is irrelevant: the
+        Each was shipped from another shard (see :data:`WireFrame`) and is
+        queued for its arrival instant.  Insertion order is irrelevant: the
         delivery band sorts by the canonical key.
         """
         from .shard import packet_from_wire

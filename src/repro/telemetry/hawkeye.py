@@ -47,6 +47,8 @@ cycles (impossible in the paper's windows of interest).
 
 from __future__ import annotations
 
+import gc
+import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -732,13 +734,32 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         return report
 
 
+# Weak reference to the fabric this process attached last.
+_last_attached: Optional["weakref.ref"] = None
+
+
 class HawkeyeDeployment:
     """Deploys Hawkeye telemetry on (a subset of) a network's switches.
 
     Supports the partial-deployment discussion of §5 via ``switches``.
+
+    Every attach path constructs one, so a run's memory lifecycle lives
+    here.  A finished fabric is one reference cycle (network <-> nodes <->
+    bound methods <-> pending events <-> observers) of ~16k objects pinning
+    ~10 MB of register columns; the cycle collector counts objects, not
+    bytes, and lets 7-10 of them pile up in a process that loops over
+    scenarios.  So if the previously attached fabric is still around it is
+    collected now, before the new banks are allocated; the first attach in
+    a process — all a one-shot ``repro run`` does — collects nothing.
     """
 
     def __init__(self, network, config: Optional[TelemetryConfig] = None, switches=None):
+        global _last_attached
+        previous = _last_attached() if _last_attached is not None else None
+        if previous is not None and previous is not network:
+            del previous  # or this frame would keep it reachable
+            gc.collect()
+        _last_attached = weakref.ref(network)
         self.network = network
         self.config = config if config is not None else TelemetryConfig()
         names = switches if switches is not None else list(network.switches)

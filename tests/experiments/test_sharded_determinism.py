@@ -17,6 +17,7 @@ What the shard engine does *not* take is one rule
 nothing forked, which the second half of this file pins reason by reason.
 """
 
+import gc
 import multiprocessing
 
 import pytest
@@ -189,6 +190,25 @@ def test_zero_fault_plan_matches_fault_free_run():
     assert _describe(zeroed) == _describe(plain)
     assert zeroed.fault_incidents == [] and zeroed.fault_counters == {}
     assert _canonical_trace(zeroed) == _canonical_trace(plain)
+
+
+def test_worker_keeps_no_collector_policy_of_its_own(monkeypatch):
+    """Between epochs a worker's collector is as the parent left it (the
+    hook runs there); sweeps are off only inside ``shard_run``, the way
+    ``FabricSession.advance`` has them off.  A worker that switched it off
+    for good is killed by the hook and shows up as a serial rerun."""
+    monkeypatch.setattr(
+        shardrun, "_TEST_WORKER_ABORT",
+        lambda shard_id, epoch_no: None if gc.isenabled() else "sigkill",
+    )
+    assert gc.isenabled()
+    spec = ScenarioSpec("incast-backpressure", seed=1)
+    single = run_scenario(spec.build(), RunConfig())
+    sharded = run_scenario_sharded(spec, RunConfig(shards=2))
+    assert sharded.perf.shards == 2
+    assert "fallback_ran" not in sharded.perf.supervision
+    assert _describe(sharded) == _describe(single)
+    assert accounting(sharded) == accounting(single)
 
 
 def test_sharded_perf_accounting_present():

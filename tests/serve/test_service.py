@@ -5,6 +5,7 @@ it exactly like an external client would — through the socket.
 """
 
 import asyncio
+import gc
 import json
 import threading
 
@@ -12,6 +13,7 @@ from tests.serve.conftest import wait_episode_complete
 
 from repro.serve import ServeClient, http_get
 from repro.serve.protocol import encode
+from repro.sim import Network
 
 
 class TestJsonProtocol:
@@ -367,6 +369,7 @@ class TestHttpEndpoints:
                     None, self._get, "/metrics", path
                 )
                 assert gauge(first, "repro_serve_feed_staleness_s") >= 0
+                assert gauge(first, "repro_serve_rss_mb") > 0
                 await asyncio.sleep(0.05)
                 _, _, second = await loop.run_in_executor(
                     None, self._get, "/metrics", path
@@ -471,5 +474,34 @@ class TestLifecycle:
                 assert ends[1]["seed"] == ends[0]["seed"] + 1
                 assert service.episodes_completed == 2
                 await client.close()
+
+        asyncio.run(main())
+
+    def test_resident_service_holds_one_fabric(self, serving):
+        """Steady state is the live episode's fabric and nothing else: each
+        finished one is let go before the next is built and reclaimed as it
+        attaches — with no collection asked for here."""
+        def fabrics():
+            return [o for o in gc.get_objects() if isinstance(o, Network)]
+
+        async def main():
+            # Whatever earlier tests still hold is not this service's.
+            before = {id(net) for net in fabrics()}
+            async with serving(
+                scenario="out-of-loop-deadlock", episodes=5, slice_us=1000.0
+            ) as (service, path):
+                client = await ServeClient.connect(unix_path=path)
+                await client.subscribe()
+                ends = 0
+                while ends < 5:
+                    event = await client.next_event(timeout=60.0)
+                    ends += event["event"] == "episode-end"
+                await client.close()
+                held = [net for net in fabrics() if id(net) not in before]
+                assert len(held) <= 1
+                # The last episode stays readable (test_differential's
+                # contract); only a *next* episode lets go of it.
+                assert service.last_result.primary_outcome() is not None
+                assert service.servicez()["rss_mb"] > 0
 
         asyncio.run(main())

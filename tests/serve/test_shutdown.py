@@ -1,9 +1,10 @@
 """Clean shutdown under load: SIGTERM a real serve process with a swarm
 attached and verify every stream gets a goodbye and nothing leaks.
 
-This is the one serve test that uses a subprocess — signal delivery and
-process-exit hygiene can't be faked in-process.  The in-process
-counterpart (executor-thread leak check) lives in test_service.py.
+These are the serve tests that use a subprocess — signal delivery,
+process-exit hygiene and a process's own resident set can't be faked
+in-process.  The in-process counterparts (thread leak check, one live
+fabric) live in test_service.py.
 """
 
 import asyncio
@@ -24,13 +25,14 @@ SUBSCRIBERS = 20
 QUERIES = 50
 
 
-def _spawn_serve(sock_path):
+def _spawn_serve(sock_path, scenario="pfc-storm", *extra):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     return subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "serve", "pfc-storm",
+            sys.executable, "-m", "repro", "serve", scenario,
             "--unix", str(sock_path), "--seed", "3", "--slice-us", "500",
+            *extra,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -157,6 +159,46 @@ class TestSignalDuringStartup:
             assert proc.returncode == 0, f"stderr: {stderr}"
             assert "shut down cleanly" in stdout
             assert "Traceback" not in stderr
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+
+class TestResidentMemory:
+    def test_rss_is_flat_after_episode_2(self, tmp_path):
+        """A resident service stays at one episode's footprint: finished
+        fabrics are reclaimed as the next attaches, not whenever the
+        cycle collector's object counts happen to say so (2.1x by episode
+        10 before).  The CI ``serve-smoke`` memory gate."""
+        episodes = 12
+        sock_path = str(tmp_path / "serve.sock")
+        proc = _spawn_serve(
+            sock_path, "out-of-loop-deadlock", "--episodes", str(episodes)
+        )
+        try:
+            _wait_for_socket(sock_path)
+
+            async def watch():
+                client = await ServeClient.connect(
+                    unix_path=sock_path, tenant="gate"
+                )
+                after_2 = None
+                while True:
+                    stats = (await client.stats())["stats"]
+                    done = stats["episodes_completed"]
+                    if after_2 is None and done >= 2:
+                        after_2 = stats["rss_mb"]
+                    if done == episodes:
+                        await client.close()
+                        return after_2, stats["rss_mb"]
+                    await asyncio.sleep(0.02)
+
+            after_2, final = asyncio.run(watch())
+            assert 0 < final <= 1.25 * after_2, (after_2, final)
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=30.0)
+            assert proc.returncode == 0
         finally:
             if proc.poll() is None:
                 proc.kill()

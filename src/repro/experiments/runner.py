@@ -700,19 +700,26 @@ class FabricSession:
         """Has the scenario's full duration been simulated?"""
         return self.net.sim.now >= self.scenario.duration_ns
 
-    def advance(self, until_ns: int, max_events: Optional[int] = None) -> int:
+    def advance(
+        self,
+        until_ns: int,
+        max_events: Optional[int] = None,
+        stop: Optional[Callable[[], bool]] = None,
+        stop_every: int = 1,
+    ) -> int:
         """Run the fabric up to ``until_ns`` (clamped to the duration).
 
         Returns the new simulated time, which is short of the target only
-        when ``max_events`` (see :meth:`Simulator.run
-        <repro.sim.engine.Simulator.run>`) ran out first; calling again
-        resumes.  Batch callers pass no budget.  The clock never runs past
-        the scenario's end.
+        when ``max_events`` ran out first or ``stop``, asked every
+        ``stop_every`` events, said so (see :meth:`Simulator.run
+        <repro.sim.engine.Simulator.run>`); calling again resumes.  Batch
+        callers pass neither.  The clock never runs past the scenario's
+        end.
         """
         target = min(until_ns, self.scenario.duration_ns)
         if target > self.net.sim.now:
             with self.profile.stage("simulate"), cycle_sweeps_off():
-                self.net.run(target, max_events)
+                self.net.run(target, max_events, stop, stop_every)
         return self.net.sim.now
 
     def finalize(self) -> None:

@@ -11,27 +11,48 @@ answering a query, rendering an export — is therefore a plain call on
 the event loop, exclusive by construction:
 
 - the **slice loop** (:meth:`DiagnosisService._pump`) advances the
-  current episode ``slice_ns`` of simulated time per slice, in chunks of
-  at most :data:`CHUNK_EVENTS` events.  After each chunk it drains newly
-  raised monitor alerts/timeline incidents into the
-  :class:`~repro.serve.broker.StreamBroker` and hands the loop
-  :data:`IO_PASSES` passes, enough for every request that was readable
-  when the chunk ended to be read, answered and written before the next
-  chunk starts;
+  current episode ``slice_ns`` of simulated time per slice, in chunks.  A
+  chunk ends when :data:`CHUNK_EVENTS` events have run or — the usual
+  reason under load — when somebody is waiting: every
+  :data:`POLL_EVENTS` events the simulator asks
+  :meth:`DiagnosisService._request_waiting`, one ``poll(0)`` over the
+  listener(s) and every open connection, and a readable socket is a
+  spent budget.  After each chunk the loop drains newly raised monitor
+  alerts/timeline incidents into the
+  :class:`~repro.serve.broker.StreamBroker` and gets :data:`IO_PASSES`
+  passes, enough for every request that was readable when the chunk
+  ended to be read, answered and written before the next chunk starts
+  (twice that while the listener is readable: a new connection's handler
+  has to start, and put it in the poll set, before its first request is
+  a request like any other);
 - **queries** run inside those passes, so a query observes a quiescent
   fabric and the sim never races a diagnosis.  A request waits for at
-  most the chunk in progress (``serve.chunk.wall_s``: the longest the
-  loop goes without polling a socket, and the part of a request's
-  latency the server cannot see), then costs its own handling
-  (``serve.query.wall_s``, of which ``serve.query.exec_s`` is the
-  diagnosis) — however many events the storm packs into a slice.  Excess
-  load waits in the connections' socket buffers; the per-tenant token
-  bucket sheds it and the ``serve_scale`` bench gates the p99.
+  most one poll interval (~0.25 ms; the part of its latency the server
+  cannot see), then costs its own handling (``serve.query.wall_s``, of
+  which ``serve.query.exec_s`` is the diagnosis) — however many events
+  the storm packs into a slice.  ``serve.chunks.preempted`` of
+  ``serve.chunks`` were cut short by a request; ``serve.chunk.wall_s`` is
+  what one hand-over costs the sim's cadence, and at its full budget the
+  longest a timer, a signal or a stream writer — none of them in the
+  poll set — waits for the loop.
 
 A chunk ends between simulated instants, exactly where a slice boundary
 could have fallen (:meth:`Simulator.run
-<repro.sim.engine.Simulator.run>`), so chunking changes where the
-timeline is cut and never what runs or in what order.
+<repro.sim.engine.Simulator.run>`), so neither the budget nor a waiting
+request changes what runs or in what order — only where the timeline is
+cut.
+
+The poll set is kept honest so that it cannot starve the sim: a
+descriptor leaves it wherever its connection ends, and one that reports
+``POLLHUP``/``POLLERR``/``POLLNVAL`` ends the chunk once — asyncio sees
+the same condition and closes it — and is dropped on the spot, so a
+client that vanished cannot hold ``poll(0)`` true.  A client that floods
+does hold it true, and that is the progress floor: every chunk still
+runs one poll interval of events before the first question, so the sim
+advances at least :data:`POLL_EVENTS` events per I/O round while the
+round answers everything the flood had buffered — rejections, mostly:
+the per-tenant token bucket sheds the excess, and the ``serve_scale``
+bench gates the p99.
 
 Episodes: the fabric replays its scenario continuously.  Episode ``k``
 is built at ``seed + k``, advanced to its duration, finished (the batch
@@ -51,8 +72,10 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import os
 import resource
+import select
 import signal
 import time
 from dataclasses import dataclass
@@ -85,19 +108,32 @@ from .protocol import (
 
 __all__ = ["ServeConfig", "DiagnosisService"]
 
-# Events the sim runs between polls of the sockets.  The served simulator
-# costs ~4 us/event on the reference box (pfc-storm with the monitor on:
-# 62.7k events in ~0.25 s), so 512 events is ~2 ms of host time: the most a
-# request waits before the loop reads it, against ~120 rounds of loop
-# passes per episode (a few percent of a chunk each).
+# Events the sim runs before it hands the loop over unasked.  The served
+# simulator costs ~4 us/event on the reference box (pfc-storm with the
+# monitor on: 62.7k events in ~0.25 s), so 512 events is ~2 ms of host
+# time: the most a timer, a signal or a blocked stream writer waits for the
+# loop, against ~120 rounds of loop passes per idle episode (a few percent
+# of a chunk each).  Requests do not wait that long: see POLL_EVENTS.
 CHUNK_EVENTS = 512
+
+# Events the sim runs between looks at the sockets.  One ``poll(0)`` costs
+# ~0.5 us with a handful of descriptors and ~0.25 ms of sim (64 events) is
+# the most a request waits before the chunk in progress ends for it; under
+# 0.5 % of the sim's time either way.  Smaller buys little: the three loop
+# passes and the answer itself cost more than the wait that is left.
+POLL_EVENTS = 64
+
+# What a descriptor nobody will ever read from again reports.
+_POLL_DEAD = select.POLLHUP | select.POLLERR | select.POLLNVAL
 
 # Loop passes handed over after each chunk.  asyncio runs the pump's own
 # continuation before the I/O callbacks polled in the same pass, and a
 # StreamReader request is a chain: pass 1 polls the socket and feeds the
 # reader, pass 2 wakes the handler task, which answers and writes; only in
-# pass 3 is the pump's turn behind them.  Each missing pass puts one chunk
-# in front of every request (measured p50: 6.2 / 4.5 / 2.6 ms at 1 / 2 / 3).
+# pass 3 is the pump's turn behind them.  Each missing pass starts one more
+# chunk in front of every request (measured p50 when only the budget ended
+# a chunk: 6.2 / 4.5 / 2.6 ms at 1 / 2 / 3), and that chunk cannot see the
+# request: asyncio has already taken its bytes off the socket.
 IO_PASSES = 3
 
 _STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
@@ -219,6 +255,10 @@ class DiagnosisService:
         self._pump_task: Optional[asyncio.Task] = None
         self._forwarders: Set[asyncio.Task] = set()
         self._writers: Set[asyncio.StreamWriter] = set()
+        # Listener(s) and open connections, for _request_waiting; the
+        # listener(s) alone, for _yield_to_io.
+        self._poll = select.poll()
+        self._listeners = select.poll()
         self._stopped = asyncio.Event()
         self._stop_requested: Optional[asyncio.Event] = None
         self.addresses: List[str] = []
@@ -266,12 +306,43 @@ class DiagnosisService:
 
     async def _yield_to_io(self) -> None:
         """Let every request already readable be answered (IO_PASSES)."""
-        for _ in range(IO_PASSES):
+        # A connection being made is two chains: accept, transport,
+        # handler task — only then is it in the poll set — and its first
+        # request like any other.  One round would leave that request
+        # behind a chunk it cannot cut short.
+        rounds = 2 if self._listeners.poll(0) else 1
+        for _ in range(rounds * IO_PASSES):
             await asyncio.sleep(0)
         # A reader this thread just woke is often queued on this CPU,
         # behind the chunk about to start: let it run first (stream lag
         # p95 4.7 -> 0.8 ms; returns at once when nobody is waiting).
         os.sched_yield()
+
+    def _watch(self, sock: Any) -> int:
+        """Put a listener or connection in the poll set; returns its fd."""
+        fd = sock.fileno()
+        if fd >= 0:  # -1: reset by the peer before its handler first ran
+            self._poll.register(fd, select.POLLIN)
+        return fd
+
+    def _unwatch(self, fd: int) -> None:
+        """Take ``fd`` out of the poll set (a no-op if it already left)."""
+        with contextlib.suppress(KeyError, ValueError):
+            self._poll.unregister(fd)
+
+    def _request_waiting(self) -> bool:
+        """Is a socket readable?  The sim asks every :data:`POLL_EVENTS`
+        events; yes ends the chunk in progress."""
+        ready = self._poll.poll(0)
+        if not ready:
+            return False
+        for fd, flags in ready:
+            if flags & _POLL_DEAD:
+                # asyncio is told the same by its own selector and closes
+                # the connection; left in, it would answer yes forever.
+                self._unwatch(fd)
+        self.registry.inc("serve.chunks.preempted")
+        return True
 
     async def _run_slice(self, session: FabricSession, target_ns: int) -> None:
         """Advance to ``target_ns`` chunk by chunk, serving between chunks."""
@@ -279,8 +350,11 @@ class DiagnosisService:
         sim_s = 0.0
         while self._running and session.now_ns < target_ns:
             t0 = time.perf_counter()
-            session.advance(target_ns, CHUNK_EVENTS)
+            session.advance(
+                target_ns, CHUNK_EVENTS, self._request_waiting, POLL_EVENTS
+            )
             chunk_s = time.perf_counter() - t0
+            self.registry.inc("serve.chunks")
             histogram("serve.chunk.wall_s").observe(chunk_s)
             sim_s += chunk_s
             self._last_chunk_s = time.monotonic()
@@ -407,6 +481,8 @@ class DiagnosisService:
             "feed_staleness_s": round(gauges["serve.feed_staleness_s"], 3),
             "slice_us": self.config.slice_us,
             "slices": counters.get("serve.slices", 0),
+            "chunks": counters.get("serve.chunks", 0),
+            "chunks_preempted": counters.get("serve.chunks.preempted", 0),
             "connections": len(self._writers),
             "stream": {
                 "active": self.broker.active,
@@ -438,14 +514,12 @@ class DiagnosisService:
         path = parts[1] if len(parts) > 1 else "/"
         path = path.split("?", 1)[0]
         monitor = self.session.monitor if self.session is not None else None
-        import json as _json
-
         status, content_type, body = 200, "text/plain; charset=utf-8", ""
         if path == "/healthz":
             body = "ok\n" if self._running else "stopping\n"
         elif path == "/servicez":
             content_type = "application/json"
-            body = _json.dumps(self.servicez(), indent=2) + "\n"
+            body = json.dumps(self.servicez(), indent=2) + "\n"
         elif monitor is None:
             status, body = 503, "no live episode\n"
         elif path == "/metrics":
@@ -471,6 +545,8 @@ class DiagnosisService:
             f"Content-Length: {len(payload)}\r\n"
             f"Connection: close\r\n\r\n"
         )
+        if parts[0] == "HEAD":
+            payload = b""  # the headers of the GET, true length included
         writer.write(head.encode() + payload)
         with contextlib.suppress(ConnectionError):
             await writer.drain()
@@ -559,6 +635,7 @@ class DiagnosisService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._writers.add(writer)
+        fd = self._watch(writer.get_extra_info("socket"))
         self.registry.inc("serve.connections.total")
         state: Dict[str, Any] = {"tenant": "anon", "sub": None}
         try:
@@ -600,6 +677,9 @@ class DiagnosisService:
             if sub is not None:
                 self.broker.unsubscribe(sub)
             self._writers.discard(writer)
+            # Every way a connection ends comes through here, ahead of
+            # any later connection's handler that is dealt the same number.
+            self._unwatch(fd)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
@@ -636,6 +716,9 @@ class DiagnosisService:
             self._servers.append(server)
             sock = server.sockets[0].getsockname()
             self.addresses.append(f"tcp:{sock[0]}:{sock[1]}")
+        for server in self._servers:
+            for sock in server.sockets:
+                self._listeners.register(self._watch(sock), select.POLLIN)
         self._start_episode()
         self._pump_task = asyncio.ensure_future(self._pump())
 

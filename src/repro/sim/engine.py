@@ -37,11 +37,15 @@ exact schedule-time ties.
 
 from __future__ import annotations
 
+import sys
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 _DELIVERY_ORDER = itemgetter(0)
+
+# An event count no run reaches: "no budget" / "no stop to ask".
+_NEVER = sys.maxsize
 
 # Compaction sweep cadence: after this many executed events, sweep all
 # slots and drop cancelled entries.  Amortized cost is O(pending / interval)
@@ -243,7 +247,11 @@ class Simulator:
     # -- the event loop ---------------------------------------------------------
 
     def run(
-        self, until_ns: Optional[int] = None, max_events: Optional[int] = None
+        self,
+        until_ns: Optional[int] = None,
+        max_events: Optional[int] = None,
+        stop: Optional[Callable[[], bool]] = None,
+        stop_every: int = 1,
     ) -> None:
         """Drain the event queue, optionally stopping at ``until_ns``.
 
@@ -264,20 +272,30 @@ class Simulator:
         ``until_ns`` stop at an instant the budget picked; it does not move
         the compaction schedule, so a run chopped into budgets has the
         event order and :meth:`counters` of one unbudgeted call.
+
+        ``stop`` is a budget the caller decides on the way: it is asked
+        once ``stop_every`` events have run since the call began (or
+        since it last said no), and a true answer is a spent budget — the
+        same stop, so everything above holds for it.  It is asked from
+        inside the loop, possibly with the instant's same-time chain still
+        queued, so it must not touch the simulation.  Events run before
+        the first question, so a caller whose ``stop`` always says yes
+        still advances.
         """
         if max_events is not None and max_events < 1:
             raise ValueError(f"max_events must be positive, got {max_events}")
+        if stop_every < 1:
+            raise ValueError(f"stop_every must be positive, got {stop_every}")
         slots = self._slots
         slot_heap = self._slot_heap
         bands = self._bands
         band_heap = self._band_heap
-        # One comparison per instant covers both the compaction cadence and
-        # the budget: a run without a budget pays nothing for it.
-        check_at = self._next_compact_at
-        stop_at: Optional[int] = None
-        if max_events is not None:
-            stop_at = self._events_run + max_events
-            check_at = min(check_at, stop_at)
+        # One comparison per instant covers the compaction cadence, the
+        # budget and the next question to ``stop``: a run with neither a
+        # budget nor a stop pays nothing for them.
+        stop_at = _NEVER if max_events is None else self._events_run + max_events
+        ask_at = _NEVER if stop is None else self._events_run + stop_every
+        check_at = min(self._next_compact_at, stop_at, ask_at)
         while True:
             # Find the next live ordinary slot, purging dead heads on the way.
             slot_time: Optional[int] = None
@@ -393,16 +411,15 @@ class Simulator:
                 if events_run >= self._next_compact_at:
                     self._next_compact_at = events_run + COMPACT_INTERVAL_EVENTS
                     self.compact()
-                check_at = self._next_compact_at
-                if stop_at is not None:
-                    if events_run >= stop_at:
-                        # Budget spent: from here this call is ``run(now)``
-                        # — same-time chains drain, then the ordinary
-                        # ``until_ns`` stop ends it.
-                        until_ns = next_time
-                        stop_at = None
-                    elif stop_at < check_at:
-                        check_at = stop_at
+                if events_run >= stop_at or (events_run >= ask_at and stop()):
+                    # Budget spent: from here this call is ``run(now)``
+                    # — same-time chains drain, then the ordinary
+                    # ``until_ns`` stop ends it.
+                    until_ns = next_time
+                    stop_at = ask_at = _NEVER
+                elif events_run >= ask_at:
+                    ask_at = events_run + stop_every
+                check_at = min(self._next_compact_at, stop_at, ask_at)
         if until_ns is not None and self.now < until_ns:
             self.now = until_ns
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..topology.graph import PortRef, Topology
 from ..topology.routing import RoutingTable
@@ -132,8 +132,14 @@ class Network:
         self.flows.append(flow)
         host.start_flow(flow)
 
-    def run(self, until_ns: int, max_events: Optional[int] = None) -> None:
-        self.sim.run(until_ns, max_events)
+    def run(
+        self,
+        until_ns: int,
+        max_events: Optional[int] = None,
+        stop: Optional[Callable[[], bool]] = None,
+        stop_every: int = 1,
+    ) -> None:
+        self.sim.run(until_ns, max_events, stop, stop_every)
 
     # -- helpers --------------------------------------------------------------------
 

@@ -1,12 +1,13 @@
 """The service's binding contract: served episodes == batch runs, bytes.
 
 ``repro serve`` advances the fabric in small time slices, each a loop of
-fixed-event-budget chunks, on an executor thread; ``repro run`` advances
-it in one shot.  Both ride
+chunks that end on an event budget or on a waiting request, on its event
+loop; ``repro run`` advances it in one shot.  Both ride
 :class:`~repro.experiments.runner.FabricSession`, and the simulator
 executes events in timestamp order regardless of how ``run(until_ns,
-max_events)`` partitions the clock — so episode ``k`` at seed ``s`` must
-produce verdicts *byte-identical* to ``run_scenario`` at seed ``s + k``.
+max_events, stop, stop_every)`` partitions the clock — so episode ``k``
+at seed ``s`` must produce verdicts *byte-identical* to ``run_scenario``
+at seed ``s + k``.
 This test pins that equivalence end to end, through the live service.
 """
 
@@ -24,6 +25,7 @@ from repro.workloads import SCENARIO_BUILDERS
 
 SCENARIOS = ["pfc-storm", "incast-backpressure"]
 CHUNK_BUDGETS = [1, 7, 512]
+POLL_INTERVALS = [1, 7, 64]  # 64 > 1 and 7: a budget shorter than the interval
 AWKWARD_SLICES_US = [333.0, 500.0]
 
 
@@ -66,14 +68,17 @@ def _batch_storm_seed7():
 
 class TestChunkBudgetNeverChangesTheEpisode:
     """Where a slice is cut — by ``slice_us``, by the chunk budget, by a
-    query arriving — moves no verdict, alert or diagnosis line."""
+    query arriving, however often the sim looks for one — moves no
+    verdict, alert or diagnosis line."""
 
     @pytest.mark.parametrize("slice_us", AWKWARD_SLICES_US)
+    @pytest.mark.parametrize("poll_every", POLL_INTERVALS)
     @pytest.mark.parametrize("budget", CHUNK_BUDGETS)
     def test_verdicts_alerts_and_text_match_batch(
-        self, budget, slice_us, serving, monkeypatch
+        self, budget, poll_every, slice_us, serving, monkeypatch
     ):
         monkeypatch.setattr(service_module, "CHUNK_EVENTS", budget)
+        monkeypatch.setattr(service_module, "POLL_EVENTS", poll_every)
         batch, primary = _batch_storm_seed7()
 
         async def main():
@@ -82,11 +87,15 @@ class TestChunkBudgetNeverChangesTheEpisode:
             ) as (service, path):
                 client = await ServeClient.connect(unix_path=path, tenant="t")
                 # Queries land mid-slice, so slices really do end on
-                # budget stops rather than only on their time targets.
+                # budget and request stops rather than only on their time
+                # targets.
                 while not service._episode_finished:
                     await client.query()
                     await asyncio.sleep(0.005)
                 await client.close()
+                counters = service.registry.to_dict()["counters"]
+                if budget > poll_every:
+                    assert counters["serve.chunks.preempted"] >= 1
                 # Its own tenant: the hammering above may have drained
                 # tenant "t"'s token bucket.
                 client = await ServeClient.connect(unix_path=path, tenant="u")

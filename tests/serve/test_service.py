@@ -7,11 +7,14 @@ it exactly like an external client would — through the socket.
 import asyncio
 import gc
 import json
+import socket
 import threading
+import time
 
 from tests.serve.conftest import wait_episode_complete
 
-from repro.serve import ServeClient, http_get
+from repro.serve import DiagnosisService, ServeClient, http_get
+from repro.serve import service as service_module
 from repro.serve.protocol import encode
 from repro.sim import Network
 
@@ -239,32 +242,59 @@ class TestQueries:
         asyncio.run(main())
 
 
+def _mid_episode(call):
+    """Run blocking ``call`` on a thread once the episode is well under
+    way.  A client on the service's own loop would be no test: it could
+    not even send before the chunk that starves it ended."""
+
+    def late():
+        time.sleep(0.05)
+        return call()
+
+    return asyncio.get_running_loop().run_in_executor(None, late)
+
+
+def _one_shot(path, request):
+    """Connect, send one JSON request, read its reply (blocking)."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(10.0)
+        sock.connect(path)
+        sock.sendall(encode(request))
+        return json.loads(sock.makefile("rb").readline())
+
+
 class TestPreemptibleSlices:
-    def test_query_preempts_the_slice_in_flight(self, serving):
-        """One slice spans the whole episode (~0.3 s of host time); a
-        query sent meanwhile is answered from inside it, not after it."""
+    def test_query_preempts_the_slice_in_flight(self, serving, monkeypatch):
+        """One slice spans the whole episode (~0.3 s of host time) and so
+        would one chunk: only somebody waiting on a socket ends it early.
+        A query sent meanwhile is answered from inside it, not after it."""
+        monkeypatch.setattr(service_module, "CHUNK_EVENTS", 10**9)
 
         async def main():
             async with serving(slice_us=1e6) as (service, path):
                 duration_ns = service.session.duration_ns
                 assert duration_ns < 1e6 * 1000  # one slice would cover it
-                client = await ServeClient.connect(unix_path=path, tenant="t")
-                reply = await client.query()
-                await client.close()
+                reply = await _mid_episode(
+                    lambda: _one_shot(path, {"op": "query"})
+                )
                 assert reply["ok"] is True
                 assert 0 < reply["sim_ns"] < duration_ns
 
         asyncio.run(main())
 
-    def test_scrape_preempts_too(self, serving):
+    def test_scrape_preempts_too(self, serving, monkeypatch):
+        monkeypatch.setattr(service_module, "CHUNK_EVENTS", 10**9)
+
         async def main():
             async with serving(slice_us=1e6) as (service, path):
-                loop = asyncio.get_running_loop()
-                status, _headers, _body = await loop.run_in_executor(
-                    None, lambda: http_get("/metrics", unix_path=path)
+                status, _headers, body = await _mid_episode(
+                    lambda: http_get("/servicez", unix_path=path)
                 )
                 assert status == 200
-                assert not service._episode_finished
+                doc = json.loads(body)
+                assert 0 < doc["sim_ns"] < doc["sim_duration_ns"]
+                # Every chunk so far ended for this scrape, none on budget.
+                assert 1 <= doc["chunks_preempted"] == doc["chunks"]
 
         asyncio.run(main())
 
@@ -281,8 +311,8 @@ class TestPreemptibleSlices:
                 session = service.session
                 advance, chunks, sent = session.advance, [0], {}
 
-                def sending_advance(until_ns, max_events=None):
-                    now_ns = advance(until_ns, max_events)
+                def sending_advance(until_ns, *budget):
+                    now_ns = advance(until_ns, *budget)
                     chunks[0] += 1
                     if chunks[0] % 4 == 0 and len(sent) < 5:
                         # Lands in the server's socket buffer mid-chunk,
@@ -310,8 +340,84 @@ class TestPreemptibleSlices:
                 await wait_episode_complete(service)
                 counters = service.registry.to_dict()["counters"]
                 assert counters["serve.slices"] == -(-duration_ns // 333_000)
+                # Nobody connected, so nothing cut a chunk short.
+                assert counters["serve.chunks"] >= counters["serve.slices"]
+                assert "serve.chunks.preempted" not in counters
 
         asyncio.run(main())
+
+
+class TestPollSetStaysHonest:
+    """A descriptor nobody will read again must not hold ``poll(0)`` true:
+    every chunk would silently shrink to one poll interval."""
+
+    def test_vanished_clients_leave_no_readable_descriptor(self, serving):
+        """50 clients connect and vanish without a goodbye; the episodes
+        that follow are cut by nothing and keep their slice count."""
+        episodes = 3
+
+        async def main():
+            async with serving(
+                slice_us=333.0, episodes=episodes
+            ) as (service, path):
+                slices_per_episode = -(-service.session.duration_ns // 333_000)
+                for n in range(50):
+                    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                    sock.connect(path)
+                    if n % 2:
+                        sock.sendall(b'{"op": "pi')  # half a request, too
+                    sock.close()
+                counter = service.registry.counter_value
+                while (
+                    counter("serve.connections.total") < 50
+                    or service.servicez()["connections"]
+                ):
+                    await asyncio.sleep(0.005)
+                preempted = counter("serve.chunks.preempted")
+                assert preempted >= 1  # the swarm did cut chunks
+                done = service.episodes_completed
+                assert done < episodes - 1  # a whole idle episode is ahead
+                while service.episodes_completed < episodes:
+                    await asyncio.sleep(0.02)
+                assert counter("serve.chunks.preempted") == preempted
+                assert counter("serve.slices") == episodes * slices_per_episode
+
+        asyncio.run(main())
+
+    def test_dead_descriptor_ends_one_chunk_then_leaves_the_set(self):
+        service = DiagnosisService()
+        hung_up, peer = socket.socketpair()
+        closed, other = socket.socketpair()
+        try:
+            assert service._request_waiting() is False
+            service._watch(hung_up)
+            fd = service._watch(closed)
+            assert service._request_waiting() is False
+            peer.close()    # POLLHUP
+            closed.close()  # POLLNVAL
+            assert service._request_waiting() is True
+            assert service._request_waiting() is False
+            service._unwatch(fd)  # the handler's own exit: already gone
+            assert service.registry.counter_value(
+                "serve.chunks.preempted"
+            ) == 1
+        finally:
+            for sock in (hung_up, peer, closed, other):
+                sock.close()
+
+    def test_readable_descriptor_stays_until_it_is_read(self):
+        service = DiagnosisService()
+        ours, theirs = socket.socketpair()
+        try:
+            service._watch(ours)
+            theirs.sendall(b"x")
+            assert service._request_waiting() is True
+            assert service._request_waiting() is True  # still unread
+            ours.recv(1)
+            assert service._request_waiting() is False
+        finally:
+            ours.close()
+            theirs.close()
 
 
 class TestHttpEndpoints:
@@ -327,6 +433,21 @@ class TestHttpEndpoints:
                 )
                 assert status == 200
                 assert body == "ok\n"
+
+        asyncio.run(main())
+
+    def test_head_carries_the_headers_and_no_body(self, serving):
+        async def main():
+            async with serving() as (service, path):
+                reader, writer = await asyncio.open_unix_connection(path)
+                writer.write(b"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                raw = await asyncio.wait_for(reader.read(), 10.0)
+                writer.close()
+                await writer.wait_closed()
+                head, sep, body = raw.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 200 OK")
+                assert b"Content-Length: 3" in head  # what GET would send
+                assert sep and body == b""
 
         asyncio.run(main())
 
@@ -349,6 +470,9 @@ class TestHttpEndpoints:
                 # a chunk to wait out, then the handling itself.
                 for key in ("query_wall_s", "query_exec_s", "chunk_wall_s"):
                     assert key in doc
+                # ... and how many chunks a request cut short (this
+                # scrape's own connection and request line, at least).
+                assert 1 <= doc["chunks_preempted"] <= doc["chunks"]
                 assert "query_wait_s" not in doc
                 assert "slices_preempted" not in doc
 

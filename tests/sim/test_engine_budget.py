@@ -1,11 +1,16 @@
-"""The event-budget contract of ``Simulator.run(until_ns, max_events)``.
+"""The event-budget contract of ``Simulator.run(until_ns, max_events,
+stop, stop_every)``.
 
 A budget stop is an ``until_ns`` stop at an instant the event count
 picked: it falls between simulated instants, leaves ``now`` on the last
 executed instant, and a run chopped into budgets is indistinguishable —
-event order and every counter — from one unbudgeted call.  ``repro
-serve`` leans on exactly this to preempt a slice for a waiting query.
+event order and every counter — from one unbudgeted call.  ``stop`` is
+the same stop at an instant the caller picked, asked every
+``stop_every`` events.  ``repro serve`` leans on exactly this to preempt
+a slice for a waiting query.
 """
+
+import itertools
 
 import pytest
 
@@ -121,15 +126,81 @@ class TestBudgetStop:
         assert sim.events_purged == 5
 
 
-def _counters_after(scenario_name, budget):
+def _every_third():
+    """A ``stop`` that says yes to every third question."""
+    answers = itertools.cycle([False, False, True])
+    return lambda: next(answers)
+
+
+class TestStopCallable:
+    def test_rejects_non_positive_interval(self):
+        sim = Simulator()
+        for bad in (0, -3):
+            with pytest.raises(ValueError):
+                sim.run(100, stop=lambda: True, stop_every=bad)
+
+    @pytest.mark.parametrize("budget", [None, 1, 7, 512])
+    @pytest.mark.parametrize("stop_every", [1, 7, 64])
+    @pytest.mark.parametrize(
+        "make_stop", [lambda: (lambda: True), _every_third],
+        ids=["always", "every-third"],
+    )
+    def test_chopped_order_is_the_unbudgeted_order(
+        self, make_stop, stop_every, budget
+    ):
+        whole = []
+        _busy_sim(whole).run(200)
+        chopped = []
+        sim = _busy_sim(chopped)
+        stop = make_stop()
+        calls = 0
+        while sim.now < 200:
+            before = len(chopped)
+            sim.run(200, budget, stop, stop_every)
+            calls += 1
+            # An eager stop (and a budget below the interval, which never
+            # lets it speak) still advances: whole instants, at least one.
+            ran = len(chopped) - before
+            assert ran % INSTANT_BATCH == 0
+            assert ran or sim.now == 200
+        assert chopped == whole
+        assert sim.now == 200
+        assert calls <= 10 + 1  # ten instants, then the clock moves to 200
+
+    def test_asked_every_interval_and_a_yes_drains_the_instant(self):
+        log, asked = [], []
+        sim = _busy_sim(log)
+
+        def stop():
+            asked.append(len(log))
+            return len(asked) == 2
+
+        sim.run(1000, stop=stop, stop_every=3)
+        # Each instant is a batch of 7 and its chained event.  Asked after
+        # the batch that crossed 3 events (no), then after the one that
+        # crossed 7 + 3 (yes, with instant 20's chain still queued: it
+        # drains, like on a spent budget) — and never again.
+        assert asked == [7, 15]
+        assert sim.now == 20 and len(log) == 2 * INSTANT_BATCH
+
+    def test_budget_wins_when_it_comes_first(self):
+        sim = _busy_sim([])
+        sim.run(1000, 1, lambda: pytest.fail("asked past the budget"), 64)
+        assert sim.now == 10
+
+    def test_a_stop_that_never_fires_reaches_the_target(self):
+        sim = _busy_sim([])
+        sim.run(150, stop=lambda: False, stop_every=1)
+        assert sim.now == 150
+        assert sim.events_run == 10 * INSTANT_BATCH
+
+
+def _counters_after(scenario_name, budget, stop=None, stop_every=1):
     scenario = SCENARIO_BUILDERS[scenario_name](seed=3)
     sim = scenario.network.sim
     until = scenario.duration_ns
-    if budget is None:
-        sim.run(until)
-    else:
-        while sim.now < until:
-            sim.run(until, max_events=budget)
+    while sim.now < until:  # one call when nothing chops it
+        sim.run(until, budget, stop, stop_every)
     assert sim.now == until
     return sim.counters()
 
@@ -144,3 +215,12 @@ class TestChoppedScenarioCounters:
         assert whole["events_run"] > 10_000
         for budget in BUDGETS:
             assert _counters_after(scenario, budget) == whole, budget
+
+    @pytest.mark.parametrize("scenario", ["pfc-storm", "in-loop-deadlock"])
+    def test_counters_identical_under_every_stop(self, scenario):
+        whole = _counters_after(scenario, None)
+        for budget, stop_every in [(None, 64), (512, 64), (512, 7), (7, 64)]:
+            chopped = _counters_after(
+                scenario, budget, _every_third(), stop_every
+            )
+            assert chopped == whole, (budget, stop_every)

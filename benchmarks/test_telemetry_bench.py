@@ -3,8 +3,8 @@
 Two-level gate for the columnar telemetry plane:
 
 - **Microbenchmark** — identical synthetic packet/PFC streams through the
-  retained pure-Python reference plane
-  (:class:`repro.telemetry.ReferenceSwitchTelemetry`) and the columnar
+  pure-Python reference plane the tests keep as their oracle
+  (``tests/telemetry/reference.py``) and the columnar
   plane, measuring enqueue rate and collection (snapshot) latency.  The
   speedup is a same-process, same-machine ratio, so it is enforced
   unconditionally: the columnar plane must be >=3x faster end to end and
@@ -24,6 +24,7 @@ incast entries (read-merge-write, so test order never drops keys).
 import gc
 import hashlib
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -33,15 +34,14 @@ from conftest import print_table
 from repro.experiments import BENCH_PERF_FILENAME, load_bench_json, write_bench_json
 from repro.experiments.analyzer import deploy_analyzer
 from repro.sim.packet import DATA_PRIORITY, FlowKey, Packet, PacketType
-from repro.telemetry import (
-    HawkeyeSwitchTelemetry,
-    ReferenceSwitchTelemetry,
-    TelemetryConfig,
-)
+from repro.telemetry import HawkeyeSwitchTelemetry, TelemetryConfig
 from repro.units import usec
 from repro.workloads import SCENARIO_BUILDERS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(REPO_ROOT))  # for the oracle under tests/
+from tests.telemetry.reference import ReferenceSwitchTelemetry  # noqa: E402
+
 STRICT = os.environ.get("REPRO_PERF_STRICT", "") == "1"
 
 # -- microbenchmark workload ---------------------------------------------------

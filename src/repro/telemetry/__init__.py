@@ -2,7 +2,6 @@
 
 from .epoch import EpochScheme, nearest_power_of_two_shift
 from .hawkeye import HawkeyeDeployment, HawkeyeSwitchTelemetry, TelemetryConfig
-from .reference import ReferenceSwitchTelemetry
 from .records import (
     FLOW_ENTRY_BYTES,
     METER_ENTRY_BYTES,
@@ -19,7 +18,6 @@ __all__ = [
     "nearest_power_of_two_shift",
     "HawkeyeDeployment",
     "HawkeyeSwitchTelemetry",
-    "ReferenceSwitchTelemetry",
     "TelemetryConfig",
     "FLOW_ENTRY_BYTES",
     "METER_ENTRY_BYTES",

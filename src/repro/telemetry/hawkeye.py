@@ -10,12 +10,14 @@ switch as a :class:`~repro.sim.switch.SwitchObserver` and maintains, in the
 - per-port PFC status registers (paused flag + remaining pause time),
   updated when PAUSE/RESUME frames are passed into the pipeline.
 
-Unlike the retained reference implementation
-(:mod:`repro.telemetry.reference`), the registers here are stored the way
-the Tofino stores them: as flat parallel ``array('q')`` columns indexed by
-flow slot / port number / ``ingress * P + egress``, not as per-entry Python
-objects.  Two further hardware-modeling choices make the per-packet cost
-nearly free:
+Unlike the eager per-packet model kept as the test oracle
+(``tests/telemetry/reference.py``), the port counters and meters here are
+stored the way the Tofino stores them: as flat ``array('q')`` columns
+indexed by port number / ``ingress * P + egress``.  The flow table keeps
+the hardware's ``flow_slots`` hash slots, collisions and evictions, but
+stores only its occupied slots: one dict per epoch from slot to entry, so
+its memory follows the flows seen rather than the modelled capacity.  Two
+further hardware-modeling choices make the per-packet cost nearly free:
 
 **Batched pending queue.**  On real hardware the register *writes* happen
 at line rate in the match-action pipeline and cost the CPU nothing; only
@@ -51,6 +53,7 @@ import gc
 import weakref
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from ..sim.packet import DATA_PRIORITY, FlowKey, Packet, pause_quanta_to_ns
@@ -77,27 +80,25 @@ class TelemetryConfig:
     def __post_init__(self) -> None:
         if self.scheme is None:
             self.scheme = EpochScheme()
+        if self.flow_slots <= 0:
+            raise ValueError(f"flow_slots must be positive, got {self.flow_slots}")
 
 
 class _EpochBank:
-    """One ring-buffer epoch: flat register columns plus a pending queue.
-
-    Columns (all ``array('q')``, allocated lazily at the first flush):
+    """One ring-buffer epoch: the flow table, port registers, pending queue.
 
     ===================  ==========================================================
-    ``slot_kid``         flow-table key register: interned key id, ``-1`` if empty
-    ``slot_egress``      flow-table egress-port register (set at install)
-    ``slot_pkt``         per-slot packet counter
-    ``slot_paused``      per-slot paused-packet counter
-    ``slot_qdepth``      per-slot queue-depth accumulator (pkts)
-    ``slot_bytes``       per-slot byte counter
-    ``slot_qd_paused``   per-slot queue-depth accumulator over paused packets
+    ``table``            flow table: occupied slot -> entry ``[kid, egress, pkt,
+                         paused, qdepth, bytes, qd_paused]``; a slot absent from
+                         the dict is empty
+    ``evicted``          entries displaced by a collision, in eviction order
     ``port_pkt/paused/qdepth/pause_rx``  per-egress-port counters, indexed by port
     ``meter``            causality meters, flat ``ingress * P + egress`` index
     ===================  ==========================================================
 
-    ``occupied`` / ``port_touched`` / ``meter_touched`` record first-touch
-    order so materialization can filter zero registers without scanning the
+    The port and meter columns are ``array('q')``, allocated at the first
+    flush.  ``port_touched`` / ``meter_touched`` record first-touch order
+    so materialization can filter zero registers without scanning the
     arrays and can reproduce the reference's dict insertion orders exactly.
     ``version`` increments on every flush/reset; it keys the memoized
     ``mat`` (the :class:`EpochData` materialization of this bank).
@@ -107,14 +108,7 @@ class _EpochBank:
         "epoch_number",
         "pending",
         "version",
-        "slot_kid",
-        "slot_egress",
-        "slot_pkt",
-        "slot_paused",
-        "slot_qdepth",
-        "slot_bytes",
-        "slot_qd_paused",
-        "occupied",
+        "table",
         "evicted",
         "port_pkt",
         "port_paused",
@@ -131,15 +125,8 @@ class _EpochBank:
         self.epoch_number = -1
         self.pending: List[tuple] = []
         self.version = 0
-        self.slot_kid: Optional[array] = None
-        self.slot_egress: Optional[array] = None
-        self.slot_pkt: Optional[array] = None
-        self.slot_paused: Optional[array] = None
-        self.slot_qdepth: Optional[array] = None
-        self.slot_bytes: Optional[array] = None
-        self.slot_qd_paused: Optional[array] = None
-        self.occupied: List[int] = []
-        self.evicted: List[tuple] = []
+        self.table: Dict[int, list] = {}
+        self.evicted: List[list] = []
         self.port_pkt: Optional[array] = None
         self.port_paused: Optional[array] = None
         self.port_qdepth: Optional[array] = None
@@ -171,7 +158,6 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         # Port count P, captured from the switch on the first hook call;
         # sizes the per-port columns and the flat P*P meter array.
         self._num_ports: Optional[int] = None
-        self._neg1_template: Optional[array] = None
         # Port PFC status registers: port -> pause expiry timestamp (ns).
         self._pause_until: Dict[int, int] = {}
         self.pause_frames_seen = 0
@@ -253,8 +239,8 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         """Ring wrap-around: a newer epoch number reclaims this bank.
 
         Events still pending are discarded unprocessed — the hardware never
-        spent CPU on an epoch nobody read.  Register columns are cleared
-        lazily via the touch lists, so reset is O(touched), not O(capacity).
+        spent CPU on an epoch nobody read.  Port and meter columns are
+        cleared via the touch lists, so reset is O(touched), not O(capacity).
         """
         if bank.pending:
             self.discarded_events += len(bank.pending)
@@ -263,10 +249,9 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         bank.version += 1
         bank.mat = None
         bank.mat_version = -1
-        if bank.slot_kid is not None:
-            bank.slot_kid[:] = self._neg1_template  # type: ignore[index]
-            bank.occupied.clear()
-            bank.evicted.clear()
+        bank.table.clear()
+        bank.evicted.clear()
+        if bank.port_pkt is not None:
             port_pkt = bank.port_pkt
             port_paused = bank.port_paused
             port_qdepth = bank.port_qdepth
@@ -284,17 +269,6 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         self._reset_gen += 1
 
     def _allocate(self, bank: _EpochBank) -> None:
-        n = self._flow_slots
-        if self._neg1_template is None:
-            self._neg1_template = array("q", [-1]) * n
-        zeros = bytes(8 * n)
-        bank.slot_kid = array("q", self._neg1_template)
-        bank.slot_egress = array("q", zeros)
-        bank.slot_pkt = array("q", zeros)
-        bank.slot_paused = array("q", zeros)
-        bank.slot_qdepth = array("q", zeros)
-        bank.slot_bytes = array("q", zeros)
-        bank.slot_qd_paused = array("q", zeros)
         num_ports = self._num_ports or 1
         port_zeros = bytes(8 * num_ports)
         bank.port_pkt = array("q", port_zeros)
@@ -334,7 +308,7 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         self._reset_gen += 1
 
     def _flush(self, bank: _EpochBank) -> None:
-        """Drain the pending queue into the register columns, in order.
+        """Drain the pending queue into the registers, in order.
 
         Long queues take the numpy scatter-add path
         (:mod:`repro.telemetry.vectorflush`), which is bit-identical to
@@ -344,7 +318,7 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         pending = bank.pending
         if not pending:
             return
-        if bank.slot_kid is None:
+        if bank.port_pkt is None:
             self._allocate(bank)
         if (
             vectorflush.HAVE_NUMPY
@@ -358,14 +332,8 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         keys = self._keys
         key_slot = self._key_slot
         flow_slots = self._flow_slots
-        slot_kid = bank.slot_kid
-        slot_egress = bank.slot_egress
-        slot_pkt = bank.slot_pkt
-        slot_paused = bank.slot_paused
-        slot_qdepth = bank.slot_qdepth
-        slot_bytes = bank.slot_bytes
-        slot_qd_paused = bank.slot_qd_paused
-        occupied = bank.occupied
+        table = bank.table
+        table_get = table.get
         evicted = bank.evicted
         port_pkt = bank.port_pkt
         port_paused_arr = bank.port_paused
@@ -409,39 +377,21 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
                 keys.append(flow)
                 key_slot.append(flow.stable_hash() % flow_slots)
             slot = key_slot[kid]
-            cur = slot_kid[slot]
-            if cur != kid:
-                if cur >= 0:
+            entry = table_get(slot)
+            if entry is None or entry[0] != kid:
+                if entry is not None:
                     # Collision: displace the resident entry to the evicted
                     # list ("stored at the controller"), preserving order.
-                    evicted.append(
-                        (
-                            cur,
-                            slot_egress[slot],
-                            slot_pkt[slot],
-                            slot_paused[slot],
-                            slot_qdepth[slot],
-                            slot_bytes[slot],
-                            slot_qd_paused[slot],
-                        )
-                    )
+                    evicted.append(entry)
                     evictions += 1
-                else:
-                    occupied.append(slot)
-                slot_kid[slot] = kid
-                slot_egress[slot] = egress
-                slot_pkt[slot] = 1
-                slot_paused[slot] = paused
-                slot_qdepth[slot] = qdepth
-                slot_bytes[slot] = size
-                slot_qd_paused[slot] = qdepth if paused else 0
+                table[slot] = [kid, egress, 1, paused, qdepth, size, qdepth if paused else 0]
             else:
-                slot_pkt[slot] += 1
-                slot_paused[slot] += paused
-                slot_qdepth[slot] += qdepth
-                slot_bytes[slot] += size
+                entry[2] += 1
+                entry[3] += paused
+                entry[4] += qdepth
+                entry[5] += size
                 if paused:
-                    slot_qd_paused[slot] += qdepth
+                    entry[6] += qdepth
             if port_pkt[egress] == 0 and port_pause_rx[egress] == 0:
                 port_touched.append(egress)
             port_pkt[egress] += 1
@@ -502,88 +452,45 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         epoch = EpochData(epoch_number=bank.epoch_number)
         keys = self._keys
         flows = epoch.flows
-        if bank.slot_kid is not None:
-            for kid, egress, pkt, paused, qdepth, byte_count, qd_paused in bank.evicted:
-                key = (keys[kid], egress)
-                existing = flows.get(key)
-                if existing is None:
-                    flows[key] = FlowEntry(
-                        key=keys[kid],
-                        egress_port=egress,
-                        pkt_count=pkt,
-                        paused_count=paused,
-                        qdepth_sum_pkts=qdepth,
-                        byte_count=byte_count,
-                        qdepth_paused_sum_pkts=qd_paused,
-                    )
-                else:
-                    existing.pkt_count += pkt
-                    existing.paused_count += paused
-                    existing.qdepth_sum_pkts += qdepth
-                    existing.byte_count += byte_count
-                    existing.qdepth_paused_sum_pkts += qd_paused
-            occupied = sorted(bank.occupied)
-            if vectorflush.HAVE_NUMPY and len(occupied) >= 32:
-                # Columnar scan: seven vector gathers instead of seven
-                # ``array`` subscripts per occupied slot.
-                columns = zip(*vectorflush.gather_slots(bank, occupied))
+        table = bank.table
+        entries = chain(bank.evicted, [table[slot] for slot in sorted(table)])
+        for kid, egress, pkt, paused, qdepth, byte_count, qd_paused in entries:
+            key = (keys[kid], egress)
+            existing = flows.get(key)
+            if existing is None:
+                flows[key] = FlowEntry(
+                    key=keys[kid],
+                    egress_port=egress,
+                    pkt_count=pkt,
+                    paused_count=paused,
+                    qdepth_sum_pkts=qdepth,
+                    byte_count=byte_count,
+                    qdepth_paused_sum_pkts=qd_paused,
+                )
             else:
-                slot_kid = bank.slot_kid
-                slot_egress = bank.slot_egress
-                slot_pkt = bank.slot_pkt
-                slot_paused = bank.slot_paused
-                slot_qdepth = bank.slot_qdepth
-                slot_bytes = bank.slot_bytes
-                slot_qd_paused = bank.slot_qd_paused
-                columns = (
-                    (
-                        slot_kid[slot],
-                        slot_egress[slot],
-                        slot_pkt[slot],
-                        slot_paused[slot],
-                        slot_qdepth[slot],
-                        slot_bytes[slot],
-                        slot_qd_paused[slot],
-                    )
-                    for slot in occupied
-                )
-            for kid, egress, pkt, paused, qdepth, byte_count, qd_paused in columns:
-                key = (keys[kid], egress)
-                existing = flows.get(key)
-                if existing is None:
-                    flows[key] = FlowEntry(
-                        key=keys[kid],
-                        egress_port=egress,
-                        pkt_count=pkt,
-                        paused_count=paused,
-                        qdepth_sum_pkts=qdepth,
-                        byte_count=byte_count,
-                        qdepth_paused_sum_pkts=qd_paused,
-                    )
-                else:
-                    existing.pkt_count += pkt
-                    existing.paused_count += paused
-                    existing.qdepth_sum_pkts += qdepth
-                    existing.byte_count += byte_count
-                    existing.qdepth_paused_sum_pkts += qd_paused
-            port_pkt = bank.port_pkt
-            port_paused = bank.port_paused
-            port_qdepth = bank.port_qdepth
-            port_pause_rx = bank.port_pause_rx
-            ports = epoch.ports
-            for port in bank.port_touched:
-                ports[port] = PortEntry(
-                    port=port,
-                    pkt_count=port_pkt[port],
-                    paused_count=port_paused[port],
-                    qdepth_sum_pkts=port_qdepth[port],
-                    pause_rx_count=port_pause_rx[port],
-                )
-            meter = bank.meter
-            num_ports = self._num_ports
-            meters = epoch.meters
-            for mi in bank.meter_touched:
-                meters[divmod(mi, num_ports)] = meter[mi]
+                existing.pkt_count += pkt
+                existing.paused_count += paused
+                existing.qdepth_sum_pkts += qdepth
+                existing.byte_count += byte_count
+                existing.qdepth_paused_sum_pkts += qd_paused
+        port_pkt = bank.port_pkt
+        port_paused = bank.port_paused
+        port_qdepth = bank.port_qdepth
+        port_pause_rx = bank.port_pause_rx
+        ports = epoch.ports
+        for port in bank.port_touched:
+            ports[port] = PortEntry(
+                port=port,
+                pkt_count=port_pkt[port],
+                paused_count=port_paused[port],
+                qdepth_sum_pkts=port_qdepth[port],
+                pause_rx_count=port_pause_rx[port],
+            )
+        meter = bank.meter
+        num_ports = self._num_ports
+        meters = epoch.meters
+        for mi in bank.meter_touched:
+            meters[divmod(mi, num_ports)] = meter[mi]
         bank.mat = epoch
         bank.mat_version = bank.version
         return epoch
@@ -628,10 +535,9 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
             return 0
         slot = self._key_slot[kid]
         for bank in self._live_banks(now_ns, lookback):
-            if bank.slot_kid is None:
-                continue
-            if bank.slot_kid[slot] == kid:
-                total += bank.slot_paused[slot]
+            entry = bank.table.get(slot)
+            if entry is not None and entry[0] == kid:
+                total += entry[3]
             for ev in bank.evicted:
                 if ev[0] == kid:
                     total += ev[3]
@@ -745,8 +651,8 @@ class HawkeyeDeployment:
 
     Every attach path constructs one, so a run's memory lifecycle lives
     here.  A finished fabric is one reference cycle (network <-> nodes <->
-    bound methods <-> pending events <-> observers) of ~16k objects pinning
-    ~10 MB of register columns; the cycle collector counts objects, not
+    bound methods <-> pending events <-> observers) of ~16k objects and
+    ~2-3 MB; the cycle collector counts objects, not
     bytes, and lets 7-10 of them pile up in a process that loops over
     scenarios.  So if the previously attached fabric is still around it is
     collected now, before the new banks are allocated; the first attach in

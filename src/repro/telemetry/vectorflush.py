@@ -1,12 +1,13 @@
-"""numpy-vectorized register flush and flow-table scan for Hawkeye telemetry.
+"""numpy-vectorized register flush for Hawkeye telemetry.
 
 :meth:`HawkeyeSwitchTelemetry._flush` drains an epoch's pending event
-queue into flat ``array('q')`` register columns.  The scalar loop costs
-~15 Python bytecode dispatches per packet; at fleet scale (K=16
-fat-trees, hundreds of switches) the flush dominates telemetry CPU.
-This module replaces it with numpy scatter-adds over zero-copy views of
-the same columns — results are **bit-identical** to the scalar path,
-eviction order and first-touch orders included:
+queue into the bank's flow-table dict and its flat ``array('q')`` port
+and meter columns.  The scalar loop costs ~15 Python bytecode dispatches
+per packet; at fleet scale (K=16 fat-trees, hundreds of switches) the
+flush dominates telemetry CPU.  This module replaces it with numpy
+scatter-adds over zero-copy views of the port and meter columns and one
+table update per run of a key — results are **bit-identical** to the
+scalar path, eviction order and first-touch orders included:
 
 - per-port counters and the causality meters are plain commutative
   scatter-adds (``np.add.at``), so event order is irrelevant;
@@ -58,9 +59,9 @@ def flush_pending(telem: "HawkeyeSwitchTelemetry", bank: "_EpochBank") -> None:
     """Vectorized equivalent of the scalar ``_flush`` body.
 
     The caller guarantees ``bank.pending`` is non-empty and the bank's
-    columns are allocated.  Counter updates, touch lists, interning and
-    eviction bookkeeping all land exactly as the scalar loop would leave
-    them.
+    port and meter columns are allocated.  Counter updates, touch lists,
+    interning and eviction bookkeeping all land exactly as the scalar
+    loop would leave them.
     """
     pending = bank.pending
     data: List[tuple] = []
@@ -188,78 +189,44 @@ def flush_pending(telem: "HawkeyeSwitchTelemetry", bank: "_EpochBank") -> None:
         _np.add.at(run_qd_paused, run_id, qd_paused[by_slot])
 
         starts = _np.flatnonzero(new_run)
-        run_slot = s_sorted[starts]
-        run_kid = k_sorted[starts]
         run_start_event = by_slot[starts]  # index into ``data``
-        run_egress = egress[run_start_event]
-
         # Install/evict at run starts, replayed in true event order: this
         # is the only order-sensitive residue, and runs are few.
-        slot_kid = bank.slot_kid
-        slot_egress = bank.slot_egress
-        slot_pkt = bank.slot_pkt
-        slot_paused = bank.slot_paused
-        slot_qdepth = bank.slot_qdepth
-        slot_bytes = bank.slot_bytes
-        slot_qd_paused = bank.slot_qd_paused
-        occupied = bank.occupied
+        replay = _np.argsort(run_start_event, kind="stable")
+        runs = zip(
+            *(
+                column[replay].tolist()
+                for column in (
+                    s_sorted[starts],
+                    k_sorted[starts],
+                    egress[run_start_event],
+                    run_pkt,
+                    run_paused,
+                    run_qdepth,
+                    run_bytes,
+                    run_qd_paused,
+                )
+            )
+        )
+        table = bank.table
+        table_get = table.get
         evicted = bank.evicted
         evictions = 0
-        for r in _np.argsort(run_start_event, kind="stable"):
-            s = int(run_slot[r])
-            k = int(run_kid[r])
-            cur = slot_kid[s]
-            if cur != k:
-                if cur >= 0:
-                    evicted.append(
-                        (
-                            cur,
-                            slot_egress[s],
-                            slot_pkt[s],
-                            slot_paused[s],
-                            slot_qdepth[s],
-                            slot_bytes[s],
-                            slot_qd_paused[s],
-                        )
-                    )
+        for s, k, eg, pkt, pa, qd, by, qp in runs:
+            entry = table_get(s)
+            if entry is None or entry[0] != k:
+                if entry is not None:
+                    evicted.append(entry)
                     evictions += 1
-                else:
-                    occupied.append(s)
-                slot_kid[s] = k
-                slot_egress[s] = int(run_egress[r])
-                slot_pkt[s] = int(run_pkt[r])
-                slot_paused[s] = int(run_paused[r])
-                slot_qdepth[s] = int(run_qdepth[r])
-                slot_bytes[s] = int(run_bytes[r])
-                slot_qd_paused[s] = int(run_qd_paused[r])
+                table[s] = [k, eg, pkt, pa, qd, by, qp]
             else:
-                slot_pkt[s] += int(run_pkt[r])
-                slot_paused[s] += int(run_paused[r])
-                slot_qdepth[s] += int(run_qdepth[r])
-                slot_bytes[s] += int(run_bytes[r])
-                slot_qd_paused[s] += int(run_qd_paused[r])
+                entry[2] += pkt
+                entry[3] += pa
+                entry[4] += qd
+                entry[5] += by
+                entry[6] += qp
         telem.evictions_flushed += evictions
 
     telem.flushed_events += len(pending)
     pending.clear()
     bank.version += 1
-
-
-def gather_slots(bank: "_EpochBank", slots: List[int]):
-    """Columnar flow-table scan: all registers of ``slots``, one gather each.
-
-    Returns ``(kid, egress, pkt, paused, qdepth, bytes, qd_paused)`` as
-    parallel Python lists in ``slots`` order — what materialization needs
-    to build :class:`~repro.telemetry.records.FlowEntry` objects without
-    seven individual ``array`` subscripts per slot.
-    """
-    idx = _np.asarray(slots, dtype=_np.int64)
-    return (
-        _view(bank.slot_kid)[idx].tolist(),
-        _view(bank.slot_egress)[idx].tolist(),
-        _view(bank.slot_pkt)[idx].tolist(),
-        _view(bank.slot_paused)[idx].tolist(),
-        _view(bank.slot_qdepth)[idx].tolist(),
-        _view(bank.slot_bytes)[idx].tolist(),
-        _view(bank.slot_qd_paused)[idx].tolist(),
-    )

@@ -1,11 +1,12 @@
-"""Reference (pure-Python, eager) switch telemetry implementation.
+"""Reference (pure-Python, eager) switch telemetry: the test oracle.
 
 This is the original per-packet object implementation of the §3.3 register
 plane: every data-packet enqueue allocates/updates :class:`FlowEntry` /
-:class:`PortEntry` dataclasses and walks dicts.  It is retained verbatim as
+:class:`PortEntry` dataclasses and walks dicts, and the flow table is a
+dense list of ``flow_slots`` entries.  It is kept, outside the package, as
 
-- the **authoritative semantic reference** for the columnar register plane
-  in :mod:`repro.telemetry.hawkeye` — the differential property tests feed
+- the **authoritative semantic reference** for the register plane in
+  :mod:`repro.telemetry.hawkeye` — the differential property tests feed
   identical packet streams to both and require equal snapshots, queries
   and register orderings (eviction order, XOR match, wrap-around);
 - the **before** side of the telemetry microbenchmark
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..sim.packet import DATA_PRIORITY, FlowKey, Packet, pause_quanta_to_ns
-from ..sim.switch import Switch, SwitchObserver
-from .records import EpochData, FlowEntry, PortEntry
-from .snapshot import SwitchReport
+from repro.sim.packet import DATA_PRIORITY, FlowKey, Packet, pause_quanta_to_ns
+from repro.sim.switch import Switch, SwitchObserver
+from repro.telemetry import TelemetryConfig
+from repro.telemetry.records import EpochData, FlowEntry, PortEntry
+from repro.telemetry.snapshot import SwitchReport
 
 
 class _EpochRegisters:
@@ -51,8 +53,6 @@ class ReferenceSwitchTelemetry(SwitchObserver):
     """Eager per-packet telemetry recorder (original implementation)."""
 
     def __init__(self, switch_name: str, config=None) -> None:
-        from .hawkeye import TelemetryConfig  # deferred: import cycle
-
         self.switch_name = switch_name
         self.config = config if config is not None else TelemetryConfig()
         self.scheme = self.config.scheme

@@ -1,7 +1,7 @@
 """Differential property tests: columnar register plane vs the reference.
 
 The columnar plane in :mod:`repro.telemetry.hawkeye` must be *byte-identical*
-to the retained pure-Python reference (:mod:`repro.telemetry.reference`):
+to the retained pure-Python reference (``tests/telemetry/reference.py``):
 same snapshot contents including dict iteration orders (eviction order, slot
 order, port/meter first-touch order), same line-rate query answers, same
 ring wrap-around semantics.  These tests drive both implementations with
@@ -15,13 +15,9 @@ import random
 import pytest
 
 from repro.sim.packet import DATA_PRIORITY, FlowKey, Packet, PacketType
-from repro.telemetry import (
-    EpochScheme,
-    HawkeyeSwitchTelemetry,
-    ReferenceSwitchTelemetry,
-    TelemetryConfig,
-)
+from repro.telemetry import EpochScheme, HawkeyeSwitchTelemetry, TelemetryConfig
 from repro.telemetry.snapshot import SwitchReport
+from tests.telemetry.reference import ReferenceSwitchTelemetry
 
 
 class _StubPort:

@@ -1,8 +1,11 @@
 """Hawkeye switch telemetry tests: flow tables, port counters, meters,
 PFC status registers, epoch rollover and eviction."""
 
+import tracemalloc
+
 import pytest
 
+from repro.experiments import RunConfig, run_scenario
 from repro.sim import DATA_PRIORITY, FlowKey, Network, Packet
 from repro.telemetry import (
     EpochScheme,
@@ -11,6 +14,7 @@ from repro.telemetry import (
     TelemetryConfig,
 )
 from repro.units import KB, msec, usec
+from repro.workloads import SCENARIO_BUILDERS
 
 
 def run_tiny_flow(tiny_net, deployment=None, size=20 * KB):
@@ -174,6 +178,60 @@ class TestEpochRing:
         tiny_net.run(usec(400))
         telem = dep.for_switch("SW")
         assert len(telem.snapshot(tiny_net.sim.now, lookback=1).epochs) <= 1
+
+
+class TestConfig:
+    @pytest.mark.parametrize("slots", [0, -3])
+    def test_non_positive_flow_slots_rejected(self, slots):
+        with pytest.raises(ValueError, match="flow_slots"):
+            TelemetryConfig(flow_slots=slots)
+
+    def test_run_config_rejected_before_the_run(self):
+        scenario = SCENARIO_BUILDERS["pfc-storm"](seed=1)
+        with pytest.raises(ValueError, match="flow_slots"):
+            run_scenario(scenario, RunConfig(flow_slots=0))
+        assert scenario.network.sim.now == 0
+
+
+def _traced_run(config):
+    scenario = SCENARIO_BUILDERS["pfc-storm"](seed=1)
+    tracemalloc.start()
+    try:
+        result = run_scenario(scenario, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestCapacity:
+    def test_capacity_costs_nothing(self):
+        """The flow table stores occupied slots only: a 2^20-slot table
+        gives the default run's verdict at about the default's memory."""
+        base, base_peak = _traced_run(RunConfig())
+        big, big_peak = _traced_run(RunConfig(flow_slots=1 << 20))
+        for want, got in zip(base.diagnosis().findings, big.diagnosis().findings):
+            assert got.anomaly == want.anomaly
+            assert got.root_cause == want.root_cause
+            assert got.pfc_path == want.pfc_path
+            assert got.culprit_keys() == want.culprit_keys()
+            assert got.injecting_source == want.injecting_source
+        assert len(big.diagnosis().findings) == len(base.diagnosis().findings)
+        assert big_peak <= 1.5 * base_peak
+
+        stored = 0
+        for switch in big.scenario.network.switches.values():
+            for telem in switch.observers:
+                if not isinstance(telem, HawkeyeSwitchTelemetry):
+                    continue
+                for bank in telem._banks:
+                    for slot, entry in bank.table.items():
+                        # Every stored entry is a key hashed to that slot
+                        # and counted at least one packet.
+                        assert telem._key_slot[entry[0]] == slot
+                        assert entry[2] >= 1
+                        stored += 1
+        assert 0 < stored < 1000
 
 
 class TestDeployment:

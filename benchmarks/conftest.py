@@ -12,8 +12,6 @@ paper uses 100 — raise it for tighter confidence at proportional runtime).
 
 import os
 
-import pytest
-
 from repro.workloads import (
     in_loop_deadlock_scenario,
     incast_backpressure_scenario,
@@ -32,11 +30,6 @@ ANOMALY_BUILDERS = {
     "out-of-loop-deadlock": out_of_loop_deadlock_scenario,
     "normal-contention": normal_contention_scenario,
 }
-
-
-@pytest.fixture
-def seeds():
-    return list(range(1, BENCH_SEEDS + 1))
 
 
 def print_table(title, header, rows):

@@ -27,6 +27,17 @@ from repro.topology import build_fat_tree
 from repro.units import KB, msec, usec
 from repro.workloads.scenario import GroundTruth, Scenario
 
+# The K=6 incast's verdict (K=4's is in tests/sim/test_kernel_contract.py).
+K6_VERDICT = (
+    "Diagnosis for victim 10.0.1.2:12000->10.0.0.3:4791/17:\n"
+    "  [1] pfc-backpressure-flow-contention (root cause: flow-contention); "
+    "initial congestion at E0_0.P4; PFC path: E0_1.P1 -> A0_0.P1 -> E0_0.P4; "
+    "culprits: 10.2.0.2:11009->10.0.0.2:4791/17 (w=158.83), "
+    "10.2.0.3:11010->10.0.0.2:4791/17 (w=60.23), "
+    "10.1.1.2:11005->10.0.0.2:4791/17 (w=41.11), "
+    "10.2.0.2:11008->10.0.0.2:4791/17 (w=36.71)"
+)
+
 
 def incast_on_fat_tree(k, seed=1):
     """The Fig 1(a) incast on a K-ary fat-tree.
@@ -66,7 +77,7 @@ def incast_on_fat_tree(k, seed=1):
 
 
 def fabric_scaling():
-    rows = []
+    rows, verdicts = [], {}
     for k in (4, 6):
         hawkeye = run_scenario(incast_on_fat_tree(k), RunConfig())
         full = run_scenario(
@@ -81,12 +92,14 @@ def fabric_scaling():
                 hawkeye.causal_coverage,
             )
         )
-    return rows
+        verdicts[k] = hawkeye.diagnosis().describe()
+    return rows, verdicts
 
 
 @pytest.mark.benchmark(group="scaling")
 def test_collection_scale_independent_of_fabric_size(benchmark):
-    rows = benchmark.pedantic(fabric_scaling, rounds=1, iterations=1)
+    rows, verdicts = benchmark.pedantic(fabric_scaling, rounds=1, iterations=1)
+    assert verdicts[6] == K6_VERDICT
     print_table(
         "Scaling: per-diagnosis telemetry vs fabric size",
         ("K", "fabric switches", "hawkeye reads", "full-polling reads", "coverage"),

@@ -136,14 +136,18 @@ def _replay_scenario(name: str, seed: int, config: RunConfig):
     return scenario, run_scenario(scenario, config)
 
 
-def _write_metrics_json(path: Optional[str], result) -> None:
-    if not path or result.metrics is None:
-        return
+def _write_json(path: str, document) -> None:
     import json as _json
 
     with open(path, "w") as fh:
-        _json.dump(result.metrics.to_dict(), fh, indent=2)
+        _json.dump(document, fh, indent=2)
         fh.write("\n")
+
+
+def _write_metrics_json(path: Optional[str], result) -> None:
+    if not path or result.metrics is None:
+        return
+    _write_json(path, result.metrics.to_dict())
     print(f"metrics written to {path}")
 
 
@@ -435,9 +439,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"provenance graph written to {args.dot}")
 
     if args.perf_json and result.perf is not None:
-        from .experiments.perfstats import write_bench_json
-
-        write_bench_json(args.perf_json, {"runs": [result.perf.to_dict()]})
+        _write_json(args.perf_json, {"runs": [result.perf.to_dict()]})
         print(f"perf stats written to {args.perf_json} "
               f"({result.perf.events_per_sec:,.0f} events/s, "
               f"peak queue {result.perf.peak_pending_events})")
@@ -627,8 +629,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
           f"{tally['no_verdict']} no verdict, {tally['crashed']} crashed, "
           f"{tally['wrong_full_confidence']} wrong-at-full-confidence")
     if args.json:
-        import json as _json
-
         payload = {
             "seed": args.chaos_seed,
             "summary": tally,
@@ -646,9 +646,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 for o in outcomes
             ],
         }
-        with open(args.json, "w") as fh:
-            _json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.json, payload)
         print(f"outcomes written to {args.json}")
     if tally["crashed"] or tally["wrong_full_confidence"]:
         return 2

@@ -22,36 +22,24 @@ This module rebuilds the replay over flat int64 columns:
   formulation the vectorized path has always used
   (:func:`wait_weights_from_ids`), so the floats are bit-identical.
 
-Gating follows ``repro.telemetry.vectorflush``: the scalar path is
-authoritative and retained; numpy absence (or ``REPRO_NO_NUMPY=1`` in the
-environment, the CI knob that exercises every scalar fallback without
-uninstalling anything) degrades gracefully; tiny sequences stay scalar
-because the numpy setup cost outweighs the win.
+Gating follows ``repro.telemetry.vectorflush``: tiny sequences stay on
+the scalar walk because the numpy setup cost outweighs the win, and
+that walk is the reference the tests hold this module to.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-if os.environ.get("REPRO_NO_NUMPY"):  # CI scalar-fallback leg
-    _np = None
-else:
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - numpy is present in CI images
-        _np = None
-
-HAVE_NUMPY = _np is not None
+import numpy as _np
 
 # Below this many replayed packets the scalar walk wins (same knee as the
 # original vectorization threshold in repro.core.replay).
 MIN_COLUMNAR_PACKETS = 64
 
-# Benchmark/test knob: force the authoritative scalar path even with
-# numpy present, so scalar-vs-columnar differentials and the analyzer
-# regression gate can measure both sides in one process.
+# Test knob: force the scalar walk at any size, so scalar-vs-columnar
+# differentials can run both sides in one process.
 _FORCE_SCALAR = False
 
 
@@ -69,11 +57,7 @@ def force_scalar() -> Iterator[None]:
 
 def columnar_enabled(total_packets: int) -> bool:
     """Should this replay run on the columnar path?"""
-    return (
-        HAVE_NUMPY
-        and not _FORCE_SCALAR
-        and total_packets >= MIN_COLUMNAR_PACKETS
-    )
+    return not _FORCE_SCALAR and total_packets >= MIN_COLUMNAR_PACKETS
 
 
 def replay_ids(counts: Sequence[int], window_ns: int) -> "_np.ndarray":

@@ -8,12 +8,7 @@ from .hardware import (
     total_collection_time_ms,
 )
 from .metrics import AccuracyCounter, ScoreConfig, diagnosis_correct
-from .perfstats import (
-    BENCH_PERF_FILENAME,
-    PerfStats,
-    load_bench_json,
-    write_bench_json,
-)
+from .perfstats import PerfStats
 from .runner import (
     FabricSession,
     RunConfig,
@@ -40,10 +35,7 @@ __all__ = [
     "AccuracyCounter",
     "ScoreConfig",
     "diagnosis_correct",
-    "BENCH_PERF_FILENAME",
     "PerfStats",
-    "load_bench_json",
-    "write_bench_json",
     "FabricSession",
     "RunConfig",
     "RunResult",

@@ -3,22 +3,15 @@
 Every :func:`repro.experiments.run_scenario` call times the simulation and
 snapshots the engine's event-loop counters into a :class:`PerfStats`
 record: events executed, events per wall-clock second, peak event-queue
-depth, purged (cancelled) entries and compaction sweeps.  The benchmark
-suite aggregates these into ``BENCH_perf.json`` so optimization work has
-a before/after paper trail.
+depth, purged (cancelled) entries and compaction sweeps.  ``repro run
+--perf-json`` writes the record out; the wall-clock benchmark under
+``bench/`` measures the program end to end and layer by layer.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import sys
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
-
-BENCH_PERF_FILENAME = "BENCH_perf.json"
+from typing import Any, Dict, Tuple
 
 
 @dataclass
@@ -44,7 +37,7 @@ class PerfStats:
     # Per-stage wall-clock breakdown from the runner's StageProfile:
     # stage name -> {"wall_s": float, "calls": int}.  Stages cover the whole
     # pipeline (simulate, flush_pending, select_reports, graph_build,
-    # diagnose, qualify), so BENCH_perf.json can show where time goes.
+    # diagnose, qualify), so ``--perf-json`` can show where time goes.
     stages: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     # Sharded execution (``repro.experiments.shardrun``): worker count,
     # barrier accounting, and the aggregate event rate — total events
@@ -101,48 +94,3 @@ def diff_cache_counters(
         h0, m0 = before.get(name, (0, 0))
         out[name] = {"hits": hits - h0, "misses": misses - m0}
     return out
-
-
-def environment_info() -> Dict[str, Any]:
-    """The platform facts a perf number is meaningless without."""
-    return {
-        "python": sys.version.split()[0],
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
-        "system": platform.system(),
-        "cpu_count": os.cpu_count() or 1,
-    }
-
-
-def write_bench_json(
-    path: Union[str, Path],
-    payload: Dict[str, Any],
-    environment_extra: Optional[Dict[str, Any]] = None,
-) -> Path:
-    """Write a benchmark payload (adds environment metadata); returns path.
-
-    ``environment_extra`` merges run-shape facts (e.g. the shard count a
-    fleet-scale gate ran with) into the environment block, next to the
-    host's ``cpu_count``.  Extras already present in ``payload``'s
-    environment survive the rewrite (platform facts are refreshed), so
-    benchmark files can each contribute keys regardless of write order.
-    """
-    path = Path(path)
-    environment = dict(payload.pop("environment", None) or {})
-    environment.update(environment_info())
-    if environment_extra:
-        environment.update(environment_extra)
-    document = {"environment": environment, **payload}
-    path.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
-    return path
-
-
-def load_bench_json(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
-    """Read a benchmark payload; ``None`` if absent or unparsable."""
-    path = Path(path)
-    if not path.exists():
-        return None
-    try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None

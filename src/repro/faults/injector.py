@@ -11,7 +11,8 @@ a pure function of (plan seed, category, switch), whatever else shares
 the run.
 
 Each decision is recorded twice: as a counter in :attr:`FaultInjector.stats`
-(surfaced through ``PerfStats``/``--perf-json``) and as a
+(surfaced as ``PerfStats.faults``, the ``faults.*`` metrics and ``repro
+chaos --json``) and as a
 :class:`FaultIncident` in the incident log.  ``incident_log()`` renders
 the log in canonical ``(time, where, kind, detail)`` order, which the
 determinism tests compare.

@@ -15,9 +15,9 @@ Design constraints (both load-bearing):
 - **sampling-first** — per-packet hot paths carry no monitor code at
   all.  Throughput, occupancy and pause state are read from counters the
   switches already maintain, once per ``interval_ns`` tick; only the
-  rare PFC control frames go through observer hooks.  The perf gate
-  (``monitor_overhead`` in ``BENCH_perf.json``) holds the whole layer
-  under 5% of run wall time.
+  rare PFC control frames go through observer hooks.  The benchmark's
+  ``monitor.overhead_s`` reading (``bench/probes.py``) measures what the
+  layer adds to a run.
 
 Memory stays bounded regardless of traffic mix: per-flow byte state
 lives in a count-min sketch plus a top-K heavy-hitter table (the sampler

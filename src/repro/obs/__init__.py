@@ -8,7 +8,7 @@ Three planes, one package:
 - **metrics** (:mod:`.metrics`): counters/gauges/histograms absorbing the
   legacy per-component counter dicts, exported via ``--metrics-json``;
 - **profiling** (:mod:`.profile`): per-stage wall-clock accounting folded
-  into ``PerfStats.stages`` and ``BENCH_perf.json``.
+  into ``PerfStats.stages``, exported via ``--perf-json``.
 
 :mod:`.tree` turns retained records back into the causal span tree the
 ``repro trace`` CLI renders and the invariant tests validate.

@@ -3,7 +3,7 @@
 A :class:`StageProfile` accumulates wall seconds and call counts per named
 pipeline stage (simulate, flush, select-reports, graph-build, diagnose,
 qualify).  The runner keeps one per run and folds the result into
-``PerfStats.stages`` so ``BENCH_perf.json`` carries per-stage breakdowns;
+``PerfStats.stages`` so ``--perf-json`` carries per-stage breakdowns;
 when a :class:`~repro.obs.metrics.MetricsRegistry` is attached, each stage
 exit also feeds a ``stage.<name>_s`` histogram with the per-call duration.
 

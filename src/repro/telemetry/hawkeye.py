@@ -312,18 +312,14 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
 
         Long queues take the numpy scatter-add path
         (:mod:`repro.telemetry.vectorflush`), which is bit-identical to
-        the scalar loop below; short queues stay scalar (lower constant),
-        and the scalar loop is also the fallback when numpy is missing.
+        the scalar loop below; short queues stay scalar (lower constant).
         """
         pending = bank.pending
         if not pending:
             return
         if bank.port_pkt is None:
             self._allocate(bank)
-        if (
-            vectorflush.HAVE_NUMPY
-            and len(pending) >= vectorflush.MIN_VECTOR_EVENTS
-        ):
+        if len(pending) >= vectorflush.MIN_VECTOR_EVENTS:
             vectorflush.flush_pending(self, bank)
             return
         num_ports = self._num_ports  # type: ignore[assignment]

@@ -23,27 +23,17 @@ scalar path, eviction order and first-touch orders included:
   replayed through the scalar install/evict logic in ascending event
   order, which reproduces the eviction list byte-for-byte.
 
-The module degrades gracefully: when numpy is unavailable ``HAVE_NUMPY``
-is False and the telemetry plane keeps using its pure-Python loop.
+Queues shorter than ``MIN_VECTOR_EVENTS`` keep the pure-Python loop.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, List
 
-if os.environ.get("REPRO_NO_NUMPY"):  # CI scalar-fallback leg
-    _np = None
-else:
-    try:  # pragma: no cover - exercised implicitly by every flush
-        import numpy as _np
-    except ImportError:  # pragma: no cover - numpy-less fallback environment
-        _np = None
+import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hawkeye import HawkeyeSwitchTelemetry, _EpochBank
-
-HAVE_NUMPY = _np is not None
 
 # Below this many pending events the scalar loop wins: the vector path
 # pays ~25 numpy-call overheads regardless of queue length.

@@ -4,14 +4,10 @@ This is the original per-packet object implementation of the §3.3 register
 plane: every data-packet enqueue allocates/updates :class:`FlowEntry` /
 :class:`PortEntry` dataclasses and walks dicts, and the flow table is a
 dense list of ``flow_slots`` entries.  It is kept, outside the package, as
-
-- the **authoritative semantic reference** for the register plane in
-  :mod:`repro.telemetry.hawkeye` — the differential property tests feed
-  identical packet streams to both and require equal snapshots, queries
-  and register orderings (eviction order, XOR match, wrap-around);
-- the **before** side of the telemetry microbenchmark
-  (``benchmarks/test_telemetry_bench.py``), so the recorded speedup is a
-  same-machine ratio rather than a machine-dependent absolute.
+the **authoritative semantic reference** for the register plane in
+:mod:`repro.telemetry.hawkeye`: the differential property tests feed
+identical packet streams to both and require equal snapshots, queries and
+register orderings (eviction order, XOR match, wrap-around).
 
 Keep this implementation boring and obviously correct; optimizations go in
 :mod:`repro.telemetry.hawkeye`.

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.sim import FlowKey
 from repro.telemetry import EpochScheme, HawkeyeSwitchTelemetry, TelemetryConfig, vectorflush
 from tests.telemetry.reference import ReferenceSwitchTelemetry
 from tests.telemetry.test_columnar_vs_reference import (
@@ -21,8 +22,6 @@ from tests.telemetry.test_columnar_vs_reference import (
     _random_stream,
     _StubSwitch,
 )
-
-pytestmark = pytest.mark.skipif(not vectorflush.HAVE_NUMPY, reason="numpy flush path off")
 
 
 @pytest.fixture
@@ -63,6 +62,44 @@ def _evicted_by_epoch(col, ref):
         if reg.epoch_number >= 0
     }
     return got, want
+
+
+@pytest.mark.parametrize(
+    "num_events, vector",
+    [(vectorflush.MIN_VECTOR_EVENTS - 1, False), (vectorflush.MIN_VECTOR_EVENTS, True)],
+)
+def test_queue_length_alone_picks_the_flush_path(num_events, vector, vector_flushes):
+    """numpy is always there, so the only switch between the scalar loop
+    and the numpy path is the pending queue's length; both sides of the
+    threshold still equal the reference."""
+    num_ports = 4
+    config = TelemetryConfig(scheme=EpochScheme(shift=20), flow_slots=8)
+    col = HawkeyeSwitchTelemetry("SW", config)
+    ref = ReferenceSwitchTelemetry("SW", config)
+    switch = _StubSwitch(num_ports)
+    rng = random.Random(num_events)
+    flows = [FlowKey(f"10.0.0.{i}", "10.0.1.1", 1000 + i, 4791) for i in range(12)]
+    # One epoch, data enqueues only: the whole stream is one pending queue.
+    events = [
+        (
+            "data",
+            1 + i,
+            rng.choice(flows),
+            rng.randrange(num_ports),  # egress
+            None,  # ingress
+            rng.randrange(64),  # queue depth (pkts)
+            1024,
+            False,
+        )
+        for i in range(num_events)
+    ]
+    for event in events:
+        _apply(col, switch, event)
+        _apply(ref, switch, event)
+    now = events[-1][1]
+    _assert_reports_identical(col.snapshot(now), ref.snapshot(now))
+    assert vector_flushes == ([num_events] if vector else [])
+    assert col.flushed_events == num_events
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -14,12 +14,19 @@ class TestList:
 
 
 class TestRun:
-    def test_run_storm_correct(self, capsys):
-        rc = main(["run", "pfc-storm", "--seed", "1"])
+    def test_run_storm_correct(self, tmp_path, capsys):
+        import json
+
+        from repro.experiments import PerfStats
+
+        perf = tmp_path / "perf.json"
+        rc = main(["run", "pfc-storm", "--seed", "1", "--perf-json", str(perf)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "pfc-storm" in out
         assert "CORRECT" in out
+        (run,) = json.loads(perf.read_text())["runs"]
+        assert PerfStats.from_dict(run).events_run > 0
 
     def test_run_with_baseline_system(self, capsys):
         rc = main(["run", "pfc-storm", "--system", "spidermon"])
@@ -230,7 +237,7 @@ class TestOptionsCensus:
         found = set()
         for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
             found.update(re.findall(r"REPRO_[A-Z0-9_]+", path.read_text()))
-        assert found == {"REPRO_NO_NUMPY"}
+        assert found == set()
 
     def test_config_fields(self):
         import dataclasses

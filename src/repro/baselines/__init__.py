@@ -1,33 +1,15 @@
 """Baseline diagnosis systems: SpiderMon, NetSight, polling and telemetry ablations."""
 
-from .systems import (
-    NETSIGHT_POSTCARD_BYTES,
-    SPIDERMON_FLOW_RECORD_BYTES,
-    SPIDERMON_HEADER_BYTES,
-    SystemKind,
-    apply_visibility,
-    bandwidth_overhead_bytes,
-    processing_overhead_bytes,
-)
-from .transforms import (
-    strip_flow_telemetry,
-    strip_pfc_visibility,
-    strip_port_causality,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "NETSIGHT_POSTCARD_BYTES",
-    "SPIDERMON_FLOW_RECORD_BYTES",
-    "SPIDERMON_HEADER_BYTES",
-    "SystemKind",
-    "apply_visibility",
-    "bandwidth_overhead_bytes",
-    "processing_overhead_bytes",
-    "strip_flow_telemetry",
-    "strip_pfc_visibility",
-    "strip_port_causality",
-]
-
-from .watchdog import PfcWatchdog, WatchdogConfig, WatchdogObservation  # noqa: E402
-
-__all__ += ["PfcWatchdog", "WatchdogConfig", "WatchdogObservation"]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "systems": (
+        "NETSIGHT_POSTCARD_BYTES", "SPIDERMON_FLOW_RECORD_BYTES",
+        "SPIDERMON_HEADER_BYTES", "SystemKind", "apply_visibility",
+        "bandwidth_overhead_bytes", "processing_overhead_bytes",
+    ),
+    "transforms": (
+        "strip_flow_telemetry", "strip_pfc_visibility", "strip_port_causality",
+    ),
+    "watchdog": ("PfcWatchdog", "WatchdogConfig", "WatchdogObservation"),
+})

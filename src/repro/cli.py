@@ -25,18 +25,21 @@ alert fired).  ``chaos`` sweeps control-path loss across the anomaly
 scenarios under a seeded fault plan and reports how gracefully diagnosis
 degrades.  ``fuzz`` runs the coverage-guided scenario fuzzer and writes
 minimized finding reproducers to the persistent corpus.
+
+Each subcommand imports what it runs, so ``import repro.cli`` itself
+loads only :mod:`argparse` and :mod:`repro.units`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .baselines import SystemKind
-from .experiments import RunConfig, diagnosis_correct, run_scenario
 from .units import usec
-from .workloads import SCENARIO_BUILDERS
+
+if TYPE_CHECKING:
+    from .experiments import RunConfig
 
 
 def _positive_int(text: str) -> int:
@@ -117,6 +120,8 @@ def _resolve_scenario_name(args: argparse.Namespace) -> Optional[str]:
     unknown name prints the menu.  Returns None (after printing the error)
     when no valid scenario was named.
     """
+    from .workloads import SCENARIO_BUILDERS
+
     name = getattr(args, "scenario_opt", None) or args.scenario
     if name is None:
         print(f"{args.command}: a scenario is required (positional or "
@@ -132,6 +137,9 @@ def _resolve_scenario_name(args: argparse.Namespace) -> Optional[str]:
 
 def _replay_scenario(name: str, seed: int, config: RunConfig):
     """Build the named scenario at ``seed`` and run it under ``config``."""
+    from .experiments import run_scenario
+    from .workloads import SCENARIO_BUILDERS
+
     scenario = SCENARIO_BUILDERS[name](seed=seed)
     return scenario, run_scenario(scenario, config)
 
@@ -161,6 +169,9 @@ def _add_replay_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .baselines import SystemKind
+    from .workloads import SCENARIO_BUILDERS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Hawkeye reproduction: craft, run and diagnose RDMA NPAs.",
@@ -327,6 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
+    from .workloads import SCENARIO_BUILDERS
+
     for name in sorted(SCENARIO_BUILDERS):
         scenario = SCENARIO_BUILDERS[name](seed=1)
         print(f"{name:26s} {scenario.description}")
@@ -372,6 +385,10 @@ def _resolve_shards(args: argparse.Namespace, scenario, config: RunConfig) -> in
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .baselines import SystemKind
+    from .experiments import RunConfig, diagnosis_correct, run_scenario
+    from .workloads import SCENARIO_BUILDERS
+
     builder = SCENARIO_BUILDERS[args.scenario]
     scenario = builder(seed=args.seed)
     config = RunConfig(
@@ -456,6 +473,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .experiments import RunConfig
     from .obs import (
         ObsConfig,
         build_tree,
@@ -512,6 +530,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
+    from .experiments import RunConfig
     from .monitor import (
         MonitorConfig,
         jsonl_snapshot,
@@ -556,6 +575,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .baselines import SystemKind
     from .experiments import grid, run_sweep, write_csv
     from .workloads import SCENARIO_BUILDERS as builders
 
@@ -592,6 +612,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .faults import CHAOS_SCENARIOS, RetryPolicy, chaos_sweep, summarize
+    from .workloads import SCENARIO_BUILDERS
 
     for name in args.scenarios:
         if name not in SCENARIO_BUILDERS:

@@ -1,28 +1,15 @@
 """Anomaly detection, polling-based causality tracing and collection (§3.4)."""
 
-from .agent import AgentConfig, DetectionAgent, TriggerEvent
-from .probes import ProbeMesh, ProbeMeshConfig
-from .collector import (
-    MTU_BYTES,
-    PHV_REPORT_BYTES,
-    CollectionStats,
-    TelemetryCollector,
-)
-from .polling import PollingConfig, PollingEngine
+from .. import lazy_exports
 
-__all__ = [
-    "AgentConfig",
-    "DetectionAgent",
-    "TriggerEvent",
-    "MTU_BYTES",
-    "PHV_REPORT_BYTES",
-    "CollectionStats",
-    "TelemetryCollector",
-    "PollingConfig",
-    "ProbeMesh",
-    "ProbeMeshConfig",
-    "PollingEngine",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "agent": ("AgentConfig", "DetectionAgent", "TriggerEvent"),
+    "collector": (
+        "MTU_BYTES", "PHV_REPORT_BYTES", "CollectionStats", "TelemetryCollector",
+    ),
+    "polling": ("PollingConfig", "PollingEngine"),
+    "probes": ("ProbeMesh", "ProbeMeshConfig"),
+})
 
 
 def deploy_hawkeye(network, telemetry_config=None, agent_config=None, polling_config=None):
@@ -33,6 +20,9 @@ def deploy_hawkeye(network, telemetry_config=None, agent_config=None, polling_co
     telemetry collector, already connected to each other.
     """
     from ..telemetry.hawkeye import HawkeyeDeployment
+    from .agent import DetectionAgent
+    from .collector import TelemetryCollector
+    from .polling import PollingEngine
 
     deployment = HawkeyeDeployment(network, telemetry_config)
     collector = TelemetryCollector(deployment)

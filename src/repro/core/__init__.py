@@ -1,69 +1,22 @@
 """Hawkeye's core contribution: PFC provenance construction and diagnosis."""
 
-from .build import AnnotatedGraph, FlowPortMeta, PortMeta, build_provenance
-from .diagnosis import Diagnoser, DiagnoserConfig
-from .graph import Edge, EdgeKind, ProvenanceGraph
-from .replay import contribution, replay_queue
-from .report import AnomalyType, Diagnosis, Finding, RootCauseKind
-from .signatures import (
-    BURST_TRAFFIC_SHARE,
-    burst_flow,
-    find_port_loops,
-    has_flow_contention,
-    match_contention_masked_storm,
-    match_in_loop_deadlock,
-    match_micro_burst_incast,
-    match_normal_contention,
-    match_out_of_loop_deadlock,
-    match_pfc_storm,
-    positive_contributors,
-    terminal_ports_reachable,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "AnnotatedGraph",
-    "FlowPortMeta",
-    "PortMeta",
-    "build_provenance",
-    "Diagnoser",
-    "DiagnoserConfig",
-    "Edge",
-    "EdgeKind",
-    "ProvenanceGraph",
-    "contribution",
-    "replay_queue",
-    "AnomalyType",
-    "Diagnosis",
-    "Finding",
-    "RootCauseKind",
-    "BURST_TRAFFIC_SHARE",
-    "burst_flow",
-    "find_port_loops",
-    "has_flow_contention",
-    "match_contention_masked_storm",
-    "match_in_loop_deadlock",
-    "match_micro_burst_incast",
-    "match_normal_contention",
-    "match_out_of_loop_deadlock",
-    "match_pfc_storm",
-    "positive_contributors",
-    "terminal_ports_reachable",
-]
-
-from .causes import (  # noqa: E402  (appended exports)
-    ContentionAnalysis,
-    ContentionKind,
-    FlowProfile,
-    classify_contention,
-    ecmp_imbalance_ratio,
-    flow_profiles,
-)
-
-__all__ += [
-    "ContentionAnalysis",
-    "ContentionKind",
-    "FlowProfile",
-    "classify_contention",
-    "ecmp_imbalance_ratio",
-    "flow_profiles",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "build": ("AnnotatedGraph", "FlowPortMeta", "PortMeta", "build_provenance"),
+    "causes": (
+        "ContentionAnalysis", "ContentionKind", "FlowProfile",
+        "classify_contention", "ecmp_imbalance_ratio", "flow_profiles",
+    ),
+    "diagnosis": ("Diagnoser", "DiagnoserConfig"),
+    "graph": ("Edge", "EdgeKind", "ProvenanceGraph"),
+    "replay": ("contribution", "replay_queue"),
+    "report": ("AnomalyType", "Diagnosis", "Finding", "RootCauseKind"),
+    "signatures": (
+        "BURST_TRAFFIC_SHARE", "burst_flow", "find_port_loops",
+        "has_flow_contention", "match_contention_masked_storm",
+        "match_in_loop_deadlock", "match_micro_burst_incast",
+        "match_normal_contention", "match_out_of_loop_deadlock",
+        "match_pfc_storm", "positive_contributors", "terminal_ports_reachable",
+    ),
+})

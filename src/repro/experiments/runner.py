@@ -50,6 +50,7 @@ from ..telemetry.epoch import EpochScheme
 from ..telemetry.hawkeye import HawkeyeDeployment, TelemetryConfig
 from ..telemetry.snapshot import SwitchReport
 from ..units import usec
+from ..workloads.anomalies import SCENARIO_BUILDERS
 from ..workloads.scenario import Scenario
 from .metrics import diagnosis_correct
 from .perfstats import PerfStats, diff_cache_counters, global_cache_counters
@@ -874,8 +875,6 @@ class ScenarioSpec:
             from ..fuzz.genome import ScenarioGenome  # deferred: import cycle
 
             return ScenarioGenome.from_json(self.genome_json).build()
-        from ..workloads import SCENARIO_BUILDERS  # deferred: import cycle
-
         return SCENARIO_BUILDERS[self.builder](seed=self.seed)
 
 

@@ -19,9 +19,10 @@ slower.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, List, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, TypeVar
+
+if TYPE_CHECKING:
+    import multiprocessing.context
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -33,6 +34,8 @@ def fork_context() -> multiprocessing.context.BaseContext:
     """Prefer ``fork``: workers inherit the parent's interpreter state
     (including the hash salt), so any hash-order-dependent iteration
     behaves exactly as in-process execution."""
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
@@ -49,6 +52,8 @@ def fork_map(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> List[R]:
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(items)), mp_context=fork_context()
     ) as pool:

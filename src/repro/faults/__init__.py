@@ -1,38 +1,17 @@
 """Deterministic fault injection and chaos testing for the collection
 pipeline (polling packets, register DMA, report channel, agent, clocks)."""
 
-from .chaos import CHAOS_SCENARIOS, ChaosOutcome, chaos_sweep, run_chaos_cell, summarize
-from .injector import (
-    DMA_FAIL,
-    DMA_OK,
-    DMA_STALE,
-    REPORT_DELAYED,
-    REPORT_LOST,
-    REPORT_OK,
-    REPORT_TRUNCATED,
-    FaultIncident,
-    FaultInjector,
-    make_injector,
-)
-from .plan import FaultPlan, RetryPolicy, plan_or_none
+from .. import lazy_exports
 
-__all__ = [
-    "CHAOS_SCENARIOS",
-    "ChaosOutcome",
-    "chaos_sweep",
-    "run_chaos_cell",
-    "summarize",
-    "DMA_FAIL",
-    "DMA_OK",
-    "DMA_STALE",
-    "REPORT_DELAYED",
-    "REPORT_LOST",
-    "REPORT_OK",
-    "REPORT_TRUNCATED",
-    "FaultIncident",
-    "FaultInjector",
-    "make_injector",
-    "FaultPlan",
-    "RetryPolicy",
-    "plan_or_none",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "chaos": (
+        "CHAOS_SCENARIOS", "ChaosOutcome", "chaos_sweep", "run_chaos_cell",
+        "summarize",
+    ),
+    "injector": (
+        "DMA_FAIL", "DMA_OK", "DMA_STALE", "REPORT_DELAYED", "REPORT_LOST",
+        "REPORT_OK", "REPORT_TRUNCATED", "FaultIncident", "FaultInjector",
+        "make_injector",
+    ),
+    "plan": ("FaultPlan", "RetryPolicy", "plan_or_none"),
+})

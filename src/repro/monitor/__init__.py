@@ -7,55 +7,22 @@ sliding-window alert rules, and an incident timeline that correlates
 fabric alerts with the Hawkeye diagnosis that follows.
 """
 
-from .monitor import FabricMonitor, MonitorConfig, default_rules
-from .rules import (
-    BUFFER_SATURATION,
-    PAUSE_BACKPRESSURE,
-    PFC_STORM,
-    RTT_INFLATION,
-    THROUGHPUT_COLLAPSE,
-    Alert,
-    AlertRule,
-    CollapseRule,
-    RuleEngine,
-    SustainedRule,
-)
-from .series import RingSeries
-from .sketch import CountMinSketch, HeavyHitters
-from .timeline import ANOMALY_ALERT_CATEGORIES, IncidentTimeline, MonitorIncident
-from .export import (
-    jsonl_snapshot,
-    prometheus_text,
-    registry_prometheus_text,
-    render_dashboard,
-    render_html,
-    sparkline,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "FabricMonitor",
-    "MonitorConfig",
-    "default_rules",
-    "Alert",
-    "AlertRule",
-    "SustainedRule",
-    "CollapseRule",
-    "RuleEngine",
-    "PFC_STORM",
-    "PAUSE_BACKPRESSURE",
-    "BUFFER_SATURATION",
-    "THROUGHPUT_COLLAPSE",
-    "RTT_INFLATION",
-    "RingSeries",
-    "CountMinSketch",
-    "HeavyHitters",
-    "ANOMALY_ALERT_CATEGORIES",
-    "IncidentTimeline",
-    "MonitorIncident",
-    "prometheus_text",
-    "registry_prometheus_text",
-    "jsonl_snapshot",
-    "render_dashboard",
-    "render_html",
-    "sparkline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "monitor": ("FabricMonitor", "MonitorConfig", "default_rules"),
+    "rules": (
+        "Alert", "AlertRule", "SustainedRule", "CollapseRule", "RuleEngine",
+        "PFC_STORM", "PAUSE_BACKPRESSURE", "BUFFER_SATURATION",
+        "THROUGHPUT_COLLAPSE", "RTT_INFLATION",
+    ),
+    "series": ("RingSeries",),
+    "sketch": ("CountMinSketch", "HeavyHitters"),
+    "timeline": (
+        "ANOMALY_ALERT_CATEGORIES", "IncidentTimeline", "MonitorIncident",
+    ),
+    "export": (
+        "prometheus_text", "registry_prometheus_text", "jsonl_snapshot",
+        "render_dashboard", "render_html", "sparkline",
+    ),
+})

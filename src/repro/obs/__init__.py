@@ -14,62 +14,21 @@ Three planes, one package:
 ``repro trace`` CLI renders and the invariant tests validate.
 """
 
-from .canon import canonical_jsonl, canonicalize
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .pipeline import ObsConfig, PipelineObs
-from .profile import StageProfile, merge_stage_dicts
-from .simtrace import SimTraceObserver
-from .trace import (
-    NULL_SPAN,
-    NULL_TRACER,
-    AnyTracer,
-    Event,
-    JsonlSink,
-    ListSink,
-    NullSink,
-    NullTracer,
-    RingBufferSink,
-    Sink,
-    Span,
-    Tracer,
-)
-from .tree import (
-    SpanNode,
-    build_tree,
-    check_causal_chains,
-    load_jsonl,
-    render_tree,
-    validate_records,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "AnyTracer",
-    "Counter",
-    "Event",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "ListSink",
-    "MetricsRegistry",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "NullSink",
-    "NullTracer",
-    "ObsConfig",
-    "PipelineObs",
-    "RingBufferSink",
-    "SimTraceObserver",
-    "Sink",
-    "Span",
-    "SpanNode",
-    "StageProfile",
-    "merge_stage_dicts",
-    "Tracer",
-    "build_tree",
-    "canonical_jsonl",
-    "canonicalize",
-    "check_causal_chains",
-    "load_jsonl",
-    "render_tree",
-    "validate_records",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "canon": ("canonical_jsonl", "canonicalize"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "pipeline": ("ObsConfig", "PipelineObs"),
+    "profile": ("StageProfile", "merge_stage_dicts"),
+    "simtrace": ("SimTraceObserver",),
+    "trace": (
+        "NULL_SPAN", "NULL_TRACER", "AnyTracer", "Event", "JsonlSink",
+        "ListSink", "NullSink", "NullTracer", "RingBufferSink", "Sink", "Span",
+        "Tracer",
+    ),
+    "tree": (
+        "SpanNode", "build_tree", "check_causal_chains", "load_jsonl",
+        "render_tree", "validate_records",
+    ),
+})

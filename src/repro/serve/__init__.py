@@ -24,30 +24,15 @@ FabricSession`, so a served episode produces byte-identical verdicts to
 the batch ``repro run`` path for the same scenario/seed.
 """
 
-from .admission import AdmissionController, TokenBucket
-from .broker import StreamBroker, Subscription
-from .client import ServeClient, http_get
-from .protocol import (
-    MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    encode,
-    parse_request,
-)
-from .service import DiagnosisService, ServeConfig
+from .. import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "TokenBucket",
-    "StreamBroker",
-    "Subscription",
-    "ServeClient",
-    "http_get",
-    "MAX_LINE_BYTES",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "encode",
-    "parse_request",
-    "DiagnosisService",
-    "ServeConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "admission": ("AdmissionController", "TokenBucket"),
+    "broker": ("StreamBroker", "Subscription"),
+    "client": ("ServeClient", "http_get"),
+    "protocol": (
+        "MAX_LINE_BYTES", "PROTOCOL_VERSION", "ProtocolError", "encode",
+        "parse_request",
+    ),
+    "service": ("DiagnosisService", "ServeConfig"),
+})

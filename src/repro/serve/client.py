@@ -170,8 +170,6 @@ def http_get(
     """
     if unix_path is not None:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout_s)
-        sock.connect(unix_path)
     elif port is not None:
         sock = socket.create_connection(
             (host or "127.0.0.1", port), timeout=timeout_s
@@ -179,6 +177,9 @@ def http_get(
     else:
         raise ValueError("need a unix socket path or a TCP port")
     try:
+        if unix_path is not None:
+            sock.settimeout(timeout_s)
+            sock.connect(unix_path)
         sock.sendall(
             f"GET {path} HTTP/1.1\r\nHost: repro\r\n"
             f"Connection: close\r\n\r\n".encode()

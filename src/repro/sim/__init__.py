@@ -1,52 +1,18 @@
 """Discrete-event RDMA network simulator with PFC (the NS-3 substitute)."""
 
-from .config import DcqcnConfig, EcnConfig, PfcConfig, SimConfig
-from .engine import EventHandle, Simulator
-from .flow import Flow
-from .host import Host
-from .network import Network
-from .packet import (
-    ACK_SIZE,
-    CNP_SIZE,
-    CONTROL_PRIORITY,
-    DATA_PRIORITY,
-    PFC_FRAME_SIZE,
-    POLLING_PACKET_SIZE,
-    FlowKey,
-    Packet,
-    PacketType,
-    PollingFlag,
-    pause_quanta_to_ns,
-)
-from .switch import LOSSLESS_PRIORITIES, Switch, SwitchObserver, SwitchStats
+from .. import lazy_exports
 
-__all__ = [
-    "DcqcnConfig",
-    "EcnConfig",
-    "PfcConfig",
-    "SimConfig",
-    "EventHandle",
-    "Simulator",
-    "Flow",
-    "Host",
-    "Network",
-    "ACK_SIZE",
-    "CNP_SIZE",
-    "CONTROL_PRIORITY",
-    "DATA_PRIORITY",
-    "PFC_FRAME_SIZE",
-    "POLLING_PACKET_SIZE",
-    "FlowKey",
-    "Packet",
-    "PacketType",
-    "PollingFlag",
-    "pause_quanta_to_ns",
-    "LOSSLESS_PRIORITIES",
-    "Switch",
-    "SwitchObserver",
-    "SwitchStats",
-]
-
-from .trace import NetworkTracer, PfcEvent, QueueSample, load_jsonl  # noqa: E402
-
-__all__ += ["NetworkTracer", "PfcEvent", "QueueSample", "load_jsonl"]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "config": ("DcqcnConfig", "EcnConfig", "PfcConfig", "SimConfig"),
+    "engine": ("EventHandle", "Simulator"),
+    "flow": ("Flow",),
+    "host": ("Host",),
+    "network": ("Network",),
+    "packet": (
+        "ACK_SIZE", "CNP_SIZE", "CONTROL_PRIORITY", "DATA_PRIORITY",
+        "PFC_FRAME_SIZE", "POLLING_PACKET_SIZE", "FlowKey", "Packet",
+        "PacketType", "PollingFlag", "pause_quanta_to_ns",
+    ),
+    "switch": ("LOSSLESS_PRIORITIES", "Switch", "SwitchObserver", "SwitchStats"),
+    "trace": ("NetworkTracer", "PfcEvent", "QueueSample", "load_jsonl"),
+})

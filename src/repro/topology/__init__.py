@@ -1,41 +1,17 @@
 """Topology substrate: graph model, standard builders and ECMP routing."""
 
-from .graph import Link, Node, NodeKind, PortRef, Topology, TopologyError
-from .builders import (
-    build_dumbbell,
-    build_fat_tree,
-    build_leaf_spine,
-    build_line,
-    build_ring,
-)
-from .partition import ShardPlan, partition_topology
-from .routing import RoutingError, RoutingTable, make_ring_cbd_routes
-from .cbd import (
-    buffer_dependency_graph,
-    check_deadlock_free,
-    find_cbd_cycles,
-    has_cbd,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "Link",
-    "Node",
-    "NodeKind",
-    "PortRef",
-    "Topology",
-    "TopologyError",
-    "build_dumbbell",
-    "build_fat_tree",
-    "build_leaf_spine",
-    "build_line",
-    "build_ring",
-    "RoutingError",
-    "RoutingTable",
-    "ShardPlan",
-    "partition_topology",
-    "make_ring_cbd_routes",
-    "buffer_dependency_graph",
-    "check_deadlock_free",
-    "find_cbd_cycles",
-    "has_cbd",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "graph": ("Link", "Node", "NodeKind", "PortRef", "Topology", "TopologyError"),
+    "builders": (
+        "build_dumbbell", "build_fat_tree", "build_leaf_spine", "build_line",
+        "build_ring",
+    ),
+    "partition": ("ShardPlan", "partition_topology"),
+    "routing": ("RoutingError", "RoutingTable", "make_ring_cbd_routes"),
+    "cbd": (
+        "buffer_dependency_graph", "check_deadlock_free", "find_cbd_cycles",
+        "has_cbd",
+    ),
+})

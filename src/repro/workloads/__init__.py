@@ -1,42 +1,17 @@
 """Workload generation: empirical traffic model and anomaly injectors."""
 
-from .anomalies import (
-    lordma_attack_scenario,
-    BACKGROUND_SCALE,
-    SCENARIO_BUILDERS,
-    add_background_traffic,
-    contention_masked_storm_scenario,
-    fleet_incast_scenario,
-    in_loop_deadlock_scenario,
-    incast_backpressure_scenario,
-    normal_contention_scenario,
-    out_of_loop_deadlock_scenario,
-    pfc_storm_scenario,
-)
-from .distributions import (
-    DEFAULT_BANDS,
-    FlowSizeDistribution,
-    PoissonArrivals,
-    SizeBand,
-)
-from .scenario import GroundTruth, Scenario
+from .. import lazy_exports
 
-__all__ = [
-    "BACKGROUND_SCALE",
-    "SCENARIO_BUILDERS",
-    "add_background_traffic",
-    "contention_masked_storm_scenario",
-    "fleet_incast_scenario",
-    "in_loop_deadlock_scenario",
-    "incast_backpressure_scenario",
-    "lordma_attack_scenario",
-    "normal_contention_scenario",
-    "out_of_loop_deadlock_scenario",
-    "pfc_storm_scenario",
-    "DEFAULT_BANDS",
-    "FlowSizeDistribution",
-    "PoissonArrivals",
-    "SizeBand",
-    "GroundTruth",
-    "Scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "anomalies": (
+        "BACKGROUND_SCALE", "SCENARIO_BUILDERS", "add_background_traffic",
+        "contention_masked_storm_scenario", "fleet_incast_scenario",
+        "in_loop_deadlock_scenario", "incast_backpressure_scenario",
+        "lordma_attack_scenario", "normal_contention_scenario",
+        "out_of_loop_deadlock_scenario", "pfc_storm_scenario",
+    ),
+    "distributions": (
+        "DEFAULT_BANDS", "FlowSizeDistribution", "PoissonArrivals", "SizeBand",
+    ),
+    "scenario": ("GroundTruth", "Scenario"),
+})

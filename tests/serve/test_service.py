@@ -11,6 +11,8 @@ import socket
 import threading
 import time
 
+import pytest
+
 from tests.serve.conftest import wait_episode_complete
 
 from repro.serve import DiagnosisService, ServeClient, http_get
@@ -533,6 +535,20 @@ class TestHttpEndpoints:
                 assert status == 404
 
         asyncio.run(main())
+
+    def test_failed_unix_connect_closes_the_socket(self, tmp_path, monkeypatch):
+        made = []
+
+        class Recording(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(socket, "socket", Recording)
+        with pytest.raises(FileNotFoundError):
+            http_get("/healthz", unix_path=str(tmp_path / "missing.sock"))
+        assert len(made) == 1
+        assert made[0].fileno() == -1  # closed, not left to the collector
 
 
 class TestLifecycle:

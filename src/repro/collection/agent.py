@@ -56,7 +56,10 @@ class AgentConfig:
     # 100 Gbps, 200 us of ACK silence with data outstanding is many tens of
     # base RTTs — unambiguously a frozen path.
     stall_timeout_ns: int = usec(200)
-    stall_check_interval_ns: int = usec(50)
+
+
+# How often the agent looks for stalled flows.
+STALL_CHECK_INTERVAL_NS = usec(50)
 
 
 class DetectionAgent:
@@ -96,7 +99,7 @@ class DetectionAgent:
         self._last_restart = -1
         for host in network.hosts.values():
             host.rtt_listeners.append(self._on_rtt)
-        network.sim.schedule(self.config.stall_check_interval_ns, self._stall_check)
+        network.sim.schedule(STALL_CHECK_INTERVAL_NS, self._stall_check)
 
     def add_trigger_listener(self, fn: Callable[[TriggerEvent], None]) -> None:
         self._listeners.append(fn)
@@ -232,9 +235,7 @@ class DetectionAgent:
         if self._injector is not None and self._injector.agent_restart_due(now):
             self._restart(now)
         if now < self._blackout_until:
-            self.network.sim.schedule(
-                self.config.stall_check_interval_ns, self._stall_check
-            )
+            self.network.sim.schedule(STALL_CHECK_INTERVAL_NS, self._stall_check)
             return
         for flow in self.network.flows:
             if flow.completed or flow.start_time > now or flow.bytes_sent == 0:
@@ -248,4 +249,4 @@ class DetectionAgent:
             if now - since >= self.config.stall_timeout_ns:
                 # Report the stall duration as the observed "RTT".
                 self._trigger(flow, now, now - since, self.base_rtt(flow), kind="stall")
-        self.network.sim.schedule(self.config.stall_check_interval_ns, self._stall_check)
+        self.network.sim.schedule(STALL_CHECK_INTERVAL_NS, self._stall_check)

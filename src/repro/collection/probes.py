@@ -20,13 +20,17 @@ from ..sim.network import Network
 from ..units import KB, usec
 
 
+PROBE_SIZE = 4 * KB
+# Each probe takes the next source port from here, so probes never share
+# a 5-tuple.
+PROBE_SRC_PORT_BASE = 50000
+
+
 @dataclass
 class ProbeMeshConfig:
-    probe_size: int = 4 * KB
     interval_ns: int = usec(500)
     # Probes per round; pairs are sampled round-robin over all host pairs.
     probes_per_round: int = 4
-    src_port_base: int = 50000
 
 
 class ProbeMesh:
@@ -48,7 +52,7 @@ class ProbeMesh:
         pairs = [(a, b) for a in names for b in names if a != b]
         rng.shuffle(pairs)
         self._pairs = itertools.cycle(pairs)
-        self._next_port = self.config.src_port_base
+        self._next_port = PROBE_SRC_PORT_BASE
         self.probes: List[Flow] = []
         self._running = False
 
@@ -69,7 +73,7 @@ class ProbeMesh:
         for _ in range(self.config.probes_per_round):
             src, dst = next(self._pairs)
             probe = self.network.make_flow(
-                src, dst, self.config.probe_size, now, src_port=self._next_port
+                src, dst, PROBE_SIZE, now, src_port=self._next_port
             )
             self._next_port += 1
             self.network.start_flow(probe)

@@ -21,24 +21,24 @@ from .report import AnomalyType, Diagnosis, Finding, RootCauseKind
 
 _EPS = 1e-9
 
+# DFS guard for pathological graphs.
+MAX_VISITED_PORTS = 4096
+# A flow only counts as a contention contributor when other traffic waits
+# behind at least this many of its packets on average — tiny positive
+# weights are replay noise or incidental micro-queueing (e.g. benign
+# traffic sharing a port shortly before a PFC injection), not a root cause.
+MIN_CONTENTION_WEIGHT = 2.0
+# ... and the contribution must also explain a meaningful share of the
+# port's observed queue depth, or transient micro-queueing (e.g. benign
+# traffic that shared the port long before a PFC injection) would be
+# mistaken for the congestion's root cause.
+MIN_CONTENTION_QDEPTH_SHARE = 0.1
+
 
 @dataclass
 class DiagnoserConfig:
     # Keep at most this many culprit flows per finding (weight-sorted).
     max_culprits: int = 16
-    # DFS guard for pathological graphs.
-    max_visited_ports: int = 4096
-    # A flow only counts as a contention contributor when other traffic
-    # waits behind at least this many of its packets on average — tiny
-    # positive weights are replay noise or incidental micro-queueing (e.g.
-    # benign traffic sharing a port shortly before a PFC injection), not a
-    # root cause.
-    min_contention_weight: float = 2.0
-    # ... and the contribution must also explain a meaningful share of the
-    # port's observed queue depth, or transient micro-queueing (e.g. benign
-    # traffic that shared the port long before a PFC injection) would be
-    # mistaken for the congestion's root cause.
-    min_contention_qdepth_share: float = 0.1
 
 
 class Diagnoser:
@@ -87,7 +87,7 @@ class Diagnoser:
                 if port in annotated.port_meta
                 and annotated.port_meta[port].paused_num > 0
             ]
-        visited_budget = [self.config.max_visited_ports]
+        visited_budget = [MAX_VISITED_PORTS]
         for port, weight in paused_at:
             if weight <= _EPS:
                 continue
@@ -289,14 +289,12 @@ class Diagnoser:
         graph = annotated.graph
         weights = graph.port_flow_weights(port)
         meta = annotated.port_meta.get(port)
-        threshold = self.config.min_contention_weight
+        threshold = MIN_CONTENTION_WEIGHT
         if meta is not None:
             # Scale against the contention-relevant (non-paused) queue depth;
             # the blended depth is inflated by PFC buildup at frozen ports.
             basis = meta.avg_unpaused_qdepth_pkts or meta.avg_qdepth_pkts
-            threshold = max(
-                threshold, self.config.min_contention_qdepth_share * basis
-            )
+            threshold = max(threshold, MIN_CONTENTION_QDEPTH_SHARE * basis)
         victim = getattr(self, "_victim", None)
         positives = sorted(
             (
@@ -345,7 +343,7 @@ class Diagnoser:
                 (
                     (f, w)
                     for f, w in weights.items()
-                    if w >= self.config.min_contention_weight and f != victim
+                    if w >= MIN_CONTENTION_WEIGHT and f != victim
                 ),
                 key=lambda fw: -fw[1],
             )

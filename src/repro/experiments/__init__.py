@@ -3,9 +3,7 @@
 from .. import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "analyzer": (
-        "AnalyzerConfig", "AnalyzerService", "Incident", "deploy_analyzer",
-    ),
+    "analyzer": ("AnalyzerService", "Incident", "deploy_analyzer"),
     "hardware": (
         "MemoryBreakdown", "cpu_poll_time_ms", "telemetry_memory",
         "tofino_resource_usage", "total_collection_time_ms",

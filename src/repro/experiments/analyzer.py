@@ -51,14 +51,12 @@ class Incident:
         return head + "\n" + self.diagnosis.describe()
 
 
-@dataclass
-class AnalyzerConfig:
-    # Triggers whose causal traces overlap within this window are treated
-    # as complaints about the same incident.
-    incident_window_ns: int = usec(500)
-    # Delay from trigger to diagnosis, covering polling propagation and the
-    # collector's asynchronous register reads.
-    diagnosis_delay_ns: int = usec(400)
+# Triggers whose causal traces overlap within this window are treated as
+# complaints about the same incident.
+INCIDENT_WINDOW_NS = usec(500)
+# Delay from trigger to diagnosis, covering polling propagation and the
+# collector's asynchronous register reads.
+DIAGNOSIS_DELAY_NS = usec(400)
 
 
 class AnalyzerService:
@@ -71,7 +69,6 @@ class AnalyzerService:
         engine: PollingEngine,
         collector: TelemetryCollector,
         scheme: EpochScheme,
-        config: Optional[AnalyzerConfig] = None,
         diagnoser: Optional[Diagnoser] = None,
     ) -> None:
         self.network = network
@@ -79,7 +76,6 @@ class AnalyzerService:
         self.engine = engine
         self.collector = collector
         self.scheme = scheme
-        self.config = config if config is not None else AnalyzerConfig()
         self.diagnoser = diagnoser if diagnoser is not None else Diagnoser()
         self.incidents: List[Incident] = []
         self._open: List[Incident] = []
@@ -96,7 +92,7 @@ class AnalyzerService:
         self._open.append(incident)
         self.incidents.append(incident)
         self.network.sim.schedule(
-            self.config.diagnosis_delay_ns, lambda: self._diagnose(incident)
+            DIAGNOSIS_DELAY_NS, lambda: self._diagnose(incident)
         )
 
     def _match_incident(self, event: TriggerEvent) -> Optional[Incident]:
@@ -104,7 +100,7 @@ class AnalyzerService:
         now = self.network.sim.now
         trace = self.engine.switches_traced_for(event.victim)
         for incident in reversed(self.incidents):
-            if now - incident.time_ns > self.config.incident_window_ns:
+            if now - incident.time_ns > INCIDENT_WINDOW_NS:
                 break
             if not trace or trace & incident.switches:
                 # No trace yet (polling in flight) within the window counts

@@ -21,8 +21,10 @@ class ScoreConfig:
     # ground-truth culprit flows (the paper's case studies call out the
     # "main contributor flows" rather than every burst member)...
     culprit_recall_threshold: float = 0.3
-    # ... and at most this fraction of its reported culprits may be wrong.
-    culprit_noise_threshold: float = 0.34
+
+
+# ... and at most this fraction of its reported culprits may be wrong.
+CULPRIT_NOISE_THRESHOLD = 0.34
 
 
 def diagnosis_correct(
@@ -47,7 +49,7 @@ def diagnosis_correct(
             return False
         recovered = len(reported & expected) / len(expected)
         noise = len(reported - expected) / len(reported)
-        if noise > config.culprit_noise_threshold:
+        if noise > CULPRIT_NOISE_THRESHOLD:
             return False
         if recovered >= config.culprit_recall_threshold:
             return True

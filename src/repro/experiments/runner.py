@@ -62,8 +62,7 @@ class RunConfig:
     """Everything the parameter sweeps of Fig 7/8 vary."""
 
     system: SystemKind = SystemKind.HAWKEYE
-    epoch_size_ns: int = 1 << 20  # ~1 ms
-    epoch_index_bits: int = 2  # ring of 4 epochs
+    epoch_size_ns: int = 1 << 20  # ~1 ms, in EpochScheme's ring of 4 epochs
     threshold_multiplier: float = 3.0  # 300% of base RTT
     flow_slots: int = 4096
     exclude_paused_in_contention: bool = True  # ablation knob
@@ -93,9 +92,7 @@ class RunConfig:
     shard_timeout_s: Optional[float] = None
 
     def scheme(self) -> EpochScheme:
-        return EpochScheme.from_epoch_size(
-            self.epoch_size_ns, index_bits=self.epoch_index_bits
-        )
+        return EpochScheme.from_epoch_size(self.epoch_size_ns)
 
 
 @dataclass

@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..experiments.runner import RunConfig, run_scenario
 from ..experiments.supervise import fork_map
 from ..monitor.monitor import MonitorConfig
-from ..units import usec
 from .coverage import FuzzObservation, interest_of, observe
 from .genome import ScenarioGenome
 from .mutate import crossover, mutate, random_genome
@@ -37,14 +36,9 @@ class FuzzConfig:
     seed: int = 1              # master RNG seed
     jobs: int = 1              # evaluation worker processes
     generation: int = 8        # evaluations composed per batch
-    monitor_interval_us: float = 100.0
 
     def run_config(self) -> RunConfig:
-        return RunConfig(
-            monitor=MonitorConfig(
-                interval_ns=usec(self.monitor_interval_us)
-            )
-        )
+        return RunConfig(monitor=MonitorConfig())
 
 
 @dataclass

@@ -70,61 +70,64 @@ class MonitorConfig:
     enabled: bool = True
     interval_ns: int = usec(100)   # sampling cadence
     capacity: int = 2048           # ring samples retained per series
-    # Count-min sketch sizing: estimate <= true + epsilon*N w.p. 1-delta.
-    sketch_epsilon: float = 0.002
-    sketch_delta: float = 0.02
-    heavy_hitters: int = 8
-    # Alert-rule thresholds (see repro.monitor.rules for the shapes).
-    storm_pause_share: float = 0.5   # host-granted pause ns per interval ns
-    storm_sustain: int = 3
-    pause_sustain: int = 4           # consecutive fully-paused samples
-    buffer_fraction: float = 0.8     # of the PFC Xoff threshold
-    buffer_sustain: int = 2
-    collapse_window: int = 4
-    collapse_fraction: float = 0.2
-    collapse_min_bytes: float = 4096.0
-    rtt_inflation: float = 2.0       # multiple of base RTT
-    rtt_sustain: int = 2
 
 
-def default_rules(config: MonitorConfig, xoff_bytes: int) -> List[AlertRule]:
+# Count-min sketch sizing: estimate <= true + epsilon*N w.p. 1-delta.
+SKETCH_EPSILON = 0.002
+SKETCH_DELTA = 0.02
+HEAVY_HITTERS = 8
+
+# Alert-rule thresholds (see repro.monitor.rules for the shapes).
+STORM_PAUSE_SHARE = 0.5      # host-granted pause ns per interval ns
+STORM_SUSTAIN = 3
+PAUSE_SUSTAIN = 4            # consecutive fully-paused samples
+BUFFER_FRACTION = 0.8        # of the PFC Xoff threshold
+BUFFER_SUSTAIN = 2
+COLLAPSE_WINDOW = 4
+COLLAPSE_FRACTION = 0.2
+COLLAPSE_MIN_BYTES = 4096.0
+RTT_INFLATION_FACTOR = 2.0   # multiple of base RTT
+RTT_SUSTAIN = 2
+
+
+def default_rules(xoff_bytes: int) -> List[AlertRule]:
     """The standard rule set, thresholds resolved against the fabric."""
     return [
         SustainedRule(
             name="host-pause-flood",
             category=PFC_STORM,
             metric="host_pause_share",
-            threshold=config.storm_pause_share,
-            sustain=config.storm_sustain,
+            threshold=STORM_PAUSE_SHARE,
+            sustain=STORM_SUSTAIN,
         ),
         SustainedRule(
             name="sustained-egress-pause",
             category=PAUSE_BACKPRESSURE,
             metric="pause_fraction",
             threshold=1.0,
-            sustain=config.pause_sustain,
+            sustain=PAUSE_SUSTAIN,
         ),
         SustainedRule(
             name="ingress-near-xoff",
             category=BUFFER_SATURATION,
             metric="ingress_bytes",
-            threshold=config.buffer_fraction * xoff_bytes,
-            sustain=config.buffer_sustain,
+            threshold=BUFFER_FRACTION * xoff_bytes,
+            sustain=BUFFER_SUSTAIN,
         ),
         CollapseRule(
             name="egress-throughput-collapse",
             category=THROUGHPUT_COLLAPSE,
             metric="tx_bytes",
-            window=config.collapse_window,
-            fraction=config.collapse_fraction,
-            min_level=config.collapse_min_bytes,
+            window=COLLAPSE_WINDOW,
+            fraction=COLLAPSE_FRACTION,
+            min_level=COLLAPSE_MIN_BYTES,
         ),
         SustainedRule(
             name="rtt-inflation",
             category=RTT_INFLATION,
             metric="rtt_inflation",
-            threshold=config.rtt_inflation,
-            sustain=config.rtt_sustain,
+            threshold=RTT_INFLATION_FACTOR,
+            sustain=RTT_SUSTAIN,
         ),
     ]
 
@@ -195,14 +198,10 @@ class FabricMonitor(SwitchObserver):
         self.network = network
         self.config = config if config is not None else MonitorConfig()
         self.metrics = metrics
-        self.sketch = CountMinSketch.from_error_bound(
-            self.config.sketch_epsilon, self.config.sketch_delta
-        )
-        self.heavy = HeavyHitters(self.config.heavy_hitters)
+        self.sketch = CountMinSketch.from_error_bound(SKETCH_EPSILON, SKETCH_DELTA)
+        self.heavy = HeavyHitters(HEAVY_HITTERS)
         xoff = network.config.pfc.xoff_bytes
-        self.engine = RuleEngine(
-            rules if rules is not None else default_rules(self.config, xoff)
-        )
+        self.engine = RuleEngine(rules if rules is not None else default_rules(xoff))
         self.timeline = IncidentTimeline()
         # metric -> subject -> series (also reachable via the port probes).
         self.series: Dict[str, Dict[str, RingSeries]] = {}

@@ -64,12 +64,11 @@ class ObsConfig:
     trace: bool = False            # build a real tracer (else NULL_TRACER)
     sink: str = "null"             # "null" | "ring" | "jsonl"
     jsonl_path: Optional[str] = None
-    ring_capacity: int = 1 << 16
     sim_events: bool = False       # per-packet sim events (heavy; tests/CLI)
 
     def build_sink(self) -> Sink:
         if self.sink == "ring":
-            return RingBufferSink(self.ring_capacity)
+            return RingBufferSink()
         if self.sink == "jsonl":
             if not self.jsonl_path:
                 raise ValueError("ObsConfig(sink='jsonl') needs jsonl_path")

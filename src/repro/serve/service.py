@@ -136,6 +136,9 @@ _POLL_DEAD = select.POLLHUP | select.POLLERR | select.POLLNVAL
 # request: asyncio has already taken its bytes off the socket.
 IO_PASSES = 3
 
+# The loop's nap once every episode has finished.
+IDLE_SLEEP_S = 0.02
+
 _STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
@@ -161,7 +164,6 @@ class ServeConfig:
     tenant_rate_per_s: float = 50.0     # per-tenant token refill
     tenant_burst: float = 20.0          # per-tenant token cap
     sub_queue: int = 256                # per-subscriber event queue bound
-    idle_sleep_s: float = 0.02          # loop nap once all episodes finished
 
     def run_config(self) -> RunConfig:
         return RunConfig(
@@ -408,7 +410,7 @@ class DiagnosisService:
                 await self._yield_to_io()
             else:
                 # All episodes replayed: stay up, serve queries/scrapes/streams.
-                await asyncio.sleep(self.config.idle_sleep_s)
+                await asyncio.sleep(IDLE_SLEEP_S)
 
     # -- query path ----------------------------------------------------------
 

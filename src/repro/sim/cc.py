@@ -9,14 +9,21 @@ buildup from PFC falsifying congestion signals, line-rate bursts, etc.).
 
 from __future__ import annotations
 
-from .config import DcqcnConfig
+from ..units import usec
+
+# DCQCN gains (rates in bytes/s).
+ALPHA_G = 1.0 / 16.0
+RATE_DECREASE_INTERVAL_NS = usec(50)  # min gap between decreases
+RECOVERY_INTERVAL_NS = usec(55)       # rate-recovery / alpha timer period
+ADDITIVE_INCREASE = 40e6 / 8          # 40 Mbps
+FAST_RECOVERY_STAGES = 5
+MIN_RATE = 1e6 / 8                    # 1 Mbps floor
 
 
 class DcqcnState:
     """Per-flow DCQCN sender state."""
 
-    def __init__(self, line_rate: float, config: DcqcnConfig) -> None:
-        self.config = config
+    def __init__(self, line_rate: float) -> None:
         self.line_rate = line_rate
         self.rate = line_rate  # bytes/s; line-rate start
         self.target_rate = line_rate
@@ -28,11 +35,11 @@ class DcqcnState:
     def on_cnp(self, now: int) -> bool:
         """Process a CNP; returns True if a rate decrease was applied."""
         self.cnp_seen_since_alpha_update = True
-        if now - self.last_decrease_time < self.config.rate_decrease_interval_ns:
+        if now - self.last_decrease_time < RATE_DECREASE_INTERVAL_NS:
             return False
-        self.alpha = (1 - self.config.alpha_g) * self.alpha + self.config.alpha_g
+        self.alpha = (1 - ALPHA_G) * self.alpha + ALPHA_G
         self.target_rate = self.rate
-        self.rate = max(self.config.min_rate, self.rate * (1 - self.alpha / 2))
+        self.rate = max(MIN_RATE, self.rate * (1 - self.alpha / 2))
         self.recovery_stage = 0
         self.last_decrease_time = now
         return True
@@ -43,9 +50,9 @@ class DcqcnState:
             self.rate = self.line_rate
             return
         self.recovery_stage += 1
-        if self.recovery_stage > self.config.fast_recovery_stages:
+        if self.recovery_stage > FAST_RECOVERY_STAGES:
             self.target_rate = min(
-                self.line_rate, self.target_rate + self.config.additive_increase
+                self.line_rate, self.target_rate + ADDITIVE_INCREASE
             )
         self.rate = min(self.line_rate, (self.rate + self.target_rate) / 2)
 
@@ -54,4 +61,4 @@ class DcqcnState:
         if self.cnp_seen_since_alpha_update:
             self.cnp_seen_since_alpha_update = False
             return
-        self.alpha = (1 - self.config.alpha_g) * self.alpha
+        self.alpha = (1 - ALPHA_G) * self.alpha

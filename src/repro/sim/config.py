@@ -12,17 +12,21 @@ from dataclasses import dataclass, field
 
 from ..units import KB, usec
 
+# Quanta carried in every PAUSE frame, by switches and injecting hosts.
+PAUSE_QUANTA = 0xFFFF
+# While an ingress stays above Xoff, re-send PAUSE every refresh interval
+# so the upstream pause never lapses (matching NIC/switch behaviour).
+PFC_REFRESH_INTERVAL_NS = usec(50)
+# Per-flow CNP generation rate limit at the receiver.
+CNP_INTERVAL_NS = usec(50)
+
 
 @dataclass
 class PfcConfig:
-    """Per-(ingress port, priority) PFC thresholds and timing."""
+    """Per-(ingress port, priority) PFC thresholds."""
 
     xoff_bytes: int = 40 * KB
     xon_bytes: int = 20 * KB
-    pause_quanta: int = 0xFFFF  # quanta carried in PAUSE frames
-    # While an ingress stays above Xoff, re-send PAUSE every refresh interval
-    # so the upstream pause never lapses (matching NIC/switch behaviour).
-    refresh_interval_ns: int = usec(50)
 
     def __post_init__(self) -> None:
         if self.xon_bytes >= self.xoff_bytes:
@@ -48,19 +52,9 @@ class EcnConfig:
 
 @dataclass
 class DcqcnConfig:
-    """Simplified DCQCN rate control (rate decrease on CNP, staged recovery)."""
+    """Simplified DCQCN rate control; its gains live in :mod:`.cc`."""
 
     enabled: bool = True
-    alpha_g: float = 1.0 / 16.0
-    rate_decrease_interval_ns: int = usec(50)  # min gap between decreases
-    recovery_interval_ns: int = usec(55)
-    additive_increase: float = 5e6 / 8 * 1e3  # 5 Mbps in bytes/s... see below
-    fast_recovery_stages: int = 5
-    min_rate: float = 1e6 / 8  # 1 Mbps floor, bytes/s
-
-    def __post_init__(self) -> None:
-        # additive increase default: 40 Mbps in bytes/s
-        self.additive_increase = 40e6 / 8.0
 
 
 @dataclass
@@ -69,7 +63,6 @@ class SimConfig:
 
     data_packet_size: int = 1 * KB
     ack_every_packets: int = 4
-    cnp_interval_ns: int = usec(50)  # per-flow CNP generation rate limit
     pfc: PfcConfig = field(default_factory=PfcConfig)
     ecn: EcnConfig = field(default_factory=EcnConfig)
     dcqcn: DcqcnConfig = field(default_factory=DcqcnConfig)

@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..topology.graph import PortRef
 from ..units import serialization_delay_ns
-from .cc import DcqcnState
-from .config import SimConfig
+from .cc import RECOVERY_INTERVAL_NS, DcqcnState
+from .config import CNP_INTERVAL_NS, PAUSE_QUANTA, SimConfig
 from .flow import Flow
 from .packet import (
     DATA_PRIORITY,
@@ -104,14 +104,13 @@ class Host:
         line_rate = self.bandwidth
         if flow.max_rate is not None:
             line_rate = min(line_rate, flow.max_rate)
-        cc = DcqcnState(line_rate, self.config.dcqcn)
-        self._cc[flow.key] = cc
+        self._cc[flow.key] = DcqcnState(line_rate)
         flow.next_pacing_time = flow.start_time
         start_delay = max(0, flow.start_time - self.sim.now)
         self._schedule_pump(self.sim.now + start_delay)
         if self.config.dcqcn.enabled:
             self.sim.schedule(
-                start_delay + self.config.dcqcn.recovery_interval_ns,
+                start_delay + RECOVERY_INTERVAL_NS,
                 self._recovery_tick,
                 flow.key,
             )
@@ -123,9 +122,7 @@ class Host:
             return
         cc.on_recovery_timer()
         cc.on_alpha_timer()
-        self.sim.schedule(
-            self.config.dcqcn.recovery_interval_ns, self._recovery_tick, key
-        )
+        self.sim.schedule(RECOVERY_INTERVAL_NS, self._recovery_tick, key)
         # Rate increases may unblock pacing earlier than previously scheduled.
         self._pump()
 
@@ -143,11 +140,10 @@ class Host:
         the ToR's egress toward this host freezes, queues build and PFC
         cascades upstream.
         """
-        quanta = self.config.pfc.pause_quanta
         if interval_ns is None:
-            interval_ns = max(1, pause_quanta_to_ns(quanta, self.bandwidth) // 2)
+            interval_ns = max(1, pause_quanta_to_ns(PAUSE_QUANTA, self.bandwidth) // 2)
         self._injecting_until = self.sim.now + duration_ns
-        self._inject_tick(priority, quanta, interval_ns)
+        self._inject_tick(priority, PAUSE_QUANTA, interval_ns)
 
     def _inject_tick(self, priority: int, quanta: int, interval_ns: int) -> None:
         if self.sim.now >= self._injecting_until:
@@ -203,7 +199,7 @@ class Host:
         st.pkts_since_ack += 1
         st.last_data_time = self.sim.now
         now = self.sim.now
-        if pkt.ce_marked and now - st.last_cnp_time >= self.config.cnp_interval_ns:
+        if pkt.ce_marked and now - st.last_cnp_time >= CNP_INTERVAL_NS:
             st.last_cnp_time = now
             self._control_queue.append(Packet.cnp(key, now))
         if pkt.is_last or st.pkts_since_ack >= self.config.ack_every_packets:

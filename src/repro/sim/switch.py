@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..topology.graph import PortRef
 from ..units import serialization_delay_ns
-from .config import SimConfig
+from .config import PAUSE_QUANTA, PFC_REFRESH_INTERVAL_NS, SimConfig
 from .packet import (
     DATA_PRIORITY,
     PFC_FRAME_SIZE,
@@ -344,20 +344,16 @@ class Switch:
 
     def _assert_pause(self, key: Tuple[int, int]) -> None:
         self._pausing[key] = True
-        self._send_pfc(key[0], key[1], self.config.pfc.pause_quanta)
-        self._schedule(
-            self.config.pfc.refresh_interval_ns, self._refresh_pause, key
-        )
+        self._send_pfc(key[0], key[1], PAUSE_QUANTA)
+        self._schedule(PFC_REFRESH_INTERVAL_NS, self._refresh_pause, key)
 
     def _refresh_pause(self, key: Tuple[int, int]) -> None:
         if not self._pausing.get(key):
             return
         # Still above Xon?  Keep the upstream paused.
         if self._ingress_bytes.get(key, 0) >= self._pfc_xon:
-            self._send_pfc(key[0], key[1], self.config.pfc.pause_quanta)
-            self._schedule(
-                self.config.pfc.refresh_interval_ns, self._refresh_pause, key
-            )
+            self._send_pfc(key[0], key[1], PAUSE_QUANTA)
+            self._schedule(PFC_REFRESH_INTERVAL_NS, self._refresh_pause, key)
         else:
             self._release_pause(key)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import AnomalyType
-from repro.experiments import AnalyzerConfig, deploy_analyzer
+from repro.experiments import deploy_analyzer
 from repro.sim import Network
 from repro.topology import build_line
 from repro.units import KB, msec, usec
@@ -65,7 +65,7 @@ class TestContinuousOperation:
         """Two storms far apart in time become two incidents."""
         topo = build_line(num_switches=3, hosts_per_switch=4)
         net = Network(topo)
-        analyzer = deploy_analyzer(net, config=AnalyzerConfig())
+        analyzer = deploy_analyzer(net)
         # One feeder per storm so the frozen port blocks live traffic.
         net.start_flow(net.make_flow("H1_0", "H3_0", 2_000 * KB, usec(1), src_port=1))
         net.hosts["H3_0"].start_pfc_injection(usec(600))

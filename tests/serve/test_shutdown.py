@@ -170,7 +170,7 @@ class TestResidentMemory:
         """A resident service stays at one episode's footprint: finished
         fabrics are reclaimed as the next attaches, not whenever the
         cycle collector's object counts happen to say so (2.1x by episode
-        10 before).  The CI ``serve-smoke`` memory gate."""
+        10 before)."""
         episodes = 12
         sock_path = str(tmp_path / "serve.sock")
         proc = _spawn_serve(

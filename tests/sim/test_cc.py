@@ -3,15 +3,14 @@
 import pytest
 
 from repro.sim import Network, SimConfig
-from repro.sim.cc import DcqcnState
-from repro.sim.config import DcqcnConfig
+from repro.sim.cc import MIN_RATE, DcqcnState
 from repro.topology import build_dumbbell
 from repro.units import KB, gbps, msec, usec
 
 
 class TestDcqcnState:
     def make(self, line=gbps(100)):
-        return DcqcnState(line, DcqcnConfig())
+        return DcqcnState(line)
 
     def test_starts_at_line_rate(self):
         cc = self.make()
@@ -40,7 +39,7 @@ class TestDcqcnState:
         cc = self.make()
         for i in range(200):
             cc.on_cnp(now=i * usec(100))
-        assert cc.rate >= cc.config.min_rate
+        assert cc.rate >= MIN_RATE
 
     def test_fast_recovery_moves_halfway_to_target(self):
         cc = self.make()

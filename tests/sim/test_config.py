@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim import DcqcnConfig, EcnConfig, PfcConfig, SimConfig
+from repro.sim import EcnConfig, PfcConfig, SimConfig
+from repro.sim.cc import ADDITIVE_INCREASE
 from repro.units import KB
 
 
@@ -61,5 +62,6 @@ class TestDefaults:
         a.pfc.xoff_bytes = 999
         assert b.pfc.xoff_bytes != 999
 
-    def test_dcqcn_additive_increase_positive(self):
-        assert DcqcnConfig().additive_increase > 0
+    def test_dcqcn_additive_increase_is_40_mbps(self):
+        # 40 Mbps in bytes/s: the value every run has simulated.
+        assert ADDITIVE_INCREASE == 5_000_000

@@ -218,9 +218,84 @@ class TestShards:
         assert (rc, captured.out) == (plain_rc, plain.out)
 
 
+CONFIG_FIELDS = {
+    "AgentConfig": {"threshold_multiplier", "cooldown_ns", "stall_timeout_ns"},
+    "DcqcnConfig": {"enabled"},
+    "DiagnoserConfig": {"max_culprits"},
+    "EcnConfig": {"kmin_bytes", "kmax_bytes", "pmax"},
+    "FaultPlan": {
+        "seed", "polling_loss_rate", "polling_corrupt_rate",
+        "report_loss_rate", "report_truncate_rate", "report_delay_rate",
+        "report_delay_max_ns", "dma_failure_rate", "dma_stale_rate",
+        "dma_stale_age_ns", "agent_restart_rate", "agent_restart_blackout_ns",
+        "clock_skew_max_ns",
+    },
+    "FuzzConfig": {"budget", "seed", "jobs", "generation"},
+    "MonitorConfig": {"enabled", "interval_ns", "capacity"},
+    "ObsConfig": {"trace", "sink", "jsonl_path", "sim_events"},
+    "PfcConfig": {"xoff_bytes", "xon_bytes"},
+    "PollingConfig": {
+        "lookback_epochs", "dedup_interval_ns", "trace_pfc", "use_meters",
+    },
+    "ProbeMeshConfig": {"interval_ns", "probes_per_round"},
+    "RetryPolicy": {
+        "report_timeout_ns", "max_retries", "backoff_factor", "jitter_ns",
+        "dma_retry_budget", "dma_retry_delay_ns",
+    },
+    "RunConfig": {
+        "system", "epoch_size_ns", "threshold_multiplier", "flow_slots",
+        "exclude_paused_in_contention", "use_meters", "faults", "retry",
+        "obs", "monitor", "shards", "shard_timeout_s",
+    },
+    "ScoreConfig": {"culprit_recall_threshold"},
+    "ServeConfig": {
+        "scenario", "seed", "episodes", "slice_us", "interval_us",
+        "tenant_rate_per_s", "tenant_burst", "sub_queue",
+    },
+    "ShardPlan": {
+        "shards", "requested_shards", "assignment", "groups", "cut_links",
+        "lookahead_ns",
+    },
+    "SimConfig": {
+        "data_packet_size", "ack_every_packets", "pfc", "ecn", "dcqcn", "seed",
+    },
+    "TelemetryConfig": {"scheme", "flow_slots"},
+    "WatchdogConfig": {"poll_interval_ns", "priority"},
+}
+
+# Every subcommand's flags, ``-h``/``--help`` aside.
+SUBCOMMAND_OPTIONS = {
+    "list": set(),
+    "run": {
+        "--seed", "--system", "--epoch-us", "--threshold", "--dot",
+        "--perf-json", "--metrics-json", "--profile", "--shards",
+        "--shard-timeout",
+    },
+    "trace": {
+        "--scenario", "--seed", "--jsonl", "--max-lines", "--metrics-json",
+        "--sim-events",
+    },
+    "monitor": {
+        "--scenario", "--seed", "--interval-us", "--prom", "--jsonl", "--html",
+        "--metrics-json", "--trace",
+    },
+    "sweep": {
+        "--seeds", "--systems", "--epochs-us", "--thresholds", "--jobs", "--csv",
+    },
+    "chaos": {"--loss-rates", "--chaos-seed", "--no-retries", "--json"},
+    "fuzz": {
+        "--budget", "--seed", "--jobs", "--generation", "--corpus", "--minimize",
+    },
+    "serve": {
+        "--seed", "--episodes", "--slice-us", "--interval-us", "--tenant-rate",
+        "--tenant-burst", "--sub-queue", "--host", "--port", "--unix",
+    },
+}
+
+
 class TestOptionsCensus:
     """Every knob is a cost (ROADMAP aim 2).  The sets are literal so the
-    next env name, config field or ``repro run`` flag is a diff in review."""
+    next env name, config field or subcommand flag is a diff in review."""
 
     def test_analyzer_jobs_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -232,27 +307,40 @@ class TestOptionsCensus:
         import pathlib
         import re
 
-        import repro
-
+        root = pathlib.Path(__file__).resolve().parents[1]
         found = set()
-        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
-            found.update(re.findall(r"REPRO_[A-Z0-9_]+", path.read_text()))
-        assert found == set()
+        for tree in ("src/repro", "benchmarks", "examples"):
+            for path in (root / tree).rglob("*.py"):
+                found.update(re.findall(r"REPRO_[A-Z0-9_]+", path.read_text()))
+        assert found == {"REPRO_BENCH_SEEDS"}
 
     def test_config_fields(self):
+        """Every ``*Config``/``*Policy``/``*Plan`` dataclass in the package,
+        found by walking it, so a new class is in the diff too."""
         import dataclasses
+        import importlib
+        import pkgutil
 
-        from repro.experiments import AnalyzerConfig, RunConfig
+        import repro
 
-        assert {f.name for f in dataclasses.fields(RunConfig)} == {
-            "system", "epoch_size_ns", "epoch_index_bits",
-            "threshold_multiplier", "flow_slots",
-            "exclude_paused_in_contention", "use_meters", "faults", "retry",
-            "obs", "monitor", "shards", "shard_timeout_s",
-        }
-        assert {f.name for f in dataclasses.fields(AnalyzerConfig)} == {
-            "incident_window_ns", "diagnosis_delay_ns",
-        }
+        found = {}
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.endswith(".__main__"):
+                continue
+            module = importlib.import_module(info.name)
+            for name, obj in vars(module).items():
+                if (
+                    isinstance(obj, type)
+                    and obj.__module__ == module.__name__
+                    and dataclasses.is_dataclass(obj)
+                    and name.endswith(("Config", "Policy", "Plan"))
+                ):
+                    assert name not in found, f"two classes named {name}"
+                    found[name] = {f.name for f in dataclasses.fields(obj)}
+        assert found == CONFIG_FIELDS
+        # ShardPlan is a partition record the engine computes, not options.
+        options = [f for name, f in found.items() if name != "ShardPlan"]
+        assert (len(options), sum(map(len, options))) == (18, 77)
 
     def test_chaos_shards_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -260,8 +348,7 @@ class TestOptionsCensus:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @staticmethod
-    def _options(command):
+    def test_subcommand_options(self):
         import argparse
 
         from repro.cli import _build_parser
@@ -270,20 +357,11 @@ class TestOptionsCensus:
             a for a in _build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
         )
-        return {
-            opt for action in subparsers.choices[command]._actions
-            for opt in action.option_strings
+        found = {
+            command: {
+                opt for action in parser._actions
+                for opt in action.option_strings
+            } - {"-h", "--help"}
+            for command, parser in subparsers.choices.items()
         }
-
-    def test_run_subcommand_options(self):
-        assert self._options("run") == {
-            "-h", "--help", "--seed", "--system", "--epoch-us", "--threshold",
-            "--dot", "--perf-json", "--metrics-json", "--profile", "--shards",
-            "--shard-timeout",
-        }
-
-    def test_chaos_subcommand_options(self):
-        assert self._options("chaos") == {
-            "-h", "--help", "--loss-rates", "--chaos-seed", "--no-retries",
-            "--json",
-        }
+        assert found == SUBCOMMAND_OPTIONS

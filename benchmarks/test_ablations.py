@@ -17,7 +17,7 @@ from repro.sim import Network, SimConfig
 from repro.sim.config import PfcConfig
 from repro.topology import build_fat_tree
 from repro.units import KB, msec, usec
-from repro.workloads import pfc_storm_scenario
+from repro.workloads import inject_pfc, pfc_storm_scenario, start_flows
 from repro.workloads.scenario import GroundTruth, Scenario
 
 
@@ -32,19 +32,15 @@ def dual_incast_scenario(seed=1):
     config.seed = seed
     net = Network(topo, config=config)
     # Anomaly A (the victim's): incast into H0_0_0.
-    culprits = []
-    for i, src in enumerate(["H1_0_0", "H1_0_1", "H1_1_0", "H1_1_1", "H2_0_0", "H2_0_1"]):
-        f = net.make_flow(src, "H0_0_0", 700 * KB, usec(40), src_port=11000 + i)
-        net.start_flow(f)
-        culprits.append(f)
+    sources = ["H1_0_0", "H1_0_1", "H1_1_0", "H1_1_1", "H2_0_0", "H2_0_1"]
+    culprits = start_flows(net, sources, "H0_0_0", 700 * KB, usec(40))
     # Anomaly B (irrelevant to the victim): a PFC storm at a pod-1 host,
     # fed by a flow from E0_0 — its back-pressure freezes A0_0's
     # core-facing egress, giving A0_0 a second paused egress port that the
     # victim's ingress does NOT feed.
-    net.start_flow(net.make_flow("H0_0_1", "H1_0_1", 1_500 * KB, usec(1), src_port=21000))
-    net.sim.schedule(usec(5), lambda: net.hosts["H1_0_1"].start_pfc_injection(msec(3)))
-    victim = net.make_flow("H0_1_0", "H0_0_1", 2_000 * KB, usec(10), src_port=12000)
-    net.start_flow(victim)
+    start_flows(net, ["H0_0_1"], "H1_0_1", 1_500 * KB, usec(1), port=21000)
+    inject_pfc(net, "H1_0_1", usec(5), msec(3))
+    victims = start_flows(net, ["H0_1_0"], "H0_0_1", 2_000 * KB, usec(10), port=12000)
     truth = GroundTruth(
         anomaly=AnomalyType.MICRO_BURST_INCAST,
         culprit_flows=[f.key for f in culprits],
@@ -52,7 +48,7 @@ def dual_incast_scenario(seed=1):
     )
     return Scenario(
         name=f"dual-incast-seed{seed}", network=net, truth=truth,
-        victims=[victim], duration_ns=msec(4),
+        victims=victims, duration_ns=msec(4),
         description="Two concurrent incasts; only one is causal for the victim.",
     )
 

@@ -25,6 +25,7 @@ from repro.sim.config import PfcConfig
 from repro.telemetry import HawkeyeDeployment
 from repro.topology import build_fat_tree
 from repro.units import KB, msec, usec
+from repro.workloads import start_flows
 from repro.workloads.scenario import GroundTruth, Scenario
 
 # The K=6 incast's verdict (K=4's is in tests/sim/test_kernel_contract.py).
@@ -54,17 +55,11 @@ def incast_on_fat_tree(k, seed=1):
     config = SimConfig(pfc=PfcConfig(xoff_bytes=80 * KB, xon_bytes=40 * KB))
     config.seed = seed
     net = Network(topo, config=config)
-    culprits = []
     sources = ["H1_0_0", "H1_0_1", "H1_1_0", "H1_1_1", "H2_0_0", "H2_0_1"]
-    for i, src in enumerate(sources):
-        for j in range(2):
-            f = net.make_flow(
-                src, "H0_0_0", 700 * KB, usec(40), src_port=11000 + 2 * i + j
-            )
-            net.start_flow(f)
-            culprits.append(f)
-    victim = net.make_flow("H0_1_0", "H0_0_1", 2_000 * KB, usec(10), src_port=12000)
-    net.start_flow(victim)
+    culprits = start_flows(
+        net, [src for src in sources for _ in range(2)], "H0_0_0", 700 * KB, usec(40)
+    )
+    victims = start_flows(net, ["H0_1_0"], "H0_0_1", 2_000 * KB, usec(10), port=12000)
     truth = GroundTruth(
         anomaly=AnomalyType.MICRO_BURST_INCAST,
         culprit_flows=[f.key for f in culprits],
@@ -72,7 +67,7 @@ def incast_on_fat_tree(k, seed=1):
     )
     return Scenario(
         name=f"incast-k{k}", network=net, truth=truth,
-        victims=[victim], duration_ns=msec(3),
+        victims=victims, duration_ns=msec(3),
     )
 
 

@@ -38,9 +38,14 @@ from ..topology.builders import (
     build_line,
     build_ring,
 )
-from ..topology.routing import RoutingTable, make_ring_cbd_routes
 from ..units import KB, gbps, usec
-from ..workloads.anomalies import add_background_traffic
+from ..workloads.anomalies import (
+    add_background_traffic,
+    cbd_ring_routing,
+    circulation_flows,
+    inject_pfc,
+    start_flows,
+)
 from ..workloads.scenario import GroundTruth, Scenario
 
 GENOME_FORMAT = 1
@@ -243,18 +248,10 @@ class ScenarioGenome:
             kmin_bytes=g.kmin_kb * KB, kmax_bytes=g.kmax_kb * KB
         )
 
-        routing = None
-        if g.cbd_rewire:
-            routing = RoutingTable(topo)
-            ring = [f"SW{i}" for i in range(1, g.switches + 1)]
-            dst_ips = {
-                sw: [
-                    topo.host_ip(f"H{i + 1}_{j}")
-                    for j in range(g.hosts_per_switch)
-                ]
-                for i, sw in enumerate(ring)
-            }
-            make_ring_cbd_routes(routing, ring, dst_ips)
+        routing = (
+            cbd_ring_routing(topo, g.switches, g.hosts_per_switch)
+            if g.cbd_rewire else None
+        )
         net = Network(topo, routing=routing, config=cfg)
         rng = random.Random(g.seed)
 
@@ -274,48 +271,35 @@ class ScenarioGenome:
         )
 
         # Incast sources, remote-first (the tail of the host list lives in
-        # the farthest pod / switch), one pulse train per source.
+        # the farthest pod / switch), one pulse train per source; every
+        # third flow of a pulse is ``flow_tail`` times longer.
         pool = [
             h for h in reversed(hosts)
             if h not in (target, victim_dst, victim_src)
         ]
         sources = pool[: g.incast_degree]
-        port = 11000
+        burst = g.burst_kb * KB
         burst_flows = []
-        for pulse in range(g.pulses if sources else 0):
-            start = usec(40) + pulse * usec(g.pulse_gap_us)
-            for i, src in enumerate(sources):
-                jitter = rng.randrange(0, usec(g.jitter_us) + 1)
-                size = g.burst_kb * KB
-                if (i + pulse) % 3 == 0:
-                    size = int(size * g.flow_tail)
-                flow = net.make_flow(src, target, size, start + jitter,
-                                     src_port=port)
-                port += 1
-                net.start_flow(flow)
-                burst_flows.append(flow)
-
-        if g.circulate:
-            n = g.switches
-            for i in range(n):
-                src = f"H{i + 1}_0"
-                dst = f"H{(i + 2) % n + 1}_0"
-                flow = net.make_flow(src, dst, 5_000 * KB, usec(10),
-                                     src_port=13000 + i)
-                flow.max_rate = 0.3 * net.hosts[src].bandwidth
-                net.start_flow(flow)
-
-        if g.storm_us > 0:
-            net.sim.schedule(
-                usec(g.storm_start_us),
-                lambda: net.hosts[target].start_pfc_injection(usec(g.storm_us)),
+        for pulse in range(g.pulses):
+            sizes = [
+                int(burst * g.flow_tail) if (i + pulse) % 3 == 0 else burst
+                for i in range(len(sources))
+            ]
+            burst_flows += start_flows(
+                net, sources, target, sizes,
+                usec(40) + pulse * usec(g.pulse_gap_us),
+                port=11000 + pulse * len(sources),
+                rng=rng, jitter_ns=usec(g.jitter_us) + 1,
             )
 
-        victim = net.make_flow(victim_src, victim_dst, g.victim_kb * KB,
-                               usec(10), src_port=12000)
-        if g.victim_rate < 1.0:
-            victim.max_rate = g.victim_rate * net.hosts[victim_src].bandwidth
-        net.start_flow(victim)
+        if g.circulate:
+            circulation_flows(net, g.switches)
+        if g.storm_us > 0:
+            inject_pfc(net, target, usec(g.storm_start_us), usec(g.storm_us))
+        victims = start_flows(
+            net, [victim_src], victim_dst, g.victim_kb * KB, usec(10),
+            port=12000, rate=g.victim_rate if g.victim_rate < 1.0 else None,
+        )
 
         exclude = {target, victim_src, victim_dst, *sources}
         if len(hosts) - len(exclude) >= 2:
@@ -336,7 +320,7 @@ class ScenarioGenome:
             name=f"fuzz-{g.short_id()}",
             network=net,
             truth=truth,
-            victims=[victim],
+            victims=victims,
             duration_ns=usec(g.duration_us),
             description=(
                 f"fuzzed {g.topology} fabric: incast degree "

@@ -9,7 +9,6 @@ import gc
 import json
 import socket
 import threading
-import time
 
 import pytest
 
@@ -244,25 +243,27 @@ class TestQueries:
         asyncio.run(main())
 
 
-def _mid_episode(call):
-    """Run blocking ``call`` on a thread once the episode is well under
-    way.  A client on the service's own loop would be no test: it could
-    not even send before the chunk that starves it ended."""
+async def _mid_episode(service, path, request):
+    """Send ``request`` at half the episode's sim time; returns the open
+    ``(reader, writer)``.
 
-    def late():
-        time.sleep(0.05)
-        return call()
+    The send is a sim event: a blocking unix ``connect`` the listener's
+    backlog accepts while the chunk runs, then ``sendall`` — so the request
+    is waiting at a chosen sim instant however the host schedules threads.
+    (A client on the service's own loop could not even send before the
+    chunk that starves it ended; one on a thread can miss the episode.)"""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sent = asyncio.get_running_loop().create_future()
 
-    return asyncio.get_running_loop().run_in_executor(None, late)
-
-
-def _one_shot(path, request):
-    """Connect, send one JSON request, read its reply (blocking)."""
-    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-        sock.settimeout(10.0)
+    def send():
         sock.connect(path)
-        sock.sendall(encode(request))
-        return json.loads(sock.makefile("rb").readline())
+        sock.sendall(request)
+        sent.set_result(None)
+
+    session = service.session
+    session.net.sim.schedule(session.duration_ns // 2, send)
+    await sent
+    return await asyncio.open_unix_connection(sock=sock)
 
 
 class TestPreemptibleSlices:
@@ -276,11 +277,14 @@ class TestPreemptibleSlices:
             async with serving(slice_us=1e6) as (service, path):
                 duration_ns = service.session.duration_ns
                 assert duration_ns < 1e6 * 1000  # one slice would cover it
-                reply = await _mid_episode(
-                    lambda: _one_shot(path, {"op": "query"})
+                reader, writer = await _mid_episode(
+                    service, path, encode({"op": "query"})
                 )
+                reply = json.loads(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
                 assert reply["ok"] is True
-                assert 0 < reply["sim_ns"] < duration_ns
+                assert duration_ns // 2 <= reply["sim_ns"] < duration_ns
 
         asyncio.run(main())
 
@@ -289,10 +293,15 @@ class TestPreemptibleSlices:
 
         async def main():
             async with serving(slice_us=1e6) as (service, path):
-                status, _headers, body = await _mid_episode(
-                    lambda: http_get("/servicez", unix_path=path)
+                reader, writer = await _mid_episode(
+                    service, path,
+                    b"GET /servicez HTTP/1.1\r\nHost: repro\r\n"
+                    b"Connection: close\r\n\r\n",
                 )
-                assert status == 200
+                head, _, body = (await reader.read()).partition(b"\r\n\r\n")
+                writer.close()
+                await writer.wait_closed()
+                assert head.split()[1] == b"200"
                 doc = json.loads(body)
                 assert 0 < doc["sim_ns"] < doc["sim_duration_ns"]
                 # Every chunk so far ended for this scrape, none on budget.

@@ -1,18 +1,95 @@
-"""Scenario builder tests: structure, ground truth, injected dynamics."""
+"""Scenario builder tests: the traffic kit, structure, ground truth,
+injected dynamics."""
+
+import random
 
 import pytest
 
 from repro.core import AnomalyType
-from repro.units import msec
+from repro.sim import Network
+from repro.units import KB, msec, usec
 from repro.workloads import (
     SCENARIO_BUILDERS,
     add_background_traffic,
+    cbd_ring_routing,
+    circulation_flows,
     in_loop_deadlock_scenario,
     incast_backpressure_scenario,
+    inject_pfc,
     normal_contention_scenario,
     out_of_loop_deadlock_scenario,
     pfc_storm_scenario,
+    start_flows,
 )
+
+SOURCES = ["H1_0_0", "H1_0_1", "H2_0_0", "H2_1_0"]
+
+
+class TestTrafficKit:
+    def test_ports_count_up_from_port(self, fat_tree):
+        net = Network(fat_tree)
+        flows = start_flows(net, SOURCES, "H0_0_0", 100 * KB, usec(5), port=11500)
+        assert [f.key.src_port for f in flows] == [11500, 11501, 11502, 11503]
+        assert [f.src_host for f in flows] == SOURCES
+        assert {f.dst_host for f in flows} == {"H0_0_0"}
+        assert net.flows == flows  # started, in source order
+
+    def test_jitter_is_one_draw_per_flow(self, fat_tree):
+        rng, replay = random.Random(9), random.Random(9)
+        flows = start_flows(Network(fat_tree), SOURCES, "H0_0_0", 100 * KB,
+                            usec(40), rng=rng, jitter_ns=usec(5))
+        assert [f.start_time for f in flows] == [
+            usec(40) + replay.randrange(usec(5)) for _ in SOURCES
+        ]
+        assert rng.random() == replay.random()  # and not one draw more
+
+    def test_stagger_without_rng(self, fat_tree):
+        flows = start_flows(Network(fat_tree), SOURCES, "H0_0_0", 100 * KB,
+                            usec(30), stagger_ns=usec(1))
+        assert [f.start_time for f in flows] == [usec(30 + i) for i in range(4)]
+
+    def test_size_is_one_value_or_one_per_source(self, fat_tree):
+        net = Network(fat_tree)
+        same = start_flows(net, SOURCES[:2], "H0_0_0", 300 * KB, 0)
+        each = start_flows(net, SOURCES[2:], "H0_0_0", [100 * KB, 250 * KB], 0)
+        assert [f.size for f in same + each] == [300 * KB, 300 * KB, 100 * KB, 250 * KB]
+
+    def test_rate_caps_max_rate(self, fat_tree):
+        net = Network(fat_tree)
+        capped = start_flows(net, SOURCES[:2], "H0_0_0", KB, 0, rate=0.25)
+        free = start_flows(net, SOURCES[2:], "H0_0_0", KB, 0)
+        assert [f.max_rate for f in capped] == [
+            0.25 * net.hosts[f.src_host].bandwidth for f in capped
+        ]
+        assert [f.max_rate for f in free] == [None, None]
+
+    def test_no_sources_start_and_draw_nothing(self, fat_tree):
+        net, rng = Network(fat_tree), random.Random(3)
+        assert start_flows(net, [], "H0_0_0", KB, 0, rng=rng, jitter_ns=9) == []
+        assert net.flows == []
+        assert rng.random() == random.Random(3).random()
+
+    def test_inject_pfc_starts_the_storm_on_time(self, fat_tree):
+        net = Network(fat_tree)
+        inject_pfc(net, "H0_0_0", usec(30), usec(100))
+        net.run(usec(29))
+        assert net.hosts["H0_0_0"].injected_pause_frames == 0
+        net.run(usec(60))
+        assert net.hosts["H0_0_0"].injected_pause_frames > 0
+
+    def test_cbd_ring_routes_clockwise_with_circulation(self, ring4):
+        routing = cbd_ring_routing(ring4, 4, 2)
+        # Shortest path SW4 -> SW3 is one hop; the CBD goes the long way.
+        assert routing.switch_path("H4_0", ring4.host_ip("H3_0"), "k") == [
+            "SW4", "SW1", "SW2", "SW3",
+        ]
+        net = Network(ring4, routing=routing)
+        flows = circulation_flows(net, 4, rate=0.4)
+        assert [(f.src_host, f.dst_host) for f in flows] == [
+            ("H1_0", "H3_0"), ("H2_0", "H4_0"), ("H3_0", "H1_0"), ("H4_0", "H2_0"),
+        ]
+        assert [f.key.src_port for f in flows] == [13000, 13001, 13002, 13003]
+        assert {f.max_rate for f in flows} == {0.4 * net.hosts["H1_0"].bandwidth}
 
 
 class TestScenarioStructure:
@@ -100,14 +177,10 @@ class TestInjectedDynamics:
 
 class TestBackgroundTraffic:
     def test_background_disabled_at_zero_load(self, fat_tree):
-        from repro.sim import Network
-
         net = Network(fat_tree)
         assert add_background_traffic(net, seed=1, load=0.0, duration_ns=msec(5)) == []
 
     def test_background_respects_exclusions(self, fat_tree):
-        from repro.sim import Network
-
         net = Network(fat_tree)
         flows = add_background_traffic(
             net, seed=1, load=0.2, duration_ns=msec(5), exclude_hosts={"H0_0_0"}
@@ -116,8 +189,6 @@ class TestBackgroundTraffic:
         assert all(f.src_host != "H0_0_0" and f.dst_host != "H0_0_0" for f in flows)
 
     def test_background_flows_started(self, fat_tree):
-        from repro.sim import Network
-
         net = Network(fat_tree)
         flows = add_background_traffic(net, seed=1, load=0.1, duration_ns=msec(5))
         assert set(f.key for f in flows) <= set(f.key for f in net.flows)

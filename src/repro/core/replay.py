@@ -22,11 +22,35 @@ those non-paused enqueues actually observed.
 
 from __future__ import annotations
 
+from itertools import accumulate, compress, count
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.packet import FlowKey
 from ..telemetry.records import FlowEntry
-from . import columnar
+
+
+def _replay_order(
+    entries: Sequence[FlowEntry], window_ns: int, counts: Dict[FlowKey, int]
+) -> Tuple[List[int], List[int]]:
+    """ReplayQueue's merge, as ``(ranked, slots)``.
+
+    ``ranked`` holds the indices into ``entries`` of the flows with packets,
+    in key order.  Each slot is one replayed packet, encoded as
+    ``time * len(ranked) + rank``; sorting the slots sorts by synthetic
+    enqueue time with ties broken by flow order, and every flow is already
+    a sorted run, so the sort is a merge.
+    """
+    ranked = sorted(
+        (i for i, e in enumerate(entries) if counts.get(e.key, 0) > 0),
+        key=lambda i: entries[i].key,
+    )
+    width = len(ranked)
+    slots: List[int] = []
+    for rank, i in enumerate(ranked):
+        n = counts[entries[i].key]
+        slots.extend(j * window_ns // n * width + rank for j in range(n))
+    slots.sort()
+    return ranked, slots
 
 
 def replay_queue(
@@ -41,16 +65,12 @@ def replay_queue(
     sorted by synthetic enqueue time (ties broken by flow order for
     determinism).
     """
-    sequence: List[Tuple[int, int, FlowKey]] = []
-    for order, entry in enumerate(sorted(entries, key=lambda e: e.key)):
-        n = entry.pkt_count if counts is None else counts.get(entry.key, 0)
-        if n <= 0:
-            continue
-        for j in range(n):
-            time = j * window_ns // n
-            sequence.append((time, order, entry.key))
-    sequence.sort()
-    return [(time, key) for time, _, key in sequence]
+    if counts is None:
+        counts = {e.key: e.pkt_count for e in entries}
+    ranked, slots = _replay_order(entries, window_ns, counts)
+    width = len(ranked)
+    keys = [entries[i].key for i in ranked]
+    return [(slot // width, keys[slot % width]) for slot in slots]
 
 
 def contribution(
@@ -73,59 +93,96 @@ def contribution(
         return {e.key: 0.0 for e in entries if e.pkt_count > 0}
 
     # Queue depth each flow's contention-relevant packets observed.
-    depth: Dict[FlowKey, int] = {}
+    depth: List[int] = []
     for entry in live:
         if exclude_paused:
             avg_depth = entry.avg_unpaused_qdepth_pkts()
         else:
             avg_depth = entry.avg_qdepth_pkts()
-        depth[entry.key] = int(round(avg_depth))
+        depth.append(int(round(avg_depth)))
 
-    pkt_num = {e.key: counts[e.key] for e in live}
-    total_packets = sum(pkt_num.values())
+    ranked, slots = _replay_order(live, window_ns, counts)
+    width = len(ranked)
+    ids = [ranked[slot % width] for slot in slots]  # index into ``live``
+    pkt_num = [counts[e.key] for e in live]
+    incoming, outgoing = _wait_weights(ids, depth, pkt_num)
 
-    if columnar.columnar_enabled(total_packets):
-        # Fully columnar replay: the Python (time, key) sequence is never
-        # materialized; replay order is rebuilt from the count column.
-        incoming, outgoing = columnar.wait_weights_columnar(
-            live, counts, depth, pkt_num, window_ns
-        )
-    else:
-        sequence = replay_queue(live, window_ns, counts=counts)
-        incoming, outgoing = _wait_weights_python(live, sequence, depth, pkt_num)
-
-    result = {key: incoming[key] - outgoing[key] for key in incoming}
+    result = {e.key: incoming[f] - outgoing[f] for f, e in enumerate(live)}
     for entry in entries:
         if entry.pkt_count > 0 and entry.key not in result:
             result[entry.key] = 0.0  # fully paused: no contention evidence
     return result
 
 
-def _wait_weights_python(
-    live: Sequence[FlowEntry],
-    sequence: List[Tuple[int, FlowKey]],
-    depth: Dict[FlowKey, int],
-    pkt_num: Dict[FlowKey, int],
-) -> Tuple[Dict[FlowKey, float], Dict[FlowKey, float]]:
-    """Reference implementation: walk the replayed sequence packet by packet."""
-    # W[f_i][f_j]: total f_j packets found ahead of f_i packets.
-    wait_counts: Dict[FlowKey, Dict[FlowKey, int]] = {e.key: {} for e in live}
-    history: List[FlowKey] = []
-    for idx, (_, key) in enumerate(sequence):
-        d = min(depth.get(key, 0), idx)
-        if d > 0:
-            row = wait_counts[key]
-            for other in history[idx - d : idx]:
-                row[other] = row.get(other, 0) + 1
-        history.append(key)
+def _wait_weights(
+    ids: Sequence[int], depth: Sequence[int], pkt_num: Sequence[int]
+) -> Tuple[List[float], List[float]]:
+    """Incoming and outgoing wait-for weight of every flow.
 
-    # Normalize to per-packet averages.
-    incoming: Dict[FlowKey, float] = {e.key: 0.0 for e in live}
-    outgoing: Dict[FlowKey, float] = {e.key: 0.0 for e in live}
-    for waiter, row in wait_counts.items():
-        n = pkt_num[waiter]
-        for waited_on, count in row.items():
-            w = count / n
-            outgoing[waiter] += w
-            incoming[waited_on] += w
-    return incoming, outgoing
+    ``ids`` is the replayed sequence (one flow index per packet) and
+    ``depth[f]`` the look-back of flow ``f``'s packets.  With ``prefix[g][i]``
+    the packets of flow ``g`` among the first ``i`` replayed, the ``g``
+    packets ahead of a waiter at position ``i`` are
+    ``prefix[g][i] - prefix[g][i - d]``; summed over one flow's positions
+    they give its whole row of exact integer wait counts.  Each count is
+    divided by the waiter's packet count; a flow's outgoing weight is its
+    row's sum and its incoming weight its column's sum.  Both sums keep the
+    float order the recorded verdicts were computed in (rows pairwise,
+    columns row by row), because a printed ``w=`` can turn on a weight's
+    last bit.
+    """
+    flows = range(len(pkt_num))
+    prefix = [list(accumulate(map(g.__eq__, ids), initial=0)) for g in flows]
+    rows: List[List[float]] = []
+    for f in flows:
+        d = depth[f]
+        if d <= 0:
+            rows.append([0.0] * len(pkt_num))
+            continue
+        positions = list(compress(count(), map(f.__eq__, ids)))
+        starts = [i - d if i > d else 0 for i in positions]
+        n = pkt_num[f]
+        rows.append([
+            (sum(map(col.__getitem__, positions))
+             - sum(map(col.__getitem__, starts))) / n
+            for col in prefix
+        ])
+    return _column_sums(rows), [_pairwise_sum(row) for row in rows]
+
+
+def _column_sums(rows: Sequence[Sequence[float]]) -> List[float]:
+    """Column sums of a square matrix, adding the rows in order."""
+    sums = [0.0] * len(rows)
+    for row in rows:
+        for g, w in enumerate(row):
+            sums[g] += w
+    return sums
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Pairwise float sum.
+
+    Under 8 values the sum is sequential.  Up to 128, eight running sums
+    take every eighth value, are added as a balanced tree, and the
+    remainder is added in order.  Longer runs split in two at a multiple
+    of 8 and recurse.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        r = list(values[:8])
+        whole = n - n % 8
+        for i in range(8, whole, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[whole:]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])

@@ -58,7 +58,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sim.packet import DATA_PRIORITY, FlowKey, Packet, pause_quanta_to_ns
 from ..sim.switch import Switch, SwitchObserver
-from . import vectorflush
 from .epoch import EpochScheme
 from .records import EpochData, FlowEntry, PortEntry
 from .snapshot import SwitchReport
@@ -308,20 +307,12 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         self._reset_gen += 1
 
     def _flush(self, bank: _EpochBank) -> None:
-        """Drain the pending queue into the registers, in order.
-
-        Long queues take the numpy scatter-add path
-        (:mod:`repro.telemetry.vectorflush`), which is bit-identical to
-        the scalar loop below; short queues stay scalar (lower constant).
-        """
+        """Drain the pending queue into the registers, in order."""
         pending = bank.pending
         if not pending:
             return
         if bank.port_pkt is None:
             self._allocate(bank)
-        if len(pending) >= vectorflush.MIN_VECTOR_EVENTS:
-            vectorflush.flush_pending(self, bank)
-            return
         num_ports = self._num_ports  # type: ignore[assignment]
         key_of_get = self._key_of.get
         key_of = self._key_of

@@ -462,14 +462,27 @@ class TestHttpEndpoints:
 
         asyncio.run(main())
 
-    def test_servicez_is_json_with_counters(self, serving):
+    def test_servicez_is_json_with_counters(self, serving, monkeypatch):
+        # One chunk spans the episode and the scrape is sent from a sim
+        # event, so a chunk is live when it lands however threads run.
+        monkeypatch.setattr(service_module, "CHUNK_EVENTS", 10**9)
+
         async def main():
-            async with serving() as (service, path):
-                loop = asyncio.get_running_loop()
-                status, headers, body = await loop.run_in_executor(
-                    None, self._get, "/servicez", path
+            async with serving(slice_us=1e6) as (service, path):
+                reader, writer = await _mid_episode(
+                    service, path,
+                    b"GET /servicez HTTP/1.1\r\nHost: repro\r\n"
+                    b"Connection: close\r\n\r\n",
                 )
-                assert status == 200
+                head, _, body = (await reader.read()).partition(b"\r\n\r\n")
+                writer.close()
+                await writer.wait_closed()
+                status_line, *lines = head.decode().split("\r\n")
+                headers = {
+                    name.strip().lower(): value.strip()
+                    for name, _, value in (line.partition(":") for line in lines)
+                }
+                assert status_line.split()[1] == "200"
                 assert headers["content-type"] == "application/json"
                 doc = json.loads(body)
                 assert doc["scenario"] == "pfc-storm"

@@ -230,3 +230,75 @@ def test_grow_ports_remaps_meters():
     assert col.meter_volume(0, 1, now) == ref.meter_volume(0, 1, now) == 1024
     assert col.meter_volume(3, 5, now) == ref.meter_volume(3, 5, now) == 64
     assert col.port_pause_rx(4, now) == ref.port_pause_rx(4, now) == 1
+
+
+def _evicted_by_epoch(col, ref):
+    keys = col._keys
+    got = {
+        bank.epoch_number: [(keys[e[0]], *e[1:]) for e in bank.evicted]
+        for bank in col._banks
+        if bank.epoch_number >= 0
+    }
+    want = {
+        reg.epoch_number: [
+            (
+                e.key,
+                e.egress_port,
+                e.pkt_count,
+                e.paused_count,
+                e.qdepth_sum_pkts,
+                e.byte_count,
+                e.qdepth_paused_sum_pkts,
+            )
+            for e in reg.evicted
+        ]
+        for reg in ref._rings
+        if reg.epoch_number >= 0
+    }
+    return got, want
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("flow_slots", [1, 8, 4096])
+def test_long_epochs_match_reference(seed, flow_slots):
+    """Long epochs and rare reads: each flush drains hundreds of events
+    at once, and snapshots, queries and the per-epoch eviction order still
+    equal the eager reference's, from all-colliding to collision-free."""
+    num_ports = 4
+    scheme = EpochScheme(shift=13)  # 8 us epochs, a ring of 4
+    config = TelemetryConfig(scheme=scheme, flow_slots=flow_slots)
+    col = HawkeyeSwitchTelemetry("SW", config)
+    ref = ReferenceSwitchTelemetry("SW", config)
+    flushes = []
+    flush = col._flush
+
+    def counting_flush(bank):
+        flushes.append(len(bank.pending))
+        flush(bank)
+
+    col._flush = counting_flush
+    switch = _StubSwitch(num_ports)
+    rng = random.Random(seed)
+    # ~1,400 events per epoch over ~6 epochs: the ring wraps, and a bank
+    # is read only twice mid-stream and once at the end.
+    flows, events = _random_stream(
+        rng, num_ports, num_flows=150, num_events=8000, max_step_ns=12
+    )
+    check_at = {len(events) // 3, 2 * len(events) // 3}
+    now = 0
+    for i, event in enumerate(events):
+        now = event[1]
+        _apply(col, switch, event)
+        _apply(ref, switch, event)
+        if i in check_at:
+            _assert_reports_identical(col.snapshot(now), ref.snapshot(now))
+    _assert_reports_identical(col.snapshot(now), ref.snapshot(now))
+    _assert_queries_identical(col, ref, flows, num_ports, now, scheme)
+    got, want = _evicted_by_epoch(col, ref)
+    assert got == want
+    if flow_slots < len(flows):
+        assert any(want.values())
+    assert col.evictions <= ref.evictions
+    # Most flushed events drained in batches of hundreds.
+    assert sum(1 for n in flushes if n) >= 3
+    assert sum(n for n in flushes if n >= 192) >= 0.8 * col.flushed_events

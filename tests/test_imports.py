@@ -11,6 +11,7 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -53,6 +54,49 @@ def _modules_after(statement: str):
 ])
 def test_import_loads_no_sibling(statement, absent):
     assert _modules_after(statement) & absent == set()
+
+
+@pytest.mark.parametrize("statement", [
+    "from repro.experiments import ScenarioSpec, run_scenario\n"
+    "run_scenario(ScenarioSpec('incast-backpressure', seed=1).build())",
+    "from repro.fuzz import FuzzConfig, run_fuzz\n"
+    "run_fuzz(FuzzConfig(budget=2))",
+    "import repro.serve.service",
+])
+def test_runtime_needs_no_numpy(statement):
+    """The simulator, telemetry flush, queue replay, fuzzer and service run
+    on the standard library alone; numpy serves only the test oracles."""
+    assert "numpy" not in _modules_after(statement)
+
+
+def test_serve_process_runs_one_thread(tmp_path):
+    """The service is one thread: no executor, and no BLAS pool either."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc")
+    from repro.serve import http_get
+
+    sock = tmp_path / "serve.sock"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "pfc-storm", "--unix", str(sock)],
+        env=env, cwd=REPO, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while True:  # until the listener answers
+            try:
+                status = http_get("/healthz", unix_path=str(sock))[0]
+                break
+            except (FileNotFoundError, ConnectionRefusedError):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+        assert status == 200
+        status = pathlib.Path(f"/proc/{proc.pid}/status").read_text()
+        assert "Threads:\t1\n" in status
+    finally:
+        proc.terminate()
+        proc.wait(timeout=30)
 
 
 def test_cli_imports_only_units():

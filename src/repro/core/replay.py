@@ -22,7 +22,7 @@ those non-paused enqueues actually observed.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, count
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.packet import FlowKey
@@ -120,33 +120,41 @@ def _wait_weights(
     """Incoming and outgoing wait-for weight of every flow.
 
     ``ids`` is the replayed sequence (one flow index per packet) and
-    ``depth[f]`` the look-back of flow ``f``'s packets.  With ``prefix[g][i]``
-    the packets of flow ``g`` among the first ``i`` replayed, the ``g``
-    packets ahead of a waiter at position ``i`` are
-    ``prefix[g][i] - prefix[g][i - d]``; summed over one flow's positions
-    they give its whole row of exact integer wait counts.  Each count is
-    divided by the waiter's packet count; a flow's outgoing weight is its
-    row's sum and its incoming weight its column's sum.  Both sums keep the
-    float order the recorded verdicts were computed in (rows pairwise,
-    columns row by row), because a printed ``w=`` can turn on a weight's
-    last bit.
+    ``depth[f]`` the look-back of flow ``f``'s packets.  ``prefix[i]``
+    counts the packets of every flow among the first ``i`` replayed at
+    once: flow ``g``'s count is bit field ``g`` of one int, ``bits`` wide.
+    The ``g`` packets ahead of a waiter at position ``i`` are field ``g``
+    of ``prefix[i] - prefix[i - d]``, and summed over one flow's positions
+    the fields are its whole row of exact integer wait counts.  No field
+    can carry or borrow: each stays below ``len(ids) ** 2``, and every
+    window's count is non-negative.
+
+    Each count is divided by the waiter's packet count; a flow's outgoing
+    weight is its row's sum and its incoming weight its column's sum.
+    Both sums keep the float order the recorded verdicts were computed in
+    (rows pairwise, columns row by row), because a printed ``w=`` can turn
+    on a weight's last bit.
     """
     flows = range(len(pkt_num))
-    prefix = [list(accumulate(map(g.__eq__, ids), initial=0)) for g in flows]
+    bits = (len(ids) ** 2).bit_length()
+    mask = (1 << bits) - 1
+    unit = [1 << (bits * g) for g in flows]
+    prefix = list(accumulate(map(unit.__getitem__, ids), initial=0))
+    positions: List[List[int]] = [[] for _ in flows]
+    for i, g in enumerate(ids):
+        positions[g].append(i)
     rows: List[List[float]] = []
     for f in flows:
         d = depth[f]
         if d <= 0:
             rows.append([0.0] * len(pkt_num))
             continue
-        positions = list(compress(count(), map(f.__eq__, ids)))
-        starts = [i - d if i > d else 0 for i in positions]
+        starts = [i - d if i > d else 0 for i in positions[f]]
+        packed = sum(map(prefix.__getitem__, positions[f])) - sum(
+            map(prefix.__getitem__, starts)
+        )
         n = pkt_num[f]
-        rows.append([
-            (sum(map(col.__getitem__, positions))
-             - sum(map(col.__getitem__, starts))) / n
-            for col in prefix
-        ])
+        rows.append([((packed >> (bits * g)) & mask) / n for g in flows])
     return _column_sums(rows), [_pairwise_sum(row) for row in rows]
 
 

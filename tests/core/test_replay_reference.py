@@ -125,6 +125,16 @@ class TestAgainstNumpyKernel:
         got = contribution(entries, window_ns=1000)
         assert _bits(got) == _bits(reference.contribution_numpy(entries, 1000))
 
+    @pytest.mark.parametrize("pkts", [(1,), (400,), (300, 300), (1, 250, 7, 90)])
+    def test_bitwise_equal_when_every_packet_waits_on_the_whole_queue(self, pkts):
+        """Depths past the queue length drive every wait count to its
+        largest value, the top of each packed count field."""
+        entries = [entry(i, n, qdepth_avg=10_000) for i, n in enumerate(pkts)]
+        got = contribution(entries, window_ns=1000)
+        assert _bits(got) == _bits(reference.contribution_numpy(entries, 1000))
+        walk = reference.contribution_walk(entries, window_ns=1000)
+        assert got == pytest.approx(walk, abs=1e-9)
+
     @pytest.mark.parametrize("name, seed", [
         ("incast-backpressure", 1), ("pfc-storm", 2), ("in-loop-deadlock", 1),
         ("normal-contention", 3), ("fleet-incast-k8", 1),

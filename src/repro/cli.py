@@ -208,10 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(clamped to the CPU count and the topology's "
                           "pod groups; diagnoses are byte-identical to "
                           "--shards 1)")
-    run.add_argument("--shard-timeout", type=_positive_float, default=None,
-                     metavar="SECONDS",
-                     help="watchdog deadline for any single shard worker "
-                          "reply (default: 60)")
 
     trace = sub.add_parser(
         "trace",
@@ -395,7 +391,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         system=SystemKind(args.system),
         epoch_size_ns=usec(args.epoch_us),
         threshold_multiplier=args.threshold,
-        shard_timeout_s=args.shard_timeout,
     )
     config.shards = _resolve_shards(args, scenario, config)
     print(f"scenario : {scenario.name}")
@@ -486,10 +481,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if name is None:
         return 2
     obs_config = ObsConfig(
-        trace=True,
-        sink="jsonl" if args.jsonl else "ring",
-        jsonl_path=args.jsonl,
-        sim_events=args.sim_events,
+        trace=True, jsonl_path=args.jsonl, sim_events=args.sim_events
     )
     scenario, result = _replay_scenario(name, args.seed, RunConfig(obs=obs_config))
     records = result.obs.tracer.records()
@@ -545,7 +537,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         return 2
     config = RunConfig(
         monitor=MonitorConfig(interval_ns=usec(args.interval_us)),
-        obs=ObsConfig(trace=True, sink="ring") if args.trace else None,
+        obs=ObsConfig(trace=True) if args.trace else None,
     )
     scenario, result = _replay_scenario(name, args.seed, config)
     monitor = result.monitor

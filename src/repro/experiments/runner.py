@@ -84,12 +84,9 @@ class RunConfig:
     # ``repro.experiments.shardrun``).  ``1`` runs in-process; values above
     # the topology's pod count are clamped by the partitioner, and a config
     # ``shardrun.serial_reason`` names a reason for (faults, retry, monitor,
-    # sim tracing, collect-everywhere systems) runs on the serial engine.
+    # sim or pipeline tracing, collect-everywhere systems) runs on the
+    # serial engine.
     shards: int = 1
-    # Watchdog deadline (seconds) for any single shard worker reply
-    # before the parent declares the worker lost (see
-    # ``repro.experiments.supervise``).  ``None`` is the 60 s default.
-    shard_timeout_s: Optional[float] = None
 
     def scheme(self) -> EpochScheme:
         return EpochScheme.from_epoch_size(self.epoch_size_ns)
@@ -370,22 +367,9 @@ class SessionTotals:
     caches: Dict[str, Dict[str, int]]
     fault_stats: Dict[str, int]
     fault_incidents: List[FaultIncident]
-    # Filled by shard workers only: the trace payload and live registry
-    # counters the parent folds into its own tracer/registry, and the
-    # worker's busy CPU seconds and stage profile.
-    obs: Optional[Dict[str, Any]] = None
-    registry: Dict[str, int] = field(default_factory=dict)
+    # Filled by shard workers only: busy CPU seconds and stage profile.
     busy_s: float = 0.0
     stages: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # Reports cross the worker boundary in the columnar wire format:
-        # flat interned arrays pickle far smaller than the object graphs.
-        return {**self.__dict__, "reports": [r.to_columnar() for r in self.reports]}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        state["reports"] = [SwitchReport.from_columnar(b) for b in state["reports"]]
-        self.__dict__.update(state)
 
 
 def account_run(
@@ -404,7 +388,7 @@ def account_run(
     The one epilogue of every execution mode.  ``profile`` (and the
     registry it feeds), ``obs`` and ``monitor`` are the caller's live
     objects: the session's own in-process, the parent's merged profile
-    and tracer when sharded (a monitored run is never sharded).
+    when sharded (a traced or monitored run is never sharded).
     ``caches_before`` scopes the process-global cache counters to this
     run by differencing.
     """
@@ -565,13 +549,8 @@ class FabricSession:
     """
 
     def __init__(
-        self,
-        scenario: Scenario,
-        config: Optional[RunConfig] = None,
-        obs: Optional[PipelineObs] = None,
+        self, scenario: Scenario, config: Optional[RunConfig] = None
     ) -> None:
-        """``obs`` hands in a ready facade in place of one built from
-        ``config.obs`` — a shard worker's, which owns no scenario root."""
         self.wall_start = time.perf_counter()
         self.scenario = scenario
         self.config = config = config if config is not None else RunConfig()
@@ -586,12 +565,11 @@ class FabricSession:
             net.routing.select_cache_hits, net.routing.select_cache_misses
         )
 
-        self.metrics = metrics = (
-            obs.metrics if obs is not None else MetricsRegistry()
-        )
+        self.metrics = metrics = MetricsRegistry()
         self.profile = StageProfile(metrics)
         self._sim_obs: Optional[SimTraceObserver] = None
-        if obs is None and config.obs is not None and config.obs.trace:
+        obs: Optional[PipelineObs] = None
+        if config.obs is not None and config.obs.trace:
             obs = PipelineObs(Tracer(config.obs.build_sink()), metrics)
             obs.begin_scenario(
                 scenario.name, start_ns=net.sim.now, system=kind.value

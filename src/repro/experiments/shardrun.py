@@ -26,10 +26,13 @@ attach path the in-process run takes, so same-timestamp timer
 tie-breaking cannot fork), and the parent is the barrier, a sum of the
 workers' :class:`~repro.experiments.runner.SessionTotals`, and the shared
 :func:`~repro.experiments.runner.account_run` epilogue — so the analyzer
-half (report selection through verdict) runs once, in the parent.
+half (report selection through verdict) runs once, in the parent.  The
+totals are plain dataclasses (reports included) and cross the pipe as
+ordinary pickles.
 
-Worker supervision: a barrier watchdog (``--shard-timeout``, default
-60 s) bounds every wait on a worker.  A hung or crashed worker trips the
+Worker supervision: a barrier watchdog
+(:data:`~repro.experiments.supervise.DEFAULT_SHARD_TIMEOUT_S`, 60 s)
+bounds every wait on a worker.  A hung or crashed worker trips the
 watchdog; the parent then terminates the fleet on every exit path
 (``finally`` + ``atexit`` + SIGTERM) and reruns the scenario once on the
 single-process engine — byte-identical result, just slower — recording
@@ -39,17 +42,18 @@ Determinism: deliveries are ordered by the engine's canonical
 ``(send time, trigger schedule time, source, per-source seq)`` key in a
 per-timestamp delivery band, never by schedule-call order — so merging
 frames from another process reproduces the exact per-node event order of
-the single-process engine, and the merged diagnosis (and canonicalized
-obs trace, see :mod:`repro.obs.canon`) is byte-identical to ``shards=1``.
+the single-process engine, and the merged diagnosis is byte-identical to
+``shards=1``.
 
 What the engine takes is one rule, :func:`serial_reason`.  Byte-identity
 makes the serial engine an exact substitute for any config, so the only
 reason to shard a run is wall clock — and the modes that need
 fabric-global mutable state (fault injection, retry, the fabric monitor,
 per-packet sim tracing, collect-everywhere baselines) measured slower or
-no faster sharded.  They run on :func:`run_scenario` with
-``PerfStats.supervision == {"serial_reason": ...}``; the barrier carries
-the horizon and frames, nothing else.
+no faster sharded, and no caller shards a pipeline-traced run.  They run
+on :func:`run_scenario` with ``PerfStats.supervision == {"serial_reason":
+...}``; the barrier carries the horizon and frames, and the workers'
+totals come back once at the end.
 """
 
 from __future__ import annotations
@@ -60,29 +64,15 @@ import signal
 import threading
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-from ..obs import (
-    Event,
-    MetricsRegistry,
-    PipelineObs,
-    Span,
-    StageProfile,
-    Tracer,
-    merge_stage_dicts,
-)
-from ..obs.trace import NullSink
+from ..obs import MetricsRegistry, StageProfile, merge_stage_dicts
 from ..sim.packet import FlowKey
 from ..sim.shard import shard_build_context
 from ..topology.partition import ShardPlan, partition_topology
 from .perfstats import global_cache_counters
-from .supervise import (
-    ShardCrashed,
-    ShardTimeout,
-    ShardWorkerError,
-    fork_context,
-    resolve_timeout,
-)
+from . import supervise
+from .supervise import ShardCrashed, ShardTimeout, ShardWorkerError, fork_context
 from .runner import (
     FabricSession,
     RunConfig,
@@ -102,75 +92,6 @@ from .runner import (
 _TEST_WORKER_ABORT: Optional[Callable[[int, int], Optional[str]]] = None
 
 
-class ShardPipelineObs(PipelineObs):
-    """Worker-side observability that remembers what it could not anchor.
-
-    A worker has no scenario span (the parent owns the root) and only its
-    own victims' diagnosis/round spans; records for a *remote* victim fall
-    back to no parent.  Each fallback is noted as ``(record id, victim)``
-    so the merge step can re-anchor the record under the victim's round
-    span — reproducing exactly the parent the single-process
-    :meth:`PipelineObs._anchor` would have chosen.
-    """
-
-    def __init__(self, tracer: Tracer, metrics: MetricsRegistry) -> None:
-        super().__init__(tracer, metrics)
-        self.fallbacks: List[Tuple[int, str]] = []
-
-    def _note(self, victim) -> None:
-        if (
-            victim is not None
-            and self._round.get(victim) is None
-            and self._diagnosis.get(victim) is None
-        ):
-            # The next record created gets id ``tracer._next_id``.
-            self.fallbacks.append((self.tracer._next_id, str(victim)))
-
-    def on_polling_mirror(self, switch, victim, time_ns):
-        self._note(victim)
-        super().on_polling_mirror(switch, victim, time_ns)
-
-    def on_polling_forward(self, switch, victim, time_ns, fanout):
-        self._note(victim)
-        super().on_polling_forward(switch, victim, time_ns, fanout)
-
-    def on_polling_suppressed(self, switch, victim, time_ns, kind):
-        self._note(victim)
-        super().on_polling_suppressed(switch, victim, time_ns, kind)
-
-    def on_polling_lost(self, switch, victim, time_ns):
-        self._note(victim)
-        super().on_polling_lost(switch, victim, time_ns)
-
-    def on_collection_shared(self, switch, victim, time_ns):
-        self._note(victim)
-        super().on_collection_shared(switch, victim, time_ns)
-
-    def on_epoch_read(self, switch, victim, start_ns, end_ns, epochs, faults=()):
-        self._note(victim)
-        super().on_epoch_read(switch, victim, start_ns, end_ns, epochs, faults)
-
-    def on_report(self, fate, switch, victim, time_ns, faults=(), delay_ns=0):
-        self._note(victim)
-        super().on_report(fate, switch, victim, time_ns, faults, delay_ns)
-
-
-    def payload(self) -> Dict[str, Any]:
-        """This worker's trace records plus what :func:`_merge_obs` needs
-        to renumber and re-anchor them in the parent."""
-        tracer = self.tracer
-        return {
-            "spans": [s.to_record() for s in tracer.spans],
-            "events": [e.to_record() for e in tracer.events],
-            "open_ids": [s.span_id for s in tracer.open_spans()],
-            "diag_spans": {v: s.span_id for v, s in self._diagnosis.items()},
-            "round_spans": {v: s.span_id for v, s in self._round.items()},
-            "round_no": dict(self._round_no),
-            "fallbacks": list(self.fallbacks),
-            "next_id": tracer._next_id,
-        }
-
-
 def serial_reason(config: RunConfig, plan: ShardPlan) -> Optional[str]:
     """What keeps this run off the shard engine, or ``None`` if it shards.
 
@@ -188,6 +109,8 @@ def serial_reason(config: RunConfig, plan: ShardPlan) -> Optional[str]:
         return "the fabric monitor"
     if config.obs is not None and config.obs.sim_events:
         return "per-packet sim tracing"
+    if config.obs is not None and config.obs.trace:
+        return "pipeline tracing"
     if config.system.collects_everywhere:
         return "a collect-everywhere system"
     return None
@@ -205,10 +128,7 @@ def _shard_worker_main(
     try:
         with shard_build_context(plan.assignment, shard_id):
             scenario = spec.build()
-        obs: Optional[ShardPipelineObs] = None
-        if config.obs is not None and config.obs.trace:
-            obs = ShardPipelineObs(Tracer(NullSink()), MetricsRegistry())
-        session = FabricSession(scenario, config, obs=obs)
+        session = FabricSession(scenario, config)
         net = session.net
         profile = session.profile
 
@@ -220,8 +140,6 @@ def _shard_worker_main(
             msg = conn.recv()
             if msg[0] == "finish":
                 totals = session.totals()
-                totals.obs = obs.payload() if obs is not None else None
-                totals.registry = session.metrics.to_dict()["counters"]
                 totals.busy_s = busy_s
                 totals.stages = profile.to_dict()
                 conn.send(("final", totals))
@@ -273,105 +191,6 @@ def _shard_worker_main(
 # ---------------------------------------------------------------------------
 
 
-def _merge_obs(parent_obs: PipelineObs, payloads: List[Dict[str, Any]]) -> None:
-    """Fold worker trace records into the parent tracer, re-anchored.
-
-    Worker record ids are offset into one global sequence; spans and
-    events that a worker could only anchor to its (absent) root are
-    re-parented under the merged scenario span, and the victim-scoped
-    fallbacks noted by :class:`ShardPipelineObs` are re-anchored under
-    the victim's polling round (or diagnosis) span open at their
-    timestamp — the parent single-process ``_anchor`` would have chosen.
-    Open diagnosis/round spans are revived into the parent's bookkeeping
-    so the analyzer phase closes them exactly as ``run_scenario`` does.
-    """
-    tracer = parent_obs.tracer
-    scenario_span = parent_obs.scenario_span
-    assert scenario_span is not None
-    next_id = tracer._next_id
-    spans_by_id: Dict[int, Span] = {scenario_span.span_id: scenario_span}
-    events_by_id: Dict[int, Event] = {}
-    fallbacks: List[Tuple[int, str]] = []
-
-    for payload in payloads:
-        offset = next_id
-        next_id += payload["next_id"]
-        open_ids = set(payload["open_ids"])
-        for rec in payload["spans"]:
-            parent_id = rec["parent"]
-            span = Span(
-                rec["id"] + offset,
-                parent_id + offset if parent_id is not None else scenario_span.span_id,
-                rec["kind"],
-                rec["name"],
-                rec["start_ns"],
-                dict(rec["attrs"]),
-            )
-            if rec["id"] not in open_ids:
-                span.end_ns = rec["end_ns"]
-            spans_by_id[span.span_id] = span
-            tracer.spans.append(span)
-            if rec["id"] in open_ids:
-                tracer._open[span.span_id] = span
-        for rec in payload["events"]:
-            span_id = rec["span"]
-            event = Event(
-                rec["id"] + offset,
-                span_id + offset if span_id is not None else scenario_span.span_id,
-                rec["kind"],
-                rec["name"],
-                rec["time_ns"],
-                dict(rec["attrs"]),
-            )
-            events_by_id[event.event_id] = event
-            tracer.events.append(event)
-        fallbacks.extend((rid + offset, vstr) for rid, vstr in payload["fallbacks"])
-        for victim, span_id in payload["diag_spans"].items():
-            parent_obs._diagnosis[victim] = spans_by_id[span_id + offset]
-        for victim, span_id in payload["round_spans"].items():
-            parent_obs._round[victim] = spans_by_id[span_id + offset]
-        for victim, number in payload["round_no"].items():
-            parent_obs._round_no[victim] = number
-
-    tracer._next_id = next_id
-    tracer.spans.sort(key=lambda s: s.span_id)
-    tracer.events.sort(key=lambda e: e.event_id)
-
-    # Victim name -> its diagnosis span and (start-ordered) round spans.
-    diag_of: Dict[str, Span] = {}
-    rounds_of: Dict[str, List[Span]] = {}
-    for span in tracer.spans:
-        if span.kind == "diagnosis":
-            diag_of[span.attrs.get("victim", span.name)] = span
-    for span in tracer.spans:
-        if span.kind == "polling_round":
-            parent = spans_by_id.get(span.parent_id)
-            if parent is not None and parent.kind == "diagnosis":
-                victim = parent.attrs.get("victim", parent.name)
-                rounds_of.setdefault(victim, []).append(span)
-    for spans in rounds_of.values():
-        spans.sort(key=lambda s: (s.start_ns, s.span_id))
-
-    for rid, victim in fallbacks:
-        span = spans_by_id.get(rid)
-        event = events_by_id.get(rid)
-        at_ns = span.start_ns if span is not None else event.time_ns
-        candidates = [
-            r for r in rounds_of.get(victim, []) if r.start_ns <= at_ns
-        ]
-        target: Optional[Span] = candidates[-1] if candidates else None
-        if target is None:
-            diagnosis = diag_of.get(victim)
-            if diagnosis is not None and diagnosis.start_ns <= at_ns:
-                target = diagnosis
-        if target is None:
-            target = scenario_span
-        if span is not None:
-            span.parent_id = target.span_id
-        else:
-            event.span_id = target.span_id
-
-
 def _add_counters(into: Dict[str, Any], counters: Dict[str, Any]) -> None:
     """Key-wise ``into += counters`` (nested hit/miss dicts recurse)."""
     for key, value in counters.items():
@@ -393,7 +212,7 @@ def _sum_totals(parts: Sequence[SessionTotals]) -> SessionTotals:
     traced: Optional[Dict[FlowKey, Set[str]]] = None
     summed: Dict[str, Dict[str, Any]] = {
         name: {}
-        for name in ("collection", "polling", "agent", "sim", "caches", "registry")
+        for name in ("collection", "polling", "agent", "sim", "caches")
     }
     for part in parts:
         if part.traced is not None:
@@ -440,7 +259,7 @@ def run_scenario_sharded(
     :func:`serial_reason` names a reason.
     """
     config = config if config is not None else RunConfig()
-    timeout_s = resolve_timeout(config.shard_timeout_s)
+    timeout_s = supervise.DEFAULT_SHARD_TIMEOUT_S
 
     wall_start = time.perf_counter()
     scenario = spec.build()
@@ -455,11 +274,6 @@ def run_scenario_sharded(
     caches_before = global_cache_counters()
     metrics = MetricsRegistry()
     profile = StageProfile(metrics)
-
-    obs: Optional[PipelineObs] = None
-    if config.obs is not None and config.obs.trace:
-        obs = PipelineObs(Tracer(config.obs.build_sink()), metrics)
-        obs.begin_scenario(scenario.name, start_ns=0, system=config.system.value)
 
     ctx = fork_context()
 
@@ -617,12 +431,8 @@ def run_scenario_sharded(
         return result
 
     total = _sum_totals(shard_totals)
-    metrics.absorb_counters("", total.registry)
-    if obs is not None:
-        _merge_obs(obs, [part.obs for part in shard_totals])
     result = account_run(
-        scenario, config, total, duration, profile, wall_start, caches_before,
-        obs=obs,
+        scenario, config, total, duration, profile, wall_start, caches_before
     )
 
     # Parent stages (simulate, flush_pending, analyzer stages) carry

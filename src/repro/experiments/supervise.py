@@ -9,9 +9,9 @@ purpose — a dead worker raises ``BrokenProcessPool``, loudly.
 The shard fleet (:mod:`repro.experiments.shardrun`) is the other shape:
 long-lived barrier peers that can hang or die (OOM kill, SIGKILL, a
 crashed native extension), so the parent runs a watchdog over them.
-``--shard-timeout`` / ``RunConfig.shard_timeout_s`` is how long the
-barrier waits for any single worker reply before declaring the worker
-lost (seconds, strictly positive; default 60).  A lost worker has one
+:data:`DEFAULT_SHARD_TIMEOUT_S` is how long the barrier waits for any
+single worker reply before declaring the worker lost (read at call
+time, so a test can shorten it).  A lost worker has one
 answer: terminate the fleet and rerun the scenario once on the
 deterministic single-process engine — byte-identical output, just
 slower.
@@ -19,7 +19,7 @@ slower.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, List, TypeVar
 
 if TYPE_CHECKING:
     import multiprocessing.context
@@ -74,20 +74,4 @@ class ShardTimeout(ShardWorkerError):
 
 class ShardCrashed(ShardWorkerError):
     """A worker process died (nonzero exit, SIGKILL) mid-protocol."""
-
-
-def resolve_timeout(config_timeout_s: Optional[float] = None) -> float:
-    """The barrier watchdog deadline in seconds.
-
-    Explicit config (``--shard-timeout``) over the default.  Rejects
-    non-positive values loudly.
-    """
-    if config_timeout_s is None:
-        return DEFAULT_SHARD_TIMEOUT_S
-    if config_timeout_s <= 0:
-        raise ValueError(
-            f"shard timeout must be a positive number of seconds, "
-            f"got {config_timeout_s!r}"
-        )
-    return float(config_timeout_s)
 

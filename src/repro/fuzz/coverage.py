@@ -8,8 +8,7 @@ so novelty is defined over what the existing planes observed:
 - which Table-2 signature predicates matched the provenance graph;
 - the alert-category combination the fabric monitor raised;
 - the canonical *shape* of the provenance graph — per-port structural
-  tuples plus loop lengths, hashed the way :mod:`repro.obs.canon`
-  canonicalizes trace streams (content only, no ids).
+  tuples plus loop lengths, hashed on content only (no names, no ids).
 
 A :class:`FuzzObservation` collects those signals; its
 :func:`fingerprint` is the retention key of the corpus and the invariant
@@ -87,8 +86,7 @@ class FuzzObservation:
 def graph_shape_hash(annotated: Optional[AnnotatedGraph]) -> str:
     """A canonical fingerprint of the provenance graph's *shape*.
 
-    Content-and-structure only (the :mod:`repro.obs.canon` discipline):
-    per-port tuples of (port-level out/in degree, paused, host peer,
+    Content-and-structure only: per-port tuples of (port-level out/in degree, paused, host peer,
     contention), sorted; loop lengths, sorted; and the flow-edge count
     bucketed by bit length so workload scale changes shape only in
     magnitude steps.  Names never enter, so isomorphic graphs on

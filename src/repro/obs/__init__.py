@@ -3,8 +3,10 @@
 Three planes, one package:
 
 - **tracing** (:mod:`.trace`, :mod:`.pipeline`, :mod:`.simtrace`): typed
-  span/event records with sim-time timestamps and parent links, over
-  swappable sinks; off by default via :data:`NULL_TRACER`;
+  span/event records with sim-time timestamps and parent links, kept in
+  memory and optionally streamed to a JSONL sink; off by default via
+  :data:`NULL_TRACER`.  A traced run is one process, so its records
+  compare raw across runs;
 - **metrics** (:mod:`.metrics`): counters/gauges/histograms absorbing the
   legacy per-component counter dicts, exported via ``--metrics-json``;
 - **profiling** (:mod:`.profile`): per-stage wall-clock accounting folded
@@ -17,14 +19,13 @@ Three planes, one package:
 from .. import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "canon": ("canonical_jsonl", "canonicalize"),
     "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
     "pipeline": ("ObsConfig", "PipelineObs"),
     "profile": ("StageProfile", "merge_stage_dicts"),
     "simtrace": ("SimTraceObserver",),
     "trace": (
         "NULL_SPAN", "NULL_TRACER", "AnyTracer", "Event", "JsonlSink",
-        "ListSink", "NullSink", "NullTracer", "RingBufferSink", "Sink", "Span",
+        "ListSink", "NullSink", "NullTracer", "Sink", "Span",
         "Tracer",
     ),
     "tree": (

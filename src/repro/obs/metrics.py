@@ -181,7 +181,7 @@ class MetricsRegistry:
         into the name.
         """
         for key, value in counters.items():
-            name = f"{prefix}.{key}" if prefix else str(key)
+            name = f"{prefix}.{key}"
             if isinstance(value, Mapping):
                 self.absorb_counters(name, value)
             elif isinstance(value, bool):

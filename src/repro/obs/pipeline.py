@@ -42,14 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from .metrics import MetricsRegistry
-from .trace import (
-    AnyTracer,
-    JsonlSink,
-    NullSink,
-    RingBufferSink,
-    Sink,
-    Span,
-)
+from .trace import AnyTracer, JsonlSink, NullSink, Sink, Span
 
 
 @dataclass(frozen=True)
@@ -62,20 +55,15 @@ class ObsConfig:
     """
 
     trace: bool = False            # build a real tracer (else NULL_TRACER)
-    sink: str = "null"             # "null" | "ring" | "jsonl"
-    jsonl_path: Optional[str] = None
+    jsonl_path: Optional[str] = None  # also stream records to this file
     sim_events: bool = False       # per-packet sim events (heavy; tests/CLI)
 
     def build_sink(self) -> Sink:
-        if self.sink == "ring":
-            return RingBufferSink()
-        if self.sink == "jsonl":
-            if not self.jsonl_path:
-                raise ValueError("ObsConfig(sink='jsonl') needs jsonl_path")
+        """JSONL when ``jsonl_path`` is set; the tracer keeps every record
+        in memory (``tracer.records()``) either way."""
+        if self.jsonl_path:
             return JsonlSink(self.jsonl_path)
-        if self.sink == "null":
-            return NullSink()
-        raise ValueError(f"unknown trace sink {self.sink!r}")
+        return NullSink()
 
 
 class PipelineObs:

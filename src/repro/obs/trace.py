@@ -19,9 +19,9 @@ Sink contract (see DESIGN.md "Observability"): a sink's ``emit`` receives
 each finished record exactly once, in emission order — events when they
 fire, spans when they *end* — as a plain JSON-serializable dict.  Sinks
 must not mutate records.  The tracer additionally retains every span and
-event on itself (``tracer.spans`` / ``tracer.events``) so in-process
-consumers (the span-tree renderer, the invariant tests) never depend on a
-sink's retention policy (the ring sink drops old records by design).
+event on itself (``tracer.spans`` / ``tracer.events``), so in-process
+consumers (the span-tree renderer, the invariant tests) read
+:meth:`Tracer.records` and never depend on a sink.
 
 The default tracer is :data:`NULL_TRACER`: a singleton whose methods
 return immediately, so instrumented call sites cost one attribute check
@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import io
 import json
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 
 class Sink:
@@ -49,23 +48,6 @@ class Sink:
 
 class NullSink(Sink):
     """Discards every record (the leave-it-on default)."""
-
-
-class RingBufferSink(Sink):
-    """Keeps the most recent ``capacity`` records in memory."""
-
-    def __init__(self, capacity: int = 1 << 16) -> None:
-        self.records: Deque[Dict[str, Any]] = deque(maxlen=capacity)
-        self.emitted = 0
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        self.records.append(record)
-        self.emitted += 1
-
-    @property
-    def dropped(self) -> int:
-        """Records evicted by the ring (emitted but no longer retained)."""
-        return self.emitted - len(self.records)
 
 
 class JsonlSink(Sink):
@@ -190,7 +172,9 @@ class Tracer:
 
     Record ids are a single shared sequence over spans and events, so the
     id order is the global emission order — the invariant tests use it to
-    check causal ordering without trusting timestamps alone.
+    check causal ordering without trusting timestamps alone.  A traced run
+    is always one process (a sharded request with tracing on runs serially),
+    so two runs of one spec compare by their raw :meth:`records`.
     """
 
     enabled = True

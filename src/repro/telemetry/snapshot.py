@@ -9,9 +9,8 @@ aggregation helpers collapse the epoch dimension for the provenance builder
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.packet import FlowKey
 from .records import (
@@ -130,120 +129,6 @@ class SwitchReport:
             + self.num_meter_entries() * METER_ENTRY_BYTES
             + len(self.port_status) * PORT_STATUS_BYTES
         )
-
-    # -- columnar wire format -------------------------------------------------------
-
-    def to_columnar(self) -> Dict[str, Any]:
-        """Pack the report into flat parallel arrays (the shipping format).
-
-        Sweep workers return diagnosis-input reports to the parent process
-        in this form: interned 5-tuples plus ``array('q')`` columns pickle
-        an order of magnitude smaller/faster than per-entry dataclasses.
-        Column order preserves dict insertion order, so
-        :meth:`from_columnar` round-trips byte-identically.
-        """
-        keys: List[Tuple] = []
-        key_id: Dict[FlowKey, int] = {}
-        epochs = []
-        for epoch in self.epochs:
-            flow_cols = tuple(array("q") for _ in range(7))
-            for (key, egress), entry in epoch.flows.items():
-                kid = key_id.get(key)
-                if kid is None:
-                    kid = len(keys)
-                    key_id[key] = kid
-                    keys.append(
-                        (key.src_ip, key.dst_ip, key.src_port, key.dst_port, key.protocol)
-                    )
-                for col, value in zip(
-                    flow_cols,
-                    (
-                        kid,
-                        egress,
-                        entry.pkt_count,
-                        entry.paused_count,
-                        entry.qdepth_sum_pkts,
-                        entry.byte_count,
-                        entry.qdepth_paused_sum_pkts,
-                    ),
-                ):
-                    col.append(value)
-            port_cols = tuple(array("q") for _ in range(5))
-            for port, entry in epoch.ports.items():
-                for col, value in zip(
-                    port_cols,
-                    (
-                        port,
-                        entry.pkt_count,
-                        entry.paused_count,
-                        entry.qdepth_sum_pkts,
-                        entry.pause_rx_count,
-                    ),
-                ):
-                    col.append(value)
-            meter_cols = tuple(array("q") for _ in range(3))
-            for (ingress, egress), volume in epoch.meters.items():
-                meter_cols[0].append(ingress)
-                meter_cols[1].append(egress)
-                meter_cols[2].append(volume)
-            epochs.append(
-                {
-                    "n": epoch.epoch_number,
-                    "flows": flow_cols,
-                    "ports": port_cols,
-                    "meters": meter_cols,
-                }
-            )
-        status_cols = (array("q"), array("q"))
-        for port, remaining in self.port_status.items():
-            status_cols[0].append(port)
-            status_cols[1].append(remaining)
-        return {
-            "switch": self.switch,
-            "collect_time": self.collect_time,
-            "keys": keys,
-            "epochs": epochs,
-            "port_status": status_cols,
-            "faults": self.faults,
-        }
-
-    @classmethod
-    def from_columnar(cls, blob: Dict[str, Any]) -> "SwitchReport":
-        """Rebuild a report from :meth:`to_columnar` output, orders intact."""
-        keys = [FlowKey(*fields) for fields in blob["keys"]]
-        report = cls(switch=blob["switch"], collect_time=blob["collect_time"])
-        for packed in blob["epochs"]:
-            epoch = EpochData(epoch_number=packed["n"])
-            kid_col, egress_col, pkt, paused, qdepth, byte_count, qd_paused = packed["flows"]
-            for i in range(len(kid_col)):
-                key = keys[kid_col[i]]
-                epoch.flows[(key, egress_col[i])] = FlowEntry(
-                    key=key,
-                    egress_port=egress_col[i],
-                    pkt_count=pkt[i],
-                    paused_count=paused[i],
-                    qdepth_sum_pkts=qdepth[i],
-                    byte_count=byte_count[i],
-                    qdepth_paused_sum_pkts=qd_paused[i],
-                )
-            port_col, ppkt, ppaused, pqdepth, prx = packed["ports"]
-            for i in range(len(port_col)):
-                epoch.ports[port_col[i]] = PortEntry(
-                    port=port_col[i],
-                    pkt_count=ppkt[i],
-                    paused_count=ppaused[i],
-                    qdepth_sum_pkts=pqdepth[i],
-                    pause_rx_count=prx[i],
-                )
-            m_in, m_eg, m_vol = packed["meters"]
-            for i in range(len(m_in)):
-                epoch.meters[(m_in[i], m_eg[i])] = m_vol[i]
-            report.epochs.append(epoch)
-        status_ports, status_remaining = blob["port_status"]
-        for i in range(len(status_ports)):
-            report.port_status[status_ports[i]] = status_remaining[i]
-        report.faults = tuple(blob.get("faults", ()))
-        return report
 
     @staticmethod
     def full_dump_bytes(flow_slots: int, num_ports: int, num_epochs: int) -> int:

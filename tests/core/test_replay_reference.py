@@ -218,21 +218,21 @@ ANOMALY_SCENARIOS = [
 @pytest.mark.parametrize("name", ANOMALY_SCENARIOS)
 def test_walk_and_production_diagnoses_byte_identical(name, monkeypatch):
     """End to end, per anomaly class: the walk and the production replay
-    yield the same diagnosis strings and the same canonical obs trace."""
+    yield the same diagnosis strings and the same obs trace records."""
     import repro.core.build as build
     from repro.experiments import RunConfig, ScenarioSpec, run_scenario
-    from repro.obs import ObsConfig, canonical_jsonl
+    from repro.obs import ObsConfig
 
     def run():
         spec = ScenarioSpec(name, seed=1)
         result = run_scenario(
-            spec.build(), RunConfig(obs=ObsConfig(trace=True, sink="ring"))
+            spec.build(), RunConfig(obs=ObsConfig(trace=True))
         )
         diagnoses = [
             o.diagnosis.describe() if o.diagnosis is not None else None
             for o in result.outcomes
         ]
-        return diagnoses, canonical_jsonl(result.obs.tracer.records())
+        return diagnoses, result.obs.tracer.records()
 
     production = run()
     monkeypatch.setattr(build, "contribution", reference.contribution_walk)

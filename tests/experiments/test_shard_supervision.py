@@ -19,8 +19,7 @@ from repro.experiments import (
     run_scenario,
     run_scenario_sharded,
 )
-from repro.experiments import shardrun
-from repro.experiments.supervise import resolve_timeout
+from repro.experiments import shardrun, supervise
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -65,9 +64,7 @@ class TestSerialFallback:
         """SIGKILL mid-run -> serial rerun, identical diagnoses, no leaks."""
         serial = run_scenario(SPEC.build(), RunConfig())
         abort_hook(lambda sid, ep: "sigkill" if (sid == 1 and ep == 3) else None)
-        result = run_scenario_sharded(
-            SPEC, RunConfig(shards=2, shard_timeout_s=30)
-        )
+        result = run_scenario_sharded(SPEC, RunConfig(shards=2))
         assert _diagnoses(result) == _diagnoses(serial)
         supervision = result.perf.supervision
         assert supervision["fallback_ran"] == "serial"
@@ -80,24 +77,24 @@ class TestSerialFallback:
         """The fork-to-first-barrier window must not strand the segment."""
         serial = run_scenario(SPEC.build(), RunConfig())
         abort_hook(lambda sid, ep: "sigkill" if (sid == 0 and ep == 0) else None)
-        result = run_scenario_sharded(
-            SPEC, RunConfig(shards=2, shard_timeout_s=30)
-        )
+        result = run_scenario_sharded(SPEC, RunConfig(shards=2))
         assert _diagnoses(result) == _diagnoses(serial)
         assert result.perf.supervision["fallback_ran"] == "serial"
 
-    def test_hung_worker_is_bounded_by_watchdog(self, abort_hook, leak_check):
+    def test_hung_worker_is_bounded_by_watchdog(
+        self, abort_hook, leak_check, monkeypatch
+    ):
         """A wedged worker ends the run within the timeout, not never."""
         serial = run_scenario(SPEC.build(), RunConfig())
         abort_hook(lambda sid, ep: "hang" if (sid == 1 and ep == 5) else None)
+        monkeypatch.setattr(supervise, "DEFAULT_SHARD_TIMEOUT_S", 2.0)
         start = time.monotonic()
-        result = run_scenario_sharded(
-            SPEC, RunConfig(shards=2, shard_timeout_s=2.0)
-        )
+        result = run_scenario_sharded(SPEC, RunConfig(shards=2))
         # Watchdog (2 s) + serial rerun; generous bound for slow CI.
         assert time.monotonic() - start < 60
         assert _diagnoses(result) == _diagnoses(serial)
         assert result.perf.supervision["fallback_ran"] == "serial"
+        assert result.perf.supervision["timeout_s"] == 2.0
 
     def test_cli_run_says_when_the_fallback_ran(
         self, abort_hook, leak_check, monkeypatch, capsys, tmp_path
@@ -119,21 +116,12 @@ class TestSerialFallback:
         assert counters["shard.fallbacks"] == 1
 
 
-class TestPolicyValidation:
-    def test_timeout_precedence_config_over_default(self):
-        assert resolve_timeout(5.0) == 5.0
-        assert resolve_timeout() == 60.0
 
-    def test_nonpositive_config_timeout_is_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            resolve_timeout(0)
-        # The one ValueError run_scenario_sharded raises; no config does.
-        with pytest.raises(ValueError, match="positive"):
-            run_scenario_sharded(SPEC, RunConfig(shards=2, shard_timeout_s=0))
-
-    @pytest.mark.parametrize("value", ["0", "-2.5"])
-    def test_cli_rejects_nonpositive_shard_timeout(self, value):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["run", "pfc-storm", "--shard-timeout", value])
+class TestWatchdogDeadline:
+    def test_deadline_is_read_at_call_time(self, monkeypatch):
+        """No knob: the one deadline is the module constant, read per run."""
+        assert supervise.DEFAULT_SHARD_TIMEOUT_S == 60.0
+        monkeypatch.setattr(supervise, "DEFAULT_SHARD_TIMEOUT_S", 30.0)
+        result = run_scenario_sharded(SPEC, RunConfig(shards=2))
+        assert result.perf.shards == 2
+        assert result.perf.supervision == {"timeout_s": 30.0}

@@ -1,9 +1,11 @@
 """End-to-end reliability: differential byte-identity, determinism,
 retry/backoff recovery and graceful degradation under injected faults."""
 
+import pickle
+
 import pytest
 
-from repro.experiments.runner import RunConfig, run_scenario
+from repro.experiments.runner import FabricSession, RunConfig, run_scenario
 from repro.faults import FaultPlan, RetryPolicy
 from repro.telemetry.snapshot import SwitchReport
 from repro.units import usec
@@ -175,11 +177,28 @@ class TestAgentRestart:
 
 
 class TestFaultFlagsSurvivePlumbing:
-    def test_columnar_round_trip_preserves_faults(self):
+    def test_pickle_round_trip_preserves_faults(self):
         report = SwitchReport(switch="SW1", collect_time=123)
         report.faults = ("stale", "truncated")
-        restored = SwitchReport.from_columnar(report.to_columnar())
+        restored = pickle.loads(pickle.dumps(report))
         assert restored.faults == ("stale", "truncated")
+
+    def test_session_totals_pickle_round_trip(self):
+        """What a shard worker sends its parent: a real session's totals,
+        flagged reports included, equal after the pickle."""
+        scenario = SCENARIO_BUILDERS["incast-backpressure"](seed=1)
+        session = FabricSession(
+            scenario,
+            RunConfig(faults=FaultPlan(seed=1, clock_skew_max_ns=usec(50))),
+        )
+        session.advance(scenario.duration_ns)
+        totals = session.totals()
+        restored = pickle.loads(pickle.dumps(totals))
+        assert restored == totals
+        assert any("skewed" in r.faults for r in restored.reports)
+        assert [r.faults for r in restored.reports] == [
+            r.faults for r in totals.reports
+        ]
 
     def test_visibility_transforms_preserve_faults(self):
         from repro.baselines.transforms import (

@@ -91,7 +91,7 @@ class TestTimelineIntegration:
         result = run_scenario(
             scenario,
             RunConfig(
-                monitor=MonitorConfig(), obs=ObsConfig(trace=True, sink="ring")
+                monitor=MonitorConfig(), obs=ObsConfig(trace=True)
             ),
         )
         incidents = result.monitor.timeline.incidents

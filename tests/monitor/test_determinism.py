@@ -42,7 +42,7 @@ class TestPureObserver:
             run_scenario(
                 scenario,
                 RunConfig(
-                    obs=ObsConfig(trace=True, sink="jsonl", jsonl_path=str(path)),
+                    obs=ObsConfig(trace=True, jsonl_path=str(path)),
                     monitor=monitor,
                 ),
             )

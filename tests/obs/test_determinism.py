@@ -14,7 +14,7 @@ def run_jsonl(name, path, seed=1, sim_events=False, faults=None, retry=None):
     scenario = SCENARIO_BUILDERS[name](seed=seed)
     config = RunConfig(
         obs=ObsConfig(
-            trace=True, sink="jsonl", jsonl_path=str(path), sim_events=sim_events
+            trace=True, jsonl_path=str(path), sim_events=sim_events
         ),
         faults=faults,
         retry=retry,
@@ -73,7 +73,7 @@ class TestTracerIsPureObserver:
 
         plain = run(None)
         traced = run(
-            ObsConfig(trace=True, sink="jsonl", jsonl_path=str(tmp_path / "t.jsonl"))
+            ObsConfig(trace=True, jsonl_path=str(tmp_path / "t.jsonl"))
         )
 
         def digest(result):

@@ -30,7 +30,7 @@ DEGRADED_EVENTS = {
 def run_traced(name, seed=1, faults=None, retry=None):
     scenario = SCENARIO_BUILDERS[name](seed=seed)
     config = RunConfig(
-        obs=ObsConfig(trace=True, sink="ring"), faults=faults, retry=retry
+        obs=ObsConfig(trace=True), faults=faults, retry=retry
     )
     result = run_scenario(scenario, config)
     return result, result.obs.tracer.records()

@@ -10,8 +10,8 @@ from repro.obs import (
     NULL_TRACER,
     JsonlSink,
     ListSink,
+    NullSink,
     NullTracer,
-    RingBufferSink,
     Tracer,
 )
 
@@ -87,16 +87,12 @@ class TestSinks:
         tracer.end_span(span, 10)
         assert [r["type"] for r in sink.records] == ["event", "span"]
 
-    def test_ring_sink_evicts_oldest(self):
-        sink = RingBufferSink(capacity=3)
-        tracer = Tracer(sink)
+    def test_tracer_keeps_every_record_over_a_null_sink(self):
+        """In-process consumers read ``records()``, never a sink."""
+        tracer = Tracer(NullSink())
         for i in range(5):
             tracer.event("pkt_enqueue", time_ns=i)
-        assert sink.emitted == 5
-        assert sink.dropped == 2
-        assert [r["time_ns"] for r in sink.records] == [2, 3, 4]
-        # The tracer itself retains everything regardless of sink policy.
-        assert len(tracer.records()) == 5
+        assert [r["time_ns"] for r in tracer.records()] == [0, 1, 2, 3, 4]
 
     def test_jsonl_sink_writes_sorted_compact_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -130,9 +126,11 @@ class TestSinks:
             tracer.finish(5)
             return tracer.records()
 
-        ring, lst = RingBufferSink(), ListSink()
-        assert run(ring) == run(lst)
-        assert list(ring.records) == lst.records
+        buf, lst = io.StringIO(), ListSink()
+        assert run(NullSink()) == run(JsonlSink(buf)) == run(lst)
+        assert [json.loads(line) for line in buf.getvalue().splitlines()] == (
+            lst.records
+        )
 
 
 class TestNullTracer:

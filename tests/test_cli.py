@@ -232,7 +232,7 @@ CONFIG_FIELDS = {
     },
     "FuzzConfig": {"budget", "seed", "jobs", "generation"},
     "MonitorConfig": {"enabled", "interval_ns", "capacity"},
-    "ObsConfig": {"trace", "sink", "jsonl_path", "sim_events"},
+    "ObsConfig": {"trace", "jsonl_path", "sim_events"},
     "PfcConfig": {"xoff_bytes", "xon_bytes"},
     "PollingConfig": {
         "lookback_epochs", "dedup_interval_ns", "trace_pfc", "use_meters",
@@ -245,7 +245,7 @@ CONFIG_FIELDS = {
     "RunConfig": {
         "system", "epoch_size_ns", "threshold_multiplier", "flow_slots",
         "exclude_paused_in_contention", "use_meters", "faults", "retry",
-        "obs", "monitor", "shards", "shard_timeout_s",
+        "obs", "monitor", "shards",
     },
     "ScoreConfig": {"culprit_recall_threshold"},
     "ServeConfig": {
@@ -269,7 +269,6 @@ SUBCOMMAND_OPTIONS = {
     "run": {
         "--seed", "--system", "--epoch-us", "--threshold", "--dot",
         "--perf-json", "--metrics-json", "--profile", "--shards",
-        "--shard-timeout",
     },
     "trace": {
         "--scenario", "--seed", "--jsonl", "--max-lines", "--metrics-json",
@@ -340,7 +339,7 @@ class TestOptionsCensus:
         assert found == CONFIG_FIELDS
         # ShardPlan is a partition record the engine computes, not options.
         options = [f for name, f in found.items() if name != "ShardPlan"]
-        assert (len(options), sum(map(len, options))) == (18, 77)
+        assert (len(options), sum(map(len, options))) == (18, 75)
 
     def test_chaos_shards_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

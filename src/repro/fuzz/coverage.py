@@ -86,10 +86,10 @@ class FuzzObservation:
 def graph_shape_hash(annotated: Optional[AnnotatedGraph]) -> str:
     """A canonical fingerprint of the provenance graph's *shape*.
 
-    Content-and-structure only: per-port tuples of (port-level out/in degree, paused, host peer,
-    contention), sorted; loop lengths, sorted; and the flow-edge count
-    bucketed by bit length so workload scale changes shape only in
-    magnitude steps.  Names never enter, so isomorphic graphs on
+    Content-and-structure only: per-port tuples of (port-level out/in
+    degree, paused, host peer, contention), sorted; loop lengths, sorted;
+    and the flow-edge count bucketed by bit length so workload scale
+    changes shape only in magnitude steps.  Names never enter, so isomorphic graphs on
     differently-labelled fabrics collide — which is exactly what corpus
     dedup wants.
     """

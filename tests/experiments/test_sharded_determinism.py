@@ -188,6 +188,38 @@ def test_zero_fault_plan_matches_fault_free_run():
     assert accounting(zeroed) == accounting(plain)
 
 
+def test_untraced_obs_config_stays_on_the_shard_engine():
+    """An ObsConfig with tracing off is no reason either: the request
+    forks, and carries no tracer back."""
+    spec = ScenarioSpec("incast-backpressure", seed=1)
+    plain = run_scenario_sharded(spec, RunConfig(shards=2))
+    untraced = run_scenario_sharded(spec, RunConfig(shards=2, obs=ObsConfig()))
+    assert untraced.perf.shards == 2
+    assert "serial_reason" not in untraced.perf.supervision
+    assert untraced.obs is None
+    assert _describe(untraced) == _describe(plain)
+    assert untraced.collected_switches == plain.collected_switches
+    assert accounting(untraced) == accounting(plain)
+
+
+def test_traced_shard_request_writes_the_serial_jsonl(tmp_path):
+    """``jsonl_path`` on a sharded request streams the serial run's file,
+    byte for byte, since the request runs on the serial engine."""
+    spec = ScenarioSpec("incast-backpressure", seed=1)
+    serial_path = tmp_path / "serial.jsonl"
+    sharded_path = tmp_path / "sharded.jsonl"
+    run_scenario(
+        spec.build(),
+        RunConfig(obs=ObsConfig(trace=True, jsonl_path=str(serial_path))),
+    )
+    sharded_obs = ObsConfig(trace=True, jsonl_path=str(sharded_path))
+    sharded = run_scenario_sharded(spec, RunConfig(shards=2, obs=sharded_obs))
+    assert sharded.perf.supervision == {"serial_reason": "pipeline tracing"}
+    written = sharded_path.read_bytes()
+    assert written == serial_path.read_bytes()
+    assert written.count(b"\n") == len(sharded.obs.tracer.records())
+
+
 def test_worker_keeps_no_collector_policy_of_its_own(monkeypatch):
     """Between epochs a worker's collector is as the parent left it (the
     hook runs there); sweeps are off only inside ``shard_run``, the way

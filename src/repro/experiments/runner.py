@@ -544,8 +544,8 @@ class FabricSession:
     the caller (the instant in progress always drains first).  So
     chunking, by time or by count, never reorders work: a session
     advanced in N pieces produces byte-identical diagnoses to one
-    advanced in a single call (pinned by
-    ``tests/serve/test_differential.py``).
+    advanced in a single call (pinned by the chopped-engine and
+    served-episode rows of ``tests/test_determinism_matrix.py``).
     """
 
     def __init__(

@@ -10,8 +10,8 @@ Design constraints (both load-bearing):
 
 - **pure observer** — the monitor never schedules traffic, never draws
   from any RNG and never mutates simulator state, so monitor-on and
-  monitor-off runs produce byte-identical diagnoses (pinned by
-  ``tests/monitor/test_determinism.py``);
+  monitor-off runs produce byte-identical diagnoses (pinned by the
+  monitor row of ``tests/test_determinism_matrix.py``);
 - **sampling-first** — per-packet hot paths carry no monitor code at
   all.  Throughput, occupancy and pause state are read from counters the
   switches already maintain, once per ``interval_ns`` tick; only the

@@ -59,8 +59,8 @@ is built at ``seed + k``, advanced to its duration, finished (the batch
 epilogue — flush, per-victim diagnoses, incident linkage) and replaced
 by episode ``k+1``.  Episode 0 is byte-identical to ``repro run
 SCENARIO --seed SEED`` by construction (same
-:class:`~repro.experiments.runner.FabricSession` path; pinned by
-``tests/serve/test_differential.py``).
+:class:`~repro.experiments.runner.FabricSession` path; pinned by the
+served-episode row of ``tests/test_determinism_matrix.py``).
 
 The same listener speaks two protocols: lines starting with ``GET ``/
 ``HEAD `` get a one-shot HTTP response (Prometheus/JSONL/HTML exporters,

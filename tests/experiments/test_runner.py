@@ -23,6 +23,8 @@ from repro.workloads import (
     pfc_storm_scenario,
 )
 
+SCENARIO = "incast-backpressure"
+
 
 class TestSelectReports:
     def reports(self):
@@ -158,3 +160,12 @@ class TestSilentRun:
         silent, loud = run_scenarios_parallel(specs, jobs=2)
         assert silent.correct is False and silent.diagnosis_text is None
         assert loud.diagnosis_text is not None
+
+
+class TestRemovedParameters:
+    """The analyzer pool and report shipping are gone, not ignored."""
+
+    def test_parallel_runner_has_no_ship_reports(self):
+        specs = [ScenarioSpec(SCENARIO, seed=1)]
+        with pytest.raises(TypeError):
+            run_scenarios_parallel(specs, ship_reports=True)

@@ -69,14 +69,6 @@ class TestHarnessMechanics:
         assert outcome.incident_log
         assert sum(outcome.fault_counters.values()) > 0
 
-    def test_cell_deterministic(self):
-        plan = FaultPlan.lossy(0.2)
-        a = run_chaos_cell("incast-backpressure", plan, RetryPolicy(), 0.2)
-        b = run_chaos_cell("incast-backpressure", plan, RetryPolicy(), 0.2)
-        assert a.incident_log == b.incident_log
-        assert a.fault_counters == b.fault_counters
-        assert a.diagnosed == b.diagnosed
-
     def test_wrong_full_confidence_property(self):
         wrong = ChaosOutcome(
             scenario="s", loss_rate=0.1, seed=1,

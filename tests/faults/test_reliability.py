@@ -1,9 +1,8 @@
-"""End-to-end reliability: differential byte-identity, determinism,
-retry/backoff recovery and graceful degradation under injected faults."""
+"""End-to-end reliability: retry/backoff recovery and graceful degradation
+under injected faults.  That a zero-fault plan is no plan, and that a
+seeded plan replays, are rows of ``tests/test_determinism_matrix.py``."""
 
 import pickle
-
-import pytest
 
 from repro.experiments.runner import FabricSession, RunConfig, run_scenario
 from repro.faults import FaultPlan, RetryPolicy
@@ -15,45 +14,6 @@ from repro.workloads import SCENARIO_BUILDERS
 def run(scenario_name, seed=1, **config_kwargs):
     scenario = SCENARIO_BUILDERS[scenario_name](seed=seed)
     return scenario, run_scenario(scenario, RunConfig(**config_kwargs))
-
-
-class TestDifferential:
-    """A zero-fault plan must be indistinguishable from no plan at all."""
-
-    @pytest.mark.parametrize(
-        "name", ["incast-backpressure", "normal-contention"]
-    )
-    def test_noop_plan_byte_identical(self, name):
-        _, clean = run(name)
-        _, noop = run(name, faults=FaultPlan(seed=1))
-        assert noop.fault_counters == {}
-        assert noop.fault_incidents == []
-        assert clean.events_run == noop.events_run
-        assert clean.diagnosis().describe() == noop.diagnosis().describe()
-
-    def test_clean_run_full_confidence(self):
-        _, result = run("incast-backpressure")
-        diagnosis = result.diagnosis()
-        assert diagnosis.confidence == "full"
-        assert diagnosis.completeness == 1.0
-        assert diagnosis.missing_switches == []
-        assert diagnosis.degraded_reports == []
-        assert "confidence" not in diagnosis.describe()
-
-
-class TestDeterminism:
-    def test_same_seed_same_incident_log(self):
-        kwargs = dict(faults=FaultPlan.lossy(0.2), retry=RetryPolicy())
-        _, a = run("incast-backpressure", **kwargs)
-        _, b = run("incast-backpressure", **kwargs)
-        assert a.fault_incidents == b.fault_incidents
-        assert a.fault_counters == b.fault_counters
-        assert a.diagnosis().describe() == b.diagnosis().describe()
-
-    def test_different_fault_seed_different_incidents(self):
-        _, a = run("incast-backpressure", faults=FaultPlan.lossy(0.2, seed=1))
-        _, b = run("incast-backpressure", faults=FaultPlan.lossy(0.2, seed=2))
-        assert a.fault_incidents != b.fault_incidents
 
 
 class TestRetryRecovery:

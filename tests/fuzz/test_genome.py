@@ -12,6 +12,7 @@ from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.runner import ScenarioSpec
 from repro.fuzz import (
     FLOAT_RANGES,
     INT_RANGES,
@@ -125,3 +126,20 @@ class TestMutantsBuildRunnableScenarios:
         assert [f.start_time for f in a.network.flows] == [
             f.start_time for f in b.network.flows
         ]
+
+
+class TestSpecRebuild:
+    def test_genome_spec_round_trips_through_build(self):
+        genome = ScenarioGenome().normalized()
+        spec = ScenarioSpec("genome", genome_json=genome.to_json())
+        a, b = spec.build(), spec.build()
+        assert a.name == b.name == genome.build().name
+        assert [f.key for f in a.network.flows] == [
+            f.key for f in b.network.flows
+        ]
+
+    def test_named_builder_specs_unaffected(self):
+        spec = ScenarioSpec("pfc-storm", seed=2)
+        assert spec.genome_json is None
+        assert spec.name == "pfc-storm[seed=2]"
+        assert spec.build().name == "pfc-storm-seed2"

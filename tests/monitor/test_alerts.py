@@ -154,24 +154,3 @@ class TestRunnerSurfaces:
         assert summary.incidents > 0
         assert summary.early_warnings == summary.incidents
         assert "pause_backpressure" in summary.alert_categories
-
-    def test_monitor_config_crosses_process_pool(self):
-        """jobs=2 workers rebuild monitors from the frozen config and
-        reduce to summaries identical to in-process execution."""
-        from repro.experiments.runner import (
-            ScenarioSpec,
-            run_scenarios_parallel,
-        )
-
-        specs = [
-            ScenarioSpec(builder="pfc-storm", seed=1),
-            ScenarioSpec(builder="normal-contention", seed=1),
-        ]
-        config = RunConfig(monitor=MonitorConfig())
-        serial = run_scenarios_parallel(specs, config, jobs=1)
-        parallel = run_scenarios_parallel(specs, config, jobs=2)
-        for a, b in zip(serial, parallel):
-            assert a.alert_categories == b.alert_categories
-            assert a.alerts == b.alerts
-            assert a.incidents == b.incidents
-            assert a.diagnosis_text == b.diagnosis_text

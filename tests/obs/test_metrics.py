@@ -1,10 +1,13 @@
-"""MetricsRegistry unit tests: metric kinds, legacy absorption, export."""
+"""MetricsRegistry unit tests: metric kinds, legacy absorption, export,
+and the registry every run carries."""
 
 import json
 
 import pytest
 
+from repro.experiments import RunConfig, run_scenario
 from repro.obs import Histogram, MetricsRegistry
+from repro.workloads import SCENARIO_BUILDERS
 
 
 class TestMetricKinds:
@@ -133,3 +136,16 @@ class TestHistogramQuantiles:
         h.observe(3.0)
         assert h.quantile(0.5) is not None
         assert h.min == -5.0
+
+
+class TestRunRegistry:
+    """Every run carries a registry, traced or not."""
+
+    def test_metrics_present_even_without_tracer(self):
+        scenario = SCENARIO_BUILDERS["normal-contention"](seed=1)
+        result = run_scenario(scenario, RunConfig())
+        assert result.obs is None
+        counters = result.metrics.to_dict()["counters"]
+        assert counters.get("collection.collections", 0) > 0
+        # No trace: no trace-derived event counters.
+        assert not any(k.startswith("events.") for k in counters)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Network
-from repro.topology import build_fat_tree, build_line
 from repro.units import KB, msec, usec
 
 
@@ -67,20 +66,6 @@ class TestTransport:
         net.run(msec(10))
         for f in flows:
             assert f.bytes_acked == f.size
-
-    def test_determinism_same_seed_same_result(self, line3):
-        def run_once():
-            net = Network(build_line(num_switches=3, hosts_per_switch=2))
-            flows = [
-                net.make_flow("H1_0", "H3_0", 200 * KB, usec(1), src_port=1),
-                net.make_flow("H2_0", "H3_0", 200 * KB, usec(1), src_port=2),
-            ]
-            for f in flows:
-                net.start_flow(f)
-            net.run(msec(5))
-            return [(f.fct(), f.packets_sent) for f in flows], net.sim.events_run
-
-        assert run_once() == run_once()
 
 
 class TestBaseRttEstimate:

@@ -75,11 +75,9 @@ def global_cache_counters() -> Dict[str, Tuple[int, int]]:
     runs in one process, so absolute values mix scenarios.
     """
     from ..core.build import CONTRIB_CACHE_STATS
-    from ..sim.packet import PAUSE_NS_CACHE_STATS
     from ..telemetry.snapshot import AGG_CACHE_STATS
 
     return {
-        "pause_quanta": (PAUSE_NS_CACHE_STATS[0], PAUSE_NS_CACHE_STATS[1]),
         "report_agg": (AGG_CACHE_STATS[0], AGG_CACHE_STATS[1]),
         "replay_contribution": (CONTRIB_CACHE_STATS[0], CONTRIB_CACHE_STATS[1]),
     }

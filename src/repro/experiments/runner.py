@@ -557,13 +557,9 @@ class FabricSession:
         kind = config.system
         self.net = net = scenario.network
         scheme = config.scheme()
-        # Scope the process-global and routing-instance cache counters to
-        # this run by differencing (the caches persist across runs in one
-        # process).
+        # Scope the process-global cache counters to this run by
+        # differencing (the caches persist across runs in one process).
         self._caches_before = global_cache_counters()
-        self._ecmp_before = (
-            net.routing.select_cache_hits, net.routing.select_cache_misses
-        )
 
         self.metrics = metrics = MetricsRegistry()
         self.profile = StageProfile(metrics)
@@ -761,13 +757,9 @@ class FabricSession:
         )
         injector = self.injector
         caches = {
-            "ecmp_select": {
-                "hits": net.routing.select_cache_hits - self._ecmp_before[0],
-                "misses": net.routing.select_cache_misses - self._ecmp_before[1],
-            }
+            name: {"hits": hits, "misses": misses}
+            for name, (hits, misses) in self.deployment.cache_counters().items()
         }
-        for name, (hits, misses) in self.deployment.cache_counters().items():
-            caches[name] = {"hits": hits, "misses": misses}
         return SessionTotals(
             reports=collector.reports,
             triggers=agent.triggers,

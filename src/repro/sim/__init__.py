@@ -13,6 +13,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "PFC_FRAME_SIZE", "POLLING_PACKET_SIZE", "FlowKey", "Packet",
         "PacketType", "PollingFlag", "pause_quanta_to_ns",
     ),
-    "switch": ("LOSSLESS_PRIORITIES", "Switch", "SwitchObserver", "SwitchStats"),
+    "switch": ("Switch", "SwitchObserver", "SwitchStats"),
     "trace": ("NetworkTracer", "PfcEvent", "QueueSample", "load_jsonl"),
 })

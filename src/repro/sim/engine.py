@@ -286,10 +286,9 @@ class Simulator:
             raise ValueError(f"max_events must be positive, got {max_events}")
         if stop_every < 1:
             raise ValueError(f"stop_every must be positive, got {stop_every}")
-        slots = self._slots
-        slot_heap = self._slot_heap
-        bands = self._bands
-        band_heap = self._band_heap
+        slots, slot_heap = self._slots, self._slot_heap
+        bands, band_heap = self._bands, self._band_heap
+        limit = _NEVER if until_ns is None else until_ns
         # One comparison per instant covers the compaction cadence, the
         # budget and the next question to ``stop``: a run with neither a
         # budget nor a stop pays nothing for them.
@@ -297,34 +296,35 @@ class Simulator:
         ask_at = _NEVER if stop is None else self._events_run + stop_every
         check_at = min(self._next_compact_at, stop_at, ask_at)
         while True:
-            # Find the next live ordinary slot, purging dead heads on the way.
-            slot_time: Optional[int] = None
-            i = 0
+            # Find the next live ordinary slot, purging dead heads on the
+            # way; ``i`` is the length of its cancelled prefix.
+            slot_time = None
             while slot_heap:
-                time_ns = slot_heap[0]
-                slot = slots[time_ns]
-                # Drop the cancelled prefix so the head is live (or the slot dies).
+                slot_time = slot_heap[0]
+                slot = slots[slot_time]
                 i = 0
                 n = len(slot)
                 while i < n and slot[i].cancelled:
                     i += 1
-                if i == n:
-                    heappop(slot_heap)
-                    del slots[time_ns]
-                    self._events_purged += n
-                    self._pending -= n
-                    continue
-                slot_time = time_ns
+                if i < n:
+                    break
+                heappop(slot_heap)
+                del slots[slot_time]
+                self._events_purged += n
+                self._pending -= n
+                slot_time = None
+            if band_heap:
+                band_time = band_heap[0]
+                if slot_time is None or band_time < slot_time:
+                    next_time = band_time
+                else:
+                    next_time = slot_time
+            elif slot_time is None:
                 break
-            band_time = band_heap[0] if band_heap else None
-            if slot_time is None and band_time is None:
-                break
-            if band_time is not None and (slot_time is None or band_time < slot_time):
-                next_time = band_time
             else:
+                band_time = None
                 next_time = slot_time
-            assert next_time is not None
-            if until_ns is not None and next_time > until_ns:
+            if next_time > limit:
                 if slot_time == next_time and i:
                     del slot[:i]
                     self._events_purged += i
@@ -342,15 +342,15 @@ class Simulator:
                 heappop(slot_heap)
                 del slots[next_time]
                 n = len(slot)
-                blen = 0
                 self._pending -= n
-                slot_run = 0
+                dead = 0
                 for handle in slot:
                     if handle.cancelled:
+                        dead += 1
                         continue
-                    slot_run += 1
                     self.exec_sched = handle.sched
                     handle.fn(*handle.args)
+                ran = n - dead
             else:
                 heappop(band_heap)
                 batch = bands.pop(next_time)
@@ -359,11 +359,12 @@ class Simulator:
                     batch.sort(key=_DELIVERY_ORDER)
                 if slot_time != next_time:
                     # Deliveries only.
-                    n = slot_run = 0
                     self._pending -= blen
-                    for entry in batch:
-                        self.exec_sched = entry[0][0]
-                        entry[1](*entry[2])
+                    dead = 0
+                    for key, fn, args in batch:
+                        self.exec_sched = key[0]
+                        fn(*args)
+                    ran = blen
                 else:
                     heappop(slot_heap)
                     del slots[next_time]
@@ -387,10 +388,10 @@ class Simulator:
                             self.exec_sched = handle.sched
                             handle.fn(*handle.args)
                         else:
-                            entry = batch[bi]
+                            key, fn, args = batch[bi]
                             bi += 1
-                            self.exec_sched = entry[0][0]
-                            entry[1](*entry[2])
+                            self.exec_sched = key[0]
+                            fn(*args)
                     while i < n:
                         handle = slot[i]
                         i += 1
@@ -400,13 +401,16 @@ class Simulator:
                         self.exec_sched = handle.sched
                         handle.fn(*handle.args)
                     while bi < blen:
-                        entry = batch[bi]
+                        key, fn, args = batch[bi]
                         bi += 1
-                        self.exec_sched = entry[0][0]
-                        entry[1](*entry[2])
-            events_run = self._events_run + slot_run + blen
+                        self.exec_sched = key[0]
+                        fn(*args)
+                    dead = n - slot_run
+                    ran = slot_run + blen
+            if dead:
+                self._events_purged += dead
+            events_run = self._events_run + ran
             self._events_run = events_run
-            self._events_purged += n - slot_run
             if events_run >= check_at:
                 if events_run >= self._next_compact_at:
                     self._next_compact_at = events_run + COMPACT_INTERVAL_EVENTS
@@ -415,7 +419,7 @@ class Simulator:
                     # Budget spent: from here this call is ``run(now)``
                     # — same-time chains drain, then the ordinary
                     # ``until_ns`` stop ends it.
-                    until_ns = next_time
+                    until_ns = limit = next_time
                     stop_at = ask_at = _NEVER
                 elif events_run >= ask_at:
                     ask_at = events_run + stop_every

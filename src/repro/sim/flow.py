@@ -36,10 +36,6 @@ class Flow:
     max_rtt_samples: int = 64
 
     @property
-    def done_sending(self) -> bool:
-        return self.bytes_sent >= self.size
-
-    @property
     def completed(self) -> bool:
         return self.finish_time is not None
 

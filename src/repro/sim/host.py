@@ -58,6 +58,7 @@ class Host:
         self.bandwidth: float = 0.0
         self.delay_ns: int = 0
         self.peer: Optional[PortRef] = None
+        self._peer_receive: Optional[Callable] = None  # None: Network.deliver
         # Wire time of every frame size sent on the uplink (size -> ns),
         # filled on miss; reset when the uplink is (re)attached.
         self._ser_ns: Dict[int, int] = {}
@@ -85,10 +86,11 @@ class Host:
 
     # -- wiring ---------------------------------------------------------------
 
-    def attach_uplink(self, bandwidth: float, delay_ns: int, peer: PortRef) -> None:
+    def attach_uplink(self, bandwidth: float, delay_ns: int, peer: PortRef, peer_receive: Optional[Callable] = None) -> None:
         self.bandwidth = bandwidth
         self.delay_ns = delay_ns
         self.peer = peer
+        self._peer_receive = peer_receive
         self._ser_ns = {}
 
     def cc_state(self, key: FlowKey) -> Optional[DcqcnState]:
@@ -189,7 +191,6 @@ class Host:
             self._pump()
 
     def _handle_data(self, pkt: Packet) -> None:
-        assert pkt.flow is not None
         key = pkt.flow
         st = self._rx.get(key)
         if st is None:
@@ -209,7 +210,6 @@ class Host:
         self._pump()
 
     def _handle_ack(self, pkt: Packet) -> None:
-        assert pkt.flow is not None
         flow = self.flows.get(pkt.flow)
         if flow is None:
             return
@@ -226,7 +226,6 @@ class Host:
                 listener(flow, now)
 
     def _handle_cnp(self, pkt: Packet) -> None:
-        assert pkt.flow is not None
         cc = self._cc.get(pkt.flow)
         if cc is not None and self.config.dcqcn.enabled:
             cc.on_cnp(self.sim.now)
@@ -268,8 +267,9 @@ class Host:
 
     def _next_ready_flow(self) -> Optional[Flow]:
         best: Optional[Flow] = None
+        now = self.sim.now
         for flow in self.flows.values():
-            if flow.done_sending or flow.start_time > self.sim.now:
+            if flow.bytes_sent >= flow.size or flow.start_time > now:
                 continue
             if best is None or flow.next_pacing_time < best.next_pacing_time:
                 best = flow
@@ -298,5 +298,12 @@ class Host:
         self.busy_until = now + ser
         self.tx_bytes += size
         self.tx_pkts += 1
-        self.network.deliver(self.peer, pkt, ser + self.delay_ns, self.name)
+        receive = self._peer_receive
+        if receive is None:
+            self.network.deliver(self.peer, pkt, ser + self.delay_ns, self.name)
+        else:  # ``Network.deliver``, inlined: the same per-source seq and key
+            name, seqs, sim = self.name, self.network._send_seq, self.sim
+            seq = seqs[name] = seqs[name] + 1
+            key = (now, sim.exec_sched, name, seq)
+            sim.schedule_delivery(now + ser + self.delay_ns, key, receive, pkt, self.peer.port)
         self._schedule_pump(self.busy_until)

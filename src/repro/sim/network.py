@@ -24,9 +24,14 @@ class Network:
     Telemetry systems attach observers to switches; the collection layer
     installs polling handlers; workloads start :class:`Flow` objects.
 
+    Wiring hands each switch port and host uplink its peer's bound
+    ``receive``: a forwarded frame is scheduled straight onto the peer,
+    keyed as :meth:`deliver` keys it, with the same per-node ``seq``.
+
     When a shard build context is active (``repro.sim.shard``), only the
     nodes assigned to the current shard are instantiated; remote hosts
-    become stubs, and frames addressed to remote nodes are appended to
+    become stubs, a port or uplink facing a remote node gets no peer
+    ``receive``, and frames addressed to remote nodes are appended to
     :attr:`outbox` for the orchestrator to ship at the next epoch barrier.
     """
 
@@ -43,14 +48,11 @@ class Network:
         self.switches: Dict[str, Switch] = {}
         self.hosts: Dict[str, object] = {}
         self.flows: List[Flow] = []
-        # node name -> bound receive method; saves a topology lookup plus a
-        # closure allocation on every single frame delivery.  In a shard
-        # view only local nodes appear here — a missed lookup routes the
-        # frame to the outbox.
+        # node name -> bound receive method.  In a shard view only local
+        # nodes appear here — a missed lookup routes the frame to the outbox.
         self._receive_of: Dict[str, object] = {}
-        # Per-source delivery sequence numbers: the canonical delivery
-        # order key is (source node, seq), identical no matter which
-        # process scheduled the delivery.
+        # Per-source delivery sequence numbers, one per local node: the
+        # delivery key ends in (source node, seq), whichever process sent it.
         self._send_seq: Dict[str, int] = {}
         self.outbox: List[tuple] = []
         self.shard_id: Optional[int] = None
@@ -74,6 +76,7 @@ class Network:
             host = Host(node.name, ip, self, self.config)
             self.hosts[node.name] = host
             self._receive_of[node.name] = host.receive
+        self._send_seq.update(dict.fromkeys(self._receive_of, 0))
         for link in self.topology.links:
             self._wire_end(link.a, link.b, link.bandwidth, link.delay_ns)
             self._wire_end(link.b, link.a, link.bandwidth, link.delay_ns)
@@ -81,13 +84,15 @@ class Network:
     def _wire_end(self, end: PortRef, peer: PortRef, bandwidth: float, delay_ns: int) -> None:
         node = self.topology.node(end.node)
         peer_is_host = self.topology.node(peer.node).is_host
+        # None for a peer another shard owns: those frames take the outbox.
+        peer_receive = self._receive_of.get(peer.node)
         if node.is_switch:
             switch = self.switches.get(end.node)
             if switch is not None:  # absent only in a shard view
-                switch.attach_port(end.port, bandwidth, delay_ns, peer, peer_is_host)
+                switch.attach_port(end.port, bandwidth, delay_ns, peer, peer_is_host, peer_receive)
         else:
             # Stubs record bandwidth/delay too: builders read them.
-            self.hosts[end.node].attach_uplink(bandwidth, delay_ns, peer)
+            self.hosts[end.node].attach_uplink(bandwidth, delay_ns, peer, peer_receive)
 
     # -- runtime ------------------------------------------------------------------
 
@@ -97,9 +102,10 @@ class Network:
         Deliveries go through the simulator's per-timestamp delivery band
         keyed by ``(send time, trigger schedule time, src, per-source
         seq)``; frames addressed to nodes this shard does not own are
-        flattened into the outbox instead.
+        flattened into the outbox instead.  Frames forwarded to a local
+        peer skip this call (see the class docstring).
         """
-        seq = self._send_seq.get(src, 0) + 1
+        seq = self._send_seq[src] + 1
         self._send_seq[src] = seq
         receive = self._receive_of.get(target.node)
         now = self.sim.now

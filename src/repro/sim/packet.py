@@ -271,21 +271,7 @@ class Packet:
         return f"Packet({self.ptype.value} {self.flow} seq={self.seq} size={self.size})"
 
 
-# (quanta, bandwidth) pairs are drawn from a handful of config values, so a
-# plain dict memoizes every conversion the hot PFC paths ever ask for.
-_PAUSE_NS_CACHE: dict = {}
-PAUSE_NS_CACHE_STATS = [0, 0]  # [hits, misses], surfaced via PerfStats
-
-
 def pause_quanta_to_ns(quanta: int, bandwidth_bytes_per_sec: float) -> int:
     """Duration of ``quanta`` pause quanta on a link of the given speed."""
-    key = (quanta, bandwidth_bytes_per_sec)
-    cached = _PAUSE_NS_CACHE.get(key)
-    if cached is None:
-        bits = quanta * PAUSE_QUANTA_BITS
-        cached = max(0, int(round(bits / 8 * 1e9 / bandwidth_bytes_per_sec)))
-        _PAUSE_NS_CACHE[key] = cached
-        PAUSE_NS_CACHE_STATS[1] += 1
-    else:
-        PAUSE_NS_CACHE_STATS[0] += 1
-    return cached
+    bits = quanta * PAUSE_QUANTA_BITS
+    return max(0, int(round(bits / 8 * 1e9 / bandwidth_bytes_per_sec)))

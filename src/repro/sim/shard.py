@@ -11,8 +11,9 @@ each conservative-lookahead epoch boundary; see
 ``repro.experiments.shardrun``.
 
 Packets cross process boundaries as plain tuples (:func:`packet_to_wire` /
-:func:`packet_from_wire`) together with their canonical ``(source node,
-per-source sequence)`` delivery key, which the receiving shard feeds into
+:func:`packet_from_wire`) together with their canonical ``(send time,
+trigger schedule time, source node, per-source sequence)`` delivery key,
+which the receiving shard feeds into
 :meth:`Simulator.schedule_delivery` — so the merged per-timestamp delivery
 order is identical to the single-process engine's.
 """
@@ -26,9 +27,9 @@ from typing import Dict, Iterator, Optional, Tuple
 from ..topology.graph import PortRef
 from .packet import FlowKey, Packet, PacketType, PollingFlag
 
-# One in-flight frame between shards:
-# (arrival_ns, target_node, target_port, (src, seq), wire_tuple)
-WireFrame = Tuple[int, str, int, Tuple[str, int], tuple]
+# One in-flight frame between shards: (arrival_ns, target_node,
+# target_port, (send_time, trigger_sched, src, seq), wire_tuple)
+WireFrame = Tuple[int, str, int, Tuple[int, int, str, int], tuple]
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class RemoteHostStub:
         self.injected_pause_frames = 0
 
     def attach_uplink(
-        self, bandwidth: float, delay_ns: int, peer: PortRef
+        self, bandwidth: float, delay_ns: int, peer: PortRef, peer_receive=None
     ) -> None:
         self.bandwidth = bandwidth
         self.delay_ns = delay_ns

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..topology.graph import PortRef
 from ..units import serialization_delay_ns
@@ -40,9 +40,6 @@ from .packet import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .network import Network
-
-# Priorities subject to PFC ingress accounting (the lossless classes).
-LOSSLESS_PRIORITIES = frozenset({DATA_PRIORITY})
 
 # Signature: (switch, packet, ingress_port) -> [(egress_port, flag), ...]
 PollingHandler = Callable[["Switch", Packet, int], List[Tuple[int, object]]]
@@ -125,6 +122,7 @@ class _Port:
         "delay_ns",
         "peer",
         "peer_is_host",
+        "peer_receive",
         "queues",
         "paused_until",
         "busy_until",
@@ -135,12 +133,13 @@ class _Port:
         "ser_ns",
     )
 
-    def __init__(self, port_no: int, bandwidth: float, delay_ns: int, peer: PortRef, peer_is_host: bool) -> None:
+    def __init__(self, port_no: int, bandwidth: float, delay_ns: int, peer: PortRef, peer_is_host: bool, peer_receive: Optional[Callable]) -> None:
         self.port_no = port_no
         self.bandwidth = bandwidth
         self.delay_ns = delay_ns
         self.peer = peer
         self.peer_is_host = peer_is_host
+        self.peer_receive = peer_receive  # None: send via Network.deliver
         self.queues: Dict[int, _EgressQueue] = {}
         self.paused_until: Dict[int, int] = {}
         self.busy_until = 0
@@ -160,9 +159,6 @@ class _Port:
             q = _EgressQueue()
             self.queues[priority] = q
         return q
-
-    def is_paused(self, priority: int, now: int) -> bool:
-        return self.paused_until.get(priority, 0) > now
 
     def total_bytes(self) -> int:
         return sum(q.bytes for q in self.queues.values())
@@ -194,10 +190,10 @@ class Switch:
         self.sim = network.sim
         self.config = config
         self.ports: Dict[int, _Port] = {}
-        # ingress occupancy per (ingress_port, priority), bytes
-        self._ingress_bytes: Dict[Tuple[int, int], int] = {}
-        # True while we are asserting PAUSE toward the upstream of a port
-        self._pausing: Dict[Tuple[int, int], bool] = {}
+        # Lossless (DATA_PRIORITY) bytes held per ingress port.
+        self._ingress_bytes: Dict[int, int] = {}
+        # Ingress ports we are asserting PAUSE out of, toward the upstream.
+        self._pausing: Set[int] = set()
         self.observers: List[SwitchObserver] = []
         # Observer fast path: per-hook lists of overriding observers only.
         self._obs_enqueue: List[SwitchObserver] = []
@@ -210,16 +206,19 @@ class Switch:
         self._ecn_kmin = config.ecn.kmin_bytes
         self._pfc_xoff = config.pfc.xoff_bytes
         self._pfc_xon = config.pfc.xon_bytes
-        # Bound once: each is called once per forwarded frame.  Route
-        # overrides still take effect — the table flushes its own cache.
+        # Bound once: each is used once per forwarded frame.  The route
+        # memos are the routing table's, which an override flushes.
         self._select_port = network.routing.select_port
+        self._route_fwd, self._route_rev = network.routing.route_memos(name)
+        self._send_seq = network._send_seq
         self._deliver = network.deliver
+        self._schedule_delivery = self.sim.schedule_delivery
         self._schedule = self.sim.schedule
 
     # -- wiring ---------------------------------------------------------------
 
-    def attach_port(self, port_no: int, bandwidth: float, delay_ns: int, peer: PortRef, peer_is_host: bool) -> None:
-        self.ports[port_no] = _Port(port_no, bandwidth, delay_ns, peer, peer_is_host)
+    def attach_port(self, port_no: int, bandwidth: float, delay_ns: int, peer: PortRef, peer_is_host: bool, peer_receive: Optional[Callable] = None) -> None:
+        self.ports[port_no] = _Port(port_no, bandwidth, delay_ns, peer, peer_is_host, peer_receive)
 
     def add_observer(self, obs: SwitchObserver) -> None:
         self.observers.append(obs)
@@ -234,13 +233,14 @@ class Switch:
             self._obs_pfc_tx.append(obs)
 
     def ingress_occupancy(self, port: int, priority: int = DATA_PRIORITY) -> int:
-        return self._ingress_bytes.get((port, priority), 0)
+        # Only the lossless class is accounted.
+        return self._ingress_bytes.get(port, 0) if priority == DATA_PRIORITY else 0
 
     def egress_queue_bytes(self, port: int, priority: int = DATA_PRIORITY) -> int:
         return self.ports[port].queue(priority).bytes
 
     def egress_paused(self, port: int, priority: int = DATA_PRIORITY) -> bool:
-        return self.ports[port].is_paused(priority, self.sim.now)
+        return self.ports[port].paused_until.get(priority, 0) > self.sim.now
 
     # -- receive path ---------------------------------------------------------
 
@@ -255,10 +255,16 @@ class Switch:
             self._handle_polling(pkt, ingress_port)
             return
         flow = pkt.flow
-        assert flow is not None
-        # ACKs and CNPs travel back toward the flow source.
-        dst_ip = flow.dst_ip if ptype is _DATA else flow.src_ip
-        self.enqueue(pkt, self._select_port(self.name, dst_ip, flow), ingress_port)
+        # Data goes toward the flow's destination, ACK/CNP back to its source.
+        if ptype is _DATA:
+            egress = self._route_fwd.get(flow)
+            if egress is None:
+                egress = self._route_fwd[flow] = self._select_port(self.name, flow.dst_ip, flow)
+        else:
+            egress = self._route_rev.get(flow)
+            if egress is None:
+                egress = self._route_rev[flow] = self._select_port(self.name, flow.src_ip, flow)
+        self.enqueue(pkt, egress, ingress_port)
 
     def _handle_pfc(self, pkt: Packet, port_no: int) -> None:
         """A PAUSE/RESUME frame arrived: (un)pause our egress on that port."""
@@ -278,7 +284,7 @@ class Switch:
         else:
             self.stats.resume_received += 1
             port.paused_until[priority] = now
-            self._try_transmit(port_no)
+            self._transmit(port)
         for obs in self._obs_pfc_rx:
             obs.on_pfc_received(self, now, port_no, priority, quanta)
         pkt.recycle()  # PFC frames terminate here
@@ -326,40 +332,41 @@ class Switch:
             stats.data_pkts += 1
             stats.data_bytes += size
 
-        if ingress_port is not None and priority in LOSSLESS_PRIORITIES:
-            key = (ingress_port, priority)
+        if priority == DATA_PRIORITY and ingress_port is not None:
             ingress_bytes = self._ingress_bytes
-            occ = ingress_bytes.get(key, 0) + size
-            ingress_bytes[key] = occ
-            if occ > self._pfc_xoff and not self._pausing.get(key):
-                self._assert_pause(key)
+            occ = ingress_bytes.get(ingress_port, 0) + size
+            ingress_bytes[ingress_port] = occ
+            if occ > self._pfc_xoff and ingress_port not in self._pausing:
+                self._assert_pause(ingress_port)
 
         for obs in self._obs_enqueue:
             obs.on_egress_enqueue(
                 self, now, pkt, egress_port, ingress_port, depth_pkts, depth_bytes, paused
             )
-        self._try_transmit(egress_port)
+        if port.busy_until <= now:  # else its wire-idle event sends
+            self._transmit(port)
 
     # -- PFC generation ----------------------------------------------------------
 
-    def _assert_pause(self, key: Tuple[int, int]) -> None:
-        self._pausing[key] = True
-        self._send_pfc(key[0], key[1], PAUSE_QUANTA)
-        self._schedule(PFC_REFRESH_INTERVAL_NS, self._refresh_pause, key)
+    def _assert_pause(self, ingress_port: int) -> None:
+        self._pausing.add(ingress_port)
+        self._send_pfc(ingress_port, DATA_PRIORITY, PAUSE_QUANTA)
+        self._schedule(PFC_REFRESH_INTERVAL_NS, self._refresh_pause, ingress_port)
 
-    def _refresh_pause(self, key: Tuple[int, int]) -> None:
-        if not self._pausing.get(key):
+    def _refresh_pause(self, ingress_port: int) -> None:
+        if ingress_port not in self._pausing:
             return
         # Still above Xon?  Keep the upstream paused.
-        if self._ingress_bytes.get(key, 0) >= self._pfc_xon:
-            self._send_pfc(key[0], key[1], PAUSE_QUANTA)
-            self._schedule(PFC_REFRESH_INTERVAL_NS, self._refresh_pause, key)
+        if self._ingress_bytes.get(ingress_port, 0) >= self._pfc_xon:
+            self._send_pfc(ingress_port, DATA_PRIORITY, PAUSE_QUANTA)
+            self._schedule(PFC_REFRESH_INTERVAL_NS, self._refresh_pause, ingress_port)
         else:
-            self._release_pause(key)
+            self._release_pause(ingress_port)
 
-    def _release_pause(self, key: Tuple[int, int]) -> None:
-        if self._pausing.pop(key, None):
-            self._send_pfc(key[0], key[1], 0)
+    def _release_pause(self, ingress_port: int) -> None:
+        if ingress_port in self._pausing:
+            self._pausing.remove(ingress_port)
+            self._send_pfc(ingress_port, DATA_PRIORITY, 0)
 
     def _send_pfc(self, port_no: int, priority: int, quanta: int) -> None:
         """Emit a PAUSE/RESUME out of ``port_no`` (out-of-band, not queued)."""
@@ -377,7 +384,11 @@ class Switch:
     # -- transmit path -------------------------------------------------------------
 
     def _try_transmit(self, port_no: int) -> None:
-        port = self.ports[port_no]
+        self._transmit(self.ports[port_no])
+
+    def _transmit(self, port: _Port) -> None:
+        """Send ``port``'s next frame if its wire is idle; also the port's
+        wire-idle event, so a still-busy wire costs one comparison."""
         now = self.sim.now
         if port.busy_until > now:
             return
@@ -411,23 +422,29 @@ class Switch:
         self.stats.tx_pkts += 1
 
         ingress_port = pkt.ingress_port
-        if ingress_port is not None and pkt.priority in LOSSLESS_PRIORITIES:
-            key = (ingress_port, pkt.priority)
+        if ingress_port is not None and best_prio == DATA_PRIORITY:
             ingress_bytes = self._ingress_bytes
-            occ = ingress_bytes.get(key, 0) - size
-            ingress_bytes[key] = occ
-            if occ < self._pfc_xon and self._pausing.get(key):
-                self._release_pause(key)
+            occ = ingress_bytes[ingress_port] - size
+            ingress_bytes[ingress_port] = occ
+            if occ < self._pfc_xon and ingress_port in self._pausing:
+                self._release_pause(ingress_port)
 
         for obs in self._obs_dequeue:
-            obs.on_egress_dequeue(self, now, pkt, port_no)
+            obs.on_egress_dequeue(self, now, pkt, port.port_no)
 
         ser = port.ser_ns.get(size)
         if ser is None:
             ser = port.ser_ns[size] = serialization_delay_ns(size, port.bandwidth)
         port.busy_until = now + ser
-        self._deliver(port.peer, pkt, ser + port.delay_ns, self.name)
-        self._schedule(ser, self._try_transmit, port_no)
+        receive = port.peer_receive
+        if receive is None:
+            self._deliver(port.peer, pkt, ser + port.delay_ns, self.name)
+        else:  # ``Network.deliver``, inlined: the same per-source seq and key
+            name, seqs = self.name, self._send_seq
+            seq = seqs[name] = seqs[name] + 1
+            key = (now, self.sim.exec_sched, name, seq)
+            self._schedule_delivery(now + ser + port.delay_ns, key, receive, pkt, port.peer.port)
+        self._schedule(ser, self._transmit, port)
 
     def _schedule_unpause_wake(self, port: _Port) -> None:
         """If everything queued is paused, wake when the earliest pause lapses.
@@ -455,4 +472,4 @@ class Switch:
 
     def _fire_wake(self, port: _Port) -> None:
         port.wake = None
-        self._try_transmit(port.port_no)
+        self._transmit(port)

@@ -45,13 +45,8 @@ class RoutingTable:
         # switch -> dst_ip -> sorted list of egress ports
         self._ecmp: Dict[str, Dict[str, List[int]]] = {}
         self._static: Dict[Tuple[str, str], int] = {}
-        # Resolved (switch, dst_ip, flow) -> port choices.  ``select_port``
-        # runs once per packet per hop; the ECMP hash is deterministic, so
-        # the answer is a pure function of this key and of the overrides —
-        # the cache is flushed whenever overrides change.
-        self._select_cache: Dict[Tuple, int] = {}
-        self.select_cache_hits = 0
-        self.select_cache_misses = 0
+        # switch -> (forward, reverse) flow -> egress memos (route_memos).
+        self._memos: Dict[str, Tuple[Dict, Dict]] = {}
         self._build()
 
     # -- construction --------------------------------------------------------
@@ -159,11 +154,22 @@ class RoutingTable:
         if port not in node.ports:
             raise RoutingError(f"{switch} has no port {port}")
         self._static[(switch, dst_ip)] = port
-        self._select_cache.clear()
+        self._flush_memos()
 
     def clear_static_route(self, switch: str, dst_ip: str) -> None:
         self._static.pop((switch, dst_ip), None)
-        self._select_cache.clear()
+        self._flush_memos()
+
+    def route_memos(self, switch: str) -> Tuple[Dict, Dict]:
+        """``switch``'s flow -> egress memos, data forward and ACK/CNP in
+        reverse.  The switch fills them from :meth:`select_port`; every
+        override change clears them in place."""
+        return self._memos.setdefault(switch, ({}, {}))
+
+    def _flush_memos(self) -> None:
+        for forward, reverse in self._memos.values():
+            forward.clear()
+            reverse.clear()
 
     # -- lookups --------------------------------------------------------------
 
@@ -179,24 +185,10 @@ class RoutingTable:
 
     def select_port(self, switch: str, dst_ip: str, flow_hash_key: object) -> int:
         """Resolve the ECMP choice for one flow, deterministically."""
-        cache_key = (switch, dst_ip, flow_hash_key)
-        try:
-            cached = self._select_cache.get(cache_key)
-        except TypeError:  # unhashable flow key: resolve without caching
-            cached = None
-            cache_key = None
-        if cached is not None:
-            self.select_cache_hits += 1
-            return cached
-        self.select_cache_misses += 1
         ports = self.ecmp_ports(switch, dst_ip)
         if len(ports) == 1:
-            port = ports[0]
-        else:
-            port = ports[_stable_hash(switch, dst_ip, flow_hash_key) % len(ports)]
-        if cache_key is not None:
-            self._select_cache[cache_key] = port
-        return port
+            return ports[0]
+        return ports[_stable_hash(switch, dst_ip, flow_hash_key) % len(ports)]
 
     def flow_path(
         self,

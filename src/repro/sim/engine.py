@@ -303,6 +303,8 @@ class Simulator:
                 slot_time = slot_heap[0]
                 slot = slots[slot_time]
                 i = 0
+                if not slot[0].cancelled:
+                    break
                 n = len(slot)
                 while i < n and slot[i].cancelled:
                     i += 1
@@ -374,39 +376,30 @@ class Simulator:
                     # first, an ordinary entry wins an exact tie.  Slot
                     # entries are appended in nondecreasing schedule order
                     # and the band is sorted, so a single forward merge
-                    # reproduces the global order.
-                    slot_run = 0
-                    bi = 0
-                    while i < n and bi < blen:
-                        handle = slot[i]
-                        if handle.cancelled:
+                    # reproduces the global order.  ``i`` starts past the
+                    # slot's cancelled prefix.
+                    dead = i
+                    for key, fn, args in batch:
+                        send = key[0]
+                        while i < n:
+                            handle = slot[i]
+                            if handle.sched > send:
+                                break
                             i += 1
-                            continue
-                        if handle.sched <= batch[bi][0][0]:
-                            i += 1
-                            slot_run += 1
+                            if handle.cancelled:
+                                dead += 1
+                                continue
                             self.exec_sched = handle.sched
                             handle.fn(*handle.args)
-                        else:
-                            key, fn, args = batch[bi]
-                            bi += 1
-                            self.exec_sched = key[0]
-                            fn(*args)
-                    while i < n:
-                        handle = slot[i]
-                        i += 1
+                        self.exec_sched = send
+                        fn(*args)
+                    for handle in slot[i:]:
                         if handle.cancelled:
+                            dead += 1
                             continue
-                        slot_run += 1
                         self.exec_sched = handle.sched
                         handle.fn(*handle.args)
-                    while bi < blen:
-                        key, fn, args = batch[bi]
-                        bi += 1
-                        self.exec_sched = key[0]
-                        fn(*args)
-                    dead = n - slot_run
-                    ran = slot_run + blen
+                    ran = n - dead + blen
             if dead:
                 self._events_purged += dead
             events_run = self._events_run + ran

@@ -234,7 +234,8 @@ class Host:
 
     def _schedule_pump(self, time_ns: int) -> None:
         """Arrange a pump at ``time_ns``, keeping at most one pending event."""
-        time_ns = max(time_ns, self.sim.now)
+        if time_ns < self.sim.now:
+            time_ns = self.sim.now
         pending = self._pump_event
         if pending is not None and not pending.cancelled:
             if pending.time <= time_ns:

@@ -124,6 +124,7 @@ class _Port:
         "peer_is_host",
         "peer_receive",
         "queues",
+        "by_priority",
         "paused_until",
         "busy_until",
         "wake",
@@ -141,6 +142,7 @@ class _Port:
         self.peer_is_host = peer_is_host
         self.peer_receive = peer_receive  # None: send via Network.deliver
         self.queues: Dict[int, _EgressQueue] = {}
+        self.by_priority: List[Tuple[int, _EgressQueue]] = []  # highest first
         self.paused_until: Dict[int, int] = {}
         self.busy_until = 0
         self.wake = None  # pending wake handle (dedup)
@@ -158,6 +160,7 @@ class _Port:
         if q is None:
             q = _EgressQueue()
             self.queues[priority] = q
+            self.by_priority = sorted(self.queues.items(), reverse=True)
         return q
 
     def total_bytes(self) -> int:
@@ -384,6 +387,7 @@ class Switch:
     # -- transmit path -------------------------------------------------------------
 
     def _try_transmit(self, port_no: int) -> None:
+        """:meth:`_transmit` by port number."""
         self._transmit(self.ports[port_no])
 
     def _transmit(self, port: _Port) -> None:
@@ -393,21 +397,16 @@ class Switch:
         if port.busy_until > now:
             return
 
-        # Pick the highest-priority head-of-line packet whose class is not
+        # Send from the highest-priority non-empty queue whose class is not
         # paused (inlined: this runs for every enqueue and wire-idle event).
         paused_until = port.paused_until
-        best_prio = best = None
         blocked = False  # saw a non-empty queue held back by a pause
-        for prio, queue in port.queues.items():
-            if not queue.pkts:
-                continue
-            if paused_until.get(prio, 0) > now:
+        for best_prio, best in port.by_priority:
+            if best.pkts:
+                if paused_until.get(best_prio, 0) <= now:
+                    break
                 blocked = True
-                continue
-            if best_prio is None or prio > best_prio:
-                best_prio = prio
-                best = queue
-        if best is None:
+        else:
             # Nothing sendable.  Only a paused backlog needs a wake; the
             # common wire-idle event on a drained port ends here.
             if blocked:

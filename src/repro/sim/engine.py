@@ -286,8 +286,10 @@ class Simulator:
             raise ValueError(f"max_events must be positive, got {max_events}")
         if stop_every < 1:
             raise ValueError(f"stop_every must be positive, got {stop_every}")
-        slots, slot_heap = self._slots, self._slot_heap
-        bands, band_heap = self._bands, self._band_heap
+        slots = self._slots
+        slot_heap = self._slot_heap
+        bands = self._bands
+        band_heap = self._band_heap
         limit = _NEVER if until_ns is None else until_ns
         # One comparison per instant covers the compaction cadence, the
         # budget and the next question to ``stop``: a run with neither a

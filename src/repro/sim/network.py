@@ -82,17 +82,18 @@ class Network:
             self._wire_end(link.b, link.a, link.bandwidth, link.delay_ns)
 
     def _wire_end(self, end: PortRef, peer: PortRef, bandwidth: float, delay_ns: int) -> None:
-        node = self.topology.node(end.node)
-        peer_is_host = self.topology.node(peer.node).is_host
+        # ``hosts`` holds every topology host (stubs included).
+        peer_is_host = peer.node in self.hosts
         # None for a peer another shard owns: those frames take the outbox.
         peer_receive = self._receive_of.get(peer.node)
-        if node.is_switch:
+        host = self.hosts.get(end.node)
+        if host is not None:
+            # Stubs record bandwidth/delay too: builders read them.
+            host.attach_uplink(bandwidth, delay_ns, peer, peer_receive)
+        else:
             switch = self.switches.get(end.node)
             if switch is not None:  # absent only in a shard view
                 switch.attach_port(end.port, bandwidth, delay_ns, peer, peer_is_host, peer_receive)
-        else:
-            # Stubs record bandwidth/delay too: builders read them.
-            self.hosts[end.node].attach_uplink(bandwidth, delay_ns, peer, peer_receive)
 
     # -- runtime ------------------------------------------------------------------
 

@@ -54,6 +54,7 @@ class Host:
         self.network = network
         self.sim = network.sim
         self.config = config
+        self._send_seq = network._send_seq
         # Link attributes, set by Network wiring.
         self.bandwidth: float = 0.0
         self.delay_ns: int = 0
@@ -303,7 +304,7 @@ class Host:
         if receive is None:
             self.network.deliver(self.peer, pkt, ser + self.delay_ns, self.name)
         else:  # ``Network.deliver``, inlined: the same per-source seq and key
-            name, seqs, sim = self.name, self.network._send_seq, self.sim
+            name, seqs, sim = self.name, self._send_seq, self.sim
             seq = seqs[name] = seqs[name] + 1
             key = (now, sim.exec_sched, name, seq)
             sim.schedule_delivery(now + ser + self.delay_ns, key, receive, pkt, self.peer.port)

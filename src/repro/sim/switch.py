@@ -209,8 +209,9 @@ class Switch:
         self._ecn_kmin = config.ecn.kmin_bytes
         self._pfc_xoff = config.pfc.xoff_bytes
         self._pfc_xon = config.pfc.xon_bytes
-        # Bound once: each is used once per forwarded frame.  The route
-        # memos are the routing table's, which an override flushes.
+        # Bound once for the per-frame path.  The route memos are the
+        # routing table's (an override flushes them); a miss asks
+        # ``select_port``.
         self._select_port = network.routing.select_port
         self._route_fwd, self._route_rev = network.routing.route_memos(name)
         self._send_seq = network._send_seq

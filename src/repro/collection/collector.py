@@ -106,6 +106,9 @@ class TelemetryCollector:
         # plus per-switch delivery times for the path-coverage probe.
         self._last_delivery_ns = -1
         self._delivery_times: Dict[str, int] = {}
+        # (switch, port-status entries, epochs) -> (full-dump bytes, PHV
+        # report packets) for the Fig 14 baseline accounting.
+        self._dump_sizes: Dict[tuple, tuple] = {}
 
     def on_polling_mirror(self, switch_name: str, pkt: Packet, now: int) -> None:
         """CPU-mirror notification: maybe start an asynchronous register read."""
@@ -158,12 +161,14 @@ class TelemetryCollector:
         telem = self.deployment.for_switch(switch_name)
         injector = self._injector
         obs = self._obs
-        victim = self._last_mirror_victim.get(switch_name)
-        # The read interval spans from the CPU mirror that drove it to the
-        # actual register snapshot (retry attempts start at the retry).
-        read_start = now if _attempt else min(
-            self._last_mirror_time.get(switch_name, now), now
-        )
+        victim = read_start = None
+        if obs is not None:
+            victim = self._last_mirror_victim.get(switch_name)
+            # The read interval spans from the CPU mirror that drove it to
+            # the actual register snapshot (retry attempts start at the retry).
+            read_start = now if _attempt else min(
+                self._last_mirror_time.get(switch_name, now), now
+            )
         if injector is None:
             report = telem.snapshot(now, self.lookback_epochs)
             if obs is not None:
@@ -288,26 +293,35 @@ class TelemetryCollector:
 
     def _account(self, report: SwitchReport, telem) -> None:
         filtered = report.payload_bytes()
-        num_ports = max(len(report.port_status), 1)
-        full = SwitchReport.full_dump_bytes(
-            flow_slots=telem.config.flow_slots,
-            num_ports=num_ports,
-            num_epochs=len(report.epochs) or 1,
-        )
-        self.stats.collections += 1
-        self.stats.filtered_bytes += filtered
-        self.stats.full_dump_bytes += full
-        self.stats.report_packets_cpu += max(1, -(-filtered // MTU_BYTES))
-        self.stats.report_packets_dataplane += max(1, -(-full // PHV_REPORT_BYTES))
+        # The raw dump's size depends only on the switch and the epoch count.
+        shape = (report.switch, len(report.port_status), len(report.epochs))
+        dump = self._dump_sizes.get(shape)
+        if dump is None:
+            full = SwitchReport.full_dump_bytes(
+                flow_slots=telem.config.flow_slots,
+                num_ports=max(shape[1], 1),
+                num_epochs=shape[2] or 1,
+            )
+            dump = self._dump_sizes[shape] = (
+                full, max(1, -(-full // PHV_REPORT_BYTES))
+            )
+        stats = self.stats
+        stats.collections += 1
+        stats.filtered_bytes += filtered
+        stats.full_dump_bytes += dump[0]
+        stats.report_packets_cpu += max(1, -(-filtered // MTU_BYTES))
+        stats.report_packets_dataplane += dump[1]
 
     def collect_all(self, now: int) -> None:
         """Full-polling baseline: read every deployed switch (dedup applies)."""
+        last_collect = self._last_collect
+        dedup_ns = self.dedup_interval_ns
         for switch_name in self.deployment.telemetry:
-            last = self._last_collect.get(switch_name)
-            if last is not None and now - last < self.dedup_interval_ns:
+            last = last_collect.get(switch_name)
+            if last is not None and now - last < dedup_ns:
                 self.stats.suppressed_collections += 1
                 continue
-            self._last_collect[switch_name] = now
+            last_collect[switch_name] = now
             self.collect(switch_name, now)
 
     # -- analyzer-side access ----------------------------------------------------

@@ -162,25 +162,29 @@ def select_reports(
     Preference order: the earliest report collected at/after the trigger
     (the collection its own polling packet drove), else the freshest report
     within ``slack_ns`` before it (a concurrent victim's collection the
-    dedup interval made us share), else the latest earlier report.
+    dedup interval made us share), else the latest earlier report.  One
+    pass: ties resolve as a stable sort by ``collect_time`` would (the
+    first of equal "after" reports, the last of equal "near" or latest).
     """
-    by_switch: Dict[str, List[SwitchReport]] = {}
+    near_from = trigger_time - slack_ns
+    # switch -> [earliest at/after the trigger, latest near it, latest]
+    picks: Dict[str, list] = {}
     for report in reports:
-        by_switch.setdefault(report.switch, []).append(report)
-    chosen: Dict[str, SwitchReport] = {}
-    for switch, candidates in by_switch.items():
-        candidates.sort(key=lambda r: r.collect_time)
-        after = [r for r in candidates if r.collect_time >= trigger_time]
-        near = [
-            r for r in candidates if trigger_time - slack_ns <= r.collect_time < trigger_time
-        ]
-        if after:
-            chosen[switch] = after[0]
-        elif near:
-            chosen[switch] = near[-1]
-        else:
-            chosen[switch] = candidates[-1]
-    return chosen
+        t = report.collect_time
+        pick = picks.get(report.switch)
+        if pick is None:
+            pick = picks[report.switch] = [None, None, report]
+        elif t >= pick[2].collect_time:
+            pick[2] = report
+        if t >= trigger_time:
+            if pick[0] is None or t < pick[0].collect_time:
+                pick[0] = report
+        elif t >= near_from and (pick[1] is None or t >= pick[1].collect_time):
+            pick[1] = report
+    return {
+        switch: after if after is not None else near if near is not None else latest
+        for switch, (after, near, latest) in picks.items()
+    }
 
 
 def _qualify_diagnosis(

@@ -32,7 +32,9 @@ hardware ring has, at none of the cost.
 (with its :class:`FlowEntry`/:class:`PortEntry` objects) is only built when
 a snapshot or query needs it, and is memoized per ``(epoch, version)`` so
 repeated collector/poller reads of an idle epoch are O(1).  Whole snapshots
-are additionally memoized by ``(epoch_number, lookback, bank versions)``.
+are additionally memoized on the live-bank list (itself memoized until time
+advances or a bank is reset) and the switch's register write generation, so
+a re-read of an unchanged window is two identity checks.
 
 Semantics are byte-identical to the reference plane — eviction order, XOR
 match and wrap-around behavior included — except for one documented
@@ -175,6 +177,9 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         # bank is reset, tracked by a generation counter.
         self._reset_gen = 0
         self._live_cache: Optional[tuple] = None
+        # Register write generation: bumped with every bank version, so an
+        # unchanged value means no bank of any live list changed.
+        self._writes = 0
         self._snap_cache: Optional[tuple] = None
 
     # -- observer hooks -------------------------------------------------------
@@ -246,6 +251,7 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
             bank.pending.clear()
         bank.epoch_number = epoch_number
         bank.version += 1
+        self._writes += 1
         bank.mat = None
         bank.mat_version = -1
         bank.table.clear()
@@ -304,6 +310,7 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
             bank.meter = new_meter
             bank.meter_touched = new_touched
             bank.version += 1
+            self._writes += 1
         self._reset_gen += 1
 
     def _flush(self, bank: _EpochBank) -> None:
@@ -393,6 +400,7 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         self.flushed_events += len(pending)
         pending.clear()
         bank.version += 1
+        self._writes += 1
 
     def _live_banks(self, now_ns: int, lookback: int) -> List[_EpochBank]:
         """The most recent ``lookback`` epochs still present in the ring.
@@ -405,7 +413,8 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         Membership is memoized until time advances or a bank is reset.
         """
         now_number = now_ns >> self._shift
-        lookback = min(lookback, self._num_epochs)
+        if lookback > self._num_epochs:
+            lookback = self._num_epochs
         cached = self._live_cache
         if (
             cached is not None
@@ -596,35 +605,37 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         Evicted flow entries were already "stored at the controller" when
         they were displaced, so they are merged back into their epoch here.
         Epoch materializations are memoized per bank version and the whole
-        epoch list per ``(epoch_number, lookback, versions)``, so repeated
-        reads of an idle window are O(1).
+        epoch list per ``(live-bank list, write generation)``: the list is
+        the same object until time advances or a bank is reset, and the
+        generation moves with every register write, so a re-read of an
+        idle window is O(1).
         """
-        lookback = lookback if lookback is not None else self._num_epochs
-        now_number = now_ns >> self._shift
-        live = self._live_banks(now_ns, lookback)
+        live = self._live_banks(
+            now_ns, self._num_epochs if lookback is None else lookback
+        )
         for bank in live:
             if bank.pending:
                 self._flush(bank)
-        snap_key = (
-            now_number,
-            lookback,
-            tuple(bank.epoch_number for bank in live),
-            tuple(bank.version for bank in live),
-        )
         cached = self._snap_cache
-        if cached is not None and cached[0] == snap_key:
+        if cached is not None and cached[0] is live and cached[1] == self._writes:
             self.snapshot_cache_hits += 1
-            epochs = cached[1]
+            epochs = cached[2]
         else:
             self.snapshot_cache_misses += 1
             epochs = [self._materialize(bank) for bank in live]
-            self._snap_cache = (snap_key, epochs)
-        report = SwitchReport(switch=self.switch_name, collect_time=now_ns)
-        report.epochs = list(epochs)
-        report.port_status = {
-            port: max(0, until - now_ns) for port, until in self._pause_until.items()
-        }
-        return report
+            self._snap_cache = (live, self._writes, epochs)
+        pause_until = self._pause_until
+        return SwitchReport(
+            self.switch_name,
+            now_ns,
+            list(epochs),
+            {
+                port: until - now_ns if until > now_ns else 0
+                for port, until in pause_until.items()
+            }
+            if pause_until
+            else {},
+        )
 
 
 # Weak reference to the fabric this process attached last.

@@ -123,10 +123,15 @@ class SwitchReport:
 
     def payload_bytes(self) -> int:
         """Size of the CPU-filtered report (zero slots excluded)."""
+        flows = ports = meters = 0
+        for epoch in self.epochs:
+            flows += len(epoch.flows)
+            ports += len(epoch.ports)
+            meters += len(epoch.meters)
         return (
-            self.num_flow_entries() * FLOW_ENTRY_BYTES
-            + self.num_port_entries() * PORT_ENTRY_BYTES
-            + self.num_meter_entries() * METER_ENTRY_BYTES
+            flows * FLOW_ENTRY_BYTES
+            + ports * PORT_ENTRY_BYTES
+            + meters * METER_ENTRY_BYTES
             + len(self.port_status) * PORT_STATUS_BYTES
         )
 

@@ -106,8 +106,8 @@ class TelemetryCollector:
         # plus per-switch delivery times for the path-coverage probe.
         self._last_delivery_ns = -1
         self._delivery_times: Dict[str, int] = {}
-        # (switch, port-status entries, epochs) -> (full-dump bytes, PHV
-        # report packets) for the Fig 14 baseline accounting.
+        # (switch, epochs) -> (full-dump bytes, PHV report packets) for the
+        # Fig 14 baseline accounting.
         self._dump_sizes: Dict[tuple, tuple] = {}
 
     def on_polling_mirror(self, switch_name: str, pkt: Packet, now: int) -> None:
@@ -293,14 +293,16 @@ class TelemetryCollector:
 
     def _account(self, report: SwitchReport, telem) -> None:
         filtered = report.payload_bytes()
-        # The raw dump's size depends only on the switch and the epoch count.
-        shape = (report.switch, len(report.port_status), len(report.epochs))
+        # The raw dump covers every port of the switch, whatever its status
+        # registers hold, so its size depends on the switch and epoch count.
+        shape = (report.switch, len(report.epochs))
         dump = self._dump_sizes.get(shape)
         if dump is None:
+            switch = self.deployment.network.switches[report.switch]
             full = SwitchReport.full_dump_bytes(
                 flow_slots=telem.config.flow_slots,
-                num_ports=max(shape[1], 1),
-                num_epochs=shape[2] or 1,
+                num_ports=len(switch.ports),
+                num_epochs=shape[1] or 1,
             )
             dump = self._dump_sizes[shape] = (
                 full, max(1, -(-full // PHV_REPORT_BYTES))

@@ -106,8 +106,7 @@ class TelemetryCollector:
         # plus per-switch delivery times for the path-coverage probe.
         self._last_delivery_ns = -1
         self._delivery_times: Dict[str, int] = {}
-        # (switch, epochs) -> (full-dump bytes, PHV report packets) for the
-        # Fig 14 baseline accounting.
+        # (switch, epochs) -> (full-dump bytes, PHV report packets), Fig 14
         self._dump_sizes: Dict[tuple, tuple] = {}
 
     def on_polling_mirror(self, switch_name: str, pkt: Packet, now: int) -> None:

@@ -311,7 +311,6 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
             bank.meter_touched = new_touched
             bank.version += 1
             self._writes += 1
-        self._reset_gen += 1
 
     def _flush(self, bank: _EpochBank) -> None:
         """Drain the pending queue into the registers, in order."""
@@ -610,9 +609,7 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         generation moves with every register write, so a re-read of an
         idle window is O(1).
         """
-        live = self._live_banks(
-            now_ns, self._num_epochs if lookback is None else lookback
-        )
+        live = self._live_banks(now_ns, self._num_epochs if lookback is None else lookback)
         for bank in live:
             if bank.pending:
                 self._flush(bank)
@@ -624,18 +621,14 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
             self.snapshot_cache_misses += 1
             epochs = [self._materialize(bank) for bank in live]
             self._snap_cache = (live, self._writes, epochs)
+        status = {}
         pause_until = self._pause_until
-        return SwitchReport(
-            self.switch_name,
-            now_ns,
-            list(epochs),
-            {
+        if pause_until:  # some PFC status register was ever written
+            status = {
                 port: until - now_ns if until > now_ns else 0
                 for port, until in pause_until.items()
             }
-            if pause_until
-            else {},
-        )
+        return SwitchReport(self.switch_name, now_ns, list(epochs), status)
 
 
 # Weak reference to the fabric this process attached last.

@@ -115,12 +115,6 @@ class SwitchReport:
     def num_flow_entries(self) -> int:
         return sum(len(e.flows) for e in self.epochs)
 
-    def num_port_entries(self) -> int:
-        return sum(len(e.ports) for e in self.epochs)
-
-    def num_meter_entries(self) -> int:
-        return sum(len(e.meters) for e in self.epochs)
-
     def payload_bytes(self) -> int:
         """Size of the CPU-filtered report (zero slots excluded)."""
         flows = ports = meters = 0

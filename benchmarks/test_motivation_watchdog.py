@@ -12,7 +12,8 @@ import pytest
 from conftest import print_table
 from repro.baselines import PfcWatchdog, WatchdogConfig
 from repro.collection import AgentConfig, DetectionAgent
-from repro.sim import Network, NetworkTracer
+from repro.obs import SimTraceObserver, Tracer
+from repro.sim import Network
 from repro.topology import build_line
 from repro.units import KB, msec, usec
 
@@ -23,7 +24,8 @@ EPISODE_SPACING = msec(1)
 
 def run_transients():
     net = Network(build_line(num_switches=3, hosts_per_switch=4))
-    tracer = NetworkTracer(net)
+    tracer = SimTraceObserver(Tracer())
+    net.add_switch_observer(tracer)
     watchdog = PfcWatchdog(net, WatchdogConfig(poll_interval_ns=msec(200) // 10))
     # NOTE: 20 ms / 10 = 20 ms... the interval is scaled to our ms-scale
     # traces: a real 200 ms watchdog vs multi-second traces behaves like a
@@ -44,13 +46,14 @@ def run_transients():
             net.start_flow(net.make_flow(src, "H3_0", 150 * KB, start, src_port=port))
             port += 1
     net.run(EPISODES * EPISODE_SPACING + msec(1))
+    tracer.finish(net.sim.now)
 
     # Ground truth: pause episodes on SW2's egress toward SW3 (the port the
     # congested SW3 pauses hop-by-hop).
     sw2_egress = next(
         remote for _, remote in net.topology.neighbors("SW3") if remote.node == "SW2"
     )
-    true_episodes = tracer.paused_intervals(sw2_egress)
+    true_episodes = tracer.pause_spans(sw2_egress)
     watchdog_hits = sum(
         1
         for span in true_episodes

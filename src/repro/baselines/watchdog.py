@@ -10,7 +10,7 @@ flows" (§2.3).
 This implementation polls every switch's live pause state on a timer and
 records observations, so the motivation claim is measurable: compare the
 watchdog's detection coverage against the ground-truth pause intervals a
-:class:`~repro.sim.trace.NetworkTracer` records.
+:class:`~repro.obs.simtrace.SimTraceObserver` records.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class PfcWatchdog:
         """Fraction of ground-truth pause episodes at least one poll hit.
 
         ``true_intervals`` is typically built from a
-        :class:`~repro.sim.trace.NetworkTracer` via ``paused_intervals``.
+        :class:`~repro.obs.simtrace.SimTraceObserver` via ``pause_spans``.
         """
         total = 0
         hit = 0

@@ -26,10 +26,9 @@ class PerfStats:
     events_purged: int = 0
     compactions: int = 0
     # Memoization-cache effectiveness: cache name -> {"hits": N, "misses": N}.
-    # Covers the process-global caches (pause quanta, report aggregation,
-    # replay contribution) scoped to this run by before/after differencing,
-    # plus the per-run instance caches (ECMP select, telemetry
-    # snapshot/epoch materialization).
+    # Covers the process-global caches (report aggregation, replay
+    # contribution) scoped to this run by before/after differencing, plus
+    # the per-run telemetry caches (snapshot, epoch materialization).
     caches: Dict[str, Dict[str, int]] = field(default_factory=dict)
     # Fault-injection and reliability counters (chaos runs): incident kind
     # or recovery action -> count.  Empty on fault-free runs.

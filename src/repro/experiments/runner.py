@@ -367,7 +367,7 @@ class SessionTotals:
     sim: Dict[str, int]
     data_pkt_hops: int
     data_pkts_sent: int
-    # Per-run instance caches (ECMP select, telemetry materialization).
+    # Per-run telemetry caches (snapshot, epoch materialization).
     caches: Dict[str, Dict[str, int]]
     fault_stats: Dict[str, int]
     fault_incidents: List[FaultIncident]
@@ -578,8 +578,7 @@ class FabricSession:
                 self._sim_obs = SimTraceObserver(
                     obs.tracer, metrics, parent=obs.scenario_span
                 )
-                for switch in net.switches.values():
-                    switch.add_observer(self._sim_obs)
+                net.add_switch_observer(self._sim_obs)
         self.obs = obs
 
         self.monitor: Optional[FabricMonitor] = None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, IO, Iterable, List, Optional, Sequence, Tuple
 
 from ..baselines.systems import SystemKind
@@ -50,9 +50,6 @@ class SweepResult:
     accuracy: AccuracyCounter
     processing_bytes: int = 0
     bandwidth_bytes: int = 0
-    # Per-stage wall seconds summed over the cell's seeds (from each run's
-    # StageProfile via PerfStats.stages): where this grid cell spent time.
-    stage_wall_s: Dict[str, float] = field(default_factory=dict)
 
     def row(self) -> Tuple:
         return (
@@ -99,17 +96,11 @@ def _sweep_cell(item: Tuple[SweepPoint, ScenarioBuilder, int]) -> Tuple:
     point, builder, seed = item
     scenario = builder(seed=seed)
     outcome = run_scenario(scenario, point.run_config())
-    stage_walls = (
-        {name: s["wall_s"] for name, s in outcome.perf.stages.items()}
-        if outcome.perf is not None
-        else {}
-    )
     return (
         outcome.diagnosis(),
         scenario.truth,
         outcome.processing_bytes,
         outcome.bandwidth_bytes,
-        stage_walls,
     )
 
 
@@ -138,23 +129,19 @@ def run_sweep(
     for i, point in enumerate(points):
         accuracy = AccuracyCounter()
         processing = bandwidth = 0
-        stage_wall_s: Dict[str, float] = {}
         for j, seed in enumerate(seeds):
-            diagnosis, truth, cell_processing, cell_bandwidth, cell_stages = cells[
+            diagnosis, truth, cell_processing, cell_bandwidth = cells[
                 i * per_point + j
             ]
             accuracy.add(diagnosis, truth, score, label=f"seed{seed}")
             processing += cell_processing
             bandwidth += cell_bandwidth
-            for name, wall in cell_stages.items():
-                stage_wall_s[name] = stage_wall_s.get(name, 0.0) + wall
         results.append(
             SweepResult(
                 point=point,
                 accuracy=accuracy,
                 processing_bytes=processing,
                 bandwidth_bytes=bandwidth,
-                stage_wall_s=stage_wall_s,
             )
         )
         if progress is not None:

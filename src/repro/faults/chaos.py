@@ -44,9 +44,6 @@ class ChaosOutcome:
     fault_counters: Dict[str, int] = field(default_factory=dict)
     incident_log: List[str] = field(default_factory=list)
     error: Optional[str] = None
-    # Per-stage wall seconds of this cell's run (PerfStats.stages), so the
-    # chaos harness shows where fault handling spends its time.
-    stage_wall_s: Dict[str, float] = field(default_factory=dict)
 
     @property
     def crashed(self) -> bool:
@@ -99,10 +96,6 @@ def run_chaos_cell(
             outcome.completeness = diagnosis.completeness
         outcome.fault_counters = dict(result.fault_counters)
         outcome.incident_log = list(result.fault_incidents)
-        if result.perf is not None:
-            outcome.stage_wall_s = {
-                name: s["wall_s"] for name, s in result.perf.stages.items()
-            }
     except Exception:  # noqa: BLE001 - the whole point is "never crashes"
         outcome.error = traceback.format_exc()
     return outcome

@@ -197,7 +197,6 @@ class FabricMonitor(SwitchObserver):
     ) -> None:
         self.network = network
         self.config = config if config is not None else MonitorConfig()
-        self.metrics = metrics
         self.sketch = CountMinSketch.from_error_bound(SKETCH_EPSILON, SKETCH_DELTA)
         self.heavy = HeavyHitters(HEAVY_HITTERS)
         xoff = network.config.pfc.xoff_bytes
@@ -413,9 +412,6 @@ class FabricMonitor(SwitchObserver):
 
         for alert in raised:
             self.timeline.record_alert(alert)
-        if self.metrics is not None and raised:
-            for alert in raised:
-                self.metrics.inc(f"monitor.alerts.{alert.category}")
         self._tick += 1
 
     # -- queries -------------------------------------------------------------

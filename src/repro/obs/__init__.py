@@ -4,9 +4,10 @@ Three planes, one package:
 
 - **tracing** (:mod:`.trace`, :mod:`.pipeline`, :mod:`.simtrace`): typed
   span/event records with sim-time timestamps and parent links, kept in
-  memory and optionally streamed to a JSONL sink; off by default via
-  :data:`NULL_TRACER`.  A traced run is one process, so its records
-  compare raw across runs;
+  memory and optionally streamed to a JSONL sink; off by default (no
+  tracer is built).  A traced run is one process, so its records
+  compare raw across runs.  :class:`SimTraceObserver` is also the
+  fabric's ground-truth recorder (PFC pause episodes per port);
 - **metrics** (:mod:`.metrics`): counters/gauges/histograms absorbing the
   legacy per-component counter dicts, exported via ``--metrics-json``;
 - **profiling** (:mod:`.profile`): per-stage wall-clock accounting folded
@@ -24,8 +25,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "profile": ("StageProfile", "merge_stage_dicts"),
     "simtrace": ("SimTraceObserver",),
     "trace": (
-        "NULL_SPAN", "NULL_TRACER", "AnyTracer", "Event", "JsonlSink",
-        "ListSink", "NullSink", "NullTracer", "Sink", "Span",
+        "Event", "JsonlSink", "ListSink", "NullSink", "Sink", "Span",
         "Tracer",
     ),
     "tree": (

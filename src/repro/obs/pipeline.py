@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from .metrics import MetricsRegistry
-from .trace import AnyTracer, JsonlSink, NullSink, Sink, Span
+from .trace import JsonlSink, NullSink, Sink, Span, Tracer
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class ObsConfig:
     each worker builds its own tracer from it.
     """
 
-    trace: bool = False            # build a real tracer (else NULL_TRACER)
+    trace: bool = False            # build a tracer (else obs is None)
     jsonl_path: Optional[str] = None  # also stream records to this file
     sim_events: bool = False       # per-packet sim events (heavy; tests/CLI)
 
@@ -70,7 +70,7 @@ class PipelineObs:
     """Domain-aware observability facade for one scenario run."""
 
     def __init__(
-        self, tracer: AnyTracer, metrics: Optional[MetricsRegistry] = None
+        self, tracer: Tracer, metrics: Optional[MetricsRegistry] = None
     ) -> None:
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()

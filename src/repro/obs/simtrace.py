@@ -17,16 +17,22 @@ the property tests they give the tracer a ground truth to check the
 pipeline against.  Every event also bumps the matching ``events.*``
 counter in the registry, so "metric counters == trace event counts" is an
 asserted invariant, not an assumption.
+
+It is also the fabric's only omniscient recorder: attached with
+``Network.add_switch_observer`` over a bare :class:`Tracer`, its
+:meth:`~SimTraceObserver.pause_spans` are the ground-truth pause episodes
+the watchdog baseline and the telemetry cross-validation check against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.packet import Packet, pause_quanta_to_ns
 from ..sim.switch import Switch, SwitchObserver
+from ..topology.graph import PortRef
 from .metrics import MetricsRegistry
-from .trace import AnyTracer, Span
+from .trace import Span, Tracer
 
 
 class SimTraceObserver(SwitchObserver):
@@ -34,7 +40,7 @@ class SimTraceObserver(SwitchObserver):
 
     def __init__(
         self,
-        tracer: AnyTracer,
+        tracer: Tracer,
         metrics: Optional[MetricsRegistry] = None,
         parent: Optional[Span] = None,
     ) -> None:
@@ -132,3 +138,17 @@ class SimTraceObserver(SwitchObserver):
             span, expiry = self._pause[key]
             self.tracer.end_span(span, min(now_ns, expiry))
         self._pause.clear()
+
+    def pause_spans(self, port: PortRef) -> List[Tuple[int, int]]:
+        """``(start, end)`` of every closed pause episode ``port`` received.
+
+        Call :meth:`finish` first: an episode still open is not listed.
+        """
+        return [
+            (span.start_ns, span.end_ns)
+            for span in self.tracer.spans
+            if span.kind == "port_pause"
+            and span.end_ns is not None
+            and span.attrs["switch"] == port.node
+            and span.attrs["port"] == port.port
+        ]

@@ -23,10 +23,9 @@ event on itself (``tracer.spans`` / ``tracer.events``), so in-process
 consumers (the span-tree renderer, the invariant tests) read
 :meth:`Tracer.records` and never depend on a sink.
 
-The default tracer is :data:`NULL_TRACER`: a singleton whose methods
-return immediately, so instrumented call sites cost one attribute check
-when tracing is off — cheap enough to leave compiled in everywhere
-(guarded by the perf-regression benchmark).
+Tracing off is no tracer at all: every instrumented call site holds an
+optional :class:`~repro.obs.pipeline.PipelineObs` and checks ``obs is
+None``, so a run without tracing builds nothing here.
 """
 
 from __future__ import annotations
@@ -177,8 +176,6 @@ class Tracer:
     so two runs of one spec compare by their raw :meth:`records`.
     """
 
-    enabled = True
-
     def __init__(self, sink: Optional[Sink] = None) -> None:
         self.sink = sink if sink is not None else NullSink()
         self.spans: List[Span] = []
@@ -267,46 +264,3 @@ class Tracer:
         merged.extend(event.to_record() for event in self.events)
         merged.sort(key=lambda r: r["id"])
         return merged
-
-
-class _NullSpan(Span):
-    """Shared inert span handed out by the null tracer."""
-
-    def __init__(self) -> None:
-        super().__init__(0, None, "null", "null", 0, {})
-
-
-class NullTracer:
-    """API-compatible no-op.  ``enabled`` is the fast-path guard."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        self.sink = NullSink()
-        self.spans: List[Span] = []
-        self.events: List[Event] = []
-        self.finished = False
-
-    def begin_span(self, kind, name, start_ns, parent=None, **attrs) -> Span:
-        return NULL_SPAN
-
-    def end_span(self, span, end_ns, **attrs) -> None:
-        pass
-
-    def event(self, kind, name="", span=None, time_ns=0, **attrs) -> None:
-        return None
-
-    def open_spans(self) -> List[Span]:
-        return []
-
-    def finish(self, end_ns: int) -> None:
-        pass
-
-    def records(self) -> List[Dict[str, Any]]:
-        return []
-
-
-NULL_SPAN = _NullSpan()
-NULL_TRACER = NullTracer()
-
-AnyTracer = Union[Tracer, NullTracer]

@@ -14,5 +14,4 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "PacketType", "PollingFlag", "pause_quanta_to_ns",
     ),
     "switch": ("Switch", "SwitchObserver", "SwitchStats"),
-    "trace": ("NetworkTracer", "PfcEvent", "QueueSample", "load_jsonl"),
 })

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.baselines import PfcWatchdog, WatchdogConfig
-from repro.sim import Network, NetworkTracer
+from repro.obs import SimTraceObserver, Tracer
+from repro.sim import Network
 from repro.topology import build_line
 from repro.units import KB, msec, usec
 
@@ -12,12 +13,14 @@ def stormy_line(storm_ns, duration_ns, watchdog_interval_ns):
     """A line fabric with a PFC storm of the given duration, observed by
     both the watchdog (sampled) and the tracer (ground truth)."""
     net = Network(build_line(num_switches=3, hosts_per_switch=2))
-    tracer = NetworkTracer(net)
+    tracer = SimTraceObserver(Tracer())
+    net.add_switch_observer(tracer)
     watchdog = PfcWatchdog(net, WatchdogConfig(poll_interval_ns=watchdog_interval_ns))
     watchdog.start()
     net.start_flow(net.make_flow("H1_0", "H3_0", 3_000 * KB, usec(1), src_port=1))
     net.sim.schedule(usec(50), lambda: net.hosts["H3_0"].start_pfc_injection(storm_ns))
     net.run(duration_ns)
+    tracer.finish(net.sim.now)
     return net, tracer, watchdog
 
 
@@ -67,7 +70,7 @@ class TestTransientBlindness:
             storm_ns=usec(300), duration_ns=msec(4), watchdog_interval_ns=msec(1)
         )
         storm_port = net.topology.attachment_of("H3_0")
-        intervals = tracer.paused_intervals(storm_port)
+        intervals = tracer.pause_spans(storm_port)
         assert intervals, "the tracer must see the transient episode"
         assert not watchdog.detected_episode(intervals, storm_port)
 
@@ -82,7 +85,7 @@ class TestTransientBlindness:
                     from repro.topology import PortRef
 
                     ref = PortRef(name, port_no)
-                    spans = tracer.paused_intervals(ref)
+                    spans = tracer.pause_spans(ref)
                     if spans:
                         truth[ref] = spans
             return watchdog.coverage_against(truth)

@@ -141,6 +141,15 @@ class TestRunnerSurfaces:
         assert metrics["histograms"]["monitor.rtt_ns"]["count"] > 0
         assert metrics["histograms"]["monitor.rtt_ns"]["p95"] is not None
 
+    def test_alert_counters_equal_the_monitors_tally(self):
+        """Each ``monitor.alerts.<category>`` counter is counted once."""
+        result = run_monitored("pfc-storm")
+        counters = result.metrics.to_dict()["counters"]
+        by_category = result.monitor.engine.alerts_by_category()
+        assert by_category
+        for category, count in by_category.items():
+            assert counters[f"monitor.alerts.{category}"] == count
+
     def test_summary_carries_alert_reduction(self):
         from repro.experiments.runner import (
             ScenarioSpec,

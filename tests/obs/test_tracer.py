@@ -1,19 +1,11 @@
-"""Tracer unit tests: span lifecycle, sink contract, no-op fast path."""
+"""Tracer unit tests: span lifecycle and sink contract."""
 
 import io
 import json
 
 import pytest
 
-from repro.obs import (
-    NULL_SPAN,
-    NULL_TRACER,
-    JsonlSink,
-    ListSink,
-    NullSink,
-    NullTracer,
-    Tracer,
-)
+from repro.obs import JsonlSink, ListSink, NullSink, Tracer
 
 
 class TestSpanLifecycle:
@@ -131,21 +123,3 @@ class TestSinks:
         assert [json.loads(line) for line in buf.getvalue().splitlines()] == (
             lst.records
         )
-
-
-class TestNullTracer:
-    def test_null_tracer_is_inert(self):
-        assert NULL_TRACER.enabled is False
-        span = NULL_TRACER.begin_span("scenario", "run", 0)
-        assert span is NULL_SPAN
-        NULL_TRACER.end_span(span, 10)
-        assert NULL_TRACER.event("verdict", span=span, time_ns=1) is None
-        NULL_TRACER.finish(99)
-        assert NULL_TRACER.records() == []
-        assert NULL_TRACER.open_spans() == []
-
-    def test_fresh_null_tracer_shares_behavior(self):
-        tracer = NullTracer()
-        for _ in range(100):
-            tracer.begin_span("epoch_read", "SW", 0)
-        assert tracer.spans == [] and tracer.events == []

@@ -12,6 +12,12 @@ RESUME must follow only once they are below Xon; and the upstream host
 must put no data on the wire while its pause is in force.  The shape of
 the check (a 2:1 incast, the pause instant against the ingress fill rate)
 follows the OMNeT++ PFC/RCM model's (PAPERS.md).
+
+The same incast on a two- and three-switch line, with the remote sender
+on the first switch, checks the hop-by-hop spread that model describes:
+a switch pauses its upstream only after its downstream paused it, each
+ingress pauses at its first Xoff crossing, and the headroom (one round
+trip of the link plus two MTUs) absorbs what is on the wire, losslessly.
 """
 
 import pytest
@@ -19,7 +25,7 @@ import pytest
 from repro.sim import Network, PacketType, SimConfig, SwitchObserver
 from repro.sim.config import DcqcnConfig, PfcConfig
 from repro.sim.packet import pause_quanta_to_ns
-from repro.topology import Topology
+from repro.topology import Topology, build_line
 from repro.units import KB, gbps, serialization_delay_ns, usec
 
 CELL_BYTES = 80
@@ -137,3 +143,90 @@ class TestLinkGuardianThresholds:
             # ... and it does send again once resumed.
             assert data_tx[-1] > windows[0][1]
 
+
+
+class _Chain(SwitchObserver):
+    """Per (switch, ingress): when its occupancy first exceeded Xoff, its
+    peak occupancy and its first PAUSE; per switch: its first PAUSE sent
+    and received, and the data packets in and out of its queues."""
+
+    def __init__(self, xoff):
+        self.xoff = xoff
+        self.crossed = {}
+        self.peak = {}
+        self.first_pause = {}
+        self.pause_tx = {}
+        self.pause_rx = {}
+        self.data_in = {}
+        self.data_out = {}
+
+    def on_egress_enqueue(self, sw, t, pkt, egress, ingress, qd, qb, paused):
+        if pkt.ptype is not PacketType.DATA:
+            return
+        self.data_in[sw.name] = self.data_in.get(sw.name, 0) + 1
+        key = (sw.name, ingress)
+        occupancy = sw.ingress_occupancy(ingress)
+        self.peak[key] = max(self.peak.get(key, 0), occupancy)
+        if occupancy > self.xoff:
+            self.crossed.setdefault(key, t)
+
+    def on_egress_dequeue(self, sw, t, pkt, egress):
+        if pkt.ptype is PacketType.DATA:
+            self.data_out[sw.name] = self.data_out.get(sw.name, 0) + 1
+
+    def on_pfc_sent(self, sw, t, port, priority, quanta):
+        if quanta > 0:
+            self.pause_tx.setdefault(sw.name, t)
+            self.first_pause.setdefault((sw.name, port), (t, sw.ingress_occupancy(port)))
+
+    def on_pfc_received(self, sw, t, port, priority, quanta):
+        if quanta > 0:
+            self.pause_rx.setdefault(sw.name, t)
+
+
+def _chain_incast(switches, gbit):
+    """A 2:1 line-rate incast onto a host of the last switch of a line:
+    one sender shares that switch, the other sits on the first, so the
+    PAUSE has to travel back hop by hop."""
+    xoff_cells, xon_cells = LINKGUARDIAN_CELLS[gbit]
+    config = SimConfig(
+        pfc=PfcConfig(xoff_bytes=xoff_cells * CELL_BYTES, xon_bytes=xon_cells * CELL_BYTES),
+        dcqcn=DcqcnConfig(enabled=False),
+    )
+    net = Network(build_line(switches, 2, gbps(gbit), usec(1)), config=config)
+    chain = _Chain(config.pfc.xoff_bytes)
+    net.add_switch_observer(chain)
+    last = f"H{switches}_"
+    flows = [
+        net.make_flow(src, last + "1", 500 * KB, 0, src_port=1000 + i)
+        for i, src in enumerate((last + "0", "H1_0"))
+    ]
+    for flow in flows:
+        net.start_flow(flow)
+    net.run(usec(2000))
+    return net, chain, flows
+
+
+@pytest.mark.parametrize("gbit", sorted(LINKGUARDIAN_CELLS))
+@pytest.mark.parametrize("switches", (2, 3))
+def test_pause_travels_back_hop_by_hop(switches, gbit):
+    net, chain, flows = _chain_incast(switches, gbit)
+    xoff = net.config.pfc.xoff_bytes
+    mtu = net.config.data_packet_size
+    headroom = 2 * usec(1) * gbps(gbit) / 1e9 + 2 * mtu
+    names = [f"SW{i}" for i in range(1, switches + 1)]
+    # Every switch pauses its upstream; all but the last only after its
+    # downstream paused it.
+    assert set(chain.pause_tx) == set(names)
+    for name in names[:-1]:
+        assert chain.pause_tx[name] >= chain.pause_rx[name]
+    # The first PAUSE out of an ingress leaves at its first Xoff crossing.
+    assert chain.first_pause and set(chain.first_pause) == set(chain.crossed)
+    for key, (t, occupancy) in chain.first_pause.items():
+        assert t == chain.crossed[key]
+        assert xoff < occupancy <= xoff + mtu
+    # Headroom absorbs what was on the wire; nothing is dropped.
+    assert max(chain.peak.values()) <= xoff + headroom
+    assert chain.data_in == chain.data_out
+    for flow in flows:
+        assert flow.completed and flow.bytes_sent == flow.size

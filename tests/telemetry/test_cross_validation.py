@@ -7,7 +7,8 @@ the consistency contract between the two observers.
 
 import pytest
 
-from repro.sim import Network, NetworkTracer
+from repro.obs import SimTraceObserver, Tracer
+from repro.sim import Network
 from repro.telemetry import HawkeyeDeployment
 from repro.topology import PortRef, build_line
 from repro.units import KB, msec, usec
@@ -18,7 +19,8 @@ def observed_run():
     """A cascaded-congestion run observed by telemetry AND tracer."""
     net = Network(build_line(num_switches=3, hosts_per_switch=4))
     deployment = HawkeyeDeployment(net)
-    tracer = NetworkTracer(net, sample_queue_every=1)
+    tracer = SimTraceObserver(Tracer())
+    net.add_switch_observer(tracer)
     srcs = ["H1_0", "H1_1", "H2_0", "H2_1", "H3_1", "H3_2"]
     flows = []
     for i, src in enumerate(srcs):
@@ -26,6 +28,7 @@ def observed_run():
         flows.append(f)
         net.start_flow(f)
     net.run(msec(2))
+    tracer.finish(net.sim.now)
     return net, deployment, tracer, flows
 
 
@@ -54,9 +57,9 @@ class TestConsistency:
             for port, entry in report.agg_ports().items():
                 assert entry.pkt_count == flow_sum.get(port, 0)
 
-    def test_paused_counts_match_tracer_samples(self, observed_run):
+    def test_paused_counts_match_tracer_events(self, observed_run):
         """Telemetry's paused-enqueue counters equal the tracer's count of
-        paused queue samples (the tracer samples every enqueue here)."""
+        paused enqueue events (the tracer sees every enqueue)."""
         net, deployment, tracer, flows = observed_run
         now = net.sim.now
         for name in net.switches:
@@ -65,7 +68,11 @@ class TestConsistency:
                 e.paused_count for e in report.agg_ports().values()
             )
             traced_paused = sum(
-                1 for s in tracer.queue_samples if s.switch == name and s.paused
+                1
+                for e in tracer.tracer.events
+                if e.kind == "pkt_enqueue"
+                and e.attrs["switch"] == name
+                and e.attrs["paused"]
             )
             assert telemetry_paused == traced_paused
 
@@ -79,8 +86,8 @@ class TestConsistency:
             )
             traced_rx = sum(
                 1
-                for e in tracer.pfc_events
-                if e.switch == name and e.direction == "rx" and e.kind == "pause"
+                for e in tracer.tracer.events
+                if e.kind == "pause_rx" and e.attrs["switch"] == name
             )
             assert telemetry_rx == traced_rx
 

@@ -432,23 +432,12 @@ def account_run(
     cache_stats = diff_cache_counters(caches_before, global_cache_counters())
     cache_stats.update(totals.caches)
 
+    # The injector's tally, one name per incident-log entry.  What the
+    # components did about the faults (retransmissions, DMA retries, lost
+    # reports) stays under their own ``agent.*``/``collection.*``/
+    # ``polling.*`` metrics below.
     fault_counters: Dict[str, int] = dict(totals.fault_stats)
-    collection, agent = totals.collection, totals.agent
-    for name, value in (
-        ("agent_retransmissions", agent["retransmissions"]),
-        ("agent_retries_recovered", agent["retries_recovered"]),
-        ("agent_retries_exhausted", agent["retries_exhausted"]),
-        ("agent_restarts", agent["restarts"]),
-        ("polling_packets_lost", totals.polling.get("packets_lost", 0)),
-        ("dma_retries", collection["dma_retries"]),
-        ("dma_reads_abandoned", collection["dma_reads_abandoned"]),
-        ("stale_reads", collection["stale_reads"]),
-        ("reports_lost", collection["reports_lost"]),
-        ("reports_truncated", collection["reports_truncated"]),
-        ("reports_delayed", collection["reports_delayed"]),
-    ):
-        if value:
-            fault_counters[name] = value
+    collection = totals.collection
 
     sim = totals.sim
     wall_s = time.perf_counter() - wall_start
@@ -471,7 +460,7 @@ def account_run(
     metrics.absorb_counters("sim", sim)
     metrics.absorb_counters("cache", cache_stats)
     metrics.absorb_counters("collection", collection)
-    metrics.absorb_counters("agent", {"triggers": len(totals.triggers), **agent})
+    metrics.absorb_counters("agent", {"triggers": len(totals.triggers), **totals.agent})
     if traced is not None:
         metrics.absorb_counters("polling", totals.polling)
     if fault_counters:

@@ -48,8 +48,8 @@ class TestRetryRecovery:
         )
         # Every trigger's polling trace dies at the first hop, so every
         # retry fires and exhausts: retransmissions stay within budget.
-        retransmitted = result.fault_counters.get("agent_retransmissions", 0)
-        exhausted = result.fault_counters.get("agent_retries_exhausted", 0)
+        retransmitted = result.fault_counters.get("polling_retransmitted", 0)
+        exhausted = result.fault_counters.get("polling_retries_exhausted", 0)
         assert exhausted > 0
         assert retransmitted <= retry.max_retries * exhausted
 
@@ -62,9 +62,9 @@ class TestDmaFaults:
             retry=RetryPolicy(dma_retry_budget=2),
         )
         counters = result.fault_counters
-        assert counters.get("dma_retries", 0) > 0
-        assert counters.get("dma_reads_abandoned", 0) > 0
-        assert counters["dma_retries"] == 2 * counters["dma_reads_abandoned"]
+        assert counters.get("dma_read_retried", 0) > 0
+        assert counters.get("dma_read_abandoned", 0) > 0
+        assert counters["dma_read_retried"] == 2 * counters["dma_read_abandoned"]
         diagnosis = result.diagnosis()
         assert diagnosis is None or diagnosis.confidence == "degraded"
 
@@ -74,7 +74,7 @@ class TestDmaFaults:
             faults=FaultPlan(seed=1, dma_failure_rate=0.3),
             retry=RetryPolicy(),
         )
-        assert result.fault_counters.get("dma_retries", 0) > 0
+        assert result.fault_counters.get("dma_read_retried", 0) > 0
         diagnosis = result.diagnosis()
         assert diagnosis.anomaly.value == scenario.truth.anomaly.value
 
@@ -83,7 +83,7 @@ class TestDmaFaults:
             "incast-backpressure",
             faults=FaultPlan(seed=1, dma_stale_rate=1.0),
         )
-        assert result.fault_counters.get("stale_reads", 0) > 0
+        assert result.fault_counters.get("dma_read_stale", 0) > 0
         diagnosis = result.diagnosis()
         assert diagnosis.confidence == "degraded"
         assert any("stale" in entry for entry in diagnosis.degraded_reports)
@@ -96,7 +96,7 @@ class TestReportChannelFaults:
             "incast-backpressure",
             faults=FaultPlan(seed=1, report_truncate_rate=1.0),
         )
-        assert result.fault_counters.get("reports_truncated", 0) > 0
+        assert result.fault_counters.get("report_truncated", 0) > 0
         diagnosis = result.diagnosis()
         assert any("truncated" in e for e in diagnosis.degraded_reports)
 
@@ -107,7 +107,7 @@ class TestReportChannelFaults:
                 seed=1, report_delay_rate=1.0, report_delay_max_ns=usec(100)
             ),
         )
-        assert result.fault_counters.get("reports_delayed", 0) > 0
+        assert result.fault_counters.get("report_delayed", 0) > 0
         assert result.collections > 0
         assert result.diagnosis() is not None
 
@@ -130,10 +130,9 @@ class TestAgentRestart:
                 agent_restart_blackout_ns=usec(100),
             ),
         )
-        assert result.fault_counters.get("agent_restarts", 0) > 0
-        assert result.fault_counters["agent_restarts"] == (
-            result.fault_counters.get("agent_restarted", 0)
-        )
+        restarts = result.metrics.to_dict()["counters"]["agent.restarts"]
+        assert restarts > 0
+        assert restarts == result.fault_counters.get("agent_restarted", 0)
 
 
 class TestFaultFlagsSurvivePlumbing:

@@ -6,25 +6,26 @@ cannot trace PFC.  Both fall well below the combined (Hawkeye) system when
 monitoring traffic containing the mix of anomalies.
 """
 
+import os
+
 import pytest
 
 from conftest import ANOMALY_BUILDERS, BENCH_SEEDS, print_table
 from repro.baselines import SystemKind
-from repro.experiments import AccuracyCounter, RunConfig, run_scenario
+from repro.experiments import AccuracyCounter, grid, run_sweep
 
 MODES = [SystemKind.HAWKEYE, SystemKind.PORT_ONLY, SystemKind.FLOW_ONLY]
 
 
 def sweep():
-    results = {}
-    for mode in MODES:
-        acc = AccuracyCounter()
-        for builder in ANOMALY_BUILDERS.values():
-            for seed in range(1, BENCH_SEEDS + 1):
-                scenario = builder(seed=seed)
-                result = run_scenario(scenario, RunConfig(system=mode))
-                acc.add(result.diagnosis(), scenario.truth)
-        results[mode] = acc
+    results = {mode: AccuracyCounter() for mode in MODES}
+    for result in run_sweep(
+        grid(list(ANOMALY_BUILDERS), systems=MODES),
+        seeds=range(1, BENCH_SEEDS + 1),
+        jobs=os.cpu_count(),
+    ):
+        for summary in result.summaries:
+            results[result.config.system].add(summary)
     return results
 
 

@@ -7,10 +7,13 @@ that precision is governed mainly by the epoch size (longer epochs conflate
 events) while recall stays ~100%.
 """
 
+import itertools
+import os
+
 import pytest
 
 from conftest import ANOMALY_BUILDERS, BENCH_SEEDS, print_table
-from repro.experiments import AccuracyCounter, RunConfig, run_scenario
+from repro.experiments import grid, run_sweep
 from repro.units import msec, usec
 
 EPOCH_SIZES = {
@@ -23,20 +26,16 @@ THRESHOLDS = {"200%": 2.0, "300%": 3.0, "500%": 5.0}
 
 
 def sweep():
-    results = {}
-    for scenario_name, builder in ANOMALY_BUILDERS.items():
-        for epoch_name, epoch_ns in EPOCH_SIZES.items():
-            for thr_name, thr in THRESHOLDS.items():
-                acc = AccuracyCounter()
-                for seed in range(1, BENCH_SEEDS + 1):
-                    scenario = builder(seed=seed)
-                    config = RunConfig(
-                        epoch_size_ns=epoch_ns, threshold_multiplier=thr
-                    )
-                    result = run_scenario(scenario, config)
-                    acc.add(result.diagnosis(), scenario.truth)
-                results[(scenario_name, epoch_name, thr_name)] = acc
-    return results
+    cells = grid(
+        list(ANOMALY_BUILDERS),
+        epoch_sizes_ns=list(EPOCH_SIZES.values()),
+        thresholds=list(THRESHOLDS.values()),
+    )
+    results = run_sweep(
+        cells, seeds=range(1, BENCH_SEEDS + 1), jobs=os.cpu_count()
+    )
+    keys = itertools.product(ANOMALY_BUILDERS, EPOCH_SIZES, THRESHOLDS)
+    return {key: result.accuracy for key, result in zip(keys, results)}
 
 
 @pytest.mark.benchmark(group="fig7")

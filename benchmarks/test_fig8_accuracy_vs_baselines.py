@@ -7,11 +7,13 @@ non-loop anomalies but weak on deadlocks; the traditional systems only
 handle normal flow contention.
 """
 
+import os
+
 import pytest
 
 from conftest import ANOMALY_BUILDERS, BENCH_SEEDS, print_table
 from repro.baselines import SystemKind
-from repro.experiments import AccuracyCounter, RunConfig, run_scenario
+from repro.experiments import grid, run_sweep
 
 SYSTEMS = [
     SystemKind.HAWKEYE,
@@ -23,16 +25,12 @@ SYSTEMS = [
 
 
 def sweep():
-    results = {}
-    for scenario_name, builder in ANOMALY_BUILDERS.items():
-        for system in SYSTEMS:
-            acc = AccuracyCounter()
-            for seed in range(1, BENCH_SEEDS + 1):
-                scenario = builder(seed=seed)
-                result = run_scenario(scenario, RunConfig(system=system))
-                acc.add(result.diagnosis(), scenario.truth)
-            results[(scenario_name, system)] = acc
-    return results
+    results = run_sweep(
+        grid(list(ANOMALY_BUILDERS), systems=SYSTEMS),
+        seeds=range(1, BENCH_SEEDS + 1),
+        jobs=os.cpu_count(),
+    )
+    return {(r.scenario, r.config.system): r.accuracy for r in results}
 
 
 @pytest.mark.benchmark(group="fig8")

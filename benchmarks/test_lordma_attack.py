@@ -7,32 +7,34 @@ catches the attack at the paper's sensitive (200% RTT) detection setting
 and attributes it to the attack flows without blaming the victim.
 """
 
+import os
+
 import pytest
 
 from conftest import BENCH_SEEDS, print_table
-from repro.core import AnomalyType
-from repro.experiments import AccuracyCounter, RunConfig, run_scenario
-from repro.workloads import lordma_attack_scenario
+from repro.experiments import grid, run_sweep
+
+
+def blamed_victim(summary):
+    """Does the verdict name the complaining victim among the culprits?"""
+    d = summary.diagnosis
+    return d is not None and d.victim in d.primary().culprit_keys()
 
 
 def sweep():
-    rows = []
-    for threshold in (2.0, 3.0):
-        acc = AccuracyCounter()
-        blamed_victim = 0
-        for seed in range(1, BENCH_SEEDS + 1):
-            scenario = lordma_attack_scenario(seed=seed)
-            result = run_scenario(
-                scenario, RunConfig(threshold_multiplier=threshold)
-            )
-            d = result.diagnosis()
-            acc.add(d, scenario.truth)
-            if d is not None and any(
-                k == scenario.victims[0].key for k in d.primary().culprit_keys()
-            ):
-                blamed_victim += 1
-        rows.append((threshold, acc, blamed_victim))
-    return rows
+    results = run_sweep(
+        grid(["lordma-attack"], thresholds=(2.0, 3.0)),
+        seeds=range(1, BENCH_SEEDS + 1),
+        jobs=os.cpu_count(),
+    )
+    return [
+        (
+            r.config.threshold_multiplier,
+            r.accuracy,
+            sum(blamed_victim(s) for s in r.summaries),
+        )
+        for r in results
+    ]
 
 
 @pytest.mark.benchmark(group="lordma")

@@ -569,9 +569,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .baselines import SystemKind
     from .experiments import grid, run_sweep, write_csv
-    from .workloads import SCENARIO_BUILDERS as builders
 
-    points = grid(
+    cells = grid(
         scenarios=args.scenarios,
         systems=[SystemKind(s) for s in args.systems],
         epoch_sizes_ns=[usec(e) for e in args.epochs_us],
@@ -579,22 +578,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     jobs = max(1, args.jobs)
     suffix = f" across {jobs} workers" if jobs > 1 else ""
-    print(f"sweeping {len(points)} cells x {args.seeds} seeds{suffix} ...")
+    print(f"sweeping {len(cells)} cells x {args.seeds} seeds{suffix} ...")
     results = run_sweep(
-        points,
-        builders,
+        cells,
         seeds=range(1, args.seeds + 1),
-        progress=lambda p: print(f"  done: {p.scenario} / {p.system.value} / "
-                                 f"epoch={p.epoch_size_ns}ns / thr={p.threshold}"),
+        progress=lambda r: print(f"  done: {r.scenario} / {r.config.system.value} / "
+                                 f"epoch={r.config.epoch_size_ns}ns / "
+                                 f"thr={r.config.threshold_multiplier}"),
         jobs=jobs,
     )
     header = f"{'scenario':24s} {'system':13s} {'epoch':>9s} {'thr':>5s} {'prec':>6s} {'rec':>6s}"
     print("\n" + header)
     print("-" * len(header))
     for r in results:
-        print(f"{r.point.scenario:24s} {r.point.system.value:13s} "
-              f"{r.point.epoch_size_ns:>9d} {r.point.threshold:>5.1f} "
-              f"{r.accuracy.precision:>6.2f} {r.accuracy.recall:>6.2f}")
+        accuracy = r.accuracy
+        print(f"{r.scenario:24s} {r.config.system.value:13s} "
+              f"{r.config.epoch_size_ns:>9d} {r.config.threshold_multiplier:>5.1f} "
+              f"{accuracy.precision:>6.2f} {accuracy.recall:>6.2f}")
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             rows = write_csv(results, fh)
@@ -616,7 +616,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     print(f"chaos sweep: {len(scenarios)} scenarios x "
           f"{len(args.loss_rates)} loss rates (fault seed {args.chaos_seed}, "
           f"retries {'off' if retry is None else 'on'})")
-    outcomes = chaos_sweep(
+    cells = chaos_sweep(
         scenarios=scenarios,
         loss_rates=tuple(args.loss_rates),
         seed=args.chaos_seed,
@@ -626,17 +626,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
               f"{'confidence':>10s} {'complete':>8s} {'incidents':>9s}")
     print("\n" + header)
     print("-" * len(header))
-    for o in outcomes:
-        if o.crashed:
+    for loss_rate, s in cells:
+        if s.crashed:
             verdict = "CRASH"
-        elif not o.diagnosed:
+        elif s.diagnosis is None:
             verdict = "none"
         else:
-            verdict = "correct" if o.correct else "wrong"
-        incidents = sum(o.fault_counters.values())
-        print(f"{o.scenario:24s} {o.loss_rate:>6.0%} {verdict:>9s} "
-              f"{o.confidence:>10s} {o.completeness:>8.0%} {incidents:>9d}")
-    tally = summarize(outcomes)
+            verdict = "correct" if s.correct else "wrong"
+        print(f"{s.spec.builder:24s} {loss_rate:>6.0%} {verdict:>9s} "
+              f"{s.confidence:>10s} {s.completeness:>8.0%} "
+              f"{len(s.fault_incidents):>9d}")
+    tally = summarize(s for _, s in cells)
     print(f"\n{tally['cells']} cells: {tally['correct']} correct "
           f"({tally['degraded']} degraded confidence), "
           f"{tally['no_verdict']} no verdict, {tally['crashed']} crashed, "
@@ -647,16 +647,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             "summary": tally,
             "cells": [
                 {
-                    "scenario": o.scenario,
-                    "loss_rate": o.loss_rate,
-                    "diagnosed": o.diagnosed,
-                    "correct": o.correct,
-                    "confidence": o.confidence,
-                    "completeness": o.completeness,
-                    "fault_counters": dict(o.fault_counters),
-                    "error": o.error,
+                    "scenario": s.spec.builder,
+                    "loss_rate": loss_rate,
+                    "diagnosed": s.diagnosis and s.diagnosis.anomaly.value,
+                    "correct": s.correct,
+                    "confidence": s.confidence,
+                    "completeness": s.completeness,
+                    "fault_counters": s.fault_counters,
+                    "error": s.error,
                 }
-                for o in outcomes
+                for loss_rate, s in cells
             ],
         }
         _write_json(args.json, payload)

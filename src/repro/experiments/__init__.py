@@ -19,7 +19,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "shardrun": ("run_scenario_sharded",),
     "supervise": ("fork_map",),
     "sweep": (
-        "CSV_HEADER", "SweepPoint", "SweepResult", "best_configuration", "grid",
-        "run_sweep", "write_csv",
+        "CSV_HEADER", "SweepResult", "grid", "run_sweep", "write_csv",
     ),
 })

@@ -9,10 +9,13 @@ cause; *false negatives* are anomalies that were never reported at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..core.report import Diagnosis, RootCauseKind
 from ..workloads.scenario import GroundTruth
+
+if TYPE_CHECKING:
+    from .runner import RunSummary
 
 
 @dataclass
@@ -62,26 +65,23 @@ def diagnosis_correct(
 
 @dataclass
 class AccuracyCounter:
-    """Tallies TP/FP/FN across scenario runs the paper's way."""
+    """Tallies TP/FP/FN across run summaries the paper's way (a summary's
+    ``correct`` is :func:`diagnosis_correct` of its primary diagnosis)."""
 
     tp: int = 0
     fp: int = 0
     fn: int = 0
     labels: List[str] = field(default_factory=list)
 
-    def add(
-        self,
-        diagnosis: Optional[Diagnosis],
-        truth: GroundTruth,
-        config: Optional[ScoreConfig] = None,
-        label: str = "",
-    ) -> bool:
+    def add(self, summary: RunSummary) -> bool:
         """Record one run's outcome; returns whether it was a TP."""
+        diagnosis = summary.diagnosis
+        label = summary.spec.name
         if diagnosis is None or not diagnosis.findings:
             self.fn += 1
             self.labels.append(f"FN {label}")
             return False
-        if diagnosis_correct(diagnosis, truth, config):
+        if summary.correct:
             self.tp += 1
             self.labels.append(f"TP {label}")
             return True

@@ -6,12 +6,14 @@ system under test, runs the simulator, then produces per-victim diagnoses
 plus the overhead/coverage accounting the evaluation figures need.
 
 :func:`run_scenarios_parallel` fans independent scenario runs out over a
-process pool (:func:`~repro.experiments.supervise.fork_map`).  Scenarios
-are rebuilt inside each worker from a :class:`ScenarioSpec` (a live
-scenario holds scheduled closures and cannot cross a process boundary)
-and reduced to a picklable :class:`RunSummary`;
-because every run is seeded through its spec and the simulator is
-deterministic, ``jobs=N`` produces byte-identical summaries to ``jobs=1``.
+process pool (:func:`~repro.experiments.supervise.fork_map`).  The unit of
+work is a cell, ``(ScenarioSpec, RunConfig)``: the scenario is rebuilt
+inside the worker from its spec (a live scenario holds scheduled closures
+and cannot cross a process boundary) and the run reduced to a picklable
+:class:`RunSummary`.  Sweeps, the chaos harness and the accuracy benches
+map the same worker.  Because every run is seeded through its spec and the
+simulator is deterministic, ``jobs=N`` produces byte-identical summaries to
+``jobs=1``.
 """
 
 from __future__ import annotations
@@ -839,26 +841,27 @@ class ScenarioSpec:
 
 @dataclass
 class RunSummary:
-    """The picklable reduction of a :class:`RunResult`.
+    """The picklable reduction of a :class:`RunResult`: one cell's result.
 
-    Carries everything the experiment figures and the determinism checks
-    compare; drops the live network/scenario objects that cannot cross a
-    process boundary.
+    Every multi-run path — :func:`run_scenarios_parallel`, ``run_sweep``,
+    ``chaos_sweep`` and the accuracy benches — maps ``(ScenarioSpec,
+    RunConfig)`` cells to summaries through :func:`_run_spec_worker`.  A
+    summary keeps the primary :class:`Diagnosis` (plain data) and the
+    figures the experiments and the determinism checks compare, and drops
+    the live network/scenario objects that cannot cross a process boundary.
     """
 
     spec: ScenarioSpec
-    diagnosis_text: Optional[str]
-    correct: bool
-    causal_coverage: float
-    events_run: int
-    processing_bytes: int
-    bandwidth_bytes: int
-    polling_packets: int
-    collections: int
+    # The earliest complaint's diagnosis; None when no victim complained.
+    diagnosis: Optional[Diagnosis] = None
+    correct: bool = False
+    causal_coverage: float = 0.0
+    events_run: int = 0
+    processing_bytes: int = 0
+    bandwidth_bytes: int = 0
+    polling_packets: int = 0
+    collections: int = 0
     perf: Optional[PerfStats] = None
-    # Degradation qualifiers of the primary diagnosis (chaos runs).
-    completeness: float = 1.0
-    confidence: str = "full"
     fault_counters: Dict[str, int] = field(default_factory=dict)
     fault_incidents: List[str] = field(default_factory=list)
     # Continuous-monitoring reduction (zero/empty when monitoring was off).
@@ -866,6 +869,35 @@ class RunSummary:
     incidents: int = 0
     alert_categories: Dict[str, int] = field(default_factory=dict)
     early_warnings: int = 0
+    # The traceback of a cell that raised instead of finishing (a chaos
+    # cell never raises; see ``repro.faults.chaos.run_chaos_cell``).
+    error: Optional[str] = None
+
+    @property
+    def diagnosis_text(self) -> Optional[str]:
+        return self.diagnosis.describe() if self.diagnosis is not None else None
+
+    @property
+    def confidence(self) -> str:
+        return self.diagnosis.confidence if self.diagnosis is not None else "full"
+
+    @property
+    def completeness(self) -> float:
+        return self.diagnosis.completeness if self.diagnosis is not None else 1.0
+
+    @property
+    def crashed(self) -> bool:
+        return self.error is not None
+
+    @property
+    def wrong_full_confidence(self) -> bool:
+        """The one outcome the pipeline must never produce: a wrong verdict
+        asserted without any degradation qualifier."""
+        return (
+            self.diagnosis is not None
+            and not self.correct
+            and self.confidence == "full"
+        )
 
 
 def summarize_run(
@@ -875,9 +907,10 @@ def summarize_run(
 ) -> RunSummary:
     """Reduce a completed run to its picklable summary."""
     diagnosis = result.diagnosis()
+    monitor = result.monitor
     return RunSummary(
         spec=spec,
-        diagnosis_text=diagnosis.describe() if diagnosis is not None else None,
+        diagnosis=diagnosis,
         # No victim complained (a silent lordma-attack seed): nothing was
         # diagnosed, so nothing was diagnosed correctly.
         correct=diagnosis is not None
@@ -889,35 +922,24 @@ def summarize_run(
         polling_packets=result.polling_packets,
         collections=result.collections,
         perf=result.perf,
-        completeness=diagnosis.completeness if diagnosis is not None else 1.0,
-        confidence=diagnosis.confidence if diagnosis is not None else "full",
         fault_counters=dict(result.fault_counters),
         fault_incidents=list(result.fault_incidents),
-        alerts=len(result.monitor.alerts) if result.monitor is not None else 0,
-        incidents=(
-            len(result.monitor.timeline.incidents)
-            if result.monitor is not None
-            else 0
-        ),
+        alerts=len(monitor.alerts) if monitor is not None else 0,
+        incidents=len(monitor.timeline.incidents) if monitor is not None else 0,
         alert_categories=(
-            result.monitor.engine.alerts_by_category()
-            if result.monitor is not None
-            else {}
+            monitor.engine.alerts_by_category() if monitor is not None else {}
         ),
         early_warnings=(
-            sum(
-                1
-                for i in result.monitor.timeline.incidents
-                if i.early_warning
-            )
-            if result.monitor is not None
+            sum(1 for i in monitor.timeline.incidents if i.early_warning)
+            if monitor is not None
             else 0
         ),
     )
 
 
 def _run_spec_worker(item: Tuple[ScenarioSpec, RunConfig]) -> RunSummary:
-    """Process-pool entry point: build, run, summarize one spec."""
+    """The one unit of work of every multi-run path: build, run and
+    summarize one ``(spec, config)`` cell (module-level, so it pickles)."""
     spec, config = item
     scenario = spec.build()
     result = run_scenario(scenario, config)

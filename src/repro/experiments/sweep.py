@@ -1,9 +1,12 @@
-"""Parameter-sweep utilities: grid runs, accuracy aggregation, CSV export.
+"""Parameter sweeps: grid runs, accuracy aggregation, CSV export.
 
-The benchmarks use these helpers implicitly through their own loops; this
-module packages the same machinery for interactive use and the CLI's
-``sweep`` subcommand: build a grid over (scenario × epoch × threshold ×
-system × seeds), run it, and tabulate precision/recall per cell.
+A sweep is a list of cells, ``(scenario name, RunConfig)``, each run over
+the same seeds.  Every (cell, seed) run is the runner's unit of work — a
+``(ScenarioSpec, RunConfig)`` item mapped through the worker that
+:func:`~repro.experiments.runner.run_scenarios_parallel` maps — so a
+cell's result is its seeds' :class:`RunSummary` records, scored by
+:class:`AccuracyCounter`.  The CLI's ``sweep`` subcommand and the
+Fig 7/8/10 and LoRDMA benches run on it.
 """
 
 from __future__ import annotations
@@ -11,56 +14,42 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, IO, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, IO, Iterable, List, Optional, Sequence, Tuple
 
 from ..baselines.systems import SystemKind
-from ..monitor.monitor import MonitorConfig
-from ..workloads.scenario import Scenario
-from .metrics import AccuracyCounter, ScoreConfig
-from .runner import RunConfig, run_scenario
+from .metrics import AccuracyCounter
+from .runner import RunConfig, RunSummary, ScenarioSpec, _run_spec_worker
 from .supervise import fork_map
 
-ScenarioBuilder = Callable[..., Scenario]
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid cell of the parameter sweep."""
-
-    scenario: str
-    system: SystemKind = SystemKind.HAWKEYE
-    epoch_size_ns: int = 1 << 20
-    threshold: float = 3.0
-    # Frozen (hence picklable) monitor knobs; each pool worker builds its
-    # own FabricMonitor from them, exactly like RunConfig.obs.
-    monitor: Optional[MonitorConfig] = None
-
-    def run_config(self) -> RunConfig:
-        return RunConfig(
-            system=self.system,
-            epoch_size_ns=self.epoch_size_ns,
-            threshold_multiplier=self.threshold,
-            monitor=self.monitor,
-        )
+Cell = Tuple[str, RunConfig]
 
 
 @dataclass
 class SweepResult:
-    point: SweepPoint
-    accuracy: AccuracyCounter
-    processing_bytes: int = 0
-    bandwidth_bytes: int = 0
+    """One cell's runs, one summary per seed."""
+
+    scenario: str
+    config: RunConfig
+    summaries: List[RunSummary]
+
+    @property
+    def accuracy(self) -> AccuracyCounter:
+        accuracy = AccuracyCounter()
+        for summary in self.summaries:
+            accuracy.add(summary)
+        return accuracy
 
     def row(self) -> Tuple:
+        accuracy = self.accuracy
         return (
-            self.point.scenario,
-            self.point.system.value,
-            self.point.epoch_size_ns,
-            f"{self.point.threshold:.1f}",
-            f"{self.accuracy.precision:.3f}",
-            f"{self.accuracy.recall:.3f}",
-            self.processing_bytes,
-            self.bandwidth_bytes,
+            self.scenario,
+            self.config.system.value,
+            self.config.epoch_size_ns,
+            f"{self.config.threshold_multiplier:.1f}",
+            f"{accuracy.precision:.3f}",
+            f"{accuracy.recall:.3f}",
+            sum(s.processing_bytes for s in self.summaries),
+            sum(s.bandwidth_bytes for s in self.summaries),
         )
 
 
@@ -81,71 +70,47 @@ def grid(
     systems: Sequence[SystemKind] = (SystemKind.HAWKEYE,),
     epoch_sizes_ns: Sequence[int] = (1 << 20,),
     thresholds: Sequence[float] = (3.0,),
-) -> List[SweepPoint]:
-    """The cartesian product of sweep axes."""
+) -> List[Cell]:
+    """The cartesian product of sweep axes, as ``(scenario, RunConfig)``."""
     return [
-        SweepPoint(scenario=s, system=sys, epoch_size_ns=e, threshold=t)
+        (s, RunConfig(system=sys, epoch_size_ns=e, threshold_multiplier=t))
         for s, sys, e, t in itertools.product(
             scenarios, systems, epoch_sizes_ns, thresholds
         )
     ]
 
 
-def _sweep_cell(item: Tuple[SweepPoint, ScenarioBuilder, int]) -> Tuple:
-    """Worker for one (grid point, seed) cell; returns picklable pieces."""
-    point, builder, seed = item
-    scenario = builder(seed=seed)
-    outcome = run_scenario(scenario, point.run_config())
-    return (
-        outcome.diagnosis(),
-        scenario.truth,
-        outcome.processing_bytes,
-        outcome.bandwidth_bytes,
-    )
-
-
 def run_sweep(
-    points: Iterable[SweepPoint],
-    builders: Dict[str, ScenarioBuilder],
+    cells: Iterable[Cell],
     seeds: Sequence[int] = (1, 2),
-    score: Optional[ScoreConfig] = None,
-    progress: Optional[Callable[[SweepPoint], None]] = None,
+    progress: Optional[Callable[[SweepResult], None]] = None,
     jobs: int = 1,
 ) -> List[SweepResult]:
-    """Run every grid cell over the given seeds.
+    """Run every cell over the given seeds, results in cell order.
 
-    With ``jobs > 1`` the (point × seed) cells run across a process pool;
-    every cell is an independent seeded simulation, so the aggregated
-    results are identical to the serial order-of-execution.
+    With ``jobs > 1`` the (cell × seed) runs spread across a process pool;
+    every run is an independent seeded simulation, so the results are
+    identical to the serial order-of-execution.
     """
-    points = list(points)
-    items = [
-        (point, builders[point.scenario], seed) for point in points for seed in seeds
-    ]
-    cells = fork_map(_sweep_cell, items, jobs)
-
+    cells = list(cells)
+    seeds = list(seeds)
+    summaries = fork_map(
+        _run_spec_worker,
+        [
+            (ScenarioSpec(name, seed), config)
+            for name, config in cells
+            for seed in seeds
+        ],
+        jobs,
+    )
     results: List[SweepResult] = []
-    per_point = len(list(seeds))
-    for i, point in enumerate(points):
-        accuracy = AccuracyCounter()
-        processing = bandwidth = 0
-        for j, seed in enumerate(seeds):
-            diagnosis, truth, cell_processing, cell_bandwidth = cells[
-                i * per_point + j
-            ]
-            accuracy.add(diagnosis, truth, score, label=f"seed{seed}")
-            processing += cell_processing
-            bandwidth += cell_bandwidth
-        results.append(
-            SweepResult(
-                point=point,
-                accuracy=accuracy,
-                processing_bytes=processing,
-                bandwidth_bytes=bandwidth,
-            )
+    for i, (name, config) in enumerate(cells):
+        result = SweepResult(
+            name, config, summaries[i * len(seeds):(i + 1) * len(seeds)]
         )
+        results.append(result)
         if progress is not None:
-            progress(point)
+            progress(result)
     return results
 
 
@@ -158,11 +123,3 @@ def write_csv(results: Iterable[SweepResult], fh: IO[str]) -> int:
         writer.writerow(result.row())
         count += 1
     return count
-
-
-def best_configuration(results: Sequence[SweepResult]) -> Optional[SweepResult]:
-    """The cell with the best (precision, recall) lexicographic score."""
-    scored = [r for r in results]
-    if not scored:
-        return None
-    return max(scored, key=lambda r: (r.accuracy.precision, r.accuracy.recall))

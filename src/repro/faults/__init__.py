@@ -5,8 +5,7 @@ from .. import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "chaos": (
-        "CHAOS_SCENARIOS", "ChaosOutcome", "chaos_sweep", "run_chaos_cell",
-        "summarize",
+        "CHAOS_SCENARIOS", "chaos_sweep", "run_chaos_cell", "summarize",
     ),
     "injector": (
         "DMA_FAIL", "DMA_OK", "DMA_STALE", "REPORT_DELAYED", "REPORT_LOST",

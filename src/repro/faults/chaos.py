@@ -1,23 +1,26 @@
 """Chaos harness: sweep fault intensity across the anomaly scenarios.
 
-For each (scenario, loss-rate) cell the harness runs the full pipeline
-under a seeded :class:`~repro.faults.plan.FaultPlan` and records whether
-the diagnosis survived, degraded gracefully, or went missing.  The hard
-robustness contract it checks (and the chaos test suite asserts):
+A chaos cell is the runner's unit of work — a ``(ScenarioSpec,
+RunConfig)`` cell whose config carries a seeded
+:class:`~repro.faults.plan.FaultPlan` — and its result is the runner's
+:class:`~repro.experiments.runner.RunSummary`.  The harness adds one
+thing, the wrapper that makes a cell never raise.  The hard robustness
+contract it checks (and the chaos test suite asserts):
 
-- the pipeline never raises — a cell that crashes is recorded as an
-  ``error`` outcome, which the tests treat as failure;
+- the pipeline never raises — a cell that crashes is a summary with its
+  traceback in ``error`` (``crashed``), which the tests treat as failure;
 - a *wrong* verdict is only ever emitted with degraded confidence: the
   completeness/confidence qualification must flag every diagnosis whose
-  telemetry was incomplete or fault-marked.
+  telemetry was incomplete or fault-marked (``wrong_full_confidence``
+  never holds).
 """
 
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..experiments.runner import RunConfig, RunSummary, ScenarioSpec, _run_spec_worker
 from .plan import FaultPlan, RetryPolicy
 
 # The five anomaly classes of Table 2 the chaos acceptance gate covers.
@@ -30,75 +33,12 @@ CHAOS_SCENARIOS = (
 )
 
 
-@dataclass
-class ChaosOutcome:
-    """One (scenario, loss-rate) cell of the chaos sweep."""
-
-    scenario: str
-    loss_rate: float
-    seed: int
-    diagnosed: Optional[str] = None  # primary anomaly value, None = no verdict
-    correct: bool = False
-    confidence: str = "full"
-    completeness: float = 1.0
-    fault_counters: Dict[str, int] = field(default_factory=dict)
-    incident_log: List[str] = field(default_factory=list)
-    error: Optional[str] = None
-
-    @property
-    def crashed(self) -> bool:
-        return self.error is not None
-
-    @property
-    def wrong_full_confidence(self) -> bool:
-        """The one outcome the pipeline must never produce: a wrong verdict
-        asserted without any degradation qualifier."""
-        return (
-            not self.crashed
-            and self.diagnosed is not None
-            and not self.correct
-            and self.confidence == "full"
-        )
-
-
-def run_chaos_cell(
-    scenario_name: str,
-    plan: FaultPlan,
-    retry: Optional[RetryPolicy],
-    loss_rate: float,
-    obs=None,
-) -> ChaosOutcome:
-    """Run one scenario under one fault plan; never raises.
-
-    ``obs`` (an :class:`~repro.obs.pipeline.ObsConfig`) turns tracing on
-    for the cell — the chaos trace-invariant tests use it to assert that
-    faults *flag* causal chains as degraded but never delete them.
-    """
-    # Deferred: repro.experiments.runner imports repro.faults.plan.
-    from ..experiments.metrics import diagnosis_correct
-    from ..experiments.runner import RunConfig, run_scenario
-    from ..workloads import SCENARIO_BUILDERS
-
-    outcome = ChaosOutcome(
-        scenario=scenario_name, loss_rate=loss_rate, seed=plan.seed
-    )
+def run_chaos_cell(cell: Tuple[ScenarioSpec, RunConfig]) -> RunSummary:
+    """Run one cell through the runner's worker; never raises."""
     try:
-        scenario = SCENARIO_BUILDERS[scenario_name](seed=plan.seed)
-        result = run_scenario(
-            scenario, RunConfig(faults=plan, retry=retry, obs=obs)
-        )
-        primary = result.primary_outcome()
-        if primary is not None and primary.diagnosis is not None:
-            diagnosis = primary.diagnosis
-            outcome.diagnosed = diagnosis.anomaly.value
-            outcome.correct = diagnosis_correct(diagnosis, scenario.truth)
-            outcome.confidence = diagnosis.confidence
-            outcome.completeness = diagnosis.completeness
-        outcome.fault_counters = dict(result.fault_counters)
-        outcome.incident_log = list(result.fault_incidents)
+        return _run_spec_worker(cell)
     except Exception:  # noqa: BLE001 - the whole point is "never crashes"
-        outcome.error = traceback.format_exc()
-    return outcome
+        return RunSummary(cell[0], error=traceback.format_exc())
 
 
 def chaos_sweep(
@@ -106,41 +46,34 @@ def chaos_sweep(
     loss_rates: Iterable[float] = (0.0, 0.05, 0.10, 0.25),
     seed: int = 1,
     retry: Optional[RetryPolicy] = RetryPolicy(),
-    extra_plan_kwargs: Optional[Dict] = None,
-    obs=None,
-) -> List[ChaosOutcome]:
-    """Sweep loss rates across scenarios under a fixed seed.
-
-    ``extra_plan_kwargs`` lets callers add non-loss faults (DMA failures,
-    clock skew, agent restarts) on top of the canonical lossy plan;
-    ``obs`` (an :class:`~repro.obs.pipeline.ObsConfig`) traces every cell.
-    """
-    outcomes: List[ChaosOutcome] = []
-    for loss_rate in loss_rates:
-        for name in scenarios:
-            kwargs = dict(
-                seed=seed,
-                polling_loss_rate=loss_rate,
-                report_loss_rate=loss_rate,
-            )
-            if extra_plan_kwargs:
-                kwargs.update(extra_plan_kwargs)
-            plan = FaultPlan(**kwargs)
-            outcomes.append(run_chaos_cell(name, plan, retry, loss_rate, obs=obs))
-    return outcomes
+) -> List[Tuple[float, RunSummary]]:
+    """Every (loss rate, scenario) cell under :meth:`FaultPlan.lossy`, loss
+    rates outermost; ``seed`` seeds both the scenarios and the faults."""
+    return [
+        (
+            loss_rate,
+            run_chaos_cell((
+                ScenarioSpec(name, seed),
+                RunConfig(faults=FaultPlan.lossy(loss_rate, seed), retry=retry),
+            )),
+        )
+        for loss_rate in loss_rates
+        for name in scenarios
+    ]
 
 
-def summarize(outcomes: Sequence[ChaosOutcome]) -> Dict[str, int]:
+def summarize(summaries: Iterable[RunSummary]) -> Dict[str, int]:
     """Sweep-level tallies for the CLI footer and the smoke tests."""
+    summaries = list(summaries)
     return {
-        "cells": len(outcomes),
-        "correct": sum(1 for o in outcomes if o.correct),
-        "degraded": sum(1 for o in outcomes if o.confidence != "full"),
+        "cells": len(summaries),
+        "correct": sum(1 for s in summaries if s.correct),
+        "degraded": sum(1 for s in summaries if s.confidence != "full"),
         "no_verdict": sum(
-            1 for o in outcomes if o.diagnosed is None and not o.crashed
+            1 for s in summaries if s.diagnosis is None and not s.crashed
         ),
-        "crashed": sum(1 for o in outcomes if o.crashed),
+        "crashed": sum(1 for s in summaries if s.crashed),
         "wrong_full_confidence": sum(
-            1 for o in outcomes if o.wrong_full_confidence
+            1 for s in summaries if s.wrong_full_confidence
         ),
     }

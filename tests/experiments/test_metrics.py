@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core import AnomalyType, Diagnosis, Finding, RootCauseKind
-from repro.experiments import AccuracyCounter, ScoreConfig, diagnosis_correct
+from repro.experiments import (
+    AccuracyCounter,
+    RunSummary,
+    ScenarioSpec,
+    ScoreConfig,
+    diagnosis_correct,
+)
 from repro.sim import FlowKey
 from repro.topology import PortRef
 from repro.workloads import GroundTruth
@@ -26,6 +32,15 @@ def diagnosis(anomaly, culprits=(), injector=None):
         injecting_source=injector,
     )
     return Diagnosis(victim=key(0), findings=[finding])
+
+
+def summary(d, truth, label="run"):
+    """A run's summary as the runner scores it."""
+    return RunSummary(
+        ScenarioSpec("s", label=label),
+        diagnosis=d,
+        correct=d is not None and diagnosis_correct(d, truth),
+    )
 
 
 class TestDiagnosisCorrect:
@@ -103,9 +118,9 @@ class TestAccuracyCounter:
     def test_tally(self):
         truth = GroundTruth(anomaly=AnomalyType.PFC_STORM, injecting_host="H")
         acc = AccuracyCounter()
-        acc.add(diagnosis(AnomalyType.PFC_STORM, injector="H"), truth)  # TP
-        acc.add(diagnosis(AnomalyType.MICRO_BURST_INCAST, culprits=[key(1)]), truth)  # FP
-        acc.add(None, truth)  # FN
+        acc.add(summary(diagnosis(AnomalyType.PFC_STORM, injector="H"), truth))  # TP
+        acc.add(summary(diagnosis(AnomalyType.MICRO_BURST_INCAST, culprits=[key(1)]), truth))  # FP
+        acc.add(summary(None, truth))  # FN
         assert (acc.tp, acc.fp, acc.fn) == (1, 1, 1)
         assert acc.precision == pytest.approx(0.5)
         # Paper semantics: "recalled" = reported at all.
@@ -114,7 +129,7 @@ class TestAccuracyCounter:
     def test_empty_diagnosis_counts_fn(self):
         truth = GroundTruth(anomaly=AnomalyType.PFC_STORM, injecting_host="H")
         acc = AccuracyCounter()
-        acc.add(Diagnosis(victim=key(0)), truth)
+        acc.add(summary(Diagnosis(victim=key(0)), truth))
         assert acc.fn == 1
 
     def test_zero_division_guards(self):
@@ -124,5 +139,5 @@ class TestAccuracyCounter:
     def test_labels_recorded(self):
         truth = GroundTruth(anomaly=AnomalyType.PFC_STORM, injecting_host="H")
         acc = AccuracyCounter()
-        acc.add(diagnosis(AnomalyType.PFC_STORM, injector="H"), truth, label="run1")
+        acc.add(summary(diagnosis(AnomalyType.PFC_STORM, injector="H"), truth, label="run1"))
         assert acc.labels == ["TP run1"]

@@ -5,15 +5,8 @@ import io
 import pytest
 
 from repro.baselines import SystemKind
-from repro.experiments import (
-    SweepPoint,
-    best_configuration,
-    grid,
-    run_sweep,
-    write_csv,
-)
+from repro.experiments import grid, run_sweep, write_csv
 from repro.units import usec
-from repro.workloads import SCENARIO_BUILDERS
 
 
 class TestGrid:
@@ -27,13 +20,15 @@ class TestGrid:
         assert len(points) == 2 * 2 * 3 * 1
 
     def test_defaults(self):
-        points = grid(scenarios=["x"])
-        assert len(points) == 1
-        assert points[0].system is SystemKind.HAWKEYE
+        cells = grid(scenarios=["x"])
+        assert len(cells) == 1
+        assert cells[0][1].system is SystemKind.HAWKEYE
 
     def test_run_config_mapping(self):
-        point = SweepPoint("s", SystemKind.PORT_ONLY, usec(100), 2.5)
-        config = point.run_config()
+        ((name, config),) = grid(
+            ["s"], [SystemKind.PORT_ONLY], [usec(100)], [2.5]
+        )
+        assert name == "s"
         assert config.system is SystemKind.PORT_ONLY
         assert config.epoch_size_ns == usec(100)
         assert config.threshold_multiplier == 2.5
@@ -41,52 +36,40 @@ class TestGrid:
 
 class TestRunSweep:
     def test_single_cell_sweep(self):
-        points = grid(scenarios=["pfc-storm"])
-        results = run_sweep(points, SCENARIO_BUILDERS, seeds=[1])
+        cells = grid(scenarios=["pfc-storm"])
+        results = run_sweep(cells, seeds=[1])
         assert len(results) == 1
         assert results[0].accuracy.total == 1
         assert results[0].accuracy.precision == 1.0
-        assert results[0].processing_bytes > 0
+        assert results[0].summaries[0].processing_bytes > 0
 
     def test_progress_callback(self):
         seen = []
-        points = grid(scenarios=["pfc-storm"])
-        run_sweep(points, SCENARIO_BUILDERS, seeds=[1], progress=seen.append)
-        assert seen == points
+        cells = grid(scenarios=["pfc-storm"])
+        results = run_sweep(cells, seeds=[1], progress=seen.append)
+        assert seen == results
+        assert [(r.scenario, r.config) for r in seen] == cells
 
     def test_multi_system_cells(self):
-        points = grid(
+        cells = grid(
             scenarios=["pfc-storm"],
             systems=[SystemKind.HAWKEYE, SystemKind.SPIDERMON],
         )
-        results = run_sweep(points, SCENARIO_BUILDERS, seeds=[1])
-        by_system = {r.point.system: r.accuracy.precision for r in results}
+        results = run_sweep(cells, seeds=[1])
+        by_system = {r.config.system: r.accuracy.precision for r in results}
         assert by_system[SystemKind.HAWKEYE] > by_system[SystemKind.SPIDERMON]
 
 
 class TestOutputs:
     def test_csv_round_shape(self):
-        points = grid(scenarios=["pfc-storm"])
-        results = run_sweep(points, SCENARIO_BUILDERS, seeds=[1])
+        cells = grid(scenarios=["pfc-storm"])
+        results = run_sweep(cells, seeds=[1])
         buffer = io.StringIO()
         rows = write_csv(results, buffer)
         assert rows == 1
         lines = buffer.getvalue().strip().splitlines()
         assert lines[0].startswith("scenario,system,epoch_ns")
         assert "pfc-storm" in lines[1]
-
-    def test_best_configuration(self):
-        points = grid(
-            scenarios=["pfc-storm"],
-            systems=[SystemKind.HAWKEYE, SystemKind.SPIDERMON],
-        )
-        results = run_sweep(points, SCENARIO_BUILDERS, seeds=[1])
-        best = best_configuration(results)
-        assert best is not None
-        assert best.point.system is SystemKind.HAWKEYE
-
-    def test_best_of_empty(self):
-        assert best_configuration([]) is None
 
 
 class TestCliSweep:

@@ -17,6 +17,10 @@ switch/receiver halves checked here:
   within one round trip of its first marked arrival, and its CNPs are
   exactly the marked arrivals that come an interval or more after the
   previous one.
+- **Rate cut.** The sender answers a CNP by cutting its rate ``R`` to
+  ``R·(1 − α/2)``, with ``α = (1 − ALPHA_G)·α₀ + ALPHA_G``, and paces
+  data at the new rate; a second CNP within ``RATE_DECREASE_INTERVAL_NS``
+  of the cut leaves the rate alone.
 """
 
 import math
@@ -31,6 +35,7 @@ from repro.sim import (
     SimConfig,
     SwitchObserver,
 )
+from repro.sim.cc import ALPHA_G, RATE_DECREASE_INTERVAL_NS, RECOVERY_INTERVAL_NS
 from repro.sim.config import CNP_INTERVAL_NS, PAUSE_QUANTA, EcnConfig
 from repro.sim.packet import DATA_PRIORITY, FlowKey
 from repro.topology import Topology
@@ -202,3 +207,58 @@ class TestCnpPacing:
                     expected.append(t)
                     last = t
             assert sent[flow] == expected
+
+
+class _Departures(SwitchObserver):
+    """Every data packet the switch takes in, at its creation time: the
+    instant it left the sender."""
+
+    def __init__(self):
+        self.times = []
+
+    def on_egress_enqueue(self, sw, t, pkt, egress, ingress, qd, qb, paused):
+        if pkt.ptype is PacketType.DATA:
+            self.times.append(pkt.create_time)
+
+
+class TestRateCut:
+    # One recovery tick (alpha decays once, the rate is still at line
+    # rate) before the first CNP; both CNPs and the window measured
+    # fall before the second tick.
+    FIRST_CNP = RECOVERY_INTERVAL_NS + usec(5)
+    SECOND_CNP = FIRST_CNP + RATE_DECREASE_INTERVAL_NS // 2
+    WINDOW_END = 2 * RECOVERY_INTERVAL_NS
+
+    @pytest.fixture(scope="class")
+    def paced(self):
+        net = _star(["S"])
+        departures = _Departures()
+        net.add_switch_observer(departures)
+        sender = net.hosts["S"]
+        flow = net.make_flow("S", "R", 20_000 * KB, 0)
+        net.start_flow(flow)
+        for t in (self.FIRST_CNP, self.SECOND_CNP):
+            net.sim.schedule_at(t, sender.receive, Packet.cnp(flow.key, t))
+        net.run(self.WINDOW_END)
+        return sender.bandwidth, departures.times
+
+    def _gaps(self, times, start, end):
+        inside = [t for t in times if start < t < end]
+        return [b - a for a, b in zip(inside, inside[1:])]
+
+    def test_the_gap_after_a_cnp_is_the_cut_rate(self, paced):
+        line_rate, times = paced
+        alpha0 = 1 - ALPHA_G  # 1 decayed once by the alpha timer
+        alpha = (1 - ALPHA_G) * alpha0 + ALPHA_G
+        expected = MTU * 1e9 / (line_rate * (1 - alpha / 2))
+        gaps = self._gaps(times, self.FIRST_CNP, self.SECOND_CNP)
+        assert len(gaps) > 10
+        for gap in gaps:
+            assert gap == pytest.approx(expected, abs=1)
+
+    def test_a_second_cnp_inside_the_interval_keeps_the_gap(self, paced):
+        _line_rate, times = paced
+        before = self._gaps(times, self.FIRST_CNP, self.SECOND_CNP)
+        after = self._gaps(times, self.SECOND_CNP, self.WINDOW_END)
+        assert len(after) > 10
+        assert set(after) == {before[0]}

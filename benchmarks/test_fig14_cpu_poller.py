@@ -15,7 +15,7 @@ from repro.experiments import cpu_poll_time_ms, total_collection_time_ms
 
 def collect_stats():
     from repro.collection import TelemetryCollector, PollingEngine
-    from repro.collection.agent import AgentConfig, DetectionAgent
+    from repro.collection.agent import DetectionAgent
     from repro.telemetry import HawkeyeDeployment
 
     rows = []
@@ -26,7 +26,7 @@ def collect_stats():
         collector = TelemetryCollector(deployment)
         engine = PollingEngine(net, deployment)
         engine.add_mirror_listener(collector.on_polling_mirror)
-        DetectionAgent(net, AgentConfig())
+        DetectionAgent(net)
         net.run(scenario.duration_ns)
         collector.flush_pending(net.sim.now)
         s = collector.stats

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import print_table
 from repro.baselines import PfcWatchdog, WatchdogConfig
-from repro.collection import AgentConfig, DetectionAgent
+from repro.collection import DetectionAgent
 from repro.obs import SimTraceObserver, Tracer
 from repro.sim import Network
 from repro.topology import build_line
@@ -31,7 +31,7 @@ def run_transients():
     # traces: a real 200 ms watchdog vs multi-second traces behaves like a
     # 20 ms watchdog vs our 7 ms trace — still far coarser than an episode.
     watchdog.start()
-    agent = DetectionAgent(net, AgentConfig())
+    agent = DetectionAgent(net)
 
     # A victim flow alive across all episodes (application-limited).
     victim = net.make_flow("H1_0", "H3_3", 6_000 * KB, usec(1), src_port=999)

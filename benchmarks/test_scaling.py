@@ -12,12 +12,7 @@ import pytest
 
 from conftest import print_table
 from repro.baselines import SystemKind
-from repro.collection import (
-    AgentConfig,
-    DetectionAgent,
-    PollingEngine,
-    TelemetryCollector,
-)
+from repro.collection import DetectionAgent, PollingEngine, TelemetryCollector
 from repro.core import AnomalyType
 from repro.experiments import RunConfig, run_scenario
 from repro.sim import Network, SimConfig
@@ -126,7 +121,7 @@ def partial_deployment():
         collector = TelemetryCollector(deployment)
         engine = PollingEngine(net, deployment)
         engine.add_mirror_listener(collector.on_polling_mirror)
-        DetectionAgent(net, AgentConfig())
+        DetectionAgent(net)
         net.run(scenario.duration_ns)
         collector.flush_pending(net.sim.now)
         victim = scenario.victims[0]

@@ -579,14 +579,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     jobs = max(1, args.jobs)
     suffix = f" across {jobs} workers" if jobs > 1 else ""
     print(f"sweeping {len(cells)} cells x {args.seeds} seeds{suffix} ...")
-    results = run_sweep(
-        cells,
-        seeds=range(1, args.seeds + 1),
-        progress=lambda r: print(f"  done: {r.scenario} / {r.config.system.value} / "
-                                 f"epoch={r.config.epoch_size_ns}ns / "
-                                 f"thr={r.config.threshold_multiplier}"),
-        jobs=jobs,
-    )
+    results = run_sweep(cells, seeds=range(1, args.seeds + 1), jobs=jobs)
+    for r in results:
+        print(f"  done: {r.scenario} / {r.config.system.value} / "
+              f"epoch={r.config.epoch_size_ns}ns / "
+              f"thr={r.config.threshold_multiplier}")
     header = f"{'scenario':24s} {'system':13s} {'epoch':>9s} {'thr':>5s} {'prec':>6s} {'rec':>6s}"
     print("\n" + header)
     print("-" * len(header))
@@ -603,7 +600,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .faults import CHAOS_SCENARIOS, RetryPolicy, chaos_sweep, summarize
+    from .faults import CHAOS_SCENARIOS, chaos_sweep, summarize
     from .workloads import SCENARIO_BUILDERS
 
     for name in args.scenarios:
@@ -612,10 +609,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                   f"{', '.join(sorted(SCENARIO_BUILDERS))}", file=sys.stderr)
             return 2
     scenarios = tuple(args.scenarios) if args.scenarios else CHAOS_SCENARIOS
-    retry = None if args.no_retries else RetryPolicy()
+    retry = not args.no_retries
     print(f"chaos sweep: {len(scenarios)} scenarios x "
           f"{len(args.loss_rates)} loss rates (fault seed {args.chaos_seed}, "
-          f"retries {'off' if retry is None else 'on'})")
+          f"retries {'on' if retry else 'off'})")
     cells = chaos_sweep(
         scenarios=scenarios,
         loss_rates=tuple(args.loss_rates),

@@ -3,7 +3,7 @@
 from .. import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "agent": ("AgentConfig", "DetectionAgent", "TriggerEvent"),
+    "agent": ("DetectionAgent", "TriggerEvent"),
     "collector": (
         "MTU_BYTES", "PHV_REPORT_BYTES", "CollectionStats", "TelemetryCollector",
     ),
@@ -12,7 +12,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
 })
 
 
-def deploy_hawkeye(network, telemetry_config=None, agent_config=None, polling_config=None):
+def deploy_hawkeye(network, telemetry_config=None, polling_config=None):
     """Wire the full Hawkeye stack onto a network in one call.
 
     Returns ``(deployment, agent, engine, collector)`` — the telemetry
@@ -28,5 +28,5 @@ def deploy_hawkeye(network, telemetry_config=None, agent_config=None, polling_co
     collector = TelemetryCollector(deployment)
     engine = PollingEngine(network, deployment, polling_config)
     engine.add_mirror_listener(collector.on_polling_mirror)
-    agent = DetectionAgent(network, agent_config)
+    agent = DetectionAgent(network)
     return deployment, agent, engine, collector

@@ -16,6 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from ..faults.plan import (
+    AGENT_RESTART_BLACKOUT_NS,
+    JITTER_NS,
+    MAX_RETRIES,
+    REPORT_TIMEOUT_NS,
+    backoff_ns,
+)
 from ..sim.flow import Flow
 from ..sim.network import Network
 from ..sim.packet import FlowKey, PollingFlag
@@ -23,7 +30,6 @@ from ..units import msec, usec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.injector import FaultInjector
-    from ..faults.plan import RetryPolicy
     from ..monitor.monitor import FabricMonitor
     from ..obs.pipeline import PipelineObs
 
@@ -44,20 +50,13 @@ class TriggerEvent:
     base_rtt_ns: int
 
 
-@dataclass
-class AgentConfig:
-    # Detection threshold, normalized to the flow's base RTT (the paper
-    # sweeps 200%..500%, i.e. multipliers 2.0..5.0).
-    threshold_multiplier: float = 3.0
-    # Suppress re-triggering for the same victim within this interval.
-    cooldown_ns: int = msec(1)
-    # A flow with sent-but-unacked data and no ACK progress for this long is
-    # stalled (deadlocked flows stop producing RTT samples entirely).  At
-    # 100 Gbps, 200 us of ACK silence with data outstanding is many tens of
-    # base RTTs — unambiguously a frozen path.
-    stall_timeout_ns: int = usec(200)
-
-
+# Suppress re-triggering for the same victim within this interval.
+COOLDOWN_NS = msec(1)
+# A flow with sent-but-unacked data and no ACK progress for this long is
+# stalled (deadlocked flows stop producing RTT samples entirely).  At
+# 100 Gbps, 200 us of ACK silence with data outstanding is many tens of
+# base RTTs — unambiguously a frozen path.
+STALL_TIMEOUT_NS = usec(200)
 # How often the agent looks for stalled flows.
 STALL_CHECK_INTERVAL_NS = usec(50)
 
@@ -68,14 +67,18 @@ class DetectionAgent:
     def __init__(
         self,
         network: Network,
-        config: Optional[AgentConfig] = None,
-        retry: Optional["RetryPolicy"] = None,
+        threshold_multiplier: float = 3.0,
+        retry: bool = False,
         injector: Optional["FaultInjector"] = None,
         obs: Optional["PipelineObs"] = None,
         monitor: Optional["FabricMonitor"] = None,
     ) -> None:
+        """``threshold_multiplier`` is the detection threshold, normalized
+        to the flow's base RTT (the paper sweeps 200%..500%, i.e.
+        multipliers 2.0..5.0); ``retry`` turns on polling retransmission
+        (the timers are :mod:`repro.faults.plan`'s constants)."""
         self.network = network
-        self.config = config if config is not None else AgentConfig()
+        self.threshold_multiplier = threshold_multiplier
         self.retry = retry
         self._injector = injector
         self._obs = obs
@@ -132,7 +135,7 @@ class DetectionAgent:
             return  # agent process is restarting: samples are lost
         threshold = self._threshold.get(flow.key)
         if threshold is None:
-            threshold = self.config.threshold_multiplier * self.base_rtt(flow)
+            threshold = self.threshold_multiplier * self.base_rtt(flow)
             self._threshold[flow.key] = threshold
         if self._monitor is not None:
             self._monitor.on_rtt(
@@ -146,7 +149,7 @@ class DetectionAgent:
         self, flow: Flow, now: int, rtt_ns: int, base: int, kind: str = "rtt"
     ) -> None:
         last = self._last_trigger.get(flow.key)
-        if last is not None and now - last < self.config.cooldown_ns:
+        if last is not None and now - last < COOLDOWN_NS:
             return
         self._last_trigger[flow.key] = now
         event = TriggerEvent(victim=flow.key, time_ns=now, rtt_ns=rtt_ns, base_rtt_ns=base)
@@ -159,8 +162,8 @@ class DetectionAgent:
         )
         for fn in self._listeners:
             fn(event)
-        if self.retry is not None and self._report_probe is not None:
-            delay = self.retry.report_timeout_ns + self._jitter(flow.key)
+        if self.retry and self._report_probe is not None:
+            delay = REPORT_TIMEOUT_NS + self._jitter(flow.key)
             self.network.sim.schedule(
                 delay,
                 self._retry_check,
@@ -173,9 +176,9 @@ class DetectionAgent:
     # -- polling retransmission (end-to-end reliability) -------------------------
 
     def _jitter(self, victim: FlowKey) -> int:
-        if self.retry is None or self._injector is None:
+        if not self.retry or self._injector is None:
             return 0
-        return self._injector.retry_jitter(self.retry.jitter_ns, str(victim))
+        return self._injector.retry_jitter(JITTER_NS, str(victim))
 
     def _retry_check(
         self, victim: FlowKey, src_host: str, attempt: int, trigger_time: int
@@ -184,7 +187,7 @@ class DetectionAgent:
         now = self.network.sim.now
         if trigger_time < self._last_restart or now < self._blackout_until:
             return  # retry state died with the restarted agent process
-        assert self._report_probe is not None and self.retry is not None
+        assert self._report_probe is not None and self.retry
         if self._report_probe(victim, trigger_time):
             if attempt > 1:
                 self.retries_recovered += 1
@@ -193,7 +196,7 @@ class DetectionAgent:
                         "polling_retry_recovered", str(victim), now
                     )
             return
-        if attempt > self.retry.max_retries:
+        if attempt > MAX_RETRIES:
             self.retries_exhausted += 1
             if self._injector is not None:
                 self._injector.count("polling_retries_exhausted", str(victim), now)
@@ -208,7 +211,7 @@ class DetectionAgent:
         if self._obs is not None:
             self._obs.on_polling_injected(victim, now, attempt=attempt)
         self.network.hosts[src_host].inject_polling(victim, PollingFlag.VICTIM_PATH)
-        delay = self.retry.backoff_ns(attempt) + self._jitter(victim)
+        delay = backoff_ns(attempt) + self._jitter(victim)
         self.network.sim.schedule(
             delay,
             self._retry_check,
@@ -223,7 +226,7 @@ class DetectionAgent:
         agent is blind until the blackout lapses (missed triggers included)."""
         self.restarts += 1
         self._last_restart = now
-        self._blackout_until = now + self._injector.plan.agent_restart_blackout_ns
+        self._blackout_until = now + AGENT_RESTART_BLACKOUT_NS
         self._base_rtt.clear()
         self._threshold.clear()
         self._last_trigger.clear()
@@ -246,7 +249,7 @@ class DetectionAgent:
             if flow.bytes_acked != acked:
                 self._progress[flow.key] = (flow.bytes_acked, now)
                 continue
-            if now - since >= self.config.stall_timeout_ns:
+            if now - since >= STALL_TIMEOUT_NS:
                 # Report the stall duration as the observed "RTT".
                 self._trigger(flow, now, now - since, self.base_rtt(flow), kind="stall")
         self.network.sim.schedule(STALL_CHECK_INTERVAL_NS, self._stall_check)

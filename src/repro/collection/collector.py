@@ -24,6 +24,7 @@ from ..faults.injector import (
     REPORT_LOST,
     REPORT_TRUNCATED,
 )
+from ..faults.plan import DMA_RETRY_BUDGET, DMA_RETRY_DELAY_NS, DMA_STALE_AGE_NS
 from ..sim.packet import Packet
 from ..telemetry.hawkeye import HawkeyeDeployment
 from ..telemetry.snapshot import SwitchReport
@@ -31,7 +32,6 @@ from ..units import usec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.injector import FaultInjector
-    from ..faults.plan import RetryPolicy
     from ..obs.pipeline import PipelineObs
     from ..sim.packet import FlowKey
 
@@ -67,11 +67,10 @@ class TelemetryCollector:
     def __init__(
         self,
         deployment: HawkeyeDeployment,
-        lookback_epochs: Optional[int] = None,
         dedup_interval_ns: int = usec(100),
         read_delay_ns: Optional[int] = None,
         injector: Optional["FaultInjector"] = None,
-        retry: Optional["RetryPolicy"] = None,
+        retry: bool = False,
         obs: Optional["PipelineObs"] = None,
     ) -> None:
         """``read_delay_ns`` models the gap between the polling packet's CPU
@@ -80,10 +79,9 @@ class TelemetryCollector:
         lands inside the history the ring retains).
 
         ``injector`` subjects the register DMA and the report channel to a
-        fault plan; ``retry`` bounds the DMA retry budget that answers it.
+        fault plan; ``retry`` answers it with a bounded DMA retry budget.
         """
         self.deployment = deployment
-        self.lookback_epochs = lookback_epochs
         self.dedup_interval_ns = dedup_interval_ns
         if read_delay_ns is None:
             window = deployment.config.scheme.window_ns
@@ -169,7 +167,7 @@ class TelemetryCollector:
                 self._last_mirror_time.get(switch_name, now), now
             )
         if injector is None:
-            report = telem.snapshot(now, self.lookback_epochs)
+            report = telem.snapshot(now)
             if obs is not None:
                 obs.on_epoch_read(
                     switch_name, victim, read_start, now, len(report.epochs)
@@ -183,14 +181,14 @@ class TelemetryCollector:
                 obs.on_epoch_read(
                     switch_name, victim, read_start, now, 0, faults=("dma_fail",)
                 )
-            budget = self._retry.dma_retry_budget if self._retry is not None else 0
+            budget = DMA_RETRY_BUDGET if self._retry else 0
             if _attempt < budget:
                 self.stats.dma_retries += 1
                 injector.count(
                     "dma_read_retried", switch_name, now, f"attempt={_attempt + 1}"
                 )
                 self.deployment.network.sim.schedule(
-                    self._retry.dma_retry_delay_ns,
+                    DMA_RETRY_DELAY_NS,
                     self._collect_retry,
                     switch_name,
                     _attempt + 1,
@@ -205,10 +203,10 @@ class TelemetryCollector:
         if fate == DMA_STALE:
             # The DMA returned an old window but is timestamped fresh: the
             # analyzer sees a current-looking report with aged content.
-            read_at = max(0, now - injector.plan.dma_stale_age_ns)
+            read_at = max(0, now - DMA_STALE_AGE_NS)
             flags.append("stale")
             self.stats.stale_reads += 1
-        report = telem.snapshot(read_at, self.lookback_epochs)
+        report = telem.snapshot(read_at)
         report.collect_time = now
         skew = injector.clock_skew_for(switch_name)
         if skew:

@@ -37,12 +37,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.pipeline import PipelineObs
 
 
+# Dedup interval for polling packets (per switch, per victim).
+DEDUP_INTERVAL_NS = msec(2)
+
+
 @dataclass
 class PollingConfig:
-    # Epochs of telemetry consulted by the line-rate checks.
-    lookback_epochs: Optional[int] = None  # None = whole ring
-    # Dedup interval for polling packets (per switch, per victim).
-    dedup_interval_ns: int = msec(2)
     # Disable flag upgrade (victim-only baseline: never trace PFC causality).
     trace_pfc: bool = True
     # Ablation: ITSY-style 1-bit traffic presence instead of the Figure-3
@@ -120,7 +120,6 @@ class PollingEngine:
             return []
         flag: PollingFlag = pkt.polling_flag
         telem = self.deployment.for_switch(switch.name)
-        lookback = self.config.lookback_epochs
 
         # CPU mirror: every polling packet notifies the controller
         # (collection-side dedup lives in the collector).
@@ -138,7 +137,7 @@ class PollingEngine:
                     switch.name, victim.dst_ip, victim
                 )
                 out_flag = PollingFlag.VICTIM_PATH
-                if self.config.trace_pfc and telem.flow_paused_num(victim, now, lookback) > 0:
+                if self.config.trace_pfc and telem.flow_paused_num(victim, now) > 0:
                     # Victim is PFC-paused here: the downstream switch (from
                     # which the PAUSE frames came) must analyze causality.
                     out_flag = PollingFlag.BOTH
@@ -161,16 +160,15 @@ class PollingEngine:
         self, switch: Switch, telem, victim, ingress_port: int, now: int
     ) -> List[Tuple[int, PollingFlag]]:
         """Figure 6: multicast to the causally relevant egress ports only."""
-        lookback = self.config.lookback_epochs
         outputs: List[Tuple[int, PollingFlag]] = []
         for port_no, port in switch.ports.items():
             if self.config.use_meters:
-                volume = telem.meter_volume(ingress_port, port_no, now, lookback)
+                volume = telem.meter_volume(ingress_port, port_no, now)
                 if volume <= 0:
                     continue  # this egress does not feed the complaining ingress
             # paused packets, asserted status register, or PAUSE frames seen
             # — one batched walk over the live epoch banks.
-            paused = telem.port_pause_evidence(port_no, now, lookback)
+            paused = telem.port_pause_evidence(port_no, now)
             if not paused:
                 # Neither paused packets nor an asserted PFC status: the
                 # buildup here is local flow contention — the initial
@@ -186,7 +184,7 @@ class PollingEngine:
     def _suppressed(self, switch_name: str, victim, kind: str, ingress, now: int) -> bool:
         key = (switch_name, victim, kind, ingress)
         last = self._seen.get(key)
-        if last is not None and now - last < self.config.dedup_interval_ns:
+        if last is not None and now - last < DEDUP_INTERVAL_NS:
             self.polling_packets_suppressed += 1
             if self._obs is not None:
                 self._obs.on_polling_suppressed(switch_name, victim, now, kind)

@@ -24,13 +24,13 @@ PROBE_SIZE = 4 * KB
 # Each probe takes the next source port from here, so probes never share
 # a 5-tuple.
 PROBE_SRC_PORT_BASE = 50000
+# Probes per round; pairs are sampled round-robin over all host pairs.
+PROBES_PER_ROUND = 4
 
 
 @dataclass
 class ProbeMeshConfig:
     interval_ns: int = usec(500)
-    # Probes per round; pairs are sampled round-robin over all host pairs.
-    probes_per_round: int = 4
 
 
 class ProbeMesh:
@@ -70,7 +70,7 @@ class ProbeMesh:
         if not self._running:
             return
         now = self.network.sim.now
-        for _ in range(self.config.probes_per_round):
+        for _ in range(PROBES_PER_ROUND):
             src, dst = next(self._pairs)
             probe = self.network.make_flow(
                 src, dst, PROBE_SIZE, now, src_port=self._next_port

@@ -8,7 +8,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "ContentionAnalysis", "ContentionKind", "FlowProfile",
         "classify_contention", "ecmp_imbalance_ratio", "flow_profiles",
     ),
-    "diagnosis": ("Diagnoser", "DiagnoserConfig"),
+    "diagnosis": ("Diagnoser",),
     "graph": ("Edge", "EdgeKind", "ProvenanceGraph"),
     "replay": ("contribution", "replay_queue"),
     "report": ("AnomalyType", "Diagnosis", "Finding", "RootCauseKind"),

@@ -28,6 +28,8 @@ MAX_VISITED_PORTS = 4096
 # weights are replay noise or incidental micro-queueing (e.g. benign
 # traffic sharing a port shortly before a PFC injection), not a root cause.
 MIN_CONTENTION_WEIGHT = 2.0
+# Keep at most this many culprit flows per finding (weight-sorted).
+MAX_CULPRITS = 16
 # ... and the contribution must also explain a meaningful share of the
 # port's observed queue depth, or transient micro-queueing (e.g. benign
 # traffic that shared the port long before a PFC injection) would be
@@ -35,17 +37,8 @@ MIN_CONTENTION_WEIGHT = 2.0
 MIN_CONTENTION_QDEPTH_SHARE = 0.1
 
 
-@dataclass
-class DiagnoserConfig:
-    # Keep at most this many culprit flows per finding (weight-sorted).
-    max_culprits: int = 16
-
-
 class Diagnoser:
     """Runs Algorithm 2 over an annotated provenance graph."""
-
-    def __init__(self, config: Optional[DiagnoserConfig] = None) -> None:
-        self.config = config if config is not None else DiagnoserConfig()
 
     # -- public API -----------------------------------------------------------------
 
@@ -303,7 +296,7 @@ class Diagnoser:
                 if w >= threshold and f != victim
             ),
             key=lambda fw: -fw[1],
-        )[: self.config.max_culprits]
+        )[:MAX_CULPRITS]
         if positives:
             return RootCauseKind.FLOW_CONTENTION, positives, None
         if meta is not None and meta.is_pfc_paused:
@@ -362,7 +355,7 @@ class Diagnoser:
                 anomaly=AnomalyType.NORMAL_CONTENTION,
                 root_cause=RootCauseKind.FLOW_CONTENTION,
                 initial_port=port,
-                culprit_flows=positives[: self.config.max_culprits],
+                culprit_flows=positives[:MAX_CULPRITS],
             ),
         )
 

@@ -8,7 +8,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "MemoryBreakdown", "cpu_poll_time_ms", "telemetry_memory",
         "tofino_resource_usage", "total_collection_time_ms",
     ),
-    "metrics": ("AccuracyCounter", "ScoreConfig", "diagnosis_correct"),
+    "metrics": ("AccuracyCounter", "diagnosis_correct"),
     "perfstats": ("PerfStats",),
     "runner": (
         "FabricSession", "RunConfig", "RunResult", "RunSummary", "ScenarioSpec",

@@ -8,8 +8,8 @@ cause; *false negatives* are anomalies that were never reported at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..core.report import Diagnosis, RootCauseKind
 from ..workloads.scenario import GroundTruth
@@ -18,25 +18,16 @@ if TYPE_CHECKING:
     from .runner import RunSummary
 
 
-@dataclass
-class ScoreConfig:
-    # A contention diagnosis must recover at least this fraction of the
-    # ground-truth culprit flows (the paper's case studies call out the
-    # "main contributor flows" rather than every burst member)...
-    culprit_recall_threshold: float = 0.3
-
-
+# A contention diagnosis must recover at least this fraction of the
+# ground-truth culprit flows (the paper's case studies call out the "main
+# contributor flows" rather than every burst member)...
+CULPRIT_RECALL_THRESHOLD = 0.3
 # ... and at most this fraction of its reported culprits may be wrong.
 CULPRIT_NOISE_THRESHOLD = 0.34
 
 
-def diagnosis_correct(
-    diagnosis: Diagnosis,
-    truth: GroundTruth,
-    config: Optional[ScoreConfig] = None,
-) -> bool:
+def diagnosis_correct(diagnosis: Diagnosis, truth: GroundTruth) -> bool:
     """Is this a true positive (anomaly case AND root cause both right)?"""
-    config = config if config is not None else ScoreConfig()
     primary = diagnosis.primary()
     if primary.anomaly is not truth.anomaly:
         return False
@@ -54,7 +45,7 @@ def diagnosis_correct(
         noise = len(reported - expected) / len(reported)
         if noise > CULPRIT_NOISE_THRESHOLD:
             return False
-        if recovered >= config.culprit_recall_threshold:
+        if recovered >= CULPRIT_RECALL_THRESHOLD:
             return True
         # Congestion control can reshape a symmetric burst so that one flow
         # dominates the queue; naming only the dominant true culprits (zero
@@ -71,22 +62,17 @@ class AccuracyCounter:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-    labels: List[str] = field(default_factory=list)
 
     def add(self, summary: RunSummary) -> bool:
         """Record one run's outcome; returns whether it was a TP."""
         diagnosis = summary.diagnosis
-        label = summary.spec.name
         if diagnosis is None or not diagnosis.findings:
             self.fn += 1
-            self.labels.append(f"FN {label}")
             return False
         if summary.correct:
             self.tp += 1
-            self.labels.append(f"TP {label}")
             return True
         self.fp += 1
-        self.labels.append(f"FP {label}: got {diagnosis.primary().describe()}")
         return False
 
     @property

@@ -30,12 +30,12 @@ from ..baselines.systems import (
     bandwidth_overhead_bytes,
     processing_overhead_bytes,
 )
-from ..collection.agent import AgentConfig, DetectionAgent, TriggerEvent
+from ..collection.agent import DetectionAgent, TriggerEvent
 from ..collection.collector import TelemetryCollector
 from ..collection.polling import PollingConfig, PollingEngine
 from ..core.build import AnnotatedGraph, build_provenance
 from ..faults.injector import FaultIncident, make_injector
-from ..faults.plan import FaultPlan, RetryPolicy
+from ..faults.plan import FaultPlan
 from ..core.diagnosis import Diagnoser
 from ..core.report import Diagnosis
 from ..monitor.monitor import FabricMonitor, MonitorConfig
@@ -70,17 +70,18 @@ class RunConfig:
     exclude_paused_in_contention: bool = True  # ablation knob
     use_meters: bool = True  # ablation knob: False = ITSY-style 1-bit presence
     # Chaos testing: a seeded fault plan for the collection pipeline, and
-    # the retry/backoff policy that answers it.  ``faults=None`` (or an
-    # all-zero plan) keeps the pipeline on the fault-free fast path.
+    # whether the retry/backoff timers of ``repro.faults.plan`` answer it.
+    # ``faults=None`` (or an all-zero plan) keeps the pipeline on the
+    # fault-free fast path.
     faults: Optional[FaultPlan] = None
-    retry: Optional[RetryPolicy] = None
+    retry: bool = False
     # Observability: ``None`` (or ``trace=False``) keeps every instrumented
     # call site on the is-None fast path; a live tracer is built per run
     # (and per worker — the frozen config is what crosses process pools).
     obs: Optional[ObsConfig] = None
-    # Continuous fabric monitoring: ``None`` (or ``enabled=False``) keeps
-    # the sim on the no-monitor fast path; like ``obs``, the frozen config
-    # crosses process pools and each worker builds its own FabricMonitor.
+    # Continuous fabric monitoring: ``None`` keeps the sim on the
+    # no-monitor fast path; like ``obs``, the frozen config crosses process
+    # pools and each worker builds its own FabricMonitor.
     monitor: Optional[MonitorConfig] = None
     # Partition one fabric across this many worker processes (see
     # ``repro.experiments.shardrun``).  ``1`` runs in-process; values above
@@ -573,7 +574,7 @@ class FabricSession:
         self.obs = obs
 
         self.monitor: Optional[FabricMonitor] = None
-        if config.monitor is not None and config.monitor.enabled:
+        if config.monitor is not None:
             self.monitor = FabricMonitor(
                 net, config.monitor, metrics=metrics
             ).start()
@@ -605,13 +606,13 @@ class FabricSession:
 
         self.agent = agent = DetectionAgent(
             net,
-            AgentConfig(threshold_multiplier=config.threshold_multiplier),
+            config.threshold_multiplier,
             retry=config.retry,
             injector=self.injector,
             obs=obs,
             monitor=monitor,
         )
-        if config.retry is not None:
+        if config.retry:
             if engine is not None:
                 # Path-coverage probe: a trigger is answered only once every
                 # switch the analyzer will want — the victim's routed path

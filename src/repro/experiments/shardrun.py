@@ -103,9 +103,9 @@ def serial_reason(config: RunConfig, plan: ShardPlan) -> Optional[str]:
         return "the partition is a single shard"
     if config.faults is not None and config.faults.enabled:
         return "fault injection"
-    if config.retry is not None:
+    if config.retry:
         return "a retry policy"
-    if config.monitor is not None and config.monitor.enabled:
+    if config.monitor is not None:
         return "the fabric monitor"
     if config.obs is not None and config.obs.sim_events:
         return "per-packet sim tracing"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
-from typing import Callable, IO, Iterable, List, Optional, Sequence, Tuple
+from typing import IO, Iterable, List, Sequence, Tuple
 
 from ..baselines.systems import SystemKind
 from .metrics import AccuracyCounter
@@ -83,7 +83,6 @@ def grid(
 def run_sweep(
     cells: Iterable[Cell],
     seeds: Sequence[int] = (1, 2),
-    progress: Optional[Callable[[SweepResult], None]] = None,
     jobs: int = 1,
 ) -> List[SweepResult]:
     """Run every cell over the given seeds, results in cell order.
@@ -103,15 +102,10 @@ def run_sweep(
         ],
         jobs,
     )
-    results: List[SweepResult] = []
-    for i, (name, config) in enumerate(cells):
-        result = SweepResult(
-            name, config, summaries[i * len(seeds):(i + 1) * len(seeds)]
-        )
-        results.append(result)
-        if progress is not None:
-            progress(result)
-    return results
+    return [
+        SweepResult(name, config, summaries[i * len(seeds):(i + 1) * len(seeds)])
+        for i, (name, config) in enumerate(cells)
+    ]
 
 
 def write_csv(results: Iterable[SweepResult], fh: IO[str]) -> int:

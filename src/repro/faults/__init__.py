@@ -12,5 +12,5 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "REPORT_OK", "REPORT_TRUNCATED", "FaultIncident", "FaultInjector",
         "make_injector",
     ),
-    "plan": ("FaultPlan", "RetryPolicy", "plan_or_none"),
+    "plan": ("FaultPlan", "plan_or_none"),
 })

@@ -18,10 +18,10 @@ contract it checks (and the chaos test suite asserts):
 from __future__ import annotations
 
 import traceback
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..experiments.runner import RunConfig, RunSummary, ScenarioSpec, _run_spec_worker
-from .plan import FaultPlan, RetryPolicy
+from .plan import FaultPlan
 
 # The five anomaly classes of Table 2 the chaos acceptance gate covers.
 CHAOS_SCENARIOS = (
@@ -45,10 +45,11 @@ def chaos_sweep(
     scenarios: Sequence[str] = CHAOS_SCENARIOS,
     loss_rates: Iterable[float] = (0.0, 0.05, 0.10, 0.25),
     seed: int = 1,
-    retry: Optional[RetryPolicy] = RetryPolicy(),
+    retry: bool = True,
 ) -> List[Tuple[float, RunSummary]]:
     """Every (loss rate, scenario) cell under :meth:`FaultPlan.lossy`, loss
-    rates outermost; ``seed`` seeds both the scenarios and the faults."""
+    rates outermost; ``seed`` seeds both the scenarios and the faults, and
+    ``retry`` turns the pipeline's retransmission and DMA retries on."""
     return [
         (
             loss_rate,

@@ -24,7 +24,12 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .plan import FaultPlan
+from .plan import (
+    AGENT_RESTART_BLACKOUT_NS,
+    DMA_STALE_AGE_NS,
+    REPORT_DELAY_MAX_NS,
+    FaultPlan,
+)
 
 # Fate constants for the DMA read and report channel decisions.
 DMA_OK = "ok"
@@ -135,7 +140,7 @@ class FaultInjector:
             if self._stream("dma_stale", switch_name).random() < plan.dma_stale_rate:
                 self._record(
                     now, "dma_read_stale", switch_name,
-                    f"age={plan.dma_stale_age_ns}ns",
+                    f"age={DMA_STALE_AGE_NS}ns",
                 )
                 return DMA_STALE
         return DMA_OK
@@ -156,7 +161,7 @@ class FaultInjector:
         if plan.report_delay_rate > 0.0:
             if self._stream("report_delay", switch_name).random() < plan.report_delay_rate:
                 delay = self._stream("report_delay_ns", switch_name).randrange(
-                    1, max(2, plan.report_delay_max_ns)
+                    1, REPORT_DELAY_MAX_NS
                 )
                 self._record(now, "report_delayed", switch_name, f"delay={delay}ns")
                 return REPORT_DELAYED, delay
@@ -172,7 +177,7 @@ class FaultInjector:
         if self._stream("agent_restart", "agent").random() < plan.agent_restart_rate:
             self._record(
                 now, "agent_restarted", "agent",
-                f"blackout={plan.agent_restart_blackout_ns}ns",
+                f"blackout={AGENT_RESTART_BLACKOUT_NS}ns",
             )
             return True
         return False

@@ -27,6 +27,31 @@ from typing import Optional
 
 from ..units import usec
 
+# How late a delayed report arrives: uniform in [1, this).
+REPORT_DELAY_MAX_NS = usec(500)
+# How old the window a stale register DMA returns is.
+DMA_STALE_AGE_NS = usec(500)
+# How long a restarted agent process is blind.
+AGENT_RESTART_BLACKOUT_NS = usec(100)
+
+# End-to-end reliability, on when ``RunConfig.retry`` is.  The agent
+# retransmits a victim's polling packet when no report has been delivered
+# within REPORT_TIMEOUT_NS, backing off exponentially with seeded jitter;
+# the collector retries failed register DMA reads on a bounded budget.
+# All timers are sim-time, so runs stay deterministic.
+REPORT_TIMEOUT_NS = usec(300)
+MAX_RETRIES = 3
+BACKOFF_FACTOR = 2.0
+JITTER_NS = usec(20)  # uniform [0, JITTER_NS), drawn from the plan seed
+DMA_RETRY_BUDGET = 3
+DMA_RETRY_DELAY_NS = usec(50)
+
+
+def backoff_ns(attempt: int) -> int:
+    """Deterministic (pre-jitter) wait before retry ``attempt`` (1-based)."""
+    return int(REPORT_TIMEOUT_NS * BACKOFF_FACTOR ** (attempt - 1))
+
+
 _RATE_FIELDS = (
     "polling_loss_rate",
     "polling_corrupt_rate",
@@ -53,16 +78,13 @@ class FaultPlan:
     report_loss_rate: float = 0.0
     report_truncate_rate: float = 0.0  # MTU pressure: only the newest epoch survives
     report_delay_rate: float = 0.0
-    report_delay_max_ns: int = usec(500)
 
     # -- switch-CPU register collection -------------------------------------
     dma_failure_rate: float = 0.0
     dma_stale_rate: float = 0.0
-    dma_stale_age_ns: int = usec(500)
 
     # -- host agent ----------------------------------------------------------
     agent_restart_rate: float = 0.0  # per stall-check tick
-    agent_restart_blackout_ns: int = usec(100)
 
     # -- clocks --------------------------------------------------------------
     clock_skew_max_ns: int = 0  # per-switch constant offset in [-max, +max]
@@ -72,10 +94,8 @@ class FaultPlan:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        for name in ("report_delay_max_ns", "dma_stale_age_ns",
-                     "agent_restart_blackout_ns", "clock_skew_max_ns"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.clock_skew_max_ns < 0:
+            raise ValueError("clock_skew_max_ns must be >= 0")
 
     @property
     def enabled(self) -> bool:
@@ -107,41 +127,6 @@ class FaultPlan:
         return f"FaultPlan(seed={self.seed}" + (
             ", " + ", ".join(active) if active else ""
         ) + ")"
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """End-to-end reliability knobs for the collection pipeline.
-
-    The agent retransmits a victim's polling packet when no report has
-    been delivered within ``report_timeout_ns``, backing off exponentially
-    with seeded jitter; the collector retries failed register DMA reads on
-    a bounded budget.  All timers are sim-time, so runs stay deterministic.
-    """
-
-    # Agent-side polling retransmission.
-    report_timeout_ns: int = usec(300)
-    max_retries: int = 3
-    backoff_factor: float = 2.0
-    jitter_ns: int = usec(20)  # uniform [0, jitter_ns), drawn from the plan seed
-
-    # Collector-side DMA retries.
-    dma_retry_budget: int = 3
-    dma_retry_delay_ns: int = usec(50)
-
-    def __post_init__(self) -> None:
-        if self.report_timeout_ns <= 0:
-            raise ValueError("report_timeout_ns must be positive")
-        if self.max_retries < 0 or self.dma_retry_budget < 0:
-            raise ValueError("retry budgets must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1.0")
-        if self.jitter_ns < 0 or self.dma_retry_delay_ns < 0:
-            raise ValueError("delays must be >= 0")
-
-    def backoff_ns(self, attempt: int) -> int:
-        """Deterministic (pre-jitter) wait before retry ``attempt`` (1-based)."""
-        return int(self.report_timeout_ns * self.backoff_factor ** (attempt - 1))
 
 
 def plan_or_none(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:

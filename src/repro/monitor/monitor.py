@@ -67,11 +67,11 @@ class MonitorConfig:
     its own :class:`FabricMonitor` from it.
     """
 
-    enabled: bool = True
     interval_ns: int = usec(100)   # sampling cadence
-    capacity: int = 2048           # ring samples retained per series
 
 
+# Ring samples retained per series.
+SERIES_CAPACITY = 2048
 # Count-min sketch sizing: estimate <= true + epsilon*N w.p. 1-delta.
 SKETCH_EPSILON = 0.002
 SKETCH_DELTA = 0.02
@@ -302,7 +302,7 @@ class FabricMonitor(SwitchObserver):
             metric,
             subject,
             self.config.interval_ns,
-            self.config.capacity,
+            SERIES_CAPACITY,
             start_count=self._tick,
         )
         by_subject[subject] = series

@@ -3,7 +3,7 @@
 from .. import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "config": ("DcqcnConfig", "EcnConfig", "PfcConfig", "SimConfig"),
+    "config": ("EcnConfig", "PfcConfig", "SimConfig"),
     "engine": ("EventHandle", "Simulator"),
     "flow": ("Flow",),
     "host": ("Host",),

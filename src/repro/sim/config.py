@@ -1,4 +1,5 @@
-"""Simulation parameters, collected in one dataclass.
+"""Simulation parameters: the fixed ones as module constants, the ones a
+scenario varies in one dataclass.
 
 Defaults follow common RoCEv2 deployments (and the HPCC/DCQCN NS-3 configs
 the paper builds on): 1 KB MTU-sized data packets, PFC Xoff/Xon per ingress
@@ -19,6 +20,14 @@ PAUSE_QUANTA = 0xFFFF
 PFC_REFRESH_INTERVAL_NS = usec(50)
 # Per-flow CNP generation rate limit at the receiver.
 CNP_INTERVAL_NS = usec(50)
+# Data packets are MTU-sized; the last packet of a flow carries the rest.
+DATA_PACKET_SIZE = 1 * KB
+# The receiver ACKs every this many data packets (and a flow's last one).
+ACK_EVERY_PACKETS = 4
+# Senders run DCQCN rate control (its gains live in :mod:`.cc`).
+DCQCN_ENABLED = True
+# RED's marking probability at ``kmax`` (DCQCN's recommended 0.2).
+ECN_PMAX = 0.2
 
 
 @dataclass
@@ -39,7 +48,13 @@ class EcnConfig:
 
     kmin_bytes: int = 40 * KB
     kmax_bytes: int = 160 * KB
-    pmax: float = 0.2
+
+    def __repr__(self) -> str:
+        # The whole marking curve, its fixed ``pmax`` included.
+        return (
+            f"EcnConfig(kmin_bytes={self.kmin_bytes!r}, "
+            f"kmax_bytes={self.kmax_bytes!r}, pmax={ECN_PMAX!r})"
+        )
 
     def mark_probability(self, queue_bytes: int) -> float:
         if queue_bytes <= self.kmin_bytes:
@@ -47,23 +62,13 @@ class EcnConfig:
         if queue_bytes >= self.kmax_bytes:
             return 1.0
         span = self.kmax_bytes - self.kmin_bytes
-        return self.pmax * (queue_bytes - self.kmin_bytes) / span
-
-
-@dataclass
-class DcqcnConfig:
-    """Simplified DCQCN rate control; its gains live in :mod:`.cc`."""
-
-    enabled: bool = True
+        return ECN_PMAX * (queue_bytes - self.kmin_bytes) / span
 
 
 @dataclass
 class SimConfig:
     """Top-level knobs for one simulation run."""
 
-    data_packet_size: int = 1 * KB
-    ack_every_packets: int = 4
     pfc: PfcConfig = field(default_factory=PfcConfig)
     ecn: EcnConfig = field(default_factory=EcnConfig)
-    dcqcn: DcqcnConfig = field(default_factory=DcqcnConfig)
     seed: int = 1

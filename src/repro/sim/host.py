@@ -15,7 +15,13 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 from ..topology.graph import PortRef
 from ..units import serialization_delay_ns
 from .cc import RECOVERY_INTERVAL_NS, DcqcnState
-from .config import CNP_INTERVAL_NS, PAUSE_QUANTA, SimConfig
+from .config import (
+    ACK_EVERY_PACKETS,
+    CNP_INTERVAL_NS,
+    DATA_PACKET_SIZE,
+    DCQCN_ENABLED,
+    PAUSE_QUANTA,
+)
 from .flow import Flow
 from .packet import (
     DATA_PRIORITY,
@@ -48,12 +54,11 @@ class _RxState:
 class Host:
     """One simulated server with a single RNIC uplink."""
 
-    def __init__(self, name: str, ip: str, network: "Network", config: SimConfig) -> None:
+    def __init__(self, name: str, ip: str, network: "Network") -> None:
         self.name = name
         self.ip = ip
         self.network = network
         self.sim = network.sim
-        self.config = config
         self._send_seq = network._send_seq
         # Link attributes, set by Network wiring.
         self.bandwidth: float = 0.0
@@ -111,7 +116,7 @@ class Host:
         flow.next_pacing_time = flow.start_time
         start_delay = max(0, flow.start_time - self.sim.now)
         self._schedule_pump(self.sim.now + start_delay)
-        if self.config.dcqcn.enabled:
+        if DCQCN_ENABLED:
             self.sim.schedule(
                 start_delay + RECOVERY_INTERVAL_NS,
                 self._recovery_tick,
@@ -204,7 +209,7 @@ class Host:
         if pkt.ce_marked and now - st.last_cnp_time >= CNP_INTERVAL_NS:
             st.last_cnp_time = now
             self._control_queue.append(Packet.cnp(key, now))
-        if pkt.is_last or st.pkts_since_ack >= self.config.ack_every_packets:
+        if pkt.is_last or st.pkts_since_ack >= ACK_EVERY_PACKETS:
             st.pkts_since_ack = 0
             ack = Packet.ack(key, now, pkt.create_time, st.bytes_received)
             self._control_queue.append(ack)
@@ -228,7 +233,7 @@ class Host:
 
     def _handle_cnp(self, pkt: Packet) -> None:
         cc = self._cc.get(pkt.flow)
-        if cc is not None and self.config.dcqcn.enabled:
+        if cc is not None and DCQCN_ENABLED:
             cc.on_cnp(self.sim.now)
 
     # -- transmit path -----------------------------------------------------------------
@@ -280,7 +285,7 @@ class Host:
     def _transmit_data(self, flow: Flow) -> None:
         now = self.sim.now
         remaining = flow.size - flow.bytes_sent
-        size = min(self.config.data_packet_size, remaining)
+        size = min(DATA_PACKET_SIZE, remaining)
         pkt = Packet.data(
             flow.key, size, flow.packets_sent, now, flow.priority, is_last=remaining <= size
         )

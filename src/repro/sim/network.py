@@ -7,7 +7,7 @@ from typing import Callable, Dict, List, Optional
 from ..topology.graph import PortRef, Topology
 from ..topology.routing import RoutingTable
 from ..units import serialization_delay_ns
-from .config import SimConfig
+from .config import DATA_PACKET_SIZE, SimConfig
 from .engine import Simulator
 from .flow import Flow
 from .host import Host
@@ -73,7 +73,7 @@ class Network:
             if ctx is not None and not ctx.is_local(node.name):
                 self.hosts[node.name] = RemoteHostStub(node.name, ip)
                 continue
-            host = Host(node.name, ip, self, self.config)
+            host = Host(node.name, ip, self)
             self.hosts[node.name] = host
             self._receive_of[node.name] = host.receive
         self._send_seq.update(dict.fromkeys(self._receive_of, 0))
@@ -169,7 +169,7 @@ class Network:
         for ref in path:
             link = self.topology.link_at(ref)
             rtt += link.delay_ns + serialization_delay_ns(
-                self.config.data_packet_size, link.bandwidth
+                DATA_PACKET_SIZE, link.bandwidth
             )
             rtt += link.delay_ns + serialization_delay_ns(ACK_SIZE, link.bandwidth)
         return rtt

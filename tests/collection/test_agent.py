@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.collection import AgentConfig, DetectionAgent
+from repro.collection import DetectionAgent
 from repro.sim import DATA_PRIORITY, Network, Packet
 from repro.topology import build_dumbbell
 from repro.units import KB, msec, usec
@@ -10,14 +10,14 @@ from repro.units import KB, msec, usec
 
 class TestRttTrigger:
     def test_no_trigger_when_unloaded(self, tiny_net):
-        agent = DetectionAgent(tiny_net, AgentConfig(threshold_multiplier=3.0))
+        agent = DetectionAgent(tiny_net, threshold_multiplier=3.0)
         tiny_net.start_flow(tiny_net.make_flow("A", "B", 50 * KB, usec(1)))
         tiny_net.run(msec(1))
         assert agent.triggers == []
 
     def test_trigger_on_congested_flow(self):
         net = Network(build_dumbbell(hosts_per_side=4))
-        agent = DetectionAgent(net, AgentConfig(threshold_multiplier=3.0))
+        agent = DetectionAgent(net, threshold_multiplier=3.0)
         victim = net.make_flow("HL0", "HR0", 500 * KB, usec(1), src_port=1)
         net.start_flow(victim)
         for j in range(1, 4):
@@ -27,7 +27,7 @@ class TestRttTrigger:
 
     def test_trigger_event_fields(self):
         net = Network(build_dumbbell(hosts_per_side=4))
-        agent = DetectionAgent(net, AgentConfig(threshold_multiplier=2.0))
+        agent = DetectionAgent(net, threshold_multiplier=2.0)
         for j in range(4):
             net.start_flow(net.make_flow(f"HL{j}", "HR0", 500 * KB, usec(1), src_port=10 + j))
         net.run(msec(3))
@@ -36,11 +36,10 @@ class TestRttTrigger:
         assert t.rtt_ns > t.base_rtt_ns * 2
         assert t.time_ns > 0
 
-    def test_cooldown_suppresses_repeats(self):
+    def test_cooldown_suppresses_repeats(self, monkeypatch):
+        monkeypatch.setattr("repro.collection.agent.COOLDOWN_NS", msec(100))
         net = Network(build_dumbbell(hosts_per_side=4))
-        agent = DetectionAgent(
-            net, AgentConfig(threshold_multiplier=2.0, cooldown_ns=msec(100))
-        )
+        agent = DetectionAgent(net, threshold_multiplier=2.0)
         victim = net.make_flow("HL0", "HR0", 1000 * KB, usec(1), src_port=1)
         net.start_flow(victim)
         for j in range(1, 4):
@@ -54,7 +53,7 @@ class TestRttTrigger:
 
         def trigger_count(multiplier):
             net = Network(build_dumbbell(hosts_per_side=4))
-            agent = DetectionAgent(net, AgentConfig(threshold_multiplier=multiplier))
+            agent = DetectionAgent(net, threshold_multiplier=multiplier)
             for j in range(4):
                 net.start_flow(
                     net.make_flow(f"HL{j}", "HR0", 400 * KB, usec(1), src_port=10 + j)
@@ -66,7 +65,7 @@ class TestRttTrigger:
 
     def test_listener_invoked(self, tiny_net):
         net = tiny_net
-        agent = DetectionAgent(net, AgentConfig(threshold_multiplier=0.0001))
+        agent = DetectionAgent(net, threshold_multiplier=0.0001)
         seen = []
         agent.add_trigger_listener(seen.append)
         net.start_flow(net.make_flow("A", "B", 10 * KB, usec(1)))
@@ -75,19 +74,17 @@ class TestRttTrigger:
 
     def test_polling_packet_injected_on_trigger(self, tiny_net):
         net = tiny_net
-        DetectionAgent(net, AgentConfig(threshold_multiplier=0.0001))
+        DetectionAgent(net, threshold_multiplier=0.0001)
         net.start_flow(net.make_flow("A", "B", 10 * KB, usec(1)))
         net.run(msec(1))
         assert net.switch("SW").stats.polling_seen > 0
 
 
 class TestStallDetection:
-    def test_fully_blocked_flow_triggers(self, tiny_net):
+    def test_fully_blocked_flow_triggers(self, tiny_net, monkeypatch):
+        monkeypatch.setattr("repro.collection.agent.STALL_TIMEOUT_NS", usec(300))
         net = tiny_net
-        agent = DetectionAgent(
-            net,
-            AgentConfig(threshold_multiplier=3.0, stall_timeout_ns=usec(300)),
-        )
+        agent = DetectionAgent(net, threshold_multiplier=3.0)
         # Freeze the path before the flow starts: zero ACKs ever arrive.
         net.hosts["B"].start_pfc_injection(msec(10))
         victim = net.make_flow("A", "B", 100 * KB, usec(50))
@@ -95,21 +92,16 @@ class TestStallDetection:
         net.run(msec(3))
         assert any(t.victim == victim.key for t in agent.triggers)
 
-    def test_deadlocked_flow_triggers_once_per_cooldown(self, tiny_net):
+    def test_deadlocked_flow_triggers_once_per_cooldown(self, tiny_net, monkeypatch):
         """A permanently stalled flow re-triggers exactly on the cooldown
         cadence: gaps never undercut the window, and the total count is
         bounded by the run length divided by the cooldown."""
         net = tiny_net
         cooldown = usec(500)
         duration = msec(3)
-        agent = DetectionAgent(
-            net,
-            AgentConfig(
-                threshold_multiplier=50.0,  # RTT path silent: stalls only
-                stall_timeout_ns=usec(300),
-                cooldown_ns=cooldown,
-            ),
-        )
+        monkeypatch.setattr("repro.collection.agent.STALL_TIMEOUT_NS", usec(300))
+        monkeypatch.setattr("repro.collection.agent.COOLDOWN_NS", cooldown)
+        agent = DetectionAgent(net, threshold_multiplier=50.0)  # RTT path silent: stalls only
         net.hosts["B"].start_pfc_injection(msec(10))
         victim = net.make_flow("A", "B", 100 * KB, usec(50))
         net.start_flow(victim)
@@ -120,19 +112,16 @@ class TestStallDetection:
         assert all(gap >= cooldown for gap in gaps)
         assert len(times) <= duration // cooldown + 1
 
-    def test_healthy_flow_does_not_stall_trigger(self, tiny_net):
-        agent = DetectionAgent(
-            tiny_net,
-            AgentConfig(threshold_multiplier=50.0, stall_timeout_ns=usec(300)),
-        )
+    def test_healthy_flow_does_not_stall_trigger(self, tiny_net, monkeypatch):
+        monkeypatch.setattr("repro.collection.agent.STALL_TIMEOUT_NS", usec(300))
+        agent = DetectionAgent(tiny_net, threshold_multiplier=50.0)
         tiny_net.start_flow(tiny_net.make_flow("A", "B", 100 * KB, usec(1)))
         tiny_net.run(msec(3))
         assert agent.triggers == []
 
-    def test_completed_flow_never_stall_triggers(self, tiny_net):
-        agent = DetectionAgent(
-            tiny_net, AgentConfig(threshold_multiplier=50.0, stall_timeout_ns=usec(100))
-        )
+    def test_completed_flow_never_stall_triggers(self, tiny_net, monkeypatch):
+        monkeypatch.setattr("repro.collection.agent.STALL_TIMEOUT_NS", usec(100))
+        agent = DetectionAgent(tiny_net, threshold_multiplier=50.0)
         flow = tiny_net.make_flow("A", "B", 10 * KB, usec(1))
         tiny_net.start_flow(flow)
         tiny_net.run(msec(5))

@@ -2,20 +2,16 @@
 
 import pytest
 
-from repro.collection import (
-    AgentConfig,
-    DetectionAgent,
-    ProbeMesh,
-    ProbeMeshConfig,
-)
+from repro.collection import DetectionAgent, ProbeMesh, ProbeMeshConfig
 from repro.sim import Network
 from repro.topology import build_line
 from repro.units import msec, usec
 
 
 class TestProbeMesh:
-    def test_probes_launched_on_schedule(self, tiny_net):
-        mesh = ProbeMesh(tiny_net, ProbeMeshConfig(interval_ns=usec(100), probes_per_round=2))
+    def test_probes_launched_on_schedule(self, tiny_net, monkeypatch):
+        monkeypatch.setattr("repro.collection.probes.PROBES_PER_ROUND", 2)
+        mesh = ProbeMesh(tiny_net, ProbeMeshConfig(interval_ns=usec(100)))
         mesh.start()
         tiny_net.run(usec(1000))
         # ~10 rounds x 2 probes (first round at t=0).
@@ -37,8 +33,9 @@ class TestProbeMesh:
         tiny_net.run(msec(2))
         assert len(mesh.probes) == count
 
-    def test_start_idempotent(self, tiny_net):
-        mesh = ProbeMesh(tiny_net, ProbeMeshConfig(interval_ns=usec(100), probes_per_round=1))
+    def test_start_idempotent(self, tiny_net, monkeypatch):
+        monkeypatch.setattr("repro.collection.probes.PROBES_PER_ROUND", 1)
+        mesh = ProbeMesh(tiny_net, ProbeMeshConfig(interval_ns=usec(100)))
         mesh.start()
         mesh.start()
         tiny_net.run(usec(250))
@@ -61,7 +58,7 @@ class TestProbeMesh:
         standard agent turns the stalled probes into diagnosis triggers."""
         topo = build_line(num_switches=3, hosts_per_switch=2)
         net = Network(topo)
-        agent = DetectionAgent(net, AgentConfig())
+        agent = DetectionAgent(net)
         mesh = ProbeMesh(net, ProbeMeshConfig(interval_ns=usec(200)))
         mesh.start()
         net.hosts["H3_0"].start_pfc_injection(msec(4))

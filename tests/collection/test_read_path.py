@@ -9,7 +9,7 @@ from repro.baselines import SystemKind
 from repro.collection import TelemetryCollector
 from repro.collection.collector import PHV_REPORT_BYTES
 from repro.experiments import FabricSession, RunConfig
-from repro.faults import FaultPlan, RetryPolicy
+from repro.faults import FaultPlan
 from repro.telemetry import HawkeyeDeployment
 from repro.telemetry.snapshot import SwitchReport
 from repro.units import KB, msec, usec
@@ -104,7 +104,7 @@ class TestChaosReads:
     def test_reports_and_stats_pinned(self, name, system, digest, stats):
         scenario = SCENARIO_BUILDERS[name](seed=1)
         session = FabricSession(
-            scenario, RunConfig(system=system, faults=CHAOS, retry=RetryPolicy())
+            scenario, RunConfig(system=system, faults=CHAOS, retry=True)
         )
         session.advance(scenario.duration_ns)
         session.finish()

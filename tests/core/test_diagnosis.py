@@ -6,7 +6,6 @@ from repro.core import (
     AnnotatedGraph,
     AnomalyType,
     Diagnoser,
-    DiagnoserConfig,
     EdgeKind,
     ProvenanceGraph,
     RootCauseKind,
@@ -225,12 +224,13 @@ class TestReportTypes:
         assert "pfc-backpressure" in text
         assert str(P("C")) in text
 
-    def test_max_culprits_respected(self):
+    def test_max_culprits_respected(self, monkeypatch):
+        monkeypatch.setattr("repro.core.diagnosis.MAX_CULPRITS", 5)
         g = ProvenanceGraph()
         g.add_edge(VICTIM, P("A"), EdgeKind.FLOW_PORT, 6.0)
         meta = {P("A"): PortMeta(paused_num=0, avg_qdepth_pkts=1.0)}
         for i in range(1, 30):
             g.add_edge(P("A"), key(i), EdgeKind.PORT_FLOW, float(i))
         ann = annotate(g, meta)
-        diag = Diagnoser(DiagnoserConfig(max_culprits=5)).diagnose(ann, VICTIM)
+        diag = Diagnoser().diagnose(ann, VICTIM)
         assert len(diag.primary().culprit_flows) <= 5

@@ -4,7 +4,6 @@ probe-driven periodic diagnosis, load robustness."""
 import pytest
 
 from repro.collection import (
-    AgentConfig,
     DetectionAgent,
     PollingConfig,
     PollingEngine,
@@ -42,7 +41,7 @@ class TestConcurrentAnomalies:
         engine = PollingEngine(net, deployment)
         engine.add_mirror_listener(collector.on_polling_mirror)
         # 200% threshold: three-source incasts degrade the victims ~2.7x.
-        agent = DetectionAgent(net, AgentConfig(threshold_multiplier=2.0))
+        agent = DetectionAgent(net, threshold_multiplier=2.0)
 
         # Anomaly A: incast into pod 0 (sources pod 1); two flows per source
         # so the burst covers both aggregation switches of the victim pod.
@@ -102,7 +101,7 @@ class TestPartialDeployment:
         collector = TelemetryCollector(deployment)
         engine = PollingEngine(net, deployment)
         engine.add_mirror_listener(collector.on_polling_mirror)
-        DetectionAgent(net, AgentConfig())
+        DetectionAgent(net)
         net.run(scenario.duration_ns)
         collector.flush_pending(net.sim.now)
         # Aggregation switches dropped every polling packet: the victim's
@@ -123,7 +122,7 @@ class TestProbeDrivenDiagnosis:
         collector = TelemetryCollector(deployment)
         engine = PollingEngine(net, deployment)
         engine.add_mirror_listener(collector.on_polling_mirror)
-        agent = DetectionAgent(net, AgentConfig())
+        agent = DetectionAgent(net)
         mesh = ProbeMesh(net, ProbeMeshConfig(interval_ns=usec(300)))
         mesh.start()
 

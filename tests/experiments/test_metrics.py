@@ -7,7 +7,6 @@ from repro.experiments import (
     AccuracyCounter,
     RunSummary,
     ScenarioSpec,
-    ScoreConfig,
     diagnosis_correct,
 )
 from repro.sim import FlowKey
@@ -34,10 +33,10 @@ def diagnosis(anomaly, culprits=(), injector=None):
     return Diagnosis(victim=key(0), findings=[finding])
 
 
-def summary(d, truth, label="run"):
+def summary(d, truth):
     """A run's summary as the runner scores it."""
     return RunSummary(
-        ScenarioSpec("s", label=label),
+        ScenarioSpec("s"),
         diagnosis=d,
         correct=d is not None and diagnosis_correct(d, truth),
     )
@@ -97,7 +96,7 @@ class TestDiagnosisCorrect:
         truth = GroundTruth(anomaly=AnomalyType.IN_LOOP_DEADLOCK)
         assert diagnosis_correct(diagnosis(AnomalyType.IN_LOOP_DEADLOCK), truth)
 
-    def test_custom_config(self):
+    def test_recall_threshold_decides(self, monkeypatch):
         truth = GroundTruth(
             anomaly=AnomalyType.MICRO_BURST_INCAST,
             culprit_flows=[key(i) for i in range(1, 11)],
@@ -108,10 +107,10 @@ class TestDiagnosisCorrect:
             AnomalyType.MICRO_BURST_INCAST, culprits=[key(1), key(2), key(3), key(4),
                                                       key(5), key(6), key(7), key(99)]
         )
-        strict = ScoreConfig(culprit_recall_threshold=0.9)
-        assert not diagnosis_correct(d, truth, strict)
-        lenient = ScoreConfig(culprit_recall_threshold=0.5)
-        assert diagnosis_correct(d, truth, lenient)
+        monkeypatch.setattr("repro.experiments.metrics.CULPRIT_RECALL_THRESHOLD", 0.9)
+        assert not diagnosis_correct(d, truth)
+        monkeypatch.setattr("repro.experiments.metrics.CULPRIT_RECALL_THRESHOLD", 0.5)
+        assert diagnosis_correct(d, truth)
 
 
 class TestAccuracyCounter:
@@ -135,9 +134,3 @@ class TestAccuracyCounter:
     def test_zero_division_guards(self):
         acc = AccuracyCounter()
         assert acc.precision == 0.0 and acc.recall == 0.0
-
-    def test_labels_recorded(self):
-        truth = GroundTruth(anomaly=AnomalyType.PFC_STORM, injecting_host="H")
-        acc = AccuracyCounter()
-        acc.add(summary(diagnosis(AnomalyType.PFC_STORM, injector="H"), truth, label="run1"))
-        assert acc.labels == ["TP run1"]

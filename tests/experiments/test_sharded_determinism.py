@@ -24,7 +24,7 @@ from repro.experiments import (
     run_scenario_sharded,
     shardrun,
 )
-from repro.faults import FaultPlan, RetryPolicy
+from repro.faults import FaultPlan
 from repro.monitor import MonitorConfig, prometheus_text, render_dashboard
 from repro.obs import ObsConfig
 from repro.sim.shard import shard_build_context
@@ -39,7 +39,7 @@ def test_worker_attach_is_the_in_process_attach():
     config = RunConfig(
         monitor=MonitorConfig(),
         faults=FaultPlan.lossy(0.05, seed=1),
-        retry=RetryPolicy(),
+        retry=True,
     )
     local = FabricSession(spec.build(), config)
     assignment = {node.name: 0 for node in local.net.topology.nodes}
@@ -68,7 +68,7 @@ def test_shard_request_of_one_runs_in_process():
         "fault injection", dict(faults=FaultPlan.lossy(0.1, seed=11)),
         id="faults",
     ),
-    pytest.param("a retry policy", dict(retry=RetryPolicy()), id="retry"),
+    pytest.param("a retry policy", dict(retry=True), id="retry"),
     pytest.param(
         "the fabric monitor", dict(monitor=MonitorConfig()), id="monitor"
     ),

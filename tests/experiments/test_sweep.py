@@ -43,13 +43,6 @@ class TestRunSweep:
         assert results[0].accuracy.precision == 1.0
         assert results[0].summaries[0].processing_bytes > 0
 
-    def test_progress_callback(self):
-        seen = []
-        cells = grid(scenarios=["pfc-storm"])
-        results = run_sweep(cells, seeds=[1], progress=seen.append)
-        assert seen == results
-        assert [(r.scenario, r.config) for r in seen] == cells
-
     def test_multi_system_cells(self):
         cells = grid(
             scenarios=["pfc-storm"],
@@ -82,3 +75,16 @@ class TestCliSweep:
         assert out.read_text().count("\n") >= 2
         stdout = capsys.readouterr().out
         assert "sweeping 1 cells" in stdout
+
+    def test_cli_prints_a_done_line_per_cell_in_cell_order(self, capsys):
+        from repro.cli import main
+
+        argv = ["sweep", "pfc-storm", "--systems", "hawkeye", "victim-only"]
+        assert main(argv + ["--seeds", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == [
+            "sweeping 2 cells x 1 seeds ...",
+            "  done: pfc-storm / hawkeye / epoch=1048576ns / thr=3.0",
+            "  done: pfc-storm / victim-only / epoch=1048576ns / thr=3.0",
+            "",
+        ]

@@ -13,7 +13,6 @@ from repro.experiments import RunConfig, RunSummary, ScenarioSpec
 from repro.faults import (
     CHAOS_SCENARIOS,
     FaultPlan,
-    RetryPolicy,
     chaos_sweep,
     run_chaos_cell,
     summarize,
@@ -21,7 +20,7 @@ from repro.faults import (
 from repro.sim import FlowKey
 
 
-def cell(name, plan, retry=RetryPolicy()):
+def cell(name, plan, retry=True):
     return (ScenarioSpec(name, plan.seed), RunConfig(faults=plan, retry=retry))
 
 
@@ -42,7 +41,7 @@ def summary(name, correct=False, completeness=None, error=None):
 
 class TestAcceptanceWithRetries:
     def test_all_classes_correct_at_ten_percent_loss(self):
-        cells = chaos_sweep(loss_rates=(0.10,), seed=1, retry=RetryPolicy())
+        cells = chaos_sweep(loss_rates=(0.10,), seed=1, retry=True)
         assert len(cells) == len(CHAOS_SCENARIOS)
         for _, o in cells:
             assert not o.crashed, f"{o.spec.builder} crashed:\n{o.error}"
@@ -54,7 +53,7 @@ class TestAcceptanceWithRetries:
 
 class TestHighLossNeverLies:
     def test_no_crash_no_wrong_full_confidence(self):
-        cells = chaos_sweep(loss_rates=(0.3,), seed=1, retry=None)
+        cells = chaos_sweep(loss_rates=(0.3,), seed=1, retry=False)
         tally = summarize(o for _, o in cells)
         assert tally["crashed"] == 0
         assert tally["wrong_full_confidence"] == 0
@@ -75,7 +74,7 @@ class TestFaultTally:
         """``fault_counters`` is the injector's tally: one name per event,
         so it sums to the incident log on every cell, fault-free ones
         (no injector, nothing to count) included."""
-        for retry in (RetryPolicy(), None):
+        for retry in (True, False):
             for loss_rate, o in chaos_sweep(
                 loss_rates=(0.0, 0.10, 0.25), retry=retry
             ):

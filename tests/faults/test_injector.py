@@ -72,14 +72,13 @@ class TestFates:
         assert FaultInjector(FaultPlan(dma_stale_rate=1.0)).dma_fate(0, "SW") == DMA_STALE
         assert FaultInjector(FaultPlan.lossy(0.0, seed=1)).dma_fate(0, "SW") == DMA_OK
 
-    def test_report_fates_and_delay_bounds(self):
+    def test_report_fates_and_delay_bounds(self, monkeypatch):
+        monkeypatch.setattr("repro.faults.injector.REPORT_DELAY_MAX_NS", usec(100))
         lost, _ = FaultInjector(FaultPlan(report_loss_rate=1.0)).report_fate(0, "SW")
         assert lost == REPORT_LOST
         trunc, _ = FaultInjector(FaultPlan(report_truncate_rate=1.0)).report_fate(0, "SW")
         assert trunc == REPORT_TRUNCATED
-        injector = FaultInjector(
-            FaultPlan(report_delay_rate=1.0, report_delay_max_ns=usec(100))
-        )
+        injector = FaultInjector(FaultPlan(report_delay_rate=1.0))
         for _ in range(50):
             fate, delay = injector.report_fate(0, "SW")
             assert fate == REPORT_DELAYED

@@ -5,7 +5,7 @@ seeded plan replays, are rows of ``tests/test_determinism_matrix.py``."""
 import pickle
 
 from repro.experiments.runner import FabricSession, RunConfig, run_scenario
-from repro.faults import FaultPlan, RetryPolicy
+from repro.faults import FaultPlan
 from repro.telemetry.snapshot import SwitchReport
 from repro.units import usec
 from repro.workloads import SCENARIO_BUILDERS
@@ -21,7 +21,7 @@ class TestRetryRecovery:
         scenario, result = run(
             "incast-backpressure",
             faults=FaultPlan.lossy(0.1),
-            retry=RetryPolicy(),
+            retry=True,
         )
         diagnosis = result.diagnosis()
         assert diagnosis is not None
@@ -39,27 +39,28 @@ class TestRetryRecovery:
         ):
             assert diagnosis.confidence == "degraded"
 
-    def test_retries_bounded(self):
-        retry = RetryPolicy(max_retries=2)
+    def test_retries_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.collection.agent.MAX_RETRIES", 2)
         _, result = run(
             "incast-backpressure",
             faults=FaultPlan(seed=1, polling_loss_rate=1.0),
-            retry=retry,
+            retry=True,
         )
         # Every trigger's polling trace dies at the first hop, so every
         # retry fires and exhausts: retransmissions stay within budget.
         retransmitted = result.fault_counters.get("polling_retransmitted", 0)
         exhausted = result.fault_counters.get("polling_retries_exhausted", 0)
         assert exhausted > 0
-        assert retransmitted <= retry.max_retries * exhausted
+        assert retransmitted <= 2 * exhausted
 
 
 class TestDmaFaults:
-    def test_total_dma_failure_abandons_within_budget(self):
+    def test_total_dma_failure_abandons_within_budget(self, monkeypatch):
+        monkeypatch.setattr("repro.collection.collector.DMA_RETRY_BUDGET", 2)
         _, result = run(
             "normal-contention",
             faults=FaultPlan(seed=1, dma_failure_rate=1.0),
-            retry=RetryPolicy(dma_retry_budget=2),
+            retry=True,
         )
         counters = result.fault_counters
         assert counters.get("dma_read_retried", 0) > 0
@@ -72,7 +73,7 @@ class TestDmaFaults:
         scenario, result = run(
             "incast-backpressure",
             faults=FaultPlan(seed=1, dma_failure_rate=0.3),
-            retry=RetryPolicy(),
+            retry=True,
         )
         assert result.fault_counters.get("dma_read_retried", 0) > 0
         diagnosis = result.diagnosis()
@@ -100,12 +101,11 @@ class TestReportChannelFaults:
         diagnosis = result.diagnosis()
         assert any("truncated" in e for e in diagnosis.degraded_reports)
 
-    def test_delayed_reports_still_delivered(self):
+    def test_delayed_reports_still_delivered(self, monkeypatch):
+        monkeypatch.setattr("repro.faults.injector.REPORT_DELAY_MAX_NS", usec(100))
         _, result = run(
             "incast-backpressure",
-            faults=FaultPlan(
-                seed=1, report_delay_rate=1.0, report_delay_max_ns=usec(100)
-            ),
+            faults=FaultPlan(seed=1, report_delay_rate=1.0),
         )
         assert result.fault_counters.get("report_delayed", 0) > 0
         assert result.collections > 0
@@ -125,10 +125,7 @@ class TestAgentRestart:
     def test_restarts_counted_and_survived(self):
         _, result = run(
             "incast-backpressure",
-            faults=FaultPlan(
-                seed=1, agent_restart_rate=0.2,
-                agent_restart_blackout_ns=usec(100),
-            ),
+            faults=FaultPlan(seed=1, agent_restart_rate=0.2),
         )
         restarts = result.metrics.to_dict()["counters"]["agent.restarts"]
         assert restarts > 0

@@ -122,13 +122,6 @@ class TestRunnerSurfaces:
         result = run_scenario(scenario, RunConfig())
         assert result.monitor is None
 
-    def test_disabled_config_means_no_monitor(self):
-        scenario = SCENARIO_BUILDERS["normal-contention"](seed=1)
-        result = run_scenario(
-            scenario, RunConfig(monitor=MonitorConfig(enabled=False))
-        )
-        assert result.monitor is None
-
     def test_metrics_absorb_monitor_counters(self):
         result = run_monitored("pfc-storm")
         metrics = result.metrics.to_dict()

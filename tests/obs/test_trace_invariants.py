@@ -6,7 +6,7 @@ faults, degraded chains are *flagged*, never silently truncated.
 import pytest
 
 from repro.experiments import RunConfig, run_scenario
-from repro.faults.plan import FaultPlan, RetryPolicy
+from repro.faults.plan import FaultPlan
 from repro.obs import ObsConfig, build_tree, check_causal_chains, validate_records
 from repro.workloads import SCENARIO_BUILDERS
 
@@ -27,7 +27,7 @@ DEGRADED_EVENTS = {
 }
 
 
-def run_traced(name, seed=1, faults=None, retry=None):
+def run_traced(name, seed=1, faults=None, retry=False):
     scenario = SCENARIO_BUILDERS[name](seed=seed)
     config = RunConfig(
         obs=ObsConfig(trace=True), faults=faults, retry=retry
@@ -111,7 +111,7 @@ class TestChaosChains:
         result, records = run_traced(
             name,
             faults=FaultPlan(seed=7, **self.PLAN),
-            retry=RetryPolicy(),
+            retry=True,
         )
         assert validate_records(records) == []
         chains = check_causal_chains(records)
@@ -131,7 +131,7 @@ class TestChaosChains:
 
     def test_chaos_metrics_record_injected_faults(self):
         result, _ = run_traced(
-            "pfc-storm", faults=FaultPlan(seed=7, **self.PLAN), retry=RetryPolicy()
+            "pfc-storm", faults=FaultPlan(seed=7, **self.PLAN), retry=True
         )
         counters = result.metrics.to_dict()["counters"]
         injected = sum(

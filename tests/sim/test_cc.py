@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Network, SimConfig
+from repro.sim import Network
 from repro.sim.cc import MIN_RATE, DcqcnState
 from repro.topology import build_dumbbell
 from repro.units import KB, gbps, msec, usec
@@ -94,10 +94,9 @@ class TestCcIntegration:
         rates = [net.hosts[f.src_host].cc_state(f.key).rate for f in flows]
         assert any(r < gbps(100) for r in rates), "ECN/CNP must throttle senders"
 
-    def test_disabled_cc_keeps_line_rate(self):
-        config = SimConfig()
-        config.dcqcn.enabled = False
-        net = Network(build_dumbbell(hosts_per_side=4), config=config)
+    def test_disabled_cc_keeps_line_rate(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.host.DCQCN_ENABLED", False)
+        net = Network(build_dumbbell(hosts_per_side=4))
         flows = [
             net.make_flow(f"HL{j}", "HR0", 400 * KB, usec(1), src_port=10000 + j)
             for j in range(4)

@@ -36,7 +36,7 @@ from repro.sim import (
     SwitchObserver,
 )
 from repro.sim.cc import ALPHA_G, RATE_DECREASE_INTERVAL_NS, RECOVERY_INTERVAL_NS
-from repro.sim.config import CNP_INTERVAL_NS, PAUSE_QUANTA, EcnConfig
+from repro.sim.config import CNP_INTERVAL_NS, ECN_PMAX, PAUSE_QUANTA, EcnConfig
 from repro.sim.packet import DATA_PRIORITY, FlowKey
 from repro.topology import Topology
 from repro.units import KB, gbps, serialization_delay_ns, usec
@@ -126,7 +126,7 @@ class TestEcnMarking:
 
     def test_the_curve_is_dcqcns_red_line(self):
         ecn = EcnConfig()
-        assert (ecn.kmin_bytes, ecn.kmax_bytes, ecn.pmax) == (KMIN, KMAX, PMAX)
+        assert (ecn.kmin_bytes, ecn.kmax_bytes, ECN_PMAX) == (KMIN, KMAX, PMAX)
         for q in DEPTHS:
             assert ecn.mark_probability(q) == pytest.approx(red_probability(q))
 

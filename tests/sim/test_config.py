@@ -11,17 +11,18 @@ from repro.units import KB
 
 class TestEcnCurve:
     def test_no_marking_below_kmin(self):
-        ecn = EcnConfig(kmin_bytes=40 * KB, kmax_bytes=160 * KB, pmax=0.2)
+        ecn = EcnConfig(kmin_bytes=40 * KB, kmax_bytes=160 * KB)
         assert ecn.mark_probability(0) == 0.0
         assert ecn.mark_probability(40 * KB) == 0.0
 
     def test_certain_marking_above_kmax(self):
-        ecn = EcnConfig(kmin_bytes=40 * KB, kmax_bytes=160 * KB, pmax=0.2)
+        ecn = EcnConfig(kmin_bytes=40 * KB, kmax_bytes=160 * KB)
         assert ecn.mark_probability(160 * KB) == 1.0
         assert ecn.mark_probability(10**9) == 1.0
 
-    def test_linear_ramp_between(self):
-        ecn = EcnConfig(kmin_bytes=0, kmax_bytes=100, pmax=0.5)
+    def test_linear_ramp_between(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.config.ECN_PMAX", 0.5)
+        ecn = EcnConfig(kmin_bytes=0, kmax_bytes=100)
         assert ecn.mark_probability(50) == pytest.approx(0.25)
 
     @given(st.integers(min_value=0, max_value=10**7))
@@ -52,10 +53,8 @@ class TestPfcConfigValidation:
 class TestDefaults:
     def test_sim_config_composition(self):
         cfg = SimConfig()
-        assert cfg.data_packet_size == 1 * KB
         assert cfg.pfc.xoff_bytes > cfg.pfc.xon_bytes
         assert cfg.ecn.kmin_bytes < cfg.ecn.kmax_bytes
-        assert cfg.dcqcn.enabled
 
     def test_independent_instances(self):
         a, b = SimConfig(), SimConfig()

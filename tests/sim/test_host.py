@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import DATA_PRIORITY, Network, Packet, SimConfig
+from repro.sim import DATA_PRIORITY, Network, Packet
 from repro.units import KB, gbps, msec, serialization_delay_ns, usec
 from tests.conftest import build_tiny
 
@@ -30,12 +30,13 @@ class TestFlowTransmission:
         assert flow.packets_sent == 3
 
     @pytest.mark.parametrize("rate_gbps", [10, 25, 100])
-    def test_uplink_wire_time_table(self, rate_gbps):
+    def test_uplink_wire_time_table(self, rate_gbps, monkeypatch):
         """The host's size -> ns table is ``serialization_delay_ns`` at the
         uplink's bandwidth, 1 ns floor and flow-tail sizes included."""
+        mtu = 1500
+        monkeypatch.setattr("repro.sim.host.DATA_PACKET_SIZE", mtu)
         bandwidth = gbps(rate_gbps)
-        net = Network(build_tiny(bandwidth), config=SimConfig(data_packet_size=1500))
-        mtu = net.config.data_packet_size
+        net = Network(build_tiny(bandwidth))
         flows = [
             net.make_flow("A", "B", size, usec(1), src_port=10000 + i)
             for i, size in enumerate((1, 64, 1000, mtu + 37))
@@ -104,9 +105,9 @@ class TestAcksAndRtt:
         estimate = tiny_net.estimate_base_rtt("A", flow.key.dst_ip, flow.key)
         assert max(r for _, r in flow.rtt_samples) <= 2 * estimate
 
-    def test_ack_coalescing(self, tiny_topo):
-        config = SimConfig(ack_every_packets=8)
-        net = Network(tiny_topo, config=config)
+    def test_ack_coalescing(self, tiny_topo, monkeypatch):
+        monkeypatch.setattr("repro.sim.host.ACK_EVERY_PACKETS", 8)
+        net = Network(tiny_topo)
         flow = net.make_flow("A", "B", 64 * KB, 0)  # 64 packets
         net.start_flow(flow)
         net.run(msec(1))

@@ -23,7 +23,7 @@ trip of the link plus two MTUs) absorbs what is on the wire, losslessly.
 import pytest
 
 from repro.sim import Network, PacketType, SimConfig, SwitchObserver
-from repro.sim.config import DcqcnConfig, PfcConfig
+from repro.sim.config import DATA_PACKET_SIZE, PfcConfig
 from repro.sim.packet import pause_quanta_to_ns
 from repro.topology import Topology, build_line
 from repro.units import KB, gbps, serialization_delay_ns, usec
@@ -32,6 +32,12 @@ CELL_BYTES = 80
 # line rate (Gbit/s) -> (pause, resume) threshold in cells
 LINKGUARDIAN_CELLS = {100: (500, 460), 25: (537, 497), 10: (662, 622)}
 SENDERS = ("A", "B")
+
+
+@pytest.fixture(autouse=True)
+def _dcqcn_off(monkeypatch):
+    """Every incast here streams at line rate."""
+    monkeypatch.setattr("repro.sim.host.DCQCN_ENABLED", False)
 
 
 class _Ingress(SwitchObserver):
@@ -75,7 +81,6 @@ def _incast(gbit):
         topo.add_link(name, "SW", bandwidth, usec(1))
     config = SimConfig(
         pfc=PfcConfig(xoff_bytes=xoff_cells * CELL_BYTES, xon_bytes=xon_cells * CELL_BYTES),
-        dcqcn=DcqcnConfig(enabled=False),
     )
     net = Network(topo, config=config)
     ingress = _Ingress()
@@ -95,7 +100,7 @@ class TestLinkGuardianThresholds:
     def test_first_pause_when_an_ingress_first_exceeds_xoff(self, gbit):
         net, ingress, _hosts = _incast(gbit)
         xoff = net.config.pfc.xoff_bytes
-        mtu = net.config.data_packet_size
+        mtu = DATA_PACKET_SIZE
         bandwidth = gbps(gbit)
         ports = {net.topology.attachment_of(name).port for name in SENDERS}
         assert set(ingress.first_data) == ports
@@ -112,7 +117,7 @@ class TestLinkGuardianThresholds:
     def test_resume_only_below_xon(self, gbit):
         net, ingress, _hosts = _incast(gbit)
         xon = net.config.pfc.xon_bytes
-        mtu = net.config.data_packet_size
+        mtu = DATA_PACKET_SIZE
         resumes = [e for e in ingress.pfc_sent if e[2] == 0]
         assert len(resumes) >= 2 * len(SENDERS)  # the incast cycles
         for port in {e[1] for e in resumes}:
@@ -191,7 +196,6 @@ def _chain_incast(switches, gbit):
     xoff_cells, xon_cells = LINKGUARDIAN_CELLS[gbit]
     config = SimConfig(
         pfc=PfcConfig(xoff_bytes=xoff_cells * CELL_BYTES, xon_bytes=xon_cells * CELL_BYTES),
-        dcqcn=DcqcnConfig(enabled=False),
     )
     net = Network(build_line(switches, 2, gbps(gbit), usec(1)), config=config)
     chain = _Chain(config.pfc.xoff_bytes)
@@ -212,7 +216,7 @@ def _chain_incast(switches, gbit):
 def test_pause_travels_back_hop_by_hop(switches, gbit):
     net, chain, flows = _chain_incast(switches, gbit)
     xoff = net.config.pfc.xoff_bytes
-    mtu = net.config.data_packet_size
+    mtu = DATA_PACKET_SIZE
     headroom = 2 * usec(1) * gbps(gbit) / 1e9 + 2 * mtu
     names = [f"SW{i}" for i in range(1, switches + 1)]
     # Every switch pauses its upstream; all but the last only after its

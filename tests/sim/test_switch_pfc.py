@@ -308,12 +308,12 @@ class TestPortWireTimeTable:
     def test_table_matches_serialization_delay(self, rate_gbps):
         bandwidth = gbps(rate_gbps)
         topo = build_tiny(bandwidth)
-        net = Network(topo, config=SimConfig(data_packet_size=1500))
+        net = Network(topo)
         sw = net.switch("SW")
         port_no = topo.attachment_of("A").port
         port = sw.ports[port_no]
         assert port.ser_ns == {}
-        sizes = (1, 64, 1000, net.config.data_packet_size, 37)
+        sizes = (1, 64, 1000, 1500, 37)
         for size in sizes:
             sw.enqueue(data_pkt(net, size), port_no, None)
         net.run(msec(1))

@@ -1,11 +1,16 @@
 """Value pins for the fixed numbers the verdicts depend on.
 
-These values are module constants, not options, so no test varies them;
-a slip in one fails here at that number, not only later as a moved
-verdict somewhere downstream.
+These values are module constants, not options: a slip in one fails here
+at that number, not only later as a moved verdict somewhere downstream.
+``PINNED`` holds the ones that were config fields only tests ever set; a
+test that needs another value monkeypatches the constant, so a change
+here is a change to every run.
 """
 
 import dataclasses
+import importlib
+
+import pytest
 
 from repro.core.diagnosis import (
     MAX_VISITED_PORTS,
@@ -16,6 +21,7 @@ from repro.monitor import FabricMonitor
 from repro.sim import Network
 from repro.sim.config import CNP_INTERVAL_NS, PAUSE_QUANTA, PFC_REFRESH_INTERVAL_NS
 from repro.topology import build_line
+from repro.units import KB, msec, usec
 
 
 def test_moved_values_keep_their_numbers():
@@ -39,3 +45,42 @@ def test_moved_values_keep_their_numbers():
     assert (PAUSE_QUANTA, PFC_REFRESH_INTERVAL_NS, CNP_INTERVAL_NS) == (
         0xFFFF, 50_000, 50_000,
     )
+
+
+PINNED = {
+    # The detection agent.
+    ("repro.collection.agent", "COOLDOWN_NS"): msec(1),
+    ("repro.collection.agent", "STALL_TIMEOUT_NS"): usec(200),
+    # Algorithm 2 and its scoring.
+    ("repro.core.diagnosis", "MAX_CULPRITS"): 16,
+    ("repro.experiments.metrics", "CULPRIT_RECALL_THRESHOLD"): 0.3,
+    # The retry policy.
+    ("repro.faults.plan", "REPORT_TIMEOUT_NS"): usec(300),
+    ("repro.faults.plan", "MAX_RETRIES"): 3,
+    ("repro.faults.plan", "BACKOFF_FACTOR"): 2.0,
+    ("repro.faults.plan", "JITTER_NS"): usec(20),
+    ("repro.faults.plan", "DMA_RETRY_BUDGET"): 3,
+    ("repro.faults.plan", "DMA_RETRY_DELAY_NS"): usec(50),
+    # Fault magnitudes (the plan's rates decide whether they occur).
+    ("repro.faults.plan", "REPORT_DELAY_MAX_NS"): usec(500),
+    ("repro.faults.plan", "DMA_STALE_AGE_NS"): usec(500),
+    ("repro.faults.plan", "AGENT_RESTART_BLACKOUT_NS"): usec(100),
+    # The simulator.
+    ("repro.sim.config", "DATA_PACKET_SIZE"): 1 * KB,
+    ("repro.sim.config", "ACK_EVERY_PACKETS"): 4,
+    ("repro.sim.config", "DCQCN_ENABLED"): True,
+    ("repro.sim.config", "ECN_PMAX"): 0.2,
+    # Monitoring, polling and probing.
+    ("repro.monitor.monitor", "SERIES_CAPACITY"): 2048,
+    ("repro.collection.polling", "DEDUP_INTERVAL_NS"): msec(2),
+    ("repro.collection.probes", "PROBES_PER_ROUND"): 4,
+}
+
+
+@pytest.mark.parametrize(
+    "module, name", sorted(PINNED), ids=[name for _, name in sorted(PINNED)]
+)
+def test_constant_value(module, name):
+    value = getattr(importlib.import_module(module), name)
+    expected = PINNED[module, name]
+    assert type(value) is type(expected) and value == expected

@@ -32,7 +32,7 @@ from repro.experiments import (
     shardrun,
     summarize_run,
 )
-from repro.faults import FaultPlan, RetryPolicy
+from repro.faults import FaultPlan
 from repro.fuzz import FuzzConfig, ScenarioGenome, observe, run_fuzz
 from repro.monitor import MonitorConfig, jsonl_snapshot, prometheus_text
 from repro.obs import ObsConfig
@@ -56,11 +56,11 @@ CONFIGS = {
     "zero-plan": {"faults": FaultPlan(seed=1)},
     "lossy": {"faults": FaultPlan.lossy(0.2)},
     "lossy-fault-seed-2": {"faults": FaultPlan.lossy(0.2, seed=2)},
-    "lossy+retry": {"faults": FaultPlan.lossy(0.2), "retry": RetryPolicy()},
+    "lossy+retry": {"faults": FaultPlan.lossy(0.2), "retry": True},
     "chaos+traced": {
         "faults": FaultPlan(seed=7, polling_loss_rate=0.1,
                             report_loss_rate=0.1, dma_failure_rate=0.1),
-        "retry": RetryPolicy(),
+        "retry": True,
         "obs": {"trace": True},
     },
     "traced": {"obs": {"trace": True}},

@@ -21,6 +21,9 @@ switch/receiver halves checked here:
   ``R·(1 − α/2)``, with ``α = (1 − ALPHA_G)·α₀ + ALPHA_G``, and paces
   data at the new rate; a second CNP within ``RATE_DECREASE_INTERVAL_NS``
   of the cut leaves the rate alone.
+- **Fixed point.** N long flows into one receiver converge to C/N each,
+  every cut takes ``α/2`` off with ``α`` at its steady state, and
+  marking alone holds the queue; PFC acts first (``kmin`` = ``xoff``).
 """
 
 import math
@@ -262,3 +265,134 @@ class TestRateCut:
         after = self._gaps(times, self.SECOND_CNP, self.WINDOW_END)
         assert len(after) > 10
         assert set(after) == {before[0]}
+
+
+def alpha_fixed_point(periods):
+    """DCQCN's ``α`` at a cut, in steady state, when each CNP is followed by
+    ``periods`` alpha-timer periods: the cut adds ``ALPHA_G``, each
+    period but the one that saw the CNP decays it by ``1 − ALPHA_G``, so
+    ``α = (1 − g)^periods · α + g``."""
+    return ALPHA_G / (1 - (1 - ALPHA_G) ** periods)
+
+
+class _Bottleneck(SwitchObserver):
+    """The bottleneck egress: each sender's bytes and its DCQCN rate at
+    every packet, the queue, the first CE mark and CNP, and every PAUSE."""
+
+    def __init__(self, egress, states, window_start):
+        self.egress = egress
+        self.states = states  # flow -> the sender's DcqcnState (read only)
+        self.window_start = window_start
+        self.bytes = {}
+        self.queue = []
+        self.cuts = []  # (time, relative rate cut) seen at the next packet
+        self.last_rate = {}
+        self.first_mark = self.first_cnp = None
+        self.pauses = []
+
+    def on_egress_enqueue(self, sw, t, pkt, egress, ingress, qd, qb, paused):
+        if pkt.ptype is PacketType.CNP and self.first_cnp is None:
+            self.first_cnp = t
+        if pkt.ptype is not PacketType.DATA or egress != self.egress:
+            return
+        if pkt.ce_marked and self.first_mark is None:
+            self.first_mark = t
+        rate = self.states[pkt.flow].rate
+        last = self.last_rate.get(pkt.flow)
+        if last is not None and rate < last:
+            self.cuts.append((t, 1 - rate / last))
+        self.last_rate[pkt.flow] = rate
+        if t >= self.window_start:
+            self.bytes[pkt.flow] = self.bytes.get(pkt.flow, 0) + pkt.size
+            self.queue.append(qb)
+
+    def on_pfc_sent(self, sw, t, port, priority, quanta):
+        if quanta > 0:
+            self.pauses.append(t)
+
+
+class TestFixedPoint:
+    """N long flows into one receiver at line rate C: DCQCN's fixed point.
+
+    Each sender's throughput over the second half of a 10 ms run is within
+    [0.7, 1.45]·C/N and together they fill the link to within 1 %.  Every
+    cut in that half takes ``α/2`` off the rate with ``α`` at its fixed
+    point for a CNP every 2 to 20 alpha periods (110 us to 1.1 ms), no
+    PAUSE is sent and the queue stays under ``kmax``: marking alone
+    balances the cuts.  DCQCN's fairness converges slowly, so the share
+    band is wide (measured: 0.75-1.42 at N = 8, 0.98-1.02 at N = 2).
+
+    ``kmin`` = ``xoff`` = 40 KB, so the start is PFC's: at every N the
+    first PAUSE leaves before the first CNP, and at N = 2 before even the
+    first CE mark (PAUSE at 7.48 us, mark at 7.56 us, CNP at 16.1 us) —
+    PFC acts before ECN does, the failure mode "Revisiting Network
+    Support for RDMA" names.
+    """
+
+    RUN_NS = usec(10_000)
+    WINDOW_START = RUN_NS // 2
+
+    @pytest.fixture(scope="class", params=[2, 4, 8])
+    def bottleneck(self, request):
+        n = request.param
+        senders = [f"S{i}" for i in range(n)]
+        net = _star(senders)
+        states = {}
+        for i, name in enumerate(senders):
+            flow = net.make_flow(name, "R", 10**9, 0, src_port=1000 + i)
+            net.start_flow(flow)
+            states[flow.key] = net.hosts[name].cc_state(flow.key)
+        seen = _Bottleneck(
+            net.topology.attachment_of("R").port, states, self.WINDOW_START
+        )
+        net.add_switch_observer(seen)
+        net.run(self.RUN_NS)
+        return n, seen
+
+    def _window_s(self):
+        return (self.RUN_NS - self.WINDOW_START) / 1e9
+
+    def test_rates_converge_to_the_fair_share(self, bottleneck):
+        n, seen = bottleneck
+        fair = gbps(100) / n
+        assert len(seen.bytes) == n
+        shares = [b / self._window_s() / fair for b in seen.bytes.values()]
+        assert all(0.7 <= s <= 1.45 for s in shares), sorted(shares)
+        assert sum(shares) / n == pytest.approx(1, abs=0.01)
+
+    def test_each_cut_is_half_the_fixed_point_alpha(self, bottleneck):
+        _n, seen = bottleneck
+        cuts = [c for t, c in seen.cuts if t >= self.WINDOW_START]
+        assert len(cuts) >= 10
+        lo, hi = alpha_fixed_point(20) / 2, alpha_fixed_point(2) / 2
+        assert all(lo <= c <= hi for c in cuts), (min(cuts), max(cuts))
+
+    def test_marking_alone_holds_the_queue(self, bottleneck):
+        _n, seen = bottleneck
+        assert not [t for t in seen.pauses if t >= self.WINDOW_START]
+        assert max(seen.queue) < KMAX
+
+    def test_pfc_fires_before_ecn_acts(self, bottleneck):
+        n, seen = bottleneck
+        assert seen.pauses and seen.first_cnp is not None
+        assert seen.pauses[0] < seen.first_cnp
+        if n == 2:
+            assert seen.pauses[0] < seen.first_mark
+
+    def test_the_observer_moves_nothing(self):
+        def run(observe):
+            net = _star(["S0", "S1"])
+            states = {}
+            for i, name in enumerate(["S0", "S1"]):
+                flow = net.make_flow(name, "R", 10**9, 0, src_port=1000 + i)
+                net.start_flow(flow)
+                states[flow.key] = net.hosts[name].cc_state(flow.key)
+            if observe:
+                net.add_switch_observer(
+                    _Bottleneck(net.topology.attachment_of("R").port, states, 0)
+                )
+            net.run(usec(500))
+            rates = sorted(s.rate for s in states.values())
+            return net.sim.events_run, net.sim.counters(), rates
+
+        assert run(True) == run(False)

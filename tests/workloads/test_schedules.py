@@ -23,64 +23,65 @@ import random
 import pytest
 
 from repro.fuzz import random_genome, seed_genomes
+from repro.sim.config import ECN_PMAX
 from repro.workloads import SCENARIO_BUILDERS, out_of_loop_deadlock_scenario
 
 DIGESTS = {
-    "contention-masked-storm-1": "d121c06e13186db4ae0f527c1449e23f58dd464da44c1335119e488da9a006b3",
-    "contention-masked-storm-2": "618b26b1e98050ae64d7702f2dc4537506455b82a294cbf5a140b75717b24804",
-    "contention-masked-storm-3": "5e3222f878b1cb57579999f6b4acb98d97b74573945e7d07a62135db08ed205d",
-    "fleet-incast-k16-1": "a6e7c4e62c611dd94bc81c2f2ba2d0a7bfea58088c8901816cf6628d5b7aa3ba",
-    "fleet-incast-k8-1": "9c671da1cd961f302b86bfc4da10fe959f87e8fef3b21886fcb642133fe78df4",
-    "fleet-incast-k8-2": "269494c6dd206615e3c546cfca6f368101a396d469d12399ff40faa5e77d0c76",
-    "fleet-incast-k8-3": "8cb530118840bc7c23f90916ca291b79c81ba24f037abe3f9b195fe7e5f51bb7",
-    "in-loop-deadlock-1": "65b359572ed3374ba6743e515ccfca0ab6b0b29a488ec533b4916509d3a523f3",
-    "in-loop-deadlock-2": "a7632928619f014384a352e8f5f6c759ad2fb4ab8f355577070298f707eaa59f",
-    "in-loop-deadlock-3": "2bf612cf6f7bf55d7d6957911bf019cce98264159bee823fe0baa06aafea7164",
-    "incast-backpressure-1": "ce66ae91e4393a2470c547e327588b02a4009add4a110fbc3e8b8007a80a0d85",
-    "incast-backpressure-2": "d3c7d45f827b36e619cabcd098b9dc94cd9f286f2e4405766d513405af60b16e",
-    "incast-backpressure-3": "eb5cd672be668afcc8b4a74736b48d400e6f0a011e6b8556412553cb026c623e",
-    "lordma-attack-1": "037be4bdf4ea62f89b8194aa64d72816e69f156a351bf91e6d12ce1e42f82da7",
-    "lordma-attack-2": "1b45f9f380b071d9e9a92bbf8c4701490c21f2216c8ea477afc83e40832cec99",
-    "lordma-attack-3": "0da6a9c1ea89cefafd9f00aad679d045046c170db1e2fea8eb5e7ec6070bf1dd",
-    "normal-contention-1": "60f71a93c46941a394484114340abd8209140236ba5567e897a3537f6b160539",
-    "normal-contention-2": "37216903cf90237376622e075cc2a8e016359175e7ac82eaff094aad326f2706",
-    "normal-contention-3": "78937677a6e17d0712a43a85e216d776568fe2fe20e83e7b347d25af4eac27fb",
-    "out-of-loop-deadlock-1": "4f09d666f04f0020f12141ce09acd35d16b2f0182abfbc95b400843e0a0457e9",
-    "out-of-loop-deadlock-2": "25babe95bf93b6a55cd30496b8f6473cb4e89c959ce7e2e02abd8fb09376feb1",
-    "out-of-loop-deadlock-3": "9a8dee408bfc0c080772808dd29654dacd0b8f95da2dbb202c2313836eb69ad8",
-    "out-of-loop-deadlock-cont-1": "1cf145d4d27b91104ab1548973b45e526ba37ac6b3b6865b413d87e78af4e937",
-    "out-of-loop-deadlock-cont-2": "b463062d5eeafea08c3fb114ae98aa8560c92f59cedfcbb8aa02b6b28eb6dfea",
-    "out-of-loop-deadlock-cont-3": "ee435b16f5e54d2ccf87866e0375021ee218a9534ed65cbfbc4071bf1a0c85cd",
-    "pfc-storm-1": "51dc56d6bc1b55b48a348468e4365a6e2c5faa85bb9b43e738fee72e8ff0affe",
-    "pfc-storm-2": "aea2fba4d6f7c2ed5869d56325be354fd2a48403b10431917abfb3f945b913c7",
-    "pfc-storm-3": "abb0b055b2be6a6e992bf813f62e176c9ad52a24a43f396c42f0e7b15f3773ce",
-    "random-genome-0": "08c2d7739c9572f331146c39dab712943c7e1cde27a74b9f193bed1f30c15cac",
-    "random-genome-1": "fd5bf89abec4245a663a4f71adc39bb2f9f4e0c800c4506c3a5f8a46ef0563fa",
-    "random-genome-10": "e9200485bba205fecff3fc49637801c6e1afbb9b15a9879fc212109eba18dfd3",
-    "random-genome-11": "bd9b18f04430f9265744540e5661b8f8e12615eccc4151708ee074d8ac09d6b9",
-    "random-genome-12": "4e8d27b60fb6dab94cc9a22ea163ac36ee31a9fcffea6cf573588e8c5745c430",
-    "random-genome-13": "27d23759be375284632ec66d0be16c8a31127fc28713111d74d177c46e9af3da",
-    "random-genome-14": "f0d8d3929b87307fec43a7019115314b7f018f7f25f97d71e72754f329e50be4",
-    "random-genome-15": "c66c16297c96c0b746ca2362c30d94470c89df34ce8e7309d67da4a3c843d6c0",
-    "random-genome-16": "d6f548bbebddfb0a3bfe09bfbab95d696b419d0e986ad57ad567037cc5323e37",
-    "random-genome-17": "c19e0c54531d49c5a23572388156d4068bdaa20507150e4b81b6a61525876e8f",
-    "random-genome-18": "f32adf7535dbdeb12317cde09583751946803ece033a32f0d11cc114bde6731d",
-    "random-genome-19": "b4084d61edbbf809c34e2a61429bed232a43f96204c6bc9652178e99ef9fd11e",
-    "random-genome-2": "50c8d92e2d621966edb302153ec36e18e19efc02486565f41cd6559f55830a55",
-    "random-genome-3": "8aedb5aab0b147c2d8bb9274c5d519df9f7d20bf41076bd650f75141bec3e966",
-    "random-genome-4": "6ee6242813507475554bafb93dc797602b559b95a9441fcf5b6ff3bdfd0deac6",
-    "random-genome-5": "ee1ab76c43db30b8727885062d74d825dc54d05d54117eb146f739b1d97ab2da",
-    "random-genome-6": "19886a63478b008744b33fcdd12a5a3b7866a95af3ec0e6300272ae9fc2415b9",
-    "random-genome-7": "a04d5d02ff01178e252e15adf05bac1e4a825241448266fa48c4717c201cd21c",
-    "random-genome-8": "7f9514bfbcd7f7fc40ae0329946be383f7e7d59557dbcde3cb76fa7886d51dc8",
-    "random-genome-9": "12121df7712bae284b6144eccbf0ada9c8106005dc193735fd73da80e3dd9410",
-    "seed-genome-0": "c695496747f28fdbba0807e7fc7caabd9405f26f7a55fc19b79cf2a919ee2ef8",
-    "seed-genome-1": "89e2ca58d982391e5aabe6bcb157bc187cee136265cbc1c83827b9534420dcfb",
-    "seed-genome-2": "4e2d6ba034cff155d2c507572318d33edaf10289c84d27e066eae89f16bf2f4e",
-    "seed-genome-3": "114b34e115e680dc6e784aecd262f90a1af08ca0280bd2889740f16f4bf9365f",
-    "seed-genome-4": "59624f1d59cb898f6c68e76c2d79b5a65053f16a77b8d482a9ce41b562f07655",
-    "seed-genome-5": "c80487820f2a455b2d16988c4546090a6025595b8d6b59543f881e3251205549",
-    "seed-genome-6": "40695b92bc79e1a0558709c3f1902569067e36381149a082954a95ec3037e120",
+    "contention-masked-storm-1": "f2f1b4dcdbe7c865e9b6bd9f9772635de360fbcca2ba5d72517c80fc41ca96a8",
+    "contention-masked-storm-2": "6909e6c48d9cb01acc7873f5e5e574eb516eda9b8fd8b63ea81d38bbc55cf649",
+    "contention-masked-storm-3": "964fdfc4d407ffe5c5d0ef3e31962f0113b5bb20413b94fd953804f2821f111c",
+    "fleet-incast-k16-1": "b7f7975d96625a463e5fafad9ae30f7bfab7c71078f59f93a30ce2cc0cd164a7",
+    "fleet-incast-k8-1": "6925ad2a41815bf5313f2120d1e7d080661b4230d007ea7961401ae76b6484a3",
+    "fleet-incast-k8-2": "e0dbbe06c503392eebd9d340be6c1b5b956f273cd1604c1f8de810b1fbffabaa",
+    "fleet-incast-k8-3": "4b726fe86793daca87c84d430e81c838947cc0e7f0f52457ff19ee390d73004d",
+    "in-loop-deadlock-1": "e7086644204cfb49e1492de90e804b109b62e9c0d1ad8be5aec0de018537291c",
+    "in-loop-deadlock-2": "360bc3fa560aba8dae79a210e5e157670c766f6d102b47138cf4f1ad39761a34",
+    "in-loop-deadlock-3": "afe08743fb205826a8a3fc14835f9fee93049112754ee2bf3486802e6ec127da",
+    "incast-backpressure-1": "e14856a593df3e5865b3f732636c4052f503a2bd870cb2eb2f27d4e956341383",
+    "incast-backpressure-2": "b6ac14e7aa63bb4a187c89d700b03a5cad3bf22f4f89f4fdcfab506c39a795a1",
+    "incast-backpressure-3": "8ce65ab463b5f9cd546a7212886791a5c08ef3f626141bad021187b6448b6573",
+    "lordma-attack-1": "717a42da821554fa905cf5555f4e60e8b3dab253b311d531c1a939c057bcff59",
+    "lordma-attack-2": "4acfe4cd36b1288f0c3cc5e290bcd5b26fe8ee3c798aa77e769034fc8b988a54",
+    "lordma-attack-3": "6b554583a89f13d4a69bf8f502f3d167aea998fb881468f4c8a2306c9b8ea015",
+    "normal-contention-1": "8abd45209942703ce39263c76c1a0c0ed54b57b9d8d2147cedf8e8b68b0223aa",
+    "normal-contention-2": "680977589068b979e5a5c5f67c9931054599f409c3cd52358ff845ce380372e7",
+    "normal-contention-3": "9bd6bbe847b5eb7e79e4e330ccacfe5dc683142ed9f704fb4b5b3afda4dd376f",
+    "out-of-loop-deadlock-1": "ce3c968bcf18b1f7b622d534196e5333b0724d26cc725ae3bed16e00a91656ae",
+    "out-of-loop-deadlock-2": "1a11d4f8c051e317f4b8a3a2c1fd0e5fabb4ed17406fa87d055e8926a0b67959",
+    "out-of-loop-deadlock-3": "f5874ed7c756ec73608f24be0e1007b53fe87dfb8e11f8fb6a310f8c6cb3441b",
+    "out-of-loop-deadlock-cont-1": "0732211062da09fe2f7194d4fbd3cc8a55e7aba97c5957bb4dae005d061a210e",
+    "out-of-loop-deadlock-cont-2": "7664517c696bcb7f7a4b3866c0e76ab03c2526da6037025c611271373f252a84",
+    "out-of-loop-deadlock-cont-3": "2806e73ca807738257b5e0cb669150cec4ca7be6ee7e10a70331e035a8653a3b",
+    "pfc-storm-1": "8211b56bf6d7095fb6098b300cae571e4919628133abb593158430ddf3aedca1",
+    "pfc-storm-2": "2619d20895354b7ad70845ef59ab30db329a04c1fbce78511809d74cfc6c7f28",
+    "pfc-storm-3": "92338108ce376fb3b030247058fbcf6dccf67d3fe6b3ea62e66c1aefd3d5e688",
+    "random-genome-0": "90b27b37467e74236403d7e0c47f2277d72e662b7c0187acea9da9c54b0bcaf1",
+    "random-genome-1": "f16fd0126d84a2fd3d906c004ca141dfce68b862541556f976ca3b21aa2bc0ba",
+    "random-genome-10": "155d30839afa842be29fa7a8b25ed8662b323b5c2e707e58c5509b77dab38af9",
+    "random-genome-11": "90d39f560df89138f2de54e49ecbe742ab7ae391158ec4c99a9395f8e9b8a3d2",
+    "random-genome-12": "ce92bef3791cb3367ece94e9ca5b96b8cddb49ab6c4d7ebfbcf830987a72ef0a",
+    "random-genome-13": "8252242c589712b39a263c05a7bb52870c3d4dffb30736ac96af0bbad7f0faf5",
+    "random-genome-14": "d9736bf7eb36053c59a698bd725896ef8b28f593ae4b9c952f49c5f2ec70d2dd",
+    "random-genome-15": "2c5007d3c3321e10f600afcb00707c79bb10a094138a8a155cc33c4222fc3af5",
+    "random-genome-16": "fd97864f34158278185467cccb3102f10c4ac9effbf7b454bdd12a67446e2464",
+    "random-genome-17": "a9ebfa95f3bec5d32575c4c463076e827c147bbff483b471e417a4748bccfe35",
+    "random-genome-18": "6704106817736fb790debbd3220cf25c7a7d75bcfcc83c4aa3ab5a564e6db53f",
+    "random-genome-19": "0d6229243216fddeac7d726564583bc55c85560a1f10a33a74dd5248837838e6",
+    "random-genome-2": "012a230f350afa494c9e3feef8f64d60407ec8c4359e27b632419a508db327c1",
+    "random-genome-3": "82d52695c16430ee5c8c7712f98a60a4f9f56ae16780772a15ccd286f4153d7f",
+    "random-genome-4": "97c9b6df47c40d0c1d56dbb7e31aa956697a210a99e1b0d15fa5128a820ed44a",
+    "random-genome-5": "b499c17139b602b27a260767ba46af339771a91d5b5a04eab4d29242b439b585",
+    "random-genome-6": "0a5d6ba2f6f34f4f3c04e76fd5b37044e7cf946d6d1a701c008015c5f7754bb4",
+    "random-genome-7": "d942557f021b5b28183e3decce2976fa4f6126b797d8a8f950c58d78eca54225",
+    "random-genome-8": "6c5163372b9e80ce753ac37ba8a39889ec7e558e5f284fcfe1ab56f49e7c2179",
+    "random-genome-9": "01d9e8eca6d840b52c05d1c4608a18f3c370f99ada057fc0658631e4c00ff984",
+    "seed-genome-0": "36ae11394f6cc52399a7814e5a6ad97695fffef5761f74b3899e2d8313a609b7",
+    "seed-genome-1": "f525196cdefd6357ca77cda5ec646cced5a26da79aefcde5867a42a3fd06288d",
+    "seed-genome-2": "d64edec419840243abc512ab840d11a2b74d8800333e081e714ed1d9c7277eda",
+    "seed-genome-3": "7dbebfec5e8dfc6f4f7f3e716efcdc441016e44917ca171710bd7abb6da04903",
+    "seed-genome-4": "dd56ad3ed403f067ca46d0a586c87348b12f5b1b1844bd3290b144de71d3cf4e",
+    "seed-genome-5": "5bb1d824cdea7cf0be0b5efebbbaf93a248158b496ebee9c1f8a59267c53d9da",
+    "seed-genome-6": "0d8847f3b3bb6abbd8a02d3a17bdc966bd638ab87d40c1c063622d0cd1586c6f",
 }
 
 
@@ -106,6 +107,7 @@ CASES = dict(_cases())
 def schedule_digest(scenario) -> str:
     net = scenario.network
     sim = net.sim
+    pfc, ecn = net.config.pfc, net.config.ecn
     record = (
         [
             (f.key, f.src_host, f.dst_host, f.size, f.start_time, f.max_rate)
@@ -116,8 +118,15 @@ def schedule_digest(scenario) -> str:
         scenario.name,
         scenario.description,
         scenario.duration_ns,
-        net.config.pfc,
-        net.config.ecn,
+        # The thresholds by name and value: a field added to or dropped
+        # from ``PfcConfig``/``EcnConfig`` moves no digest.
+        (
+            ("xoff_bytes", pfc.xoff_bytes),
+            ("xon_bytes", pfc.xon_bytes),
+            ("kmin_bytes", ecn.kmin_bytes),
+            ("kmax_bytes", ecn.kmax_bytes),
+            ("ECN_PMAX", ECN_PMAX),
+        ),
         sim.counters(),
         # The queue itself has no public view: (time, entries) per slot.
         sorted((t, len(slot)) for t, slot in sim._slots.items()),

@@ -49,13 +49,6 @@ class EcnConfig:
     kmin_bytes: int = 40 * KB
     kmax_bytes: int = 160 * KB
 
-    def __repr__(self) -> str:
-        # The whole marking curve, its fixed ``pmax`` included.
-        return (
-            f"EcnConfig(kmin_bytes={self.kmin_bytes!r}, "
-            f"kmax_bytes={self.kmax_bytes!r}, pmax={ECN_PMAX!r})"
-        )
-
     def mark_probability(self, queue_bytes: int) -> float:
         if queue_bytes <= self.kmin_bytes:
             return 0.0

@@ -17,6 +17,9 @@ simulated data plane):
    local flow contention), and host-facing paused ports terminate it too
    (host PFC injection).
 
+Both answers come from one ``snapshot`` at the packet's arrival: the
+register read the switch CPU's collection makes too.
+
 Per-switch dedup on (victim, flag, ingress) bounds the trace and ends the
 walk around deadlock loops after one full cycle.
 """
@@ -30,6 +33,7 @@ from ..sim.network import Network
 from ..sim.packet import Packet, PollingFlag
 from ..sim.switch import Switch
 from ..telemetry.hawkeye import HawkeyeDeployment
+from ..telemetry.snapshot import SwitchReport
 from ..units import msec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -130,6 +134,7 @@ class PollingEngine:
             fn(switch.name, pkt, now)
 
         outputs: List[Tuple[int, PollingFlag]] = []
+        report = None  # the one register read, taken when a question needs it
 
         if flag.traces_victim_path:
             if not self._suppressed(switch.name, victim, "victim", None, now):
@@ -137,19 +142,21 @@ class PollingEngine:
                     switch.name, victim.dst_ip, victim
                 )
                 out_flag = PollingFlag.VICTIM_PATH
-                if self.config.trace_pfc and telem.flow_paused_num(victim, now) > 0:
-                    # Victim is PFC-paused here: the downstream switch (from
-                    # which the PAUSE frames came) must analyze causality.
-                    out_flag = PollingFlag.BOTH
+                if self.config.trace_pfc:
+                    report = telem.snapshot(now)
+                    if report.flow_paused_count(victim) > 0:
+                        # Victim is PFC-paused here: the downstream switch (from
+                        # which the PAUSE frames came) must analyze causality.
+                        out_flag = PollingFlag.BOTH
                 if not switch.ports[egress].peer_is_host:
                     outputs.append((egress, out_flag))
                 # Destination ToR reached: victim-path tracing terminates.
 
         if flag.traces_pfc:
             if not self._suppressed(switch.name, victim, "pfc", ingress_port, now):
-                outputs.extend(
-                    self._causality_multicast(switch, telem, victim, ingress_port, now)
-                )
+                if report is None:
+                    report = telem.snapshot(now)
+                outputs.extend(self._causality_multicast(switch, report, ingress_port))
 
         self.polling_packets_forwarded += len(outputs)
         if outputs and self._obs is not None:
@@ -157,18 +164,21 @@ class PollingEngine:
         return outputs
 
     def _causality_multicast(
-        self, switch: Switch, telem, victim, ingress_port: int, now: int
+        self, switch: Switch, report: SwitchReport, ingress_port: int
     ) -> List[Tuple[int, PollingFlag]]:
         """Figure 6: multicast to the causally relevant egress ports only."""
         outputs: List[Tuple[int, PollingFlag]] = []
+        meters = report.agg_meters()
+        ports = report.agg_ports()
+        status = report.port_status
         for port_no, port in switch.ports.items():
-            if self.config.use_meters:
-                volume = telem.meter_volume(ingress_port, port_no, now)
-                if volume <= 0:
-                    continue  # this egress does not feed the complaining ingress
-            # paused packets, asserted status register, or PAUSE frames seen
-            # — one batched walk over the live epoch banks.
-            paused = telem.port_pause_evidence(port_no, now)
+            if self.config.use_meters and meters.get((ingress_port, port_no), 0) <= 0:
+                continue  # this egress does not feed the complaining ingress
+            # asserted status register, paused packets, or PAUSE frames seen
+            entry = ports.get(port_no)
+            paused = status.get(port_no, 0) > 0 or (
+                entry is not None and (entry.paused_count > 0 or entry.pause_rx_count > 0)
+            )
             if not paused:
                 # Neither paused packets nor an asserted PFC status: the
                 # buildup here is local flow contention — the initial

@@ -10,6 +10,10 @@ switch as a :class:`~repro.sim.switch.SwitchObserver` and maintains, in the
 - per-port PFC status registers (paused flag + remaining pause time),
   updated when PAUSE/RESUME frames are passed into the pipeline.
 
+:meth:`HawkeyeSwitchTelemetry.snapshot` is the one read of these registers:
+the polling packet's causality check and the CPU's collection share its
+flush and memo.
+
 Unlike the eager per-packet model kept as the test oracle
 (``tests/telemetry/reference.py``), the port counters and meters here are
 stored the way the Tofino stores them: as flat ``array('q')`` columns
@@ -21,7 +25,7 @@ further hardware-modeling choices make the per-packet cost nearly free:
 
 **Batched pending queue.**  On real hardware the register *writes* happen
 at line rate in the match-action pipeline and cost the CPU nothing; only
-*reads* (polls, snapshots) involve the switch CPU.  We model this by having
+*reads* (snapshots) involve the switch CPU.  We model this by having
 the enqueue hook append one small tuple to the epoch's pending queue and
 defer all register arithmetic to the first CPU-visible *read* of that
 epoch.  An epoch that is overwritten by ring wrap-around before any read
@@ -30,8 +34,8 @@ hardware ring has, at none of the cost.
 
 **Lazy memoized materialization.**  :class:`~repro.telemetry.records.EpochData`
 (with its :class:`FlowEntry`/:class:`PortEntry` objects) is only built when
-a snapshot or query needs it, and is memoized per ``(epoch, version)`` so
-repeated collector/poller reads of an idle epoch are O(1).  Whole snapshots
+a snapshot needs it, and is memoized per ``(epoch, version)`` so repeated
+reads of an idle epoch are O(1).  Whole snapshots
 are additionally memoized on the live-bank list (itself memoized until time
 advances or a bank is reset) and the switch's register write generation, so
 a re-read of an unchanged window is two identity checks.
@@ -156,8 +160,9 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         self._key_of: Dict[FlowKey, int] = {}
         self._keys: List[FlowKey] = []
         self._key_slot: List[int] = []
-        # Port count P, captured from the switch on the first hook call;
-        # sizes the per-port columns and the flat P*P meter array.
+        # Port count P, captured from the switch on the first hook call and
+        # fixed from then on; sizes the per-port columns and the flat P*P
+        # meter array.
         self._num_ports: Optional[int] = None
         # Port PFC status registers: port -> pause expiry timestamp (ns).
         self._pause_until: Dict[int, int] = {}
@@ -274,43 +279,13 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         self._reset_gen += 1
 
     def _allocate(self, bank: _EpochBank) -> None:
-        num_ports = self._num_ports or 1
+        num_ports = self._num_ports
         port_zeros = bytes(8 * num_ports)
         bank.port_pkt = array("q", port_zeros)
         bank.port_paused = array("q", port_zeros)
         bank.port_qdepth = array("q", port_zeros)
         bank.port_pause_rx = array("q", port_zeros)
         bank.meter = array("q", bytes(8 * num_ports * num_ports))
-
-    def _grow_ports(self, new_num_ports: int) -> None:
-        """Grow the per-port and meter columns of every allocated bank.
-
-        Only reachable when telemetry is driven directly (tests) with port
-        numbers beyond the switch's initial port map; real switches have a
-        fixed port count.  Meter entries are remapped from the old flat
-        index base to the new one.
-        """
-        old = self._num_ports or 1
-        self._num_ports = new_num_ports
-        for bank in self._banks:
-            if bank.port_pkt is None:
-                continue
-            pad = array("q", bytes(8 * (new_num_ports - len(bank.port_pkt))))
-            bank.port_pkt.extend(pad)
-            bank.port_paused.extend(pad)
-            bank.port_qdepth.extend(pad)
-            bank.port_pause_rx.extend(pad)
-            new_meter = array("q", bytes(8 * new_num_ports * new_num_ports))
-            new_touched = []
-            for mi in bank.meter_touched:
-                ingress, egress = divmod(mi, old)
-                new_mi = ingress * new_num_ports + egress
-                new_meter[new_mi] = bank.meter[mi]
-                new_touched.append(new_mi)
-            bank.meter = new_meter
-            bank.meter_touched = new_touched
-            bank.version += 1
-            self._writes += 1
 
     def _flush(self, bank: _EpochBank) -> None:
         """Drain the pending queue into the registers, in order."""
@@ -319,7 +294,7 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
             return
         if bank.port_pkt is None:
             self._allocate(bank)
-        num_ports = self._num_ports  # type: ignore[assignment]
+        num_ports = self._num_ports
         key_of_get = self._key_of.get
         key_of = self._key_of
         keys = self._keys
@@ -340,29 +315,11 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
             flow = ev[0]
             if flow is None:
                 port = ev[1]
-                if port >= num_ports:
-                    self._grow_ports(port + 1)
-                    num_ports = self._num_ports
-                    port_pkt = bank.port_pkt
-                    port_paused_arr = bank.port_paused
-                    port_qdepth = bank.port_qdepth
-                    port_pause_rx = bank.port_pause_rx
-                    meter = bank.meter
-                    meter_touched = bank.meter_touched
                 if port_pkt[port] == 0 and port_pause_rx[port] == 0:
                     port_touched.append(port)
                 port_pause_rx[port] += 1
                 continue
             _, egress, ingress, qdepth, size, paused = ev
-            if egress >= num_ports or (ingress is not None and ingress >= num_ports):
-                self._grow_ports(max(egress, ingress if ingress is not None else 0) + 1)
-                num_ports = self._num_ports
-                port_pkt = bank.port_pkt
-                port_paused_arr = bank.port_paused
-                port_qdepth = bank.port_qdepth
-                port_pause_rx = bank.port_pause_rx
-                meter = bank.meter
-                meter_touched = bank.meter_touched
             kid = key_of_get(flow)
             if kid is None:
                 kid = len(keys)
@@ -401,34 +358,24 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         bank.version += 1
         self._writes += 1
 
-    def _live_banks(self, now_ns: int, lookback: int) -> List[_EpochBank]:
-        """The most recent ``lookback`` epochs still present in the ring.
+    def _live_banks(self, now_ns: int) -> List[_EpochBank]:
+        """The epochs still present in the ring, no newer than ``now``.
 
         Hardware semantics: registers are reset lazily, on the first *write*
         of a newer epoch — so an epoch that saw the last traffic before the
         network froze (e.g. a forming deadlock) stays readable indefinitely.
-        The CPU reads whatever the ring holds; we return the newest
-        ``lookback`` retained epochs no older than ``now``, oldest first.
-        Membership is memoized until time advances or a bank is reset.
+        The CPU reads whatever the ring holds, oldest first.  Membership is
+        memoized until time advances or a bank is reset.
         """
         now_number = now_ns >> self._shift
-        if lookback > self._num_epochs:
-            lookback = self._num_epochs
         cached = self._live_cache
-        if (
-            cached is not None
-            and cached[0] == now_number
-            and cached[1] == lookback
-            and cached[2] == self._reset_gen
-        ):
-            return cached[3]
+        if cached is not None and cached[0] == now_number and cached[1] == self._reset_gen:
+            return cached[2]
         banks = sorted(
             (b for b in self._banks if 0 <= b.epoch_number <= now_number),
             key=lambda b: b.epoch_number,
         )
-        if lookback < len(banks):
-            banks = banks[len(banks) - lookback :]
-        self._live_cache = (now_number, lookback, self._reset_gen, banks)
+        self._live_cache = (now_number, self._reset_gen, banks)
         return banks
 
     def _materialize(self, bank: _EpochBank) -> EpochData:
@@ -504,102 +451,10 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
                 self._flush(bank)
         return self.evictions_flushed
 
-    # -- line-rate queries (used by the in-data-plane causality analysis) ----------
+    # -- the one read (polling and collection) ---------------------------------------
 
-    def port_paused_num(self, port: int, now_ns: int, lookback: Optional[int] = None) -> int:
-        """Paused-packet count at an egress port over recent epochs."""
-        lookback = lookback if lookback is not None else self._num_epochs
-        total = 0
-        for bank in self._live_banks(now_ns, lookback):
-            if bank.pending:
-                self._flush(bank)
-            arr = bank.port_paused
-            if arr is not None and port < len(arr):
-                total += arr[port]
-        return total
-
-    def flow_paused_num(self, key: FlowKey, now_ns: int, lookback: Optional[int] = None) -> int:
-        """Paused-packet count for one flow over recent epochs (all its slots)."""
-        lookback = lookback if lookback is not None else self._num_epochs
-        total = 0
-        for bank in self._live_banks(now_ns, lookback):
-            if bank.pending:
-                self._flush(bank)
-        kid = self._key_of.get(key)  # interning happens at flush time
-        if kid is None:
-            return 0
-        slot = self._key_slot[kid]
-        for bank in self._live_banks(now_ns, lookback):
-            entry = bank.table.get(slot)
-            if entry is not None and entry[0] == kid:
-                total += entry[3]
-            for ev in bank.evicted:
-                if ev[0] == kid:
-                    total += ev[3]
-        return total
-
-    def meter_volume(
-        self, ingress_port: int, egress_port: int, now_ns: int, lookback: Optional[int] = None
-    ) -> int:
-        """Causality meter volume from ``ingress_port`` to ``egress_port``."""
-        lookback = lookback if lookback is not None else self._num_epochs
-        total = 0
-        num_ports = self._num_ports
-        for bank in self._live_banks(now_ns, lookback):
-            if bank.pending:
-                self._flush(bank)
-                num_ports = self._num_ports
-            if (
-                bank.meter is not None
-                and ingress_port < num_ports
-                and egress_port < num_ports
-            ):
-                total += bank.meter[ingress_port * num_ports + egress_port]
-        return total
-
-    def port_pause_rx(self, port: int, now_ns: int, lookback: Optional[int] = None) -> int:
-        """PAUSE frames received at ``port`` over recent epochs."""
-        lookback = lookback if lookback is not None else self._num_epochs
-        total = 0
-        for bank in self._live_banks(now_ns, lookback):
-            if bank.pending:
-                self._flush(bank)
-            arr = bank.port_pause_rx
-            if arr is not None and port < len(arr):
-                total += arr[port]
-        return total
-
-    def port_is_paused(self, port: int, now_ns: int) -> bool:
-        return self._pause_until.get(port, 0) > now_ns
-
-    def remaining_pause_ns(self, port: int, now_ns: int) -> int:
-        return max(0, self._pause_until.get(port, 0) - now_ns)
-
-    def port_pause_evidence(
-        self, port: int, now_ns: int, lookback: Optional[int] = None
-    ) -> bool:
-        """Any PFC evidence at ``port``: paused enqueues, an asserted status
-        register, or PAUSE frames received during the retained epochs.
-
-        Equivalent to ``port_paused_num() > 0 or port_is_paused() or
-        port_pause_rx() > 0`` but walks the live banks once.
-        """
-        if self._pause_until.get(port, 0) > now_ns:
-            return True
-        lookback = lookback if lookback is not None else self._num_epochs
-        for bank in self._live_banks(now_ns, lookback):
-            if bank.pending:
-                self._flush(bank)
-            paused = bank.port_paused
-            if paused is not None and port < len(paused):
-                if paused[port] > 0 or bank.port_pause_rx[port] > 0:
-                    return True
-        return False
-
-    # -- collection -----------------------------------------------------------------
-
-    def snapshot(self, now_ns: int, lookback: Optional[int] = None) -> SwitchReport:
-        """Materialize the recent epochs as a report (what the CPU reads).
+    def snapshot(self, now_ns: int) -> SwitchReport:
+        """Materialize the live epochs as a report: the one register read.
 
         Evicted flow entries were already "stored at the controller" when
         they were displaced, so they are merged back into their epoch here.
@@ -609,7 +464,7 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         generation moves with every register write, so a re-read of an
         idle window is O(1).
         """
-        live = self._live_banks(now_ns, self._num_epochs if lookback is None else lookback)
+        live = self._live_banks(now_ns)
         for bank in live:
             if bank.pending:
                 self._flush(bank)

@@ -6,8 +6,8 @@ plane: every data-packet enqueue allocates/updates :class:`FlowEntry` /
 dense list of ``flow_slots`` entries.  It is kept, outside the package, as
 the **authoritative semantic reference** for the register plane in
 :mod:`repro.telemetry.hawkeye`: the differential property tests feed
-identical packet streams to both and require equal snapshots, queries and
-register orderings (eviction order, XOR match, wrap-around).
+identical packet streams to both and require equal snapshots, reader answers
+and register orderings (eviction order, XOR match, wrap-around).
 
 Keep this implementation boring and obviously correct; optimizations go in
 :mod:`repro.telemetry.hawkeye`.
@@ -134,31 +134,27 @@ class ReferenceSwitchTelemetry(SwitchObserver):
             reg.reset(number)  # ring wrap-around: newer epoch ID resets registers
         return reg
 
-    def _live_epochs(self, now_ns: int, lookback: int) -> List[_EpochRegisters]:
+    def _live_epochs(self, now_ns: int) -> List[_EpochRegisters]:
         now_number = self.scheme.epoch_number(now_ns)
-        retained = sorted(
+        return sorted(
             (reg for reg in self._rings if 0 <= reg.epoch_number <= now_number),
-            key=lambda reg: -reg.epoch_number,
+            key=lambda reg: reg.epoch_number,
         )
-        lookback = min(lookback, self.scheme.num_epochs)
-        return retained[:lookback]
 
-    # -- line-rate queries ---------------------------------------------------------
+    # -- per-register readers (what the columnar plane's snapshot must give) -------
 
-    def port_paused_num(self, port: int, now_ns: int, lookback: Optional[int] = None) -> int:
-        lookback = lookback if lookback is not None else self.scheme.num_epochs
+    def port_paused_num(self, port: int, now_ns: int) -> int:
         total = 0
-        for reg in self._live_epochs(now_ns, lookback):
+        for reg in self._live_epochs(now_ns):
             entry = reg.ports.get(port)
             if entry is not None:
                 total += entry.paused_count
         return total
 
-    def flow_paused_num(self, key: FlowKey, now_ns: int, lookback: Optional[int] = None) -> int:
-        lookback = lookback if lookback is not None else self.scheme.num_epochs
+    def flow_paused_num(self, key: FlowKey, now_ns: int) -> int:
         total = 0
         slot_idx = key.stable_hash() % self.config.flow_slots
-        for reg in self._live_epochs(now_ns, lookback):
+        for reg in self._live_epochs(now_ns):
             entry = reg.slots[slot_idx]
             if entry is not None and entry.key == key:
                 total += entry.paused_count
@@ -167,19 +163,15 @@ class ReferenceSwitchTelemetry(SwitchObserver):
                     total += evicted.paused_count
         return total
 
-    def meter_volume(
-        self, ingress_port: int, egress_port: int, now_ns: int, lookback: Optional[int] = None
-    ) -> int:
-        lookback = lookback if lookback is not None else self.scheme.num_epochs
+    def meter_volume(self, ingress_port: int, egress_port: int, now_ns: int) -> int:
         total = 0
-        for reg in self._live_epochs(now_ns, lookback):
+        for reg in self._live_epochs(now_ns):
             total += reg.meters.get((ingress_port, egress_port), 0)
         return total
 
-    def port_pause_rx(self, port: int, now_ns: int, lookback: Optional[int] = None) -> int:
-        lookback = lookback if lookback is not None else self.scheme.num_epochs
+    def port_pause_rx(self, port: int, now_ns: int) -> int:
         total = 0
-        for reg in self._live_epochs(now_ns, lookback):
+        for reg in self._live_epochs(now_ns):
             entry = reg.ports.get(port)
             if entry is not None:
                 total += entry.pause_rx_count
@@ -191,23 +183,20 @@ class ReferenceSwitchTelemetry(SwitchObserver):
     def remaining_pause_ns(self, port: int, now_ns: int) -> int:
         return max(0, self._pause_until.get(port, 0) - now_ns)
 
-    def port_pause_evidence(
-        self, port: int, now_ns: int, lookback: Optional[int] = None
-    ) -> bool:
+    def port_pause_evidence(self, port: int, now_ns: int) -> bool:
         """Any PFC evidence at ``port``: paused enqueues, an asserted status
         register, or PAUSE frames received during the retained epochs."""
         return (
-            self.port_paused_num(port, now_ns, lookback) > 0
+            self.port_paused_num(port, now_ns) > 0
             or self.port_is_paused(port, now_ns)
-            or self.port_pause_rx(port, now_ns, lookback) > 0
+            or self.port_pause_rx(port, now_ns) > 0
         )
 
     # -- collection -----------------------------------------------------------------
 
-    def snapshot(self, now_ns: int, lookback: Optional[int] = None) -> SwitchReport:
-        lookback = lookback if lookback is not None else self.scheme.num_epochs
+    def snapshot(self, now_ns: int) -> SwitchReport:
         report = SwitchReport(switch=self.switch_name, collect_time=now_ns)
-        for reg in sorted(self._live_epochs(now_ns, lookback), key=lambda r: r.epoch_number):
+        for reg in self._live_epochs(now_ns):
             epoch = EpochData(epoch_number=reg.epoch_number)
             for entry in list(reg.evicted) + [e for e in reg.slots if e is not None]:
                 key = (entry.key, entry.egress_port)

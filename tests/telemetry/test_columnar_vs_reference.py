@@ -3,10 +3,11 @@
 The columnar plane in :mod:`repro.telemetry.hawkeye` must be *byte-identical*
 to the retained pure-Python reference (``tests/telemetry/reference.py``):
 same snapshot contents including dict iteration orders (eviction order, slot
-order, port/meter first-touch order), same line-rate query answers, same
+order, port/meter first-touch order), the same answers to the polling
+engine's three questions as the reference's per-register readers, same
 ring wrap-around semantics.  These tests drive both implementations with
 identical randomized packet/PFC streams through the raw observer hooks and
-compare everything, interleaving queries mid-stream so pending-queue flushes
+compare everything, interleaving reads mid-stream so pending-queue flushes
 happen at arbitrary points.
 """
 
@@ -95,36 +96,42 @@ def _assert_reports_identical(got: SwitchReport, want: SwitchReport) -> None:
         assert ge.meters == we.meters
 
 
-def _assert_queries_identical(col, ref, flows, num_ports, now, scheme) -> None:
-    lookbacks = [None, 1, 2, scheme.num_epochs]
-    for lb in lookbacks:
-        for port in range(num_ports):
-            assert col.port_paused_num(port, now, lb) == ref.port_paused_num(port, now, lb)
-            assert col.port_pause_rx(port, now, lb) == ref.port_pause_rx(port, now, lb)
-            assert col.port_pause_evidence(port, now, lb) == ref.port_pause_evidence(
-                port, now, lb
-            )
-            for ingress in range(num_ports):
-                assert col.meter_volume(ingress, port, now, lb) == ref.meter_volume(
-                    ingress, port, now, lb
-                )
-        for flow in flows:
-            assert col.flow_paused_num(flow, now, lb) == ref.flow_paused_num(flow, now, lb)
+def _assert_answers_identical(col, ref, flows, num_ports, now) -> None:
+    """The polling engine's three questions, answered from ``col.snapshot``
+    as the engine answers them, equal the reference's register readers for
+    every flow, port and (ingress, egress) pair."""
+    report = col.snapshot(now)
+    meters = report.agg_meters()
+    ports = report.agg_ports()
+    status = report.port_status
     unseen = FlowKey("192.168.0.1", "192.168.0.2", 7, 7)
-    assert col.flow_paused_num(unseen, now) == ref.flow_paused_num(unseen, now) == 0
+    assert report.flow_paused_count(unseen) == ref.flow_paused_num(unseen, now) == 0
+    for flow in flows:
+        assert report.flow_paused_count(flow) == ref.flow_paused_num(flow, now)
     for port in range(num_ports):
-        assert col.port_is_paused(port, now) == ref.port_is_paused(port, now)
-        assert col.remaining_pause_ns(port, now) == ref.remaining_pause_ns(port, now)
+        for ingress in range(num_ports):
+            assert meters.get((ingress, port), 0) == ref.meter_volume(ingress, port, now)
+        entry = ports.get(port)
+        evidence = status.get(port, 0) > 0 or (
+            entry is not None and (entry.paused_count > 0 or entry.pause_rx_count > 0)
+        )
+        assert evidence == ref.port_pause_evidence(port, now)
+        assert status.get(port, 0) == ref.remaining_pause_ns(port, now)
+        if entry is not None:
+            assert entry.paused_count == ref.port_paused_num(port, now)
+            assert entry.pause_rx_count == ref.port_pause_rx(port, now)
+        else:
+            assert ref.port_paused_num(port, now) == ref.port_pause_rx(port, now) == 0
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("flow_slots", [1, 2, 8])
 def test_randomized_streams_match(seed, flow_slots):
-    """Same stream in, identical registers out — snapshots, orders, queries.
+    """Same stream in, identical registers out — snapshots, orders, answers.
 
     Small ``flow_slots`` forces hash collisions and evictions; the time
     steps push the stream through many ring wrap-arounds (the scheme keeps
-    only 4 epochs); queries are interleaved so the columnar plane's pending
+    only 4 epochs); reads are interleaved so the columnar plane's pending
     queues flush at arbitrary stream positions.
     """
     num_ports = 4
@@ -142,11 +149,10 @@ def test_randomized_streams_match(seed, flow_slots):
         _apply(ref, switch, event)
         if i in check_at:
             _assert_reports_identical(col.snapshot(now), ref.snapshot(now))
-            _assert_queries_identical(col, ref, flows, num_ports, now, scheme)
+            _assert_answers_identical(col, ref, flows, num_ports, now)
     assert col.pause_frames_seen == ref.pause_frames_seen
-    _assert_queries_identical(col, ref, flows, num_ports, now, scheme)
-    for lb in (None, 1, 3):
-        _assert_reports_identical(col.snapshot(now, lb), ref.snapshot(now, lb))
+    _assert_answers_identical(col, ref, flows, num_ports, now)
+    _assert_reports_identical(col.snapshot(now), ref.snapshot(now))
     # Evictions in epochs that were overwritten before any read are invisible
     # to the columnar plane (documented deviation); never overcounted.
     assert col.evictions <= ref.evictions
@@ -214,26 +220,6 @@ def test_snapshot_cache_serves_repeated_reads():
     _assert_reports_identical(second, ref.snapshot(now))
 
 
-def test_grow_ports_remaps_meters():
-    """Port numbers beyond the initial map grow the columns; meters remap."""
-    col, ref, scheme = _make_pair(flow_slots=8)
-    small_switch = _StubSwitch(2)  # first hook call captures num_ports = 2
-    big_switch = _StubSwitch(6)
-    flow = FlowKey("10.0.0.1", "10.0.1.1", 1000, 4791)
-    t = 1 << 14
-    for telem in (col, ref):
-        _apply(telem, small_switch, ("data", t, flow, 1, 0, 3, 1024, True))
-        _apply(telem, small_switch, ("pfc", t + 10, 1, 0xFF))
-        # Egress/ingress 5 exceed the captured port count: _grow_ports path.
-        _apply(telem, big_switch, ("data", t + 20, flow, 5, 3, 1, 64, False))
-        _apply(telem, big_switch, ("pfc", t + 30, 4, 0xFFFF))
-    now = t + 40
-    _assert_reports_identical(col.snapshot(now), ref.snapshot(now))
-    assert col.meter_volume(0, 1, now) == ref.meter_volume(0, 1, now) == 1024
-    assert col.meter_volume(3, 5, now) == ref.meter_volume(3, 5, now) == 64
-    assert col.port_pause_rx(4, now) == ref.port_pause_rx(4, now) == 1
-
-
 def _evicted_by_epoch(col, ref):
     keys = col._keys
     got = {
@@ -264,7 +250,7 @@ def _evicted_by_epoch(col, ref):
 @pytest.mark.parametrize("flow_slots", [1, 8, 4096])
 def test_long_epochs_match_reference(seed, flow_slots):
     """Long epochs and rare reads: each flush drains hundreds of events
-    at once, and snapshots, queries and the per-epoch eviction order still
+    at once, and snapshots, answers and the per-epoch eviction order still
     equal the eager reference's, from all-colliding to collision-free."""
     num_ports = 4
     scheme = EpochScheme(shift=13)  # 8 us epochs, a ring of 4
@@ -295,7 +281,7 @@ def test_long_epochs_match_reference(seed, flow_slots):
         if i in check_at:
             _assert_reports_identical(col.snapshot(now), ref.snapshot(now))
     _assert_reports_identical(col.snapshot(now), ref.snapshot(now))
-    _assert_queries_identical(col, ref, flows, num_ports, now, scheme)
+    _assert_answers_identical(col, ref, flows, num_ports, now)
     got, want = _evicted_by_epoch(col, ref)
     assert got == want
     if flow_slots < len(flows):

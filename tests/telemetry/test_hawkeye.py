@@ -58,7 +58,7 @@ class TestFlowTable:
         total = sum(e.pkt_count for e in entries.values())
         assert total == 20
 
-    def test_flow_paused_num_query(self, tiny_net):
+    def test_paused_packets_counted_per_flow(self, tiny_net):
         dep = HawkeyeDeployment(tiny_net)
         sw = tiny_net.switch("SW")
         port = tiny_net.topology.attachment_of("B").port
@@ -66,8 +66,8 @@ class TestFlowTable:
         flow = tiny_net.make_flow("A", "B", 20 * KB, usec(1))
         tiny_net.start_flow(flow)
         tiny_net.run(usec(100))
-        telem = dep.for_switch("SW")
-        assert telem.flow_paused_num(flow.key, tiny_net.sim.now) > 0
+        rep = dep.for_switch("SW").snapshot(tiny_net.sim.now)
+        assert rep.flow_paused_count(flow.key) > 0
 
 
 class TestPortTelemetry:
@@ -86,23 +86,23 @@ class TestPortTelemetry:
         flow = tiny_net.make_flow("A", "B", 20 * KB, usec(1))
         tiny_net.start_flow(flow)
         tiny_net.run(usec(100))
-        telem = dep.for_switch("SW")
-        assert telem.port_paused_num(port, tiny_net.sim.now) > 0
+        rep = dep.for_switch("SW").snapshot(tiny_net.sim.now)
+        assert rep.agg_ports()[port].paused_count > 0
 
 
 class TestCausalityStructure:
     def test_meter_records_port_pair_volume(self, tiny_net):
         dep, flow = run_tiny_flow(tiny_net)
-        telem = dep.for_switch("SW")
+        rep = dep.for_switch("SW").snapshot(tiny_net.sim.now)
         ingress = tiny_net.topology.attachment_of("A").port
         egress = tiny_net.topology.attachment_of("B").port
-        assert telem.meter_volume(ingress, egress, tiny_net.sim.now) == 20 * KB
+        assert rep.agg_meters()[(ingress, egress)] == 20 * KB
 
     def test_meter_zero_for_unused_pair(self, tiny_net):
         dep, flow = run_tiny_flow(tiny_net)
-        telem = dep.for_switch("SW")
+        rep = dep.for_switch("SW").snapshot(tiny_net.sim.now)
         egress = tiny_net.topology.attachment_of("B").port
-        assert telem.meter_volume(egress, egress, tiny_net.sim.now) == 0
+        assert (egress, egress) not in rep.agg_meters()
 
     def test_port_status_register_tracks_pause(self, tiny_net):
         dep = HawkeyeDeployment(tiny_net)
@@ -110,8 +110,7 @@ class TestCausalityStructure:
         telem = dep.for_switch("SW")
         port = tiny_net.topology.attachment_of("B").port
         sw.receive(Packet.pfc(DATA_PRIORITY, 0xFFFF, 0), port)
-        assert telem.port_is_paused(port, tiny_net.sim.now)
-        assert telem.remaining_pause_ns(port, tiny_net.sim.now) > 0
+        assert telem.snapshot(tiny_net.sim.now).port_status[port] > 0
 
     def test_port_status_cleared_by_resume(self, tiny_net):
         dep = HawkeyeDeployment(tiny_net)
@@ -120,7 +119,7 @@ class TestCausalityStructure:
         port = tiny_net.topology.attachment_of("B").port
         sw.receive(Packet.pfc(DATA_PRIORITY, 0xFFFF, 0), port)
         sw.receive(Packet.pfc(DATA_PRIORITY, 0, 0), port)
-        assert not telem.port_is_paused(port, tiny_net.sim.now + 1)
+        assert telem.snapshot(tiny_net.sim.now + 1).port_status[port] == 0
 
 
 class TestEpochRing:
@@ -169,15 +168,6 @@ class TestEpochRing:
         rep = dep.for_switch("SW").snapshot(tiny_net.sim.now)
         keys = {k for e in rep.epochs for (k, _p) in e.flows}
         assert f1.key in keys
-
-    def test_snapshot_lookback_limits_epochs(self, tiny_net):
-        scheme = EpochScheme(shift=17, index_bits=2)
-        dep = HawkeyeDeployment(tiny_net, TelemetryConfig(scheme=scheme))
-        flow = tiny_net.make_flow("A", "B", 200 * KB, usec(1))
-        tiny_net.start_flow(flow)
-        tiny_net.run(usec(400))
-        telem = dep.for_switch("SW")
-        assert len(telem.snapshot(tiny_net.sim.now, lookback=1).epochs) <= 1
 
 
 class TestConfig:

@@ -1,13 +1,20 @@
 """The whole-snapshot memo: a re-read of an unchanged window is a hit, and
-anything that changes what the CPU would read — a register write, a ring
-wrap, grown port columns, another lookback — is a miss that rebuilds the
-snapshot.  Every snapshot is checked against the reference plane."""
+anything that changes what the CPU would read — a register write or a ring
+wrap — is a miss that rebuilds the snapshot.  The polling engine and the
+collector share it.  Every snapshot is checked against the reference
+plane."""
 
 import random
 
 import pytest
 
+from repro.collection import PollingEngine, TelemetryCollector
+from repro.sim import Network, Packet, PollingFlag
 from repro.sim.packet import FlowKey
+from repro.telemetry import HawkeyeDeployment
+from repro.topology import build_line
+from repro.units import KB, usec
+from tests.telemetry.reference import ReferenceSwitchTelemetry
 from tests.telemetry.test_columnar_vs_reference import (
     _apply,
     _assert_reports_identical,
@@ -28,16 +35,16 @@ class _Pair:
         self.switch = _StubSwitch(num_ports)
         self.snapshots = 0
 
-    def apply(self, event, switch=None):
+    def apply(self, event):
         for telem in (self.col, self.ref):
-            _apply(telem, switch or self.switch, event)
+            _apply(telem, self.switch, event)
 
-    def read(self, now, lookback=None):
+    def read(self, now):
         """Snapshot both planes; return True when the memo served it."""
         hits = self.col.snapshot_cache_hits
-        report = self.col.snapshot(now, lookback)
+        report = self.col.snapshot(now)
         self.snapshots += 1
-        _assert_reports_identical(report, self.ref.snapshot(now, lookback))
+        _assert_reports_identical(report, self.ref.snapshot(now))
         assert report.collect_time == now
         col = self.col
         assert col.snapshot_cache_hits + col.snapshot_cache_misses == self.snapshots
@@ -66,15 +73,6 @@ class TestSnapshotMemo:
         assert not pair.read(T0 + 30)
         assert pair.read(T0 + 30)
 
-    def test_flush_by_a_line_rate_query_misses(self):
-        pair = _Pair()
-        pair.apply(_data(T0))
-        assert not pair.read(T0 + 10)
-        pair.apply(_data(T0 + 20, egress=2))
-        # The in-data-plane analysis drains the queue before the CPU reads.
-        assert pair.col.port_paused_num(2, T0 + 25) == 0
-        assert not pair.read(T0 + 30)
-
     def test_ring_wrap_misses(self):
         pair = _Pair()
         scheme = pair.scheme
@@ -86,28 +84,6 @@ class TestSnapshotMemo:
         pair.apply(_data(later, egress=2))
         assert not pair.read(later + 10)
         assert pair.read(later + 10)
-
-    def test_grow_ports_misses(self):
-        pair = _Pair()
-        pair.apply(_data(T0), switch=_StubSwitch(2))
-        assert not pair.read(T0 + 10)
-        assert pair.read(T0 + 10)
-        # Ports beyond the captured count grow every bank's columns.
-        pair.apply(_data(T0 + 20, egress=5, ingress=3, size=64), switch=_StubSwitch(6))
-        assert not pair.read(T0 + 30)
-        assert pair.read(T0 + 30)
-
-    def test_lookback_change_misses(self):
-        pair = _Pair()
-        scheme = pair.scheme
-        for i in range(scheme.num_epochs):
-            pair.apply(_data(T0 + i * scheme.window_ns, egress=1 + i % 3))
-        now = T0 + scheme.num_epochs * scheme.window_ns - 1
-        assert not pair.read(now)
-        assert not pair.read(now, 1)
-        assert pair.read(now, 1)
-        assert not pair.read(now, 2)
-        assert not pair.read(now)
 
     def test_a_hit_hands_out_its_own_epoch_list(self):
         pair = _Pair()
@@ -128,11 +104,40 @@ class TestSnapshotMemo:
         assert report.port_status == pair.ref.snapshot(T0 + 30).port_status
         assert report.port_status[2] > 0
 
+    def test_a_polling_read_then_the_collectors_is_one_miss_then_a_hit(self):
+        """The polling engine's causality check and the CPU's collection
+        read the same snapshot: at one instant, with no write between, the
+        engine's read misses and the collector's is served by the memo."""
+        net = Network(build_line(num_switches=2, hosts_per_switch=2))
+        dep = HawkeyeDeployment(net)
+        ref = ReferenceSwitchTelemetry("SW1", dep.config)
+        net.switches["SW1"].add_observer(ref)
+        engine = PollingEngine(net, dep)
+        collector = TelemetryCollector(dep, read_delay_ns=0)
+        flow = net.make_flow("H1_0", "H2_0", 20 * KB, usec(1))
+        net.start_flow(flow)
+        net.run(usec(100))
+        now = net.sim.now
+        telem = dep.for_switch("SW1")
+        hits, misses = telem.snapshot_cache_hits, telem.snapshot_cache_misses
+        engine._handle(
+            net.switches["SW1"],
+            Packet.polling(flow.key, PollingFlag.BOTH, now),
+            net.topology.attachment_of("H1_0").port,
+        )
+        assert telem.snapshot_cache_hits == hits
+        assert telem.snapshot_cache_misses == misses + 1
+        report = collector.collect("SW1", now)
+        assert telem.snapshot_cache_hits == hits + 1
+        assert telem.snapshot_cache_misses == misses + 1
+        _assert_reports_identical(report, ref.snapshot(now))
+        assert report.agg_flows()
+
 
 @pytest.mark.parametrize("seed", range(4))
 def test_interleaved_reads_match_the_reference(seed):
-    """Random writes, repeated reads and lookbacks: every snapshot, hit or
-    miss, equals the reference's, and every read is counted once."""
+    """Random writes and repeated reads: every snapshot, hit or miss,
+    equals the reference's, and every read is counted once."""
     pair = _Pair()
     rng = random.Random(seed)
     _flows, events = _random_stream(
@@ -143,5 +148,5 @@ def test_interleaved_reads_match_the_reference(seed):
         pair.apply(event)
         for _ in range(rng.choice([0, 0, 0, 1, 3])):
             now = event[1] + rng.randrange(50)
-            hits += pair.read(now, rng.choice([None, None, 1, 2, 4]))
+            hits += pair.read(now)
     assert 0 < hits < pair.snapshots

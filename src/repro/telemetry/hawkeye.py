@@ -35,10 +35,10 @@ hardware ring has, at none of the cost.
 **Lazy memoized materialization.**  :class:`~repro.telemetry.records.EpochData`
 (with its :class:`FlowEntry`/:class:`PortEntry` objects) is only built when
 a snapshot needs it, and is memoized per ``(epoch, version)`` so repeated
-reads of an idle epoch are O(1).  Whole snapshots
-are additionally memoized on the live-bank list (itself memoized until time
-advances or a bank is reset) and the switch's register write generation, so
-a re-read of an unchanged window is two identity checks.
+reads of an idle epoch are O(1).  Whole snapshots are additionally memoized
+on the live-bank list (itself memoized until time advances or a bank is
+reset) and the switch's register write generation, so a re-read of an
+unchanged window is two identity checks.
 
 Semantics are byte-identical to the reference plane — eviction order, XOR
 match and wrap-around behavior included — except for one documented

@@ -275,6 +275,19 @@ def alpha_fixed_point(periods):
     return ALPHA_G / (1 - (1 - ALPHA_G) ** periods)
 
 
+def _n_to_one(n):
+    """``n`` long flows into ``R`` from line rate: the network and each
+    flow's sender ``DcqcnState``."""
+    senders = [f"S{i}" for i in range(n)]
+    net = _star(senders)
+    states = {}
+    for i, name in enumerate(senders):
+        flow = net.make_flow(name, "R", 10**9, 0, src_port=1000 + i)
+        net.start_flow(flow)
+        states[flow.key] = net.hosts[name].cc_state(flow.key)
+    return net, states
+
+
 class _Bottleneck(SwitchObserver):
     """The bottleneck egress: each sender's bytes and its DCQCN rate at
     every packet, the queue, the first CE mark and CNP, and every PAUSE."""
@@ -335,13 +348,7 @@ class TestFixedPoint:
     @pytest.fixture(scope="class", params=[2, 4, 8])
     def bottleneck(self, request):
         n = request.param
-        senders = [f"S{i}" for i in range(n)]
-        net = _star(senders)
-        states = {}
-        for i, name in enumerate(senders):
-            flow = net.make_flow(name, "R", 10**9, 0, src_port=1000 + i)
-            net.start_flow(flow)
-            states[flow.key] = net.hosts[name].cc_state(flow.key)
+        net, states = _n_to_one(n)
         seen = _Bottleneck(
             net.topology.attachment_of("R").port, states, self.WINDOW_START
         )
@@ -381,12 +388,7 @@ class TestFixedPoint:
 
     def test_the_observer_moves_nothing(self):
         def run(observe):
-            net = _star(["S0", "S1"])
-            states = {}
-            for i, name in enumerate(["S0", "S1"]):
-                flow = net.make_flow(name, "R", 10**9, 0, src_port=1000 + i)
-                net.start_flow(flow)
-                states[flow.key] = net.hosts[name].cc_state(flow.key)
+            net, states = _n_to_one(2)
             if observe:
                 net.add_switch_observer(
                     _Bottleneck(net.topology.attachment_of("R").port, states, 0)

@@ -18,6 +18,7 @@ import pytest
 
 from repro.sim.packet import DATA_PRIORITY, FlowKey, Packet, PacketType
 from repro.telemetry import EpochScheme, HawkeyeSwitchTelemetry, TelemetryConfig
+from repro.telemetry.records import PortEntry
 from repro.telemetry.snapshot import SwitchReport
 from tests.telemetry.reference import ReferenceSwitchTelemetry
 
@@ -111,17 +112,14 @@ def _assert_answers_identical(col, ref, flows, num_ports, now) -> None:
     for port in range(num_ports):
         for ingress in range(num_ports):
             assert meters.get((ingress, port), 0) == ref.meter_volume(ingress, port, now)
-        entry = ports.get(port)
-        evidence = status.get(port, 0) > 0 or (
-            entry is not None and (entry.paused_count > 0 or entry.pause_rx_count > 0)
+        entry = ports.get(port, PortEntry(port=port))
+        evidence = (
+            status.get(port, 0) > 0 or entry.paused_count > 0 or entry.pause_rx_count > 0
         )
         assert evidence == ref.port_pause_evidence(port, now)
         assert status.get(port, 0) == ref.remaining_pause_ns(port, now)
-        if entry is not None:
-            assert entry.paused_count == ref.port_paused_num(port, now)
-            assert entry.pause_rx_count == ref.port_pause_rx(port, now)
-        else:
-            assert ref.port_paused_num(port, now) == ref.port_pause_rx(port, now) == 0
+        assert entry.paused_count == ref.port_paused_num(port, now)
+        assert entry.pause_rx_count == ref.port_pause_rx(port, now)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -24,6 +24,8 @@ switch/receiver halves checked here:
 - **Fixed point.** N long flows into one receiver converge to C/N each,
   every cut takes ``α/2`` off with ``α`` at its steady state, and
   marking alone holds the queue; PFC acts first (``kmin`` = ``xoff``).
+- **Queue dominance.** On ``incast-backpressure`` no flow dominates the
+  standing queue at the initial congestion port, with DCQCN or without.
 """
 
 import math
@@ -41,8 +43,10 @@ from repro.sim import (
 from repro.sim.cc import ALPHA_G, RATE_DECREASE_INTERVAL_NS, RECOVERY_INTERVAL_NS
 from repro.sim.config import CNP_INTERVAL_NS, ECN_PMAX, PAUSE_QUANTA, EcnConfig
 from repro.sim.packet import DATA_PRIORITY, FlowKey
+from repro.experiments import run_scenario
 from repro.topology import Topology
 from repro.units import KB, gbps, serialization_delay_ns, usec
+from repro.workloads import SCENARIO_BUILDERS
 
 # DCQCN's RED marking curve as this simulator configures it.
 KMIN, KMAX, PMAX = 40 * KB, 160 * KB, 0.2
@@ -398,3 +402,71 @@ class TestFixedPoint:
             return net.sim.events_run, net.sim.counters(), rates
 
         assert run(True) == run(False)
+
+
+class _StandingQueue(SwitchObserver):
+    """Each flow's data bytes that joined a standing (non-empty) queue at
+    one egress port."""
+
+    def __init__(self, switch, egress):
+        self.switch = switch
+        self.egress = egress
+        self.bytes = {}
+
+    def on_egress_enqueue(self, sw, t, pkt, egress, ingress, qd, qb, paused):
+        if (
+            qd > 0
+            and egress == self.egress
+            and sw.name == self.switch
+            and pkt.ptype is PacketType.DATA
+        ):
+            self.bytes[pkt.flow] = self.bytes.get(pkt.flow, 0) + pkt.size
+
+
+class TestQueueDominance:
+    """``incast-backpressure`` seed 1: does one flow dominate the queue?
+
+    The escape hatch in ``diagnosis_correct`` is justified by congestion
+    control reshaping a symmetric burst until one flow dominates the
+    queue.  At the initial congestion port ``E0_0.P3`` six flows join the
+    standing queue, and the largest share is 0.281 with DCQCN on and
+    0.282 with it off (two flows at ~0.28, four at 0.10-0.12): under
+    twice the fair share either way, and DCQCN moves it by 0.001.
+    """
+
+    PORT = ("E0_0", 3)
+
+    def _run(self, observe):
+        scenario = SCENARIO_BUILDERS["incast-backpressure"](seed=1)
+        assert scenario.truth.initial_port.node == self.PORT[0]
+        assert scenario.truth.initial_port.port == self.PORT[1]
+        seen = _StandingQueue(*self.PORT)
+        if observe:
+            scenario.network.switches[self.PORT[0]].add_observer(seen)
+        result = run_scenario(scenario)
+        digest = (
+            result.events_run,
+            scenario.network.sim.counters(),
+            result.diagnosis().describe(),
+        )
+        return seen, digest
+
+    @pytest.fixture(scope="class", params=[True, False], ids=["dcqcn", "no-dcqcn"])
+    def observed(self, request):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.sim.host.DCQCN_ENABLED", request.param)
+            return request.param, *self._run(observe=True)
+
+    def test_no_flow_dominates_the_standing_queue(self, observed):
+        dcqcn, seen, _digest = observed
+        total = sum(seen.bytes.values())
+        shares = sorted((b / total for b in seen.bytes.values()), reverse=True)
+        assert len(shares) == 6
+        assert shares[0] == pytest.approx(0.281 if dcqcn else 0.282, abs=5e-4)
+        assert shares[0] < 2 / len(shares)
+
+    def test_the_observer_moves_nothing(self, observed):
+        dcqcn, _seen, digest = observed
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.sim.host.DCQCN_ENABLED", dcqcn)
+            assert self._run(observe=False)[1] == digest

@@ -14,8 +14,10 @@ epoch window in practice — and model the CPU poll latency analytically in
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from ..faults.injector import (
     DMA_FAIL,
@@ -61,6 +63,45 @@ class CollectionStats:
     reports_delayed: int = 0
 
 
+_collect_time = attrgetter("collect_time")
+
+
+class ReportIndex:
+    """Delivered reports per switch, in ``collect_time`` order.
+
+    Switches keep the order of their first report.  A report that arrives
+    out of order (a delayed or clock-skewed one) is inserted after the
+    reports of equal time, so each switch's list is what a stable sort of
+    its reports by ``collect_time`` gives.
+    """
+
+    __slots__ = ("by_switch",)
+
+    def __init__(self, reports: Iterable[SwitchReport] = ()) -> None:
+        self.by_switch: Dict[str, List[SwitchReport]] = {}
+        for report in reports:
+            self.add(report)
+
+    def add(self, report: SwitchReport) -> None:
+        reports = self.by_switch.get(report.switch)
+        if reports is None:
+            self.by_switch[report.switch] = [report]
+        elif report.collect_time >= reports[-1].collect_time:
+            reports.append(report)
+        else:
+            insort(reports, report, key=_collect_time)
+
+    def select(self, trigger_time: int) -> Dict[str, SwitchReport]:
+        """Per switch, the report that covers a trigger: the earliest one
+        collected at/after it (the collection its own polling packet
+        drove), else the latest one."""
+        chosen: Dict[str, SwitchReport] = {}
+        for switch, reports in self.by_switch.items():
+            i = bisect_left(reports, trigger_time, key=_collect_time)
+            chosen[switch] = reports[i] if i < len(reports) else reports[-1]
+        return chosen
+
+
 class TelemetryCollector:
     """Gathers :class:`SwitchReport` objects in response to polling mirrors."""
 
@@ -97,6 +138,7 @@ class TelemetryCollector:
         self._last_mirror_victim: Dict[str, "FlowKey"] = {}
         self._last_mirror_time: Dict[str, int] = {}
         self.reports: List[SwitchReport] = []
+        self.index = ReportIndex()
         self.stats = CollectionStats()
         self._last_collect: Dict[str, int] = {}
         self._pending: Dict[str, int] = {}
@@ -168,10 +210,18 @@ class TelemetryCollector:
             )
         if injector is None:
             report = telem.snapshot(now)
-            if obs is not None:
-                obs.on_epoch_read(
-                    switch_name, victim, read_start, now, len(report.epochs)
-                )
+            if obs is None:
+                # _deliver without its trace hook.
+                self.reports.append(report)
+                self.index.add(report)
+                self._account(report, telem)
+                now = self.deployment.network.sim.now
+                self._last_delivery_ns = now
+                self._delivery_times[switch_name] = now
+                return report
+            obs.on_epoch_read(
+                switch_name, victim, read_start, now, len(report.epochs)
+            )
             self._deliver(report, telem)
             return report
 
@@ -229,6 +279,8 @@ class TelemetryCollector:
                 obs.on_report("lost", switch_name, victim, now, faults=tuple(flags))
             return None
         if report_fate == REPORT_TRUNCATED:
+            # Rebound, never trimmed in place: the epoch tuple is shared by
+            # every report of the window.
             report.epochs = report.epochs[-1:]
             flags.append("truncated")
             self.stats.reports_truncated += 1
@@ -265,6 +317,7 @@ class TelemetryCollector:
                 faults=report.faults,
             )
         self.reports.append(report)
+        self.index.add(report)
         self._account(report, telem)
         now = self.deployment.network.sim.now
         self._last_delivery_ns = now
@@ -326,4 +379,4 @@ class TelemetryCollector:
     # -- analyzer-side access ----------------------------------------------------
 
     def collected_switches(self) -> List[str]:
-        return sorted({r.switch for r in self.reports})
+        return sorted(self.index.by_switch)

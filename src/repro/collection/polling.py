@@ -18,7 +18,10 @@ simulated data plane):
    (host PFC injection).
 
 Both answers come from one ``snapshot`` at the packet's arrival: the
-register read the switch CPU's collection makes too.
+register read the switch CPU's collection makes too.  The report answers
+them in place (``flow_paused_count``, ``feeds``, ``pfc_evidence``), from a
+per-window total and the epochs' own entries, so a polling packet copies
+no entry.
 
 Per-switch dedup on (victim, flag, ingress) bounds the trace and ends the
 walk around deadlock loops after one full cycle.
@@ -168,18 +171,12 @@ class PollingEngine:
     ) -> List[Tuple[int, PollingFlag]]:
         """Figure 6: multicast to the causally relevant egress ports only."""
         outputs: List[Tuple[int, PollingFlag]] = []
-        meters = report.agg_meters()
-        ports = report.agg_ports()
-        status = report.port_status
+        use_meters = self.config.use_meters
         for port_no, port in switch.ports.items():
-            if self.config.use_meters and meters.get((ingress_port, port_no), 0) <= 0:
+            if use_meters and not report.feeds(ingress_port, port_no):
                 continue  # this egress does not feed the complaining ingress
             # asserted status register, paused packets, or PAUSE frames seen
-            entry = ports.get(port_no)
-            paused = status.get(port_no, 0) > 0 or (
-                entry is not None and (entry.paused_count > 0 or entry.pause_rx_count > 0)
-            )
-            if not paused:
+            if not report.pfc_evidence(port_no):
                 # Neither paused packets nor an asserted PFC status: the
                 # buildup here is local flow contention — the initial
                 # congestion point.  The trace ends; this switch's telemetry

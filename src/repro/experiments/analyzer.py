@@ -23,7 +23,6 @@ from ..sim.network import Network
 from ..sim.packet import FlowKey
 from ..telemetry.epoch import EpochScheme
 from ..units import usec
-from .runner import select_reports
 
 
 @dataclass
@@ -119,7 +118,7 @@ class AnalyzerService:
         diagnosis is the most severe (deepest) of its victims' diagnoses.
         """
         self.collector.flush_pending(self.network.sim.now)
-        raw = select_reports(self.collector.reports, incident.time_ns)
+        raw = self.collector.index.select(incident.time_ns)
         best: Optional[Diagnosis] = None
         best_annotated: Optional[AnnotatedGraph] = None
         for victim in dict.fromkeys(incident.victims):

@@ -31,7 +31,7 @@ from ..baselines.systems import (
     processing_overhead_bytes,
 )
 from ..collection.agent import DetectionAgent, TriggerEvent
-from ..collection.collector import TelemetryCollector
+from ..collection.collector import ReportIndex, TelemetryCollector
 from ..collection.polling import PollingConfig, PollingEngine
 from ..core.build import AnnotatedGraph, build_provenance
 from ..faults.injector import FaultIncident, make_injector
@@ -158,36 +158,11 @@ class RunResult:
 
 
 def select_reports(
-    reports: List[SwitchReport], trigger_time: int, slack_ns: int = usec(200)
+    reports: Iterable[SwitchReport], trigger_time: int
 ) -> Dict[str, SwitchReport]:
-    """Pick, per switch, the report that best covers a trigger.
-
-    Preference order: the earliest report collected at/after the trigger
-    (the collection its own polling packet drove), else the freshest report
-    within ``slack_ns`` before it (a concurrent victim's collection the
-    dedup interval made us share), else the latest earlier report.  One
-    pass: ties resolve as a stable sort by ``collect_time`` would (the
-    first of equal "after" reports, the last of equal "near" or latest).
-    """
-    near_from = trigger_time - slack_ns
-    # switch -> [earliest at/after the trigger, latest near it, latest]
-    picks: Dict[str, list] = {}
-    for report in reports:
-        t = report.collect_time
-        pick = picks.get(report.switch)
-        if pick is None:
-            pick = picks[report.switch] = [None, None, report]
-        elif t >= pick[2].collect_time:
-            pick[2] = report
-        if t >= trigger_time:
-            if pick[0] is None or t < pick[0].collect_time:
-                pick[0] = report
-        elif t >= near_from and (pick[1] is None or t >= pick[1].collect_time):
-            pick[1] = report
-    return {
-        switch: after if after is not None else near if near is not None else latest
-        for switch, (after, near, latest) in picks.items()
-    }
+    """Pick, per switch, the report that covers a trigger
+    (:meth:`ReportIndex.select`) from a list of delivered reports."""
+    return ReportIndex(reports).select(trigger_time)
 
 
 def _qualify_diagnosis(
@@ -229,7 +204,7 @@ def diagnose_victims(
     scenario: Scenario,
     config: RunConfig,
     net,
-    reports_list: List[SwitchReport],
+    reports: ReportIndex,
     triggers: Sequence[TriggerEvent],
     traced_of: Optional[Callable[[FlowKey], Set[str]]],
     now_ns: int,
@@ -256,7 +231,7 @@ def diagnose_victims(
             outcome = VictimOutcome(victim.key, None, None)
         else:
             outcome = _diagnose_one(
-                victim, trigger, config, net, reports_list, traced_of,
+                victim, trigger, config, net, reports, traced_of,
                 now_ns, diagnoser, profile, obs=obs, monitor=monitor,
             )
         outcomes.append(outcome)
@@ -268,7 +243,7 @@ def _diagnose_one(
     trigger: TriggerEvent,
     config: RunConfig,
     net,
-    reports_list: List[SwitchReport],
+    reports: ReportIndex,
     traced_of: Optional[Callable[[FlowKey], Set[str]]],
     now_ns: int,
     diagnoser: Diagnoser,
@@ -284,7 +259,7 @@ def _diagnose_one(
     kind = config.system
     scheme = config.scheme()
     with profile.stage("select_reports"):
-        raw = select_reports(reports_list, trigger.time_ns)
+        raw = reports.select(trigger.time_ns)
     if traced_of is not None:
         # Each diagnosis consumes telemetry only from the switches its
         # own polling trace covered (concurrent victims of the same
@@ -408,7 +383,8 @@ def account_run(
         traced_of = lambda key: set(traced.get(key, ()))  # noqa: E731
 
     outcomes = diagnose_victims(
-        scenario, config, net, totals.reports, totals.triggers, traced_of,
+        scenario, config, net, ReportIndex(totals.reports), totals.triggers,
+        traced_of,
         now_ns, obs=obs, monitor=monitor, profile=profile,
     )
 
@@ -617,8 +593,9 @@ class FabricSession:
                 # Path-coverage probe: a trigger is answered only once every
                 # switch the analyzer will want — the victim's routed path
                 # plus whatever the polling trace reached — has delivered a
-                # report the diagnosis would accept (at/after the trigger,
-                # or within the ``select_reports`` slack just before it).
+                # report at/after the trigger, or within 200 us before it
+                # (a concurrent victim's collection the dedup interval made
+                # this trigger share).
                 # A single lost report, or a polling packet dying mid-path,
                 # leaves a hole here and drives a retransmission.
                 probe_slack_ns = usec(200)
@@ -733,7 +710,7 @@ class FabricSession:
             trigger,
             self.config,
             self.net,
-            self.collector.reports,
+            self.collector.index,
             self.engine.switches_traced_for if self.engine is not None else None,
             self.net.sim.now,
             Diagnoser(),

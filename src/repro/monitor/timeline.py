@@ -131,11 +131,15 @@ class MonitorIncident:
         }
 
 
+# How far before a trigger an alert still counts as having preceded the
+# diagnosis it is linked to.
+INCIDENT_LOOKBACK_NS = 10_000_000
+
+
 class IncidentTimeline:
     """Chronological record of alerts and the diagnoses they preceded."""
 
-    def __init__(self, lookback_ns: int = 10_000_000) -> None:
-        self.lookback_ns = lookback_ns
+    def __init__(self) -> None:
         self.alerts: List[Alert] = []
         self.incidents: List[MonitorIncident] = []
 
@@ -155,7 +159,7 @@ class IncidentTimeline:
         provenance.update(str(p) for p in finding.loop)
         if finding.initial_port is not None:
             provenance.add(str(finding.initial_port))
-        start = trigger_ns - self.lookback_ns
+        start = trigger_ns - INCIDENT_LOOKBACK_NS
         window = [a for a in self.alerts if start <= a.time_ns <= verdict_ns]
         linked = sorted({a.subject for a in window if a.subject in provenance})
         incident = MonitorIncident(

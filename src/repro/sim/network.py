@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from typing import Callable, Dict, List, Optional
 
 from ..topology.graph import PortRef, Topology
@@ -14,6 +16,28 @@ from .host import Host
 from .packet import ACK_SIZE, FlowKey, Packet
 from .shard import RemoteHostStub, current_build_context, packet_to_wire
 from .switch import Switch, SwitchObserver
+
+# The fabric this process last attached telemetry to, held weakly.
+_last_attached: Optional["weakref.ref"] = None
+
+
+def collect_finished_fabric() -> None:
+    """Reclaim the last attached fabric if it is still around.
+
+    A finished fabric is one reference cycle (network <-> nodes <-> bound
+    methods <-> pending events <-> observers) of ~16k objects and ~2-3 MB;
+    the cycle collector counts objects, not bytes, and lets 7-10 of them
+    pile up in a process that loops over scenarios.  So a new
+    :class:`Network` collects the last attached one before it allocates its
+    own nodes, once per attached fabric: the first network in a process —
+    all a one-shot ``repro run`` builds — collects nothing.
+    """
+    global _last_attached
+    previous = _last_attached() if _last_attached is not None else None
+    _last_attached = None
+    if previous is not None:
+        del previous  # or this frame would keep it reachable
+        gc.collect()
 
 
 class Network:
@@ -41,6 +65,7 @@ class Network:
         routing: Optional[RoutingTable] = None,
         config: Optional[SimConfig] = None,
     ) -> None:
+        collect_finished_fabric()
         self.topology = topology
         self.routing = routing if routing is not None else RoutingTable(topology)
         self.config = config if config is not None else SimConfig()
@@ -94,6 +119,11 @@ class Network:
             switch = self.switches.get(end.node)
             if switch is not None:  # absent only in a shard view
                 switch.attach_port(end.port, bandwidth, delay_ns, peer, peer_is_host, peer_receive)
+
+    def mark_attached(self) -> None:
+        """Telemetry attached: the next network reclaims this one."""
+        global _last_attached
+        _last_attached = weakref.ref(self)
 
     # -- runtime ------------------------------------------------------------------
 

@@ -35,10 +35,14 @@ hardware ring has, at none of the cost.
 **Lazy memoized materialization.**  :class:`~repro.telemetry.records.EpochData`
 (with its :class:`FlowEntry`/:class:`PortEntry` objects) is only built when
 a snapshot needs it, and is memoized per ``(epoch, version)`` so repeated
-reads of an idle epoch are O(1).  Whole snapshots are additionally memoized
-on the live-bank list (itself memoized until time advances or a bank is
-reset) and the switch's register write generation, so a re-read of an
-unchanged window is two identity checks.
+reads of an idle epoch are O(1).  A write that only adds to existing slots
+yields a new version that shares the previous one's unchanged entries.
+Whole snapshots are additionally memoized on the live-bank list (itself
+memoized until time advances or a bank is reset) and the switch's register
+write generation, so a re-read of an unchanged window is two identity
+checks and allocates one object, the report: its epoch tuple, window
+aggregates and status-register copy are shared with every other read of
+the window.
 
 Semantics are byte-identical to the reference plane — eviction order, XOR
 match and wrap-around behavior included — except for one documented
@@ -55,8 +59,6 @@ cycles (impossible in the paper's windows of interest).
 
 from __future__ import annotations
 
-import gc
-import weakref
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -66,7 +68,7 @@ from ..sim.packet import DATA_PRIORITY, FlowKey, Packet, pause_quanta_to_ns
 from ..sim.switch import Switch, SwitchObserver
 from .epoch import EpochScheme
 from .records import EpochData, FlowEntry, PortEntry
-from .snapshot import SwitchReport
+from .snapshot import SwitchReport, WindowAggregates
 
 # Flush a pending queue early once it grows past this many events so epoch
 # memory stays bounded even for pathologically long epochs.  Flushing is
@@ -107,6 +109,9 @@ class _EpochBank:
     arrays and can reproduce the reference's dict insertion orders exactly.
     ``version`` increments on every flush/reset; it keys the memoized
     ``mat`` (the :class:`EpochData` materialization of this bank).
+    ``layout`` increments when a flush adds a slot or evicts an entry,
+    the writes after which ``mat`` cannot be patched (``mat_slots`` is the
+    slot order ``mat`` was built in).
     """
 
     __slots__ = (
@@ -122,8 +127,11 @@ class _EpochBank:
         "port_touched",
         "meter",
         "meter_touched",
+        "layout",
         "mat",
         "mat_version",
+        "mat_layout",
+        "mat_slots",
     )
 
     def __init__(self) -> None:
@@ -139,8 +147,11 @@ class _EpochBank:
         self.port_touched: List[int] = []
         self.meter: Optional[array] = None
         self.meter_touched: List[int] = []
+        self.layout = 0
         self.mat: Optional[EpochData] = None
         self.mat_version = -1
+        self.mat_layout = -1
+        self.mat_slots: List[int] = []
 
 
 class HawkeyeSwitchTelemetry(SwitchObserver):
@@ -164,8 +175,10 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         # fixed from then on; sizes the per-port columns and the flat P*P
         # meter array.
         self._num_ports: Optional[int] = None
-        # Port PFC status registers: port -> pause expiry timestamp (ns).
+        # Port PFC status registers: port -> pause expiry timestamp (ns),
+        # and the copy reports share until the next PAUSE frame writes one.
         self._pause_until: Dict[int, int] = {}
+        self._status_copy: Optional[Dict[int, int]] = None
         self.pause_frames_seen = 0
         # Evictions observed while flushing pending queues.  Unlike the
         # reference plane this misses evictions inside epochs discarded
@@ -226,6 +239,7 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         self, switch: Switch, time_ns: int, port: int, priority: int, quanta: int
     ) -> None:
         self.pause_frames_seen += 1
+        self._status_copy = None
         bandwidth = switch.ports[port].bandwidth
         if quanta > 0:
             # The status register is written eagerly (last write wins, so it
@@ -311,6 +325,7 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         meter = bank.meter
         meter_touched = bank.meter_touched
         evictions = 0
+        grew = False
         for ev in pending:
             flow = ev[0]
             if flow is None:
@@ -329,6 +344,7 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
             slot = key_slot[kid]
             entry = table_get(slot)
             if entry is None or entry[0] != kid:
+                grew = True
                 if entry is not None:
                     # Collision: displace the resident entry to the evicted
                     # list ("stored at the controller"), preserving order.
@@ -356,6 +372,8 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         self.flushed_events += len(pending)
         pending.clear()
         bank.version += 1
+        if grew:
+            bank.layout += 1
         self._writes += 1
 
     def _live_banks(self, now_ns: int) -> List[_EpochBank]:
@@ -383,19 +401,34 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
 
         Entry order matches the reference exactly: evicted entries first in
         eviction order, then occupied slots in ascending slot index; ports
-        and meters in first-touch order.
+        and meters in first-touch order.  When the writes since the last
+        build only added to existing slots, the new view is patched from
+        the last one instead (:meth:`_patch`).
         """
         if bank.pending:
             self._flush(bank)
-        if bank.mat is not None and bank.mat_version == bank.version:
+        mat = bank.mat
+        if mat is not None and bank.mat_version == bank.version:
             self.epoch_cache_hits += 1
-            return bank.mat
+            return mat
         self.epoch_cache_misses += 1
+        if mat is not None and bank.mat_layout == bank.layout and not bank.evicted:
+            epoch = self._patch(bank, mat)
+        else:
+            epoch = self._build(bank)
+        epoch.entry_bytes = epoch.payload_bytes()
+        bank.mat = epoch
+        bank.mat_version = bank.version
+        bank.mat_layout = bank.layout
+        return epoch
+
+    def _build(self, bank: _EpochBank) -> EpochData:
         epoch = EpochData(epoch_number=bank.epoch_number)
         keys = self._keys
         flows = epoch.flows
         table = bank.table
-        entries = chain(bank.evicted, [table[slot] for slot in sorted(table)])
+        slots = bank.mat_slots = sorted(table)
+        entries = chain(bank.evicted, [table[slot] for slot in slots])
         for kid, egress, pkt, paused, qdepth, byte_count, qd_paused in entries:
             key = (keys[kid], egress)
             existing = flows.get(key)
@@ -433,9 +466,61 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         meters = epoch.meters
         for mi in bank.meter_touched:
             meters[divmod(mi, num_ports)] = meter[mi]
-        bank.mat = epoch
-        bank.mat_version = bank.version
         return epoch
+
+    def _patch(self, bank: _EpochBank, prev: EpochData) -> EpochData:
+        """A new view of a bank whose writes since ``prev`` only added to
+        existing slots: ``prev``'s dicts copied, with only the entries the
+        writes changed replaced.  ``prev`` itself is never touched (a
+        delivered report may hold it).
+
+        Without evicted entries each flow entry is one slot's, in
+        ``mat_slots`` order; every write bumps a packet or PAUSE count, so
+        an entry whose counts held is unchanged.  Ports and meters keep
+        first-touch order, so ``prev``'s keys are a prefix of the touch
+        lists and a new one goes at the end.
+        """
+        table = bank.table
+        flows = dict(prev.flows)
+        for (key, old), slot in zip(prev.flows.items(), bank.mat_slots):
+            _kid, egress, pkt, paused, qdepth, byte_count, qd_paused = table[slot]
+            if pkt != old.pkt_count:
+                flows[key] = FlowEntry(
+                    key=key[0],
+                    egress_port=egress,
+                    pkt_count=pkt,
+                    paused_count=paused,
+                    qdepth_sum_pkts=qdepth,
+                    byte_count=byte_count,
+                    qdepth_paused_sum_pkts=qd_paused,
+                )
+        port_pkt = bank.port_pkt
+        port_pause_rx = bank.port_pause_rx
+        ports = dict(prev.ports)
+        for port in bank.port_touched:
+            old = ports.get(port)
+            pkt = port_pkt[port]
+            pause_rx = port_pause_rx[port]
+            if old is None or old.pkt_count != pkt or old.pause_rx_count != pause_rx:
+                ports[port] = PortEntry(
+                    port=port,
+                    pkt_count=pkt,
+                    paused_count=bank.port_paused[port],
+                    qdepth_sum_pkts=bank.port_qdepth[port],
+                    pause_rx_count=pause_rx,
+                )
+        meter = bank.meter
+        touched = bank.meter_touched
+        meters = dict(prev.meters)
+        for (pair, volume), mi in zip(prev.meters.items(), touched):
+            if meter[mi] != volume:
+                meters[pair] = meter[mi]
+        num_ports = self._num_ports
+        for mi in touched[len(prev.meters):]:
+            meters[divmod(mi, num_ports)] = meter[mi]
+        return EpochData(
+            epoch_number=bank.epoch_number, flows=flows, ports=ports, meters=meters
+        )
 
     # -- counters -------------------------------------------------------------------
 
@@ -459,10 +544,13 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         Evicted flow entries were already "stored at the controller" when
         they were displaced, so they are merged back into their epoch here.
         Epoch materializations are memoized per bank version and the whole
-        epoch list per ``(live-bank list, write generation)``: the list is
+        epoch tuple per ``(live-bank list, write generation)``: the list is
         the same object until time advances or a bank is reset, and the
         generation moves with every register write, so a re-read of an
-        idle window is O(1).
+        idle window is O(1) and allocates only the report.  Every report of
+        a window shares its epoch tuple and :class:`WindowAggregates`, and
+        every report between two PAUSE frames shares one copy of the status
+        registers, from which it derives ``port_status`` at ``now_ns``.
         """
         live = self._live_banks(now_ns)
         for bank in live:
@@ -472,46 +560,31 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         if cached is not None and cached[0] is live and cached[1] == self._writes:
             self.snapshot_cache_hits += 1
             epochs = cached[2]
+            window = cached[3]
         else:
             self.snapshot_cache_misses += 1
-            epochs = [self._materialize(bank) for bank in live]
-            self._snap_cache = (live, self._writes, epochs)
-        status = {}
-        pause_until = self._pause_until
-        if pause_until:  # some PFC status register was ever written
-            status = {
-                port: until - now_ns if until > now_ns else 0
-                for port, until in pause_until.items()
-            }
-        return SwitchReport(self.switch_name, now_ns, list(epochs), status)
-
-
-# Weak reference to the fabric this process attached last.
-_last_attached: Optional["weakref.ref"] = None
+            epochs = tuple([self._materialize(bank) for bank in live])
+            window = WindowAggregates(epochs)
+            self._snap_cache = (live, self._writes, epochs, window)
+        status = self._status_copy
+        if status is None:
+            status = self._status_copy = dict(self._pause_until)
+        return SwitchReport.from_registers(
+            self.switch_name, now_ns, epochs, status, window
+        )
 
 
 class HawkeyeDeployment:
     """Deploys Hawkeye telemetry on (a subset of) a network's switches.
 
     Supports the partial-deployment discussion of §5 via ``switches``.
-
-    Every attach path constructs one, so a run's memory lifecycle lives
-    here.  A finished fabric is one reference cycle (network <-> nodes <->
-    bound methods <-> pending events <-> observers) of ~16k objects and
-    ~2-3 MB; the cycle collector counts objects, not
-    bytes, and lets 7-10 of them pile up in a process that loops over
-    scenarios.  So if the previously attached fabric is still around it is
-    collected now, before the new banks are allocated; the first attach in
-    a process — all a one-shot ``repro run`` does — collects nothing.
+    Every attach path constructs one, so it marks the network as the
+    fabric the next :class:`~repro.sim.network.Network` reclaims (see
+    :func:`repro.sim.network.collect_finished_fabric`).
     """
 
     def __init__(self, network, config: Optional[TelemetryConfig] = None, switches=None):
-        global _last_attached
-        previous = _last_attached() if _last_attached is not None else None
-        if previous is not None and previous is not network:
-            del previous  # or this frame would keep it reachable
-            gc.collect()
-        _last_attached = weakref.ref(network)
+        network.mark_attached()
         self.network = network
         self.config = config if config is not None else TelemetryConfig()
         names = switches if switches is not None else list(network.switches)

@@ -10,7 +10,7 @@ cell of the port-pair causality structure (Figure 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..sim.packet import FlowKey
 
@@ -123,6 +123,9 @@ class EpochData:
     baseline transforms copy rather than mutate.  ``replay_cache`` holds
     memoized per-epoch replay contributions computed by the provenance
     builder (keyed by replay parameters); it is excluded from equality.
+    ``entry_bytes`` is the entries' wire size, set by the telemetry plane
+    when it builds the epoch; a hand-built epoch leaves it ``None`` and
+    :meth:`payload_bytes` counts its entries on each call.
     """
 
     epoch_number: int
@@ -131,3 +134,14 @@ class EpochData:
     # PFC causality meters: (ingress_port, egress_port) -> bytes (Figure 3)
     meters: Dict[Tuple[int, int], int] = field(default_factory=dict)
     replay_cache: Dict = field(default_factory=dict, repr=False, compare=False)
+    entry_bytes: Optional[int] = field(default=None, repr=False, compare=False)
+
+    def payload_bytes(self) -> int:
+        """Wire size of this epoch's flow, port and meter entries."""
+        if self.entry_bytes is not None:
+            return self.entry_bytes
+        return (
+            len(self.flows) * FLOW_ENTRY_BYTES
+            + len(self.ports) * PORT_ENTRY_BYTES
+            + len(self.meters) * METER_ENTRY_BYTES
+        )

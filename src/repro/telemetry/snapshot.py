@@ -10,7 +10,7 @@ aggregation helpers collapse the epoch dimension for the provenance builder
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.packet import FlowKey
 from .records import (
@@ -27,7 +27,28 @@ from .records import (
 AGG_CACHE_STATS = [0, 0]
 
 
-@dataclass
+class WindowAggregates:
+    """The aggregate memo of one epoch sequence.
+
+    The telemetry plane hands one instance to every report it reads from
+    the same memoised window, so the analyzer's graph builds and the
+    polling engine's questions aggregate a window once.  A report whose
+    ``epochs`` is rebound (a truncated report) no longer matches ``epochs``
+    and starts its own.
+    """
+
+    __slots__ = ("epochs", "flows", "ports", "meters", "paused")
+
+    def __init__(self, epochs: Sequence[EpochData]) -> None:
+        self.epochs = epochs
+        self.flows: Optional[Dict[Tuple[FlowKey, int], FlowEntry]] = None
+        self.ports: Optional[Dict[int, PortEntry]] = None
+        self.meters: Optional[Dict[Tuple[int, int], int]] = None
+        # flow -> paused packets over all its egress ports
+        self.paused: Optional[Dict[FlowKey, int]] = None
+
+
+@dataclass(slots=True)
 class SwitchReport:
     """Telemetry collected from one switch for one diagnosis event.
 
@@ -35,29 +56,98 @@ class SwitchReport:
     transforms build new reports instead of mutating), which lets the
     ``agg_*`` aggregates be computed lazily once and memoized — the
     analyzer re-reads the same report for every victim of an incident.
-    Callers must treat the returned dicts as read-only.
+    Callers must treat the returned dicts, and ``epochs``, as read-only: a
+    consumer that trims a report rebinds ``epochs``.
+
+    Hand-built reports (baselines, tests) pass ``port_status``.  A report
+    the telemetry plane reads (:meth:`from_registers`) shares its window's
+    epoch tuple and aggregates, and keeps the status registers it read
+    (port -> pause expiry) with its read instant instead: ``port_status``
+    is derived from them on first access.
     """
 
     switch: str
     collect_time: int
-    epochs: List[EpochData] = field(default_factory=list)
-    # port -> remaining pause time (ns) at collection, 0 if unpaused
+    epochs: Sequence[EpochData] = field(default_factory=list)
+    # port -> remaining pause time (ns) at the read, 0 if unpaused
     port_status: Dict[int, int] = field(default_factory=dict)
     # Fault-injection quality markers ("stale", "truncated", "skewed"): a
     # non-empty tuple means this report's content is suspect and any
     # diagnosis consuming it must be flagged as degraded.
     faults: Tuple[str, ...] = ()
-    _agg_flows: Optional[Dict] = field(default=None, init=False, repr=False, compare=False)
-    _agg_ports: Optional[Dict] = field(default=None, init=False, repr=False, compare=False)
-    _agg_meters: Optional[Dict] = field(default=None, init=False, repr=False, compare=False)
+    _pause_until: Optional[Dict[int, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _read_at: int = field(default=0, init=False, repr=False, compare=False)
+    _agg: Optional[WindowAggregates] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def from_registers(
+        cls,
+        switch: str,
+        now_ns: int,
+        epochs: Tuple[EpochData, ...],
+        pause_until: Dict[int, int],
+        window: WindowAggregates,
+    ) -> "SwitchReport":
+        """A register read at ``now_ns``: one allocation, the report.
+
+        ``epochs``, ``pause_until`` and ``window`` are shared with every
+        other read of the same window and must never be mutated.
+        """
+        report = object.__new__(cls)
+        report.switch = switch
+        report.collect_time = now_ns
+        report.epochs = epochs
+        report.faults = ()
+        report._pause_until = pause_until
+        report._read_at = now_ns
+        report._agg = window
+        return report
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: the lazy ``port_status``.
+        if name != "port_status" or self._pause_until is None:
+            raise AttributeError(name)
+        at = self._read_at
+        status = self.port_status = {
+            port: until - at if until > at else 0
+            for port, until in self._pause_until.items()
+        }
+        return status
+
+    def __getstate__(self):
+        # The shard pipe ships plain data: no memo, no register copy.
+        return (
+            self.switch, self.collect_time, self.epochs, self.port_status,
+            self.faults,
+        )
+
+    def __setstate__(self, state) -> None:
+        (
+            self.switch, self.collect_time, self.epochs, self.port_status,
+            self.faults,
+        ) = state
+        self._pause_until = None
+        self._read_at = 0
+        self._agg = None
 
     # -- aggregation across epochs ------------------------------------------------
 
+    def _window(self) -> WindowAggregates:
+        agg = self._agg
+        if agg is None or agg.epochs is not self.epochs:
+            agg = self._agg = WindowAggregates(self.epochs)
+        return agg
+
     def agg_flows(self) -> Dict[Tuple[FlowKey, int], FlowEntry]:
         """Per (flow, egress port) totals over all reported epochs."""
-        if self._agg_flows is not None:
+        agg = self._window()
+        if agg.flows is not None:
             AGG_CACHE_STATS[0] += 1
-            return self._agg_flows
+            return agg.flows
         AGG_CACHE_STATS[1] += 1
         out: Dict[Tuple[FlowKey, int], FlowEntry] = {}
         for epoch in self.epochs:
@@ -67,14 +157,15 @@ class SwitchReport:
                     out[key] = entry.copy()
                 else:
                     existing.merge(entry)
-        self._agg_flows = out
+        agg.flows = out
         return out
 
     def agg_ports(self) -> Dict[int, PortEntry]:
         """Per egress-port totals over all reported epochs."""
-        if self._agg_ports is not None:
+        agg = self._window()
+        if agg.ports is not None:
             AGG_CACHE_STATS[0] += 1
-            return self._agg_ports
+            return agg.ports
         AGG_CACHE_STATS[1] += 1
         out: Dict[int, PortEntry] = {}
         for epoch in self.epochs:
@@ -87,28 +178,67 @@ class SwitchReport:
                     existing.paused_count += entry.paused_count
                     existing.qdepth_sum_pkts += entry.qdepth_sum_pkts
                     existing.pause_rx_count += entry.pause_rx_count
-        self._agg_ports = out
+        agg.ports = out
         return out
 
     def agg_meters(self) -> Dict[Tuple[int, int], int]:
         """Per (ingress, egress) byte totals over all reported epochs."""
-        if self._agg_meters is not None:
+        agg = self._window()
+        if agg.meters is not None:
             AGG_CACHE_STATS[0] += 1
-            return self._agg_meters
+            return agg.meters
         AGG_CACHE_STATS[1] += 1
         out: Dict[Tuple[int, int], int] = {}
         for epoch in self.epochs:
             for pair, volume in epoch.meters.items():
                 out[pair] = out.get(pair, 0) + volume
-        self._agg_meters = out
+        agg.meters = out
         return out
 
+    # -- the polling engine's questions (§3.4) ----------------------------------------
+
     def flow_paused_count(self, key: FlowKey, egress_port: Optional[int] = None) -> int:
-        total = 0
-        for (flow, port), entry in self.agg_flows().items():
-            if flow == key and (egress_port is None or port == egress_port):
-                total += entry.paused_count
-        return total
+        """Paused packets of one flow, at one egress port or over all.
+
+        Over all ports it reads a per-window flow -> paused total, summed
+        from the epochs without copying their entries."""
+        if egress_port is not None:
+            entry = self.agg_flows().get((key, egress_port))
+            return entry.paused_count if entry is not None else 0
+        agg = self._window()
+        paused = agg.paused
+        if paused is None:
+            paused = agg.paused = {}
+            for epoch in self.epochs:
+                for (flow, _port), entry in epoch.flows.items():
+                    paused[flow] = paused.get(flow, 0) + entry.paused_count
+        return paused.get(key, 0)
+
+    def feeds(self, ingress: int, egress: int) -> bool:
+        """Did ``ingress`` send bytes to ``egress`` in a reported epoch (a
+        Figure-3 meter above 0)?"""
+        pair = (ingress, egress)
+        for epoch in self.epochs:
+            if epoch.meters.get(pair, 0) > 0:
+                return True
+        return False
+
+    def pfc_evidence(self, port: int) -> bool:
+        """PFC evidence at an egress port: its status register asserted at
+        the read, or paused enqueues or PAUSE frames received in a reported
+        epoch."""
+        registers = self._pause_until
+        if registers is not None:
+            asserted = registers.get(port, 0) > self._read_at
+        else:
+            asserted = self.port_status.get(port, 0) > 0
+        if asserted:
+            return True
+        for epoch in self.epochs:
+            entry = epoch.ports.get(port)
+            if entry is not None and (entry.paused_count > 0 or entry.pause_rx_count > 0):
+                return True
+        return False
 
     # -- size accounting (Fig 9a / Fig 14) -----------------------------------------
 
@@ -117,17 +247,13 @@ class SwitchReport:
 
     def payload_bytes(self) -> int:
         """Size of the CPU-filtered report (zero slots excluded)."""
-        flows = ports = meters = 0
+        registers = self._pause_until
+        statuses = len(registers if registers is not None else self.port_status)
+        total = statuses * PORT_STATUS_BYTES
         for epoch in self.epochs:
-            flows += len(epoch.flows)
-            ports += len(epoch.ports)
-            meters += len(epoch.meters)
-        return (
-            flows * FLOW_ENTRY_BYTES
-            + ports * PORT_ENTRY_BYTES
-            + meters * METER_ENTRY_BYTES
-            + len(self.port_status) * PORT_STATUS_BYTES
-        )
+            size = epoch.entry_bytes
+            total += size if size is not None else epoch.payload_bytes()
+        return total
 
     @staticmethod
     def full_dump_bytes(flow_slots: int, num_ports: int, num_epochs: int) -> int:

@@ -1,9 +1,11 @@
 """A finished fabric gives its memory back.
 
-A dropped fabric is one reference cycle; it is reclaimed when the next one
-attaches (``HawkeyeDeployment.__init__``), and ``FabricSession.advance``
-runs with automatic cycle sweeps off.  No test here collects by hand: the
-point is that the code under test does.
+A dropped fabric is one reference cycle.  Attaching telemetry marks it
+(``Network.mark_attached``), and it is reclaimed when the next ``Network``
+is built, before that network allocates its nodes
+(``collect_finished_fabric``); ``FabricSession.advance`` runs with
+automatic cycle sweeps off.  No test here collects by hand: the point is
+that the code under test does.
 """
 
 import gc
@@ -16,6 +18,8 @@ import pytest
 
 from repro.experiments import deploy_analyzer
 from repro.experiments.runner import FabricSession, run_scenario
+from repro.sim import Network
+from repro.topology import build_line
 from repro.workloads import SCENARIO_BUILDERS
 
 SCENARIO = "out-of-loop-deadlock"
@@ -42,6 +46,22 @@ def test_every_fabric_but_the_newest_is_gone_after_the_next_attach(attach):
         del scenario
         alive = [ref() is not None for ref in networks[:-1]]
         assert not any(alive), f"after attach {seed}: {alive}"
+
+
+def test_the_next_network_reclaims_the_attached_fabric_before_any_attach():
+    was_enabled = gc.isenabled()
+    gc.disable()  # only the code under test may collect
+    try:
+        scenario = SCENARIO_BUILDERS[SCENARIO](seed=1)
+        _attach_via_deploy_analyzer(scenario)
+        finished = weakref.ref(scenario.network)
+        del scenario
+        assert finished() is not None  # a cycle: nothing reclaimed it yet
+        Network(build_line(num_switches=1, hosts_per_switch=1))
+        assert finished() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_first_attach_collects_nothing_and_n_attaches_collect_n_minus_1():

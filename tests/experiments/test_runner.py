@@ -37,7 +37,7 @@ class TestSelectReports:
         assert chosen["SW"].collect_time == 500
 
     def test_falls_back_to_recent_before(self):
-        chosen = select_reports(self.reports(), trigger_time=1000, slack_ns=200)
+        chosen = select_reports(self.reports(), trigger_time=1000)
         assert chosen["SW"].collect_time == 900
 
     def test_falls_back_to_latest_when_all_old(self):

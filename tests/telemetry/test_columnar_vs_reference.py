@@ -100,8 +100,15 @@ def _assert_reports_identical(got: SwitchReport, want: SwitchReport) -> None:
 def _assert_answers_identical(col, ref, flows, num_ports, now) -> None:
     """The polling engine's three questions, answered from ``col.snapshot``
     as the engine answers them, equal the reference's register readers for
-    every flow, port and (ingress, egress) pair."""
+    every flow, port and (ingress, egress) pair; so do the aggregates the
+    analyzer reads."""
     report = col.snapshot(now)
+    for port in range(num_ports):
+        # Asked first, before ``port_status`` is derived: the engine's read.
+        assert report.pfc_evidence(port) == ref.port_pause_evidence(port, now)
+        for ingress in range(num_ports):
+            fed = ref.meter_volume(ingress, port, now) > 0
+            assert report.feeds(ingress, port) == fed
     meters = report.agg_meters()
     ports = report.agg_ports()
     status = report.port_status

@@ -1,16 +1,20 @@
 """The whole-snapshot memo: a re-read of an unchanged window is a hit, and
 anything that changes what the CPU would read — a register write or a ring
 wrap — is a miss that rebuilds the snapshot.  The polling engine and the
-collector share it.  Every snapshot is checked against the reference
-plane."""
+collector share it.  A hit allocates only the report: its epoch tuple,
+aggregates and status registers are shared, and a changed epoch shares its
+unchanged entries with the previous version.  Every snapshot is checked
+against the reference plane."""
 
+import gc
 import random
+import sys
 
 import pytest
 
 from repro.collection import PollingEngine, TelemetryCollector
 from repro.sim import Network, Packet, PollingFlag
-from repro.sim.packet import FlowKey
+from repro.sim.packet import FlowKey, pause_quanta_to_ns
 from repro.telemetry import HawkeyeDeployment
 from repro.topology import build_line
 from repro.units import KB, usec
@@ -85,15 +89,45 @@ class TestSnapshotMemo:
         assert not pair.read(later + 10)
         assert pair.read(later + 10)
 
-    def test_a_hit_hands_out_its_own_epoch_list(self):
+    def test_a_trimmed_report_leaves_the_memo_and_its_siblings_intact(self):
         pair = _Pair()
         pair.apply(_data(T0))
-        pair.apply(_data(T0 + pair.scheme.window_ns, egress=2))
-        now = T0 + pair.scheme.window_ns + 10
-        first = pair.col.snapshot(now)
-        first.epochs.pop()  # a consumer trimming its report
-        pair.snapshots += 1
+        pair.apply(_data(T0 + pair.scheme.epoch_size_ns, egress=2))
+        now = T0 + pair.scheme.epoch_size_ns + 10
+        assert not pair.read(now)
+        sibling, trimmed = pair.col.snapshot(now), pair.col.snapshot(now)
+        pair.snapshots += 2
+        shared = sibling.epochs
+        assert trimmed.epochs is shared and len(shared) == 2
+        full_meters = sibling.agg_meters()
+        trimmed.epochs = trimmed.epochs[-1:]  # as the collector truncates
+        assert trimmed.agg_meters() == shared[-1].meters != full_meters
+        assert trimmed.agg_flows().keys() == shared[-1].flows.keys()
+        assert sibling.epochs is shared and len(shared) == 2
+        assert sibling.agg_meters() is full_meters
+        _assert_reports_identical(sibling, pair.ref.snapshot(now))
         assert pair.read(now)
+
+    def test_unchanged_reads_of_an_idle_switch_allocate_one_block_each(self):
+        pair = _Pair()
+        pair.apply(_data(T0))
+        pair.apply(("pfc", T0 + 5, 2, 0xFF))
+        col = pair.col
+        nows = [T0 + 10 + i for i in range(200)]
+        reports = [None] * len(nows)
+        col.snapshot(T0 + 10)  # the miss that builds the window
+        gc.disable()
+        try:
+            before = sys.getallocatedblocks()
+            for i, now in enumerate(nows):
+                reports[i] = col.snapshot(now)
+            allocated = sys.getallocatedblocks() - before - 1  # ``before``
+        finally:
+            gc.enable()
+        assert col.snapshot_cache_hits == len(nows)
+        assert allocated <= len(nows)
+        for now, report in zip(nows, reports):
+            _assert_reports_identical(report, pair.ref.snapshot(now))
 
     def test_port_status_only_when_a_status_register_was_written(self):
         pair = _Pair()
@@ -134,11 +168,119 @@ class TestSnapshotMemo:
         assert report.agg_flows()
 
 
+class TestLazyPortStatus:
+    def test_port_status_matches_the_reference_at_every_read_instant(self):
+        """Reads before, during and after a pause, after a RESUME, and
+        stale ones (an instant before the latest frame): each report's
+        ``port_status``, derived only after every frame has arrived, is
+        the reference's at that read, in key order too."""
+        pair = _Pair()
+        pause_ns = pause_quanta_to_ns(0x40, 100e9)
+        start = T0 + 100
+        reads = []
+
+        def read(now):
+            ref = pair.ref.snapshot(now)
+            reads.append(
+                (now, pair.col.snapshot(now), ref.port_status, ref.payload_bytes())
+            )
+
+        pair.apply(_data(T0))
+        read(T0 + 50)  # no status register written yet
+        pair.apply(("pfc", start, 2, 0x40))
+        for now in (start, start + 1, start + pause_ns // 2,
+                    start + pause_ns, start + pause_ns + 1):
+            read(now)
+        pair.apply(("pfc", start + pause_ns + 10, 3, 0x40))
+        read(start + pause_ns + 20)
+        read(start + 5)  # stale: port 2 paused, port 3 already written
+        pair.apply(("pfc", start + pause_ns + 30, 3, 0))  # RESUME
+        read(start + pause_ns + 40)
+        read(start + pause_ns + 20)  # stale: before the RESUME
+        pair.apply(_data(start + pause_ns + 50))
+        read(start + pause_ns + 60)
+        assert sum(want.get(2, 0) > 0 for _, _, want, _ in reads) == 4
+        for now, report, want, want_bytes in reads:
+            assert report.payload_bytes() == want_bytes, now
+            assert report.port_status == want, now
+            assert list(report.port_status) == list(want)
+
+    def test_reads_between_two_frames_share_one_register_copy(self):
+        pair = _Pair()
+        pair.apply(_data(T0))
+        pair.apply(("pfc", T0 + 5, 2, 0xFF))
+        first, second = pair.col.snapshot(T0 + 10), pair.col.snapshot(T0 + 20)
+        assert first._pause_until is second._pause_until
+        pair.apply(("pfc", T0 + 30, 1, 0xFF))
+        third = pair.col.snapshot(T0 + 40)
+        assert third._pause_until is not first._pause_until
+        assert list(first.port_status) == [2]
+        assert list(third.port_status) == [2, 1]
+
+
+def _slot(flow):
+    return flow.stable_hash() % 8
+
+
+OTHER = next(
+    key
+    for key in (FlowKey("10.0.0.9", "10.0.1.1", port, 4791) for port in range(2000, 2100))
+    if _slot(key) != _slot(FLOW)
+)
+
+
+class TestEntrySharing:
+    def _two_flows(self):
+        pair = _Pair()
+        pair.apply(_data(T0))
+        pair.apply(_data(T0 + 1, egress=2, flow=OTHER))
+        now = T0 + 10
+        assert not pair.read(now)
+        first = pair.col.snapshot(now)
+        pair.snapshots += 1
+        return pair, first, pair.ref.snapshot(now)
+
+    def test_a_write_to_an_existing_slot_shares_the_untouched_entries(self):
+        pair, first, first_ref = self._two_flows()
+        pair.apply(_data(T0 + 20))  # FLOW's slot again, egress 1
+        assert not pair.read(T0 + 30)
+        second = pair.col.snapshot(T0 + 30)
+        pair.snapshots += 1
+        old, new = first.epochs[-1], second.epochs[-1]
+        assert new is not old
+        assert new.flows[(OTHER, 2)] is old.flows[(OTHER, 2)]
+        assert new.ports[2] is old.ports[2]
+        assert new.flows[(FLOW, 1)] is not old.flows[(FLOW, 1)]
+        assert new.ports[1] is not old.ports[1]
+        assert new.replay_cache is not old.replay_cache
+        assert new.entry_bytes == old.entry_bytes
+        # The version a delivered report holds is never patched in place.
+        _assert_reports_identical(first, first_ref)
+
+    def test_a_new_slot_rebuilds(self):
+        pair, first, first_ref = self._two_flows()
+        third = FlowKey("10.0.0.7", "10.0.1.1", 3000, 4791)
+        pair.apply(_data(T0 + 20, egress=3, flow=third))
+        assert not pair.read(T0 + 30)
+        new = pair.col.snapshot(T0 + 30).epochs[-1]
+        pair.snapshots += 1
+        assert new.flows[(OTHER, 2)] is not first.epochs[-1].flows[(OTHER, 2)]
+        _assert_reports_identical(first, first_ref)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_interleaved_reads_match_the_reference(seed):
     """Random writes and repeated reads: every snapshot, hit or miss,
-    equals the reference's, and every read is counted once."""
+    equals the reference's, and every read is counted once.  Both ways a
+    changed epoch is materialized, a rebuild and a patch, are taken."""
     pair = _Pair()
+    ways = {"_build": 0, "_patch": 0}
+    for way in ways:
+        def counted(bank, *args, _way=way, _real=getattr(pair.col, way)):
+            ways[_way] += 1
+            return _real(bank, *args)
+
+        setattr(pair.col, way, counted)
     rng = random.Random(seed)
     _flows, events = _random_stream(
         rng, 4, num_flows=5, num_events=600, max_step_ns=300
@@ -150,3 +292,4 @@ def test_interleaved_reads_match_the_reference(seed):
             now = event[1] + rng.randrange(50)
             hits += pair.read(now)
     assert 0 < hits < pair.snapshots
+    assert ways["_build"] > 0 and ways["_patch"] > 0

@@ -72,6 +72,7 @@ PINNED = {
     ("repro.sim.config", "ECN_PMAX"): 0.2,
     # Monitoring, polling and probing.
     ("repro.monitor.monitor", "SERIES_CAPACITY"): 2048,
+    ("repro.monitor.timeline", "INCIDENT_LOOKBACK_NS"): msec(10),
     ("repro.collection.polling", "DEDUP_INTERVAL_NS"): msec(2),
     ("repro.collection.probes", "PROBES_PER_ROUND"): 4,
 }

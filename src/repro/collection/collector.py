@@ -210,18 +210,10 @@ class TelemetryCollector:
             )
         if injector is None:
             report = telem.snapshot(now)
-            if obs is None:
-                # _deliver without its trace hook.
-                self.reports.append(report)
-                self.index.add(report)
-                self._account(report, telem)
-                now = self.deployment.network.sim.now
-                self._last_delivery_ns = now
-                self._delivery_times[switch_name] = now
-                return report
-            obs.on_epoch_read(
-                switch_name, victim, read_start, now, len(report.epochs)
-            )
+            if obs is not None:
+                obs.on_epoch_read(
+                    switch_name, victim, read_start, now, len(report.epochs)
+                )
             self._deliver(report, telem)
             return report
 

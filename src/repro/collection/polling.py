@@ -19,9 +19,8 @@ simulated data plane):
 
 Both answers come from one ``snapshot`` at the packet's arrival: the
 register read the switch CPU's collection makes too.  The report answers
-them in place (``flow_paused_count``, ``feeds``, ``pfc_evidence``), from a
-per-window total and the epochs' own entries, so a polling packet copies
-no entry.
+them from the epochs' own entries (``flow_paused_count``, ``feeds``,
+``pfc_evidence``), so a polling packet builds no aggregate.
 
 Per-switch dedup on (victim, flag, ingress) bounds the trace and ends the
 walk around deadlock loops after one full cycle.

@@ -35,14 +35,13 @@ hardware ring has, at none of the cost.
 **Lazy memoized materialization.**  :class:`~repro.telemetry.records.EpochData`
 (with its :class:`FlowEntry`/:class:`PortEntry` objects) is only built when
 a snapshot needs it, and is memoized per ``(epoch, version)`` so repeated
-reads of an idle epoch are O(1).  A write that only adds to existing slots
-yields a new version that shares the previous one's unchanged entries.
-Whole snapshots are additionally memoized on the live-bank list (itself
-memoized until time advances or a bank is reset) and the switch's register
-write generation, so a re-read of an unchanged window is two identity
-checks and allocates one object, the report: its epoch tuple, window
-aggregates and status-register copy are shared with every other read of
-the window.
+reads of an idle epoch are O(1), and a new version shares the previous
+one's unchanged entries.  Whole snapshots are additionally memoized on the
+live-bank list (itself memoized until time advances or a bank is reset) and
+the switch's register write generation, so a re-read of an unchanged
+window is two identity checks and allocates one object, the report: its
+epoch tuple, window aggregates and status-register copy are shared with
+every other read of the window.
 
 Semantics are byte-identical to the reference plane — eviction order, XOR
 match and wrap-around behavior included — except for one documented
@@ -96,8 +95,9 @@ class _EpochBank:
 
     ===================  ==========================================================
     ``table``            flow table: occupied slot -> entry ``[kid, egress, pkt,
-                         paused, qdepth, bytes, qd_paused]``; a slot absent from
-                         the dict is empty
+                         paused, qdepth, bytes, qd_paused, (flow, egress)]``
+                         (the last is its materialized dict key, made once); a
+                         slot absent from the dict is empty
     ``evicted``          entries displaced by a collision, in eviction order
     ``port_pkt/paused/qdepth/pause_rx``  per-egress-port counters, indexed by port
     ``meter``            causality meters, flat ``ingress * P + egress`` index
@@ -109,9 +109,6 @@ class _EpochBank:
     arrays and can reproduce the reference's dict insertion orders exactly.
     ``version`` increments on every flush/reset; it keys the memoized
     ``mat`` (the :class:`EpochData` materialization of this bank).
-    ``layout`` increments when a flush adds a slot or evicts an entry,
-    the writes after which ``mat`` cannot be patched (``mat_slots`` is the
-    slot order ``mat`` was built in).
     """
 
     __slots__ = (
@@ -127,11 +124,8 @@ class _EpochBank:
         "port_touched",
         "meter",
         "meter_touched",
-        "layout",
         "mat",
         "mat_version",
-        "mat_layout",
-        "mat_slots",
     )
 
     def __init__(self) -> None:
@@ -147,11 +141,8 @@ class _EpochBank:
         self.port_touched: List[int] = []
         self.meter: Optional[array] = None
         self.meter_touched: List[int] = []
-        self.layout = 0
         self.mat: Optional[EpochData] = None
         self.mat_version = -1
-        self.mat_layout = -1
-        self.mat_slots: List[int] = []
 
 
 class HawkeyeSwitchTelemetry(SwitchObserver):
@@ -325,7 +316,6 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         meter = bank.meter
         meter_touched = bank.meter_touched
         evictions = 0
-        grew = False
         for ev in pending:
             flow = ev[0]
             if flow is None:
@@ -344,13 +334,15 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
             slot = key_slot[kid]
             entry = table_get(slot)
             if entry is None or entry[0] != kid:
-                grew = True
                 if entry is not None:
                     # Collision: displace the resident entry to the evicted
                     # list ("stored at the controller"), preserving order.
                     evicted.append(entry)
                     evictions += 1
-                table[slot] = [kid, egress, 1, paused, qdepth, size, qdepth if paused else 0]
+                table[slot] = [
+                    kid, egress, 1, paused, qdepth, size, qdepth if paused else 0,
+                    (flow, egress),
+                ]
             else:
                 entry[2] += 1
                 entry[3] += paused
@@ -372,8 +364,6 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         self.flushed_events += len(pending)
         pending.clear()
         bank.version += 1
-        if grew:
-            bank.layout += 1
         self._writes += 1
 
     def _live_banks(self, now_ns: int) -> List[_EpochBank]:
@@ -401,40 +391,36 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
 
         Entry order matches the reference exactly: evicted entries first in
         eviction order, then occupied slots in ascending slot index; ports
-        and meters in first-touch order.  When the writes since the last
-        build only added to existing slots, the new view is patched from
-        the last one instead (:meth:`_patch`).
+        and meters in first-touch order.
+
+        A new view shares every entry whose counts held since the bank's
+        previous view; that view is never mutated (a delivered report may
+        hold it).  Every write bumps a packet or PAUSE count, so an entry
+        whose counts held is unchanged.  Flow entries are shared only while
+        the bank has evicted none: then each is one slot's, not a merge.
         """
         if bank.pending:
             self._flush(bank)
-        mat = bank.mat
-        if mat is not None and bank.mat_version == bank.version:
+        prev = bank.mat
+        if prev is not None and bank.mat_version == bank.version:
             self.epoch_cache_hits += 1
-            return mat
+            return prev
         self.epoch_cache_misses += 1
-        if mat is not None and bank.mat_layout == bank.layout and not bank.evicted:
-            epoch = self._patch(bank, mat)
-        else:
-            epoch = self._build(bank)
-        epoch.entry_bytes = epoch.payload_bytes()
-        bank.mat = epoch
-        bank.mat_version = bank.version
-        bank.mat_layout = bank.layout
-        return epoch
-
-    def _build(self, bank: _EpochBank) -> EpochData:
         epoch = EpochData(epoch_number=bank.epoch_number)
-        keys = self._keys
         flows = epoch.flows
         table = bank.table
-        slots = bank.mat_slots = sorted(table)
-        entries = chain(bank.evicted, [table[slot] for slot in slots])
-        for kid, egress, pkt, paused, qdepth, byte_count, qd_paused in entries:
-            key = (keys[kid], egress)
+        evicted = bank.evicted
+        prev_flows = prev.flows if prev is not None and not evicted else {}
+        entries = chain(evicted, [table[slot] for slot in sorted(table)])
+        for _kid, egress, pkt, paused, qdepth, byte_count, qd_paused, key in entries:
+            old = prev_flows.get(key)
+            if old is not None and old.pkt_count == pkt:
+                flows[key] = old
+                continue
             existing = flows.get(key)
             if existing is None:
                 flows[key] = FlowEntry(
-                    key=keys[kid],
+                    key=key[0],
                     egress_port=egress,
                     pkt_count=pkt,
                     paused_count=paused,
@@ -452,75 +438,31 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         port_paused = bank.port_paused
         port_qdepth = bank.port_qdepth
         port_pause_rx = bank.port_pause_rx
+        prev_ports = prev.ports if prev is not None else {}
         ports = epoch.ports
         for port in bank.port_touched:
+            pkt = port_pkt[port]
+            pause_rx = port_pause_rx[port]
+            old = prev_ports.get(port)
+            if old is not None and old.pkt_count == pkt and old.pause_rx_count == pause_rx:
+                ports[port] = old
+                continue
             ports[port] = PortEntry(
                 port=port,
-                pkt_count=port_pkt[port],
+                pkt_count=pkt,
                 paused_count=port_paused[port],
                 qdepth_sum_pkts=port_qdepth[port],
-                pause_rx_count=port_pause_rx[port],
+                pause_rx_count=pause_rx,
             )
         meter = bank.meter
         num_ports = self._num_ports
         meters = epoch.meters
         for mi in bank.meter_touched:
             meters[divmod(mi, num_ports)] = meter[mi]
+        epoch.entry_bytes = epoch.payload_bytes()
+        bank.mat = epoch
+        bank.mat_version = bank.version
         return epoch
-
-    def _patch(self, bank: _EpochBank, prev: EpochData) -> EpochData:
-        """A new view of a bank whose writes since ``prev`` only added to
-        existing slots: ``prev``'s dicts copied, with only the entries the
-        writes changed replaced.  ``prev`` itself is never touched (a
-        delivered report may hold it).
-
-        Without evicted entries each flow entry is one slot's, in
-        ``mat_slots`` order; every write bumps a packet or PAUSE count, so
-        an entry whose counts held is unchanged.  Ports and meters keep
-        first-touch order, so ``prev``'s keys are a prefix of the touch
-        lists and a new one goes at the end.
-        """
-        table = bank.table
-        flows = dict(prev.flows)
-        for (key, old), slot in zip(prev.flows.items(), bank.mat_slots):
-            _kid, egress, pkt, paused, qdepth, byte_count, qd_paused = table[slot]
-            if pkt != old.pkt_count:
-                flows[key] = FlowEntry(
-                    key=key[0],
-                    egress_port=egress,
-                    pkt_count=pkt,
-                    paused_count=paused,
-                    qdepth_sum_pkts=qdepth,
-                    byte_count=byte_count,
-                    qdepth_paused_sum_pkts=qd_paused,
-                )
-        port_pkt = bank.port_pkt
-        port_pause_rx = bank.port_pause_rx
-        ports = dict(prev.ports)
-        for port in bank.port_touched:
-            old = ports.get(port)
-            pkt = port_pkt[port]
-            pause_rx = port_pause_rx[port]
-            if old is None or old.pkt_count != pkt or old.pause_rx_count != pause_rx:
-                ports[port] = PortEntry(
-                    port=port,
-                    pkt_count=pkt,
-                    paused_count=bank.port_paused[port],
-                    qdepth_sum_pkts=bank.port_qdepth[port],
-                    pause_rx_count=pause_rx,
-                )
-        meter = bank.meter
-        touched = bank.meter_touched
-        meters = dict(prev.meters)
-        for (pair, volume), mi in zip(prev.meters.items(), touched):
-            if meter[mi] != volume:
-                meters[pair] = meter[mi]
-        num_ports = self._num_ports
-        for mi in touched[len(prev.meters):]:
-            meters[divmod(mi, num_ports)] = meter[mi]
-        return EpochData(
-            epoch_number=bank.epoch_number, flows=flows, ports=ports, meters=meters
-        )
 
     # -- counters -------------------------------------------------------------------
 

@@ -31,21 +31,18 @@ class WindowAggregates:
     """The aggregate memo of one epoch sequence.
 
     The telemetry plane hands one instance to every report it reads from
-    the same memoised window, so the analyzer's graph builds and the
-    polling engine's questions aggregate a window once.  A report whose
-    ``epochs`` is rebound (a truncated report) no longer matches ``epochs``
-    and starts its own.
+    the same memoised window, so the analyzer's graph builds aggregate a
+    window once.  A report whose ``epochs`` is rebound (a truncated report)
+    no longer matches ``epochs`` and starts its own.
     """
 
-    __slots__ = ("epochs", "flows", "ports", "meters", "paused")
+    __slots__ = ("epochs", "flows", "ports", "meters")
 
     def __init__(self, epochs: Sequence[EpochData]) -> None:
         self.epochs = epochs
         self.flows: Optional[Dict[Tuple[FlowKey, int], FlowEntry]] = None
         self.ports: Optional[Dict[int, PortEntry]] = None
         self.meters: Optional[Dict[Tuple[int, int], int]] = None
-        # flow -> paused packets over all its egress ports
-        self.paused: Optional[Dict[FlowKey, int]] = None
 
 
 @dataclass(slots=True)
@@ -196,23 +193,18 @@ class SwitchReport:
         return out
 
     # -- the polling engine's questions (§3.4) ----------------------------------------
+    #
+    # Read from the epochs in place: a polling packet's window has usually
+    # changed since the last one, so an aggregate would be built per packet.
 
     def flow_paused_count(self, key: FlowKey, egress_port: Optional[int] = None) -> int:
-        """Paused packets of one flow, at one egress port or over all.
-
-        Over all ports it reads a per-window flow -> paused total, summed
-        from the epochs without copying their entries."""
-        if egress_port is not None:
-            entry = self.agg_flows().get((key, egress_port))
-            return entry.paused_count if entry is not None else 0
-        agg = self._window()
-        paused = agg.paused
-        if paused is None:
-            paused = agg.paused = {}
-            for epoch in self.epochs:
-                for (flow, _port), entry in epoch.flows.items():
-                    paused[flow] = paused.get(flow, 0) + entry.paused_count
-        return paused.get(key, 0)
+        """Paused packets of one flow, at one egress port or over all."""
+        total = 0
+        for epoch in self.epochs:
+            for (flow, port), entry in epoch.flows.items():
+                if flow == key and (egress_port is None or port == egress_port):
+                    total += entry.paused_count
+        return total
 
     def feeds(self, ingress: int, egress: int) -> bool:
         """Did ``ingress`` send bytes to ``egress`` in a reported epoch (a
@@ -227,12 +219,7 @@ class SwitchReport:
         """PFC evidence at an egress port: its status register asserted at
         the read, or paused enqueues or PAUSE frames received in a reported
         epoch."""
-        registers = self._pause_until
-        if registers is not None:
-            asserted = registers.get(port, 0) > self._read_at
-        else:
-            asserted = self.port_status.get(port, 0) > 0
-        if asserted:
+        if self.port_status.get(port, 0) > 0:
             return True
         for epoch in self.epochs:
             entry = epoch.ports.get(port)

@@ -104,7 +104,6 @@ def _assert_answers_identical(col, ref, flows, num_ports, now) -> None:
     analyzer reads."""
     report = col.snapshot(now)
     for port in range(num_ports):
-        # Asked first, before ``port_status`` is derived: the engine's read.
         assert report.pfc_evidence(port) == ref.port_pause_evidence(port, now)
         for ingress in range(num_ports):
             fed = ref.meter_volume(ingress, port, now) > 0
@@ -228,7 +227,7 @@ def test_snapshot_cache_serves_repeated_reads():
 def _evicted_by_epoch(col, ref):
     keys = col._keys
     got = {
-        bank.epoch_number: [(keys[e[0]], *e[1:]) for e in bank.evicted]
+        bank.epoch_number: [(keys[e[0]], *e[1:7]) for e in bank.evicted]
         for bank in col._banks
         if bank.epoch_number >= 0
     }

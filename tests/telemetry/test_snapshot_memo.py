@@ -38,6 +38,7 @@ class _Pair:
         self.col, self.ref, self.scheme = _make_pair(flow_slots=flow_slots)
         self.switch = _StubSwitch(num_ports)
         self.snapshots = 0
+        self.last = None  # the latest (columnar, reference) report pair
 
     def apply(self, event):
         for telem in (self.col, self.ref):
@@ -48,7 +49,8 @@ class _Pair:
         hits = self.col.snapshot_cache_hits
         report = self.col.snapshot(now)
         self.snapshots += 1
-        _assert_reports_identical(report, self.ref.snapshot(now))
+        self.last = (report, self.ref.snapshot(now))
+        _assert_reports_identical(*self.last)
         assert report.collect_time == now
         col = self.col
         assert col.snapshot_cache_hits + col.snapshot_cache_misses == self.snapshots
@@ -227,6 +229,12 @@ OTHER = next(
     for key in (FlowKey("10.0.0.9", "10.0.1.1", port, 4791) for port in range(2000, 2100))
     if _slot(key) != _slot(FLOW)
 )
+# A flow that evicts FLOW from its slot.
+RIVAL = next(
+    key
+    for key in (FlowKey("10.0.0.8", "10.0.1.1", port, 4791) for port in range(3000, 3100))
+    if _slot(key) == _slot(FLOW)
+)
 
 
 class TestEntrySharing:
@@ -257,39 +265,65 @@ class TestEntrySharing:
         # The version a delivered report holds is never patched in place.
         _assert_reports_identical(first, first_ref)
 
-    def test_a_new_slot_rebuilds(self):
+    def test_a_new_slot_shares_the_untouched_entries(self):
         pair, first, first_ref = self._two_flows()
-        third = FlowKey("10.0.0.7", "10.0.1.1", 3000, 4791)
+        third = next(
+            key
+            for key in (FlowKey("10.0.0.7", "10.0.1.1", port, 4791) for port in range(3000, 3100))
+            if _slot(key) not in (_slot(FLOW), _slot(OTHER))
+        )
         pair.apply(_data(T0 + 20, egress=3, flow=third))
         assert not pair.read(T0 + 30)
-        new = pair.col.snapshot(T0 + 30).epochs[-1]
-        pair.snapshots += 1
-        assert new.flows[(OTHER, 2)] is not first.epochs[-1].flows[(OTHER, 2)]
+        old, new = first.epochs[-1], pair.last[0].epochs[-1]
+        assert new.flows[(OTHER, 2)] is old.flows[(OTHER, 2)]
+        assert new.flows[(FLOW, 1)] is old.flows[(FLOW, 1)]
+        assert (third, 3) in new.flows and (third, 3) not in old.flows
+        assert not pair.col.evictions
+        _assert_reports_identical(first, first_ref)
+
+    def test_an_eviction_rebuilds_the_flow_entries(self):
+        pair, first, first_ref = self._two_flows()
+        pair.apply(_data(T0 + 20, egress=3, flow=RIVAL))
+        assert not pair.read(T0 + 30)
+        old, new = first.epochs[-1], pair.last[0].epochs[-1]
+        assert pair.col.evictions == 1
+        assert new.flows[(OTHER, 2)] is not old.flows[(OTHER, 2)]
+        assert new.flows[(FLOW, 1)] is not old.flows[(FLOW, 1)]
+        assert new.ports[2] is old.ports[2]  # ports never merge
         _assert_reports_identical(first, first_ref)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_interleaved_reads_match_the_reference(seed):
     """Random writes and repeated reads: every snapshot, hit or miss,
-    equals the reference's, and every read is counted once.  Both ways a
-    changed epoch is materialized, a rebuild and a patch, are taken."""
+    equals the reference's, and every read is counted once.  Changed
+    epochs share unchanged entries and rebuild after an eviction, and no
+    report changes after it is read."""
     pair = _Pair()
-    ways = {"_build": 0, "_patch": 0}
-    for way in ways:
-        def counted(bank, *args, _way=way, _real=getattr(pair.col, way)):
-            ways[_way] += 1
-            return _real(bank, *args)
-
-        setattr(pair.col, way, counted)
     rng = random.Random(seed)
     _flows, events = _random_stream(
         rng, 4, num_flows=5, num_events=600, max_step_ns=300
     )
-    hits = 0
+    hits = shared = rebuilt = 0
+    seen = {}  # bank -> the view the previous read left
+    reads = []
     for event in events:
         pair.apply(event)
         for _ in range(rng.choice([0, 0, 0, 1, 3])):
             now = event[1] + rng.randrange(50)
             hits += pair.read(now)
+            reads.append(pair.last)
+            for bank in pair.col._banks:
+                new, old = bank.mat, seen.get(id(bank))
+                if new is not None and old is not None and new is not old:
+                    if new.epoch_number == old.epoch_number and any(
+                        entry is old.flows.get(key) for key, entry in new.flows.items()
+                    ):
+                        shared += 1
+                    elif bank.evicted:
+                        rebuilt += 1
+                seen[id(bank)] = new
     assert 0 < hits < pair.snapshots
-    assert ways["_build"] > 0 and ways["_patch"] > 0
+    assert shared > 0 and rebuilt > 0
+    for got, want in reads:
+        _assert_reports_identical(got, want)

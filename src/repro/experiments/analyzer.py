@@ -16,13 +16,14 @@ from typing import List, Optional, Set
 from ..collection.agent import DetectionAgent, TriggerEvent
 from ..collection.collector import TelemetryCollector
 from ..collection.polling import PollingEngine
-from ..core.build import AnnotatedGraph, build_provenance
+from ..core.build import AnnotatedGraph
 from ..core.diagnosis import Diagnoser
 from ..core.report import Diagnosis
+from ..obs import StageProfile
 from ..sim.network import Network
 from ..sim.packet import FlowKey
-from ..telemetry.epoch import EpochScheme
 from ..units import usec
+from .runner import RunConfig, _diagnose_one
 
 
 @dataclass
@@ -67,15 +68,17 @@ class AnalyzerService:
         agent: DetectionAgent,
         engine: PollingEngine,
         collector: TelemetryCollector,
-        scheme: EpochScheme,
-        diagnoser: Optional[Diagnoser] = None,
     ) -> None:
         self.network = network
         self.agent = agent
         self.engine = engine
         self.collector = collector
-        self.scheme = scheme
-        self.diagnoser = diagnoser if diagnoser is not None else Diagnoser()
+        scheme = collector.deployment.config.scheme
+        self.config = RunConfig(epoch_size_ns=scheme.epoch_size_ns)
+        if self.config.scheme() != scheme:
+            raise ValueError(f"no RunConfig describes the epoch ring {scheme}")
+        self.diagnoser = Diagnoser()
+        self.profile = StageProfile()
         self.incidents: List[Incident] = []
         self._open: List[Incident] = []
         agent.add_trigger_listener(self._on_trigger)
@@ -117,34 +120,22 @@ class AnalyzerService:
         flow paused hops away sees the full PFC causality.  The incident's
         diagnosis is the most severe (deepest) of its victims' diagnoses.
         """
-        self.collector.flush_pending(self.network.sim.now)
-        raw = self.collector.index.select(incident.time_ns)
+        now = self.network.sim.now
+        self.collector.flush_pending(now)
         best: Optional[Diagnosis] = None
         best_annotated: Optional[AnnotatedGraph] = None
         for victim in dict.fromkeys(incident.victims):
-            trace = self.engine.switches_traced_for(victim)
-            incident.switches |= trace
-            reports = {n: r for n, r in raw.items() if n in trace}
-            if not reports:
-                continue
-            annotated = build_provenance(
-                reports,
-                self.network.topology,
-                window_ns=self.scheme.window_ns,
-                victim=victim,
-                epoch_size_ns=self.scheme.epoch_size_ns,
+            incident.switches |= self.engine.switches_traced_for(victim)
+            outcome = _diagnose_one(
+                victim, incident.first_trigger, self.config, self.network,
+                self.collector.index, self.engine.switches_traced_for, now,
+                self.diagnoser, self.profile,
             )
-            src_host = self.network.topology.host_of_ip(victim.src_ip)
-            victim_path = self.network.routing.flow_path(
-                src_host, victim.dst_ip, victim
-            )[1:]
-            diagnosis = self.diagnoser.diagnose(
-                annotated, victim, victim_path_ports=victim_path
-            )
+            diagnosis = outcome.diagnosis
             if not diagnosis.findings:
                 continue
             if best is None or diagnosis.primary().severity > best.primary().severity:
-                best, best_annotated = diagnosis, annotated
+                best, best_annotated = diagnosis, outcome.annotated
         incident.diagnosis = best
         incident.annotated = best_annotated
         if incident in self._open:
@@ -166,16 +157,9 @@ class AnalyzerService:
         return "\n".join(lines)
 
 
-def deploy_analyzer(network: Network, **kwargs) -> AnalyzerService:
+def deploy_analyzer(network: Network) -> AnalyzerService:
     """One-call operational deployment: Hawkeye stack + analyzer service."""
     from ..collection import deploy_hawkeye
 
-    deployment, agent, engine, collector = deploy_hawkeye(network)
-    return AnalyzerService(
-        network,
-        agent,
-        engine,
-        collector,
-        scheme=deployment.config.scheme,
-        **kwargs,
-    )
+    _, agent, engine, collector = deploy_hawkeye(network)
+    return AnalyzerService(network, agent, engine, collector)

@@ -169,7 +169,8 @@ def _qualify_diagnosis(
     diagnosis: Diagnosis,
     net,
     traced_of: Optional[Callable[[FlowKey], Set[str]]],
-    victim,
+    victim: FlowKey,
+    src_host: str,
     reports: Dict[str, SwitchReport],
 ) -> None:
     """Stamp a diagnosis with how complete and clean its telemetry was.
@@ -181,10 +182,10 @@ def _qualify_diagnosis(
     shrink coverage, so the shortfall is exactly what degraded.
     """
     expected: Set[str] = set(
-        net.routing.switch_path(victim.src_host, victim.key.dst_ip, victim.key)
+        net.routing.switch_path(src_host, victim.dst_ip, victim)
     )
     if traced_of is not None:
-        expected |= traced_of(victim.key)
+        expected |= traced_of(victim)
     expected |= set(diagnosis.missing_switches)
     covered = set(reports)
     diagnosis.completeness = (
@@ -231,7 +232,7 @@ def diagnose_victims(
             outcome = VictimOutcome(victim.key, None, None)
         else:
             outcome = _diagnose_one(
-                victim, trigger, config, net, reports, traced_of,
+                victim.key, trigger, config, net, reports, traced_of,
                 now_ns, diagnoser, profile, obs=obs, monitor=monitor,
             )
         outcomes.append(outcome)
@@ -239,7 +240,7 @@ def diagnose_victims(
 
 
 def _diagnose_one(
-    victim,
+    victim: FlowKey,
     trigger: TriggerEvent,
     config: RunConfig,
     net,
@@ -251,29 +252,29 @@ def _diagnose_one(
     obs: Optional[PipelineObs] = None,
     monitor: Optional[FabricMonitor] = None,
 ) -> VictimOutcome:
-    """Diagnose one triggered victim: the per-victim unit of the analyzer.
+    """Diagnose one triggered victim: the per-victim unit of every analyzer
+    (batch, sharded, served and the continuous :mod:`.analyzer` service).
 
-    Pure function of its telemetry inputs (plus perf side effects on
-    ``profile`` and the ``obs``/``monitor`` hooks).
+    Reports are selected at ``trigger``'s time.  Pure function of its
+    telemetry inputs (plus perf side effects on ``profile`` and the
+    ``obs``/``monitor`` hooks).
     """
     kind = config.system
     scheme = config.scheme()
+    src_host = net.topology.host_of_ip(victim.src_ip)
     with profile.stage("select_reports"):
         raw = reports.select(trigger.time_ns)
     if traced_of is not None:
         # Each diagnosis consumes telemetry only from the switches its
         # own polling trace covered (concurrent victims of the same
         # anomaly share reports; unrelated switches are never fetched).
-        traced = traced_of(victim.key)
+        traced = traced_of(victim)
         raw = {name: r for name, r in raw.items() if name in traced}
     if not kind.traces_pfc and not kind.collects_everywhere:
         # Victim-path-only systems diagnose each complaint from the
         # telemetry of that victim's own path — the whole point of the
         # Fig 8 comparison is that this misses part of the PFC loop.
-        src_host = net.topology.host_of_ip(victim.key.src_ip)
-        on_path = set(
-            net.routing.switch_path(src_host, victim.key.dst_ip, victim.key)
-        )
+        on_path = set(net.routing.switch_path(src_host, victim.dst_ip, victim))
         raw = {name: r for name, r in raw.items() if name in on_path}
     reports = {name: apply_visibility(kind, r) for name, r in raw.items()}
     with profile.stage("graph_build"):
@@ -281,34 +282,32 @@ def _diagnose_one(
             reports,
             net.topology,
             window_ns=scheme.window_ns,
-            victim=victim.key,
+            victim=victim,
             exclude_paused=config.exclude_paused_in_contention,
             epoch_size_ns=scheme.epoch_size_ns,
             obs=obs,
             now_ns=now_ns,
         )
-    victim_path = net.routing.flow_path(
-        victim.src_host, victim.key.dst_ip, victim.key
-    )[1:]
+    victim_path = net.routing.flow_path(src_host, victim.dst_ip, victim)[1:]
     with profile.stage("diagnose"):
         diagnosis = diagnoser.diagnose(
             annotated,
-            victim.key,
+            victim,
             victim_path_ports=victim_path,
             obs=obs,
             now_ns=now_ns,
         )
     with profile.stage("qualify"):
-        _qualify_diagnosis(diagnosis, net, traced_of, victim, reports)
+        _qualify_diagnosis(diagnosis, net, traced_of, victim, src_host, reports)
     if monitor is not None:
         # The obs span must be read before on_verdict closes it.
-        span_id = obs.diagnosis_span_id(victim.key) if obs is not None else None
+        span_id = obs.diagnosis_span_id(victim) if obs is not None else None
         monitor.timeline.record_diagnosis(
             diagnosis, trigger.time_ns, now_ns, span_id=span_id
         )
     if obs is not None:
-        obs.on_verdict(victim.key, now_ns, diagnosis)
-    return VictimOutcome(victim.key, trigger, diagnosis, annotated, reports)
+        obs.on_verdict(victim, now_ns, diagnosis)
+    return VictimOutcome(victim, trigger, diagnosis, annotated, reports)
 
 
 def causal_switches_of(scenario: Scenario, victim: FlowKey) -> Set[str]:
@@ -698,15 +697,12 @@ class FabricSession:
         yet (nothing to diagnose is an answer, not an error).
         """
         trigger = self.trigger_of(victim_key)
-        if trigger is None:
-            return None
-        victim = next(
-            (v for v in self.scenario.victims if v.key == victim_key), None
-        )
-        if victim is None:
+        if trigger is None or not any(
+            v.key == victim_key for v in self.scenario.victims
+        ):
             return None
         return _diagnose_one(
-            victim,
+            victim_key,
             trigger,
             self.config,
             self.net,

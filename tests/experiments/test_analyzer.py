@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.collection import DetectionAgent, PollingEngine, TelemetryCollector
 from repro.core import AnomalyType
-from repro.experiments import deploy_analyzer
+from repro.experiments import AnalyzerService, deploy_analyzer
 from repro.sim import Network
+from repro.telemetry import EpochScheme, HawkeyeDeployment, TelemetryConfig
 from repro.topology import build_line
 from repro.units import KB, msec, usec
 
@@ -75,3 +77,37 @@ class TestContinuousOperation:
         )
         net.run(msec(8))
         assert len(analyzer.incidents) >= 2
+
+
+def hand_built_analyzer(net, switches=None, config=None):
+    deployment = HawkeyeDeployment(net, config, switches=switches)
+    collector = TelemetryCollector(deployment)
+    engine = PollingEngine(net, deployment)
+    engine.add_mirror_listener(collector.on_polling_mirror)
+    return AnalyzerService(net, DetectionAgent(net), engine, collector)
+
+
+class TestQualifiedIncidents:
+    def test_switch_missing_from_victim_path_degrades_the_verdict(self):
+        """The SW1->SW2 link is the bottleneck and every complaining flow
+        ends behind SW3, which runs no Hawkeye: the PFC causality is
+        complete, but the victims' own paths are not covered."""
+        net = Network(build_line(num_switches=3, hosts_per_switch=4))
+        analyzer = hand_built_analyzer(net, switches=["SW1", "SW2"])
+        senders = [("H1_1", "H3_1"), ("H1_2", "H3_2"), ("H2_0", "H3_3"), ("H2_1", "H3_1")]
+        for i, (src, dst) in enumerate(senders):
+            net.start_flow(net.make_flow(src, dst, 500 * KB, usec(10), src_port=11000 + i))
+        net.start_flow(net.make_flow("H1_0", "H3_0", 300 * KB, usec(5), src_port=12000))
+        net.run(msec(8))
+        (incident,) = analyzer.diagnosed_incidents()
+        diagnosis = incident.diagnosis
+        assert diagnosis.primary().anomaly is AnomalyType.MICRO_BURST_INCAST
+        assert diagnosis.confidence == "degraded"
+        assert diagnosis.missing_switches == ["SW3"]
+        assert "confidence: degraded" in incident.describe()
+
+    def test_epoch_ring_a_run_config_cannot_describe_is_refused(self):
+        net = Network(build_line(num_switches=2, hosts_per_switch=2))
+        config = TelemetryConfig(scheme=EpochScheme(index_bits=3))
+        with pytest.raises(ValueError, match="epoch ring"):
+            hand_built_analyzer(net, config=config)

@@ -12,7 +12,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
 })
 
 
-def deploy_hawkeye(network, telemetry_config=None, polling_config=None):
+def deploy_hawkeye(network):
     """Wire the full Hawkeye stack onto a network in one call.
 
     Returns ``(deployment, agent, engine, collector)`` — the telemetry
@@ -24,9 +24,9 @@ def deploy_hawkeye(network, telemetry_config=None, polling_config=None):
     from .collector import TelemetryCollector
     from .polling import PollingEngine
 
-    deployment = HawkeyeDeployment(network, telemetry_config)
+    deployment = HawkeyeDeployment(network)
     collector = TelemetryCollector(deployment)
-    engine = PollingEngine(network, deployment, polling_config)
+    engine = PollingEngine(network, deployment)
     engine.add_mirror_listener(collector.on_polling_mirror)
     agent = DetectionAgent(network)
     return deployment, agent, engine, collector

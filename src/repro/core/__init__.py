@@ -4,10 +4,6 @@ from .. import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "build": ("AnnotatedGraph", "FlowPortMeta", "PortMeta", "build_provenance"),
-    "causes": (
-        "ContentionAnalysis", "ContentionKind", "FlowProfile",
-        "classify_contention", "ecmp_imbalance_ratio", "flow_profiles",
-    ),
     "diagnosis": ("Diagnoser",),
     "graph": ("Edge", "EdgeKind", "ProvenanceGraph"),
     "replay": ("contribution", "replay_queue"),

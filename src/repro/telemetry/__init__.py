@@ -9,5 +9,5 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "FLOW_ENTRY_BYTES", "METER_ENTRY_BYTES", "PORT_ENTRY_BYTES",
         "PORT_STATUS_BYTES", "EpochData", "FlowEntry", "PortEntry",
     ),
-    "snapshot": ("SwitchReport", "merge_reports"),
+    "snapshot": ("SwitchReport",),
 })

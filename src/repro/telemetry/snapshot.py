@@ -10,7 +10,7 @@ aggregation helpers collapse the epoch dimension for the provenance builder
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..sim.packet import FlowKey
 from .records import (
@@ -252,12 +252,3 @@ class SwitchReport:
         )
         return num_epochs * per_epoch + num_ports * PORT_STATUS_BYTES
 
-
-def merge_reports(reports: List[SwitchReport]) -> Dict[str, SwitchReport]:
-    """Index reports by switch, keeping the freshest for duplicates."""
-    by_switch: Dict[str, SwitchReport] = {}
-    for report in reports:
-        existing = by_switch.get(report.switch)
-        if existing is None or report.collect_time > existing.collect_time:
-            by_switch[report.switch] = report
-    return by_switch

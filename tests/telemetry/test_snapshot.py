@@ -14,7 +14,6 @@ from repro.telemetry import (
     FlowEntry,
     PortEntry,
     SwitchReport,
-    merge_reports,
 )
 
 
@@ -104,13 +103,3 @@ class TestSizes:
         a = SwitchReport.full_dump_bytes(1024, ports, epochs)
         b = SwitchReport.full_dump_bytes(1024, ports, epochs + 1)
         assert b > a
-
-
-class TestMergeReports:
-    def test_latest_report_wins(self):
-        old = SwitchReport(switch="SW", collect_time=10)
-        new = SwitchReport(switch="SW", collect_time=20)
-        other = SwitchReport(switch="SX", collect_time=5)
-        merged = merge_reports([old, new, other])
-        assert merged["SW"] is new
-        assert merged["SX"] is other

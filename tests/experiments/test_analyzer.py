@@ -4,7 +4,8 @@ import pytest
 
 from repro.collection import DetectionAgent, PollingEngine, TelemetryCollector
 from repro.core import AnomalyType
-from repro.experiments import AnalyzerService, deploy_analyzer
+from repro.experiments import AnalyzerService, deploy_analyzer, runner
+from repro.experiments import analyzer as analyzer_module
 from repro.sim import Network
 from repro.telemetry import EpochScheme, HawkeyeDeployment, TelemetryConfig
 from repro.topology import build_line
@@ -79,6 +80,66 @@ class TestContinuousOperation:
         assert len(analyzer.incidents) >= 2
 
 
+@pytest.fixture(scope="module")
+def recorded_run():
+    """One backpressured run, with every per-victim diagnosis recorded."""
+    calls = []
+
+    def recording_diagnose_one(victim, trigger, *args, **kwargs):
+        outcome = runner._diagnose_one(victim, trigger, *args, **kwargs)
+        calls.append((victim, trigger, outcome))
+        return outcome
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analyzer_module, "_diagnose_one", recording_diagnose_one)
+        net, analyzer, _ = backpressured_line()
+        net.run(msec(8))
+    return analyzer, calls
+
+
+class TestOneDiagnosisPath:
+    """The analyzer diagnoses each victim through the runner's per-victim
+    path, the one ``repro run`` and ``repro serve`` use."""
+
+    def test_each_victim_is_diagnosed_once_at_the_incident_trigger(self, recorded_run):
+        analyzer, calls = recorded_run
+        expected = [
+            (victim, incident.first_trigger)
+            for incident in analyzer.incidents
+            for victim in dict.fromkeys(incident.victims)
+        ]
+        assert expected
+        assert [(victim, trigger) for victim, trigger, _ in calls] == expected
+
+    def test_the_incident_keeps_its_most_severe_victim_diagnosis(self, recorded_run):
+        analyzer, calls = recorded_run
+        (incident,) = analyzer.diagnosed_incidents()
+        outcomes = [o for _, _, o in calls if o.diagnosis.findings]
+        chosen = next(o for o in outcomes if o.diagnosis is incident.diagnosis)
+        assert incident.annotated is chosen.annotated
+        severities = [o.diagnosis.primary().severity for o in outcomes]
+        assert incident.diagnosis.primary().severity == max(severities)
+
+    def test_a_fully_deployed_fabric_reads_full_confidence(self, recorded_run):
+        analyzer, _ = recorded_run
+        for incident in analyzer.diagnosed_incidents():
+            assert incident.diagnosis.confidence == "full"
+            assert incident.diagnosis.missing_switches == []
+            assert "confidence: degraded" not in incident.describe()
+
+    def test_incident_switches_cover_every_victim_trace(self, recorded_run):
+        analyzer, _ = recorded_run
+        for incident in analyzer.incidents:
+            for victim in incident.victims:
+                assert analyzer.engine.switches_traced_for(victim) <= incident.switches
+
+    def test_every_stage_runs_once_per_victim_diagnosis(self, recorded_run):
+        analyzer, calls = recorded_run
+        stages = analyzer.profile.to_dict()
+        assert set(stages) == {"select_reports", "graph_build", "diagnose", "qualify"}
+        assert {stage["calls"] for stage in stages.values()} == {len(calls)}
+
+
 def hand_built_analyzer(net, switches=None, config=None):
     deployment = HawkeyeDeployment(net, config, switches=switches)
     collector = TelemetryCollector(deployment)
@@ -105,6 +166,27 @@ class TestQualifiedIncidents:
         assert diagnosis.confidence == "degraded"
         assert diagnosis.missing_switches == ["SW3"]
         assert "confidence: degraded" in incident.describe()
+
+    def test_switch_missing_mid_pfc_path_is_named(self):
+        """SW2 carries the pause from the incast at SW3 back to the victim
+        at SW1; without its telemetry the verdict is degraded and says so."""
+        net = Network(build_line(num_switches=3, hosts_per_switch=4))
+        analyzer = hand_built_analyzer(net, switches=["SW1", "SW3"])
+        for i, src in enumerate(["H1_1", "H2_0", "H2_1", "H2_2", "H3_1", "H3_2"]):
+            net.start_flow(net.make_flow(src, "H3_0", 500 * KB, usec(10), src_port=11000 + i))
+        net.start_flow(net.make_flow("H1_0", "H2_1", 300 * KB, usec(5), src_port=12000))
+        net.run(msec(8))
+        (incident,) = analyzer.diagnosed_incidents()
+        assert incident.diagnosis.confidence == "degraded"
+        assert incident.diagnosis.missing_switches == ["SW2"]
+        assert "SW2" not in incident.switches
+
+    def test_run_config_follows_the_deployment_epoch_ring(self):
+        net = Network(build_line(num_switches=2, hosts_per_switch=2))
+        scheme = EpochScheme(shift=18)
+        analyzer = hand_built_analyzer(net, config=TelemetryConfig(scheme=scheme))
+        assert analyzer.config.epoch_size_ns == scheme.epoch_size_ns
+        assert analyzer.config.scheme() == scheme
 
     def test_epoch_ring_a_run_config_cannot_describe_is_refused(self):
         net = Network(build_line(num_switches=2, hosts_per_switch=2))

@@ -195,14 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="detection threshold as a multiple of base RTT")
     run.add_argument("--dot", metavar="FILE",
                      help="write the provenance graph as Graphviz DOT")
-    run.add_argument("--perf-json", metavar="FILE",
-                     help="write wall-clock/event-loop stats as JSON")
     run.add_argument("--metrics-json", metavar="FILE",
                      help="write the run's metrics registry "
                           "(counters/gauges/histograms) as JSON")
-    run.add_argument("--profile", type=int, metavar="N", default=0,
-                     help="profile the run and print the top N functions "
-                          "by cumulative time (0 = off)")
     run.add_argument("--shards", type=_positive_int, default=1, metavar="N",
                      help="partition the fabric across N worker processes "
                           "(clamped to the CPU count and the topology's "
@@ -399,32 +394,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if config.shards > 1:
         print(f"shards   : {config.shards} worker processes")
 
-    def _execute():
-        if config.shards > 1:
-            from .experiments import ScenarioSpec, run_scenario_sharded
+    if config.shards > 1:
+        from .experiments import ScenarioSpec, run_scenario_sharded
 
-            return run_scenario_sharded(
-                ScenarioSpec(args.scenario, seed=args.seed), config
-            )
-        return run_scenario(scenario, config)
-
-    if args.profile > 0:
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        result = _execute()
-        profiler.disable()
-        print(f"\n-- profile: top {args.profile} by cumulative time --")
-        pstats.Stats(profiler, stream=sys.stdout).sort_stats(
-            "cumulative"
-        ).print_stats(args.profile)
+        result = run_scenario_sharded(
+            ScenarioSpec(args.scenario, seed=args.seed), config
+        )
     else:
-        result = _execute()
+        result = run_scenario(scenario, config)
     supervision = result.perf.supervision
     if supervision.get("fallback_ran"):
-        # A sharded run that lost a worker says so, not only in perf JSON.
+        # A sharded run that lost a worker says so on stderr too.
         lost = ",".join(str(sid) for sid in supervision["lost_shards"])
         print(f"warning: shard {lost} lost ({supervision['failure_kind']}); "
               f"{supervision['fallback_ran']} fallback ran", file=sys.stderr)
@@ -449,19 +429,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         with open(args.dot, "w") as fh:
             fh.write(outcome.annotated.graph.to_dot())
         print(f"provenance graph written to {args.dot}")
-
-    if args.perf_json and result.perf is not None:
-        _write_json(args.perf_json, {"runs": [result.perf.to_dict()]})
-        print(f"perf stats written to {args.perf_json} "
-              f"({result.perf.events_per_sec:,.0f} events/s, "
-              f"peak queue {result.perf.peak_pending_events})")
-        for name, stats in sorted(result.perf.caches.items()):
-            total = stats["hits"] + stats["misses"]
-            rate = stats["hits"] / total if total else 0.0
-            print(f"  cache {name:24s} {stats['hits']:>9,d} hits / "
-                  f"{stats['misses']:>7,d} misses ({rate:.0%})")
-        for name, count in sorted(result.perf.faults.items()):
-            print(f"  fault {name:24s} {count:>9,d}")
 
     _write_metrics_json(args.metrics_json, result)
     return 0 if verdict else 2

@@ -93,11 +93,10 @@ class DetectionAgent:
         self._retransmit_listeners: List[Callable[[FlowKey], None]] = []
         self._report_probe: Optional[ReportProbe] = None
         self._progress: Dict[FlowKey, tuple] = {}
-        # Reliability accounting (chaos harness / PerfStats).
+        # Retry accounting (the ``agent.*`` metrics).
         self.retransmissions = 0
         self.retries_recovered = 0
         self.retries_exhausted = 0
-        self.restarts = 0
         self._blackout_until = -1
         self._last_restart = -1
         for host in network.hosts.values():
@@ -224,7 +223,6 @@ class DetectionAgent:
     def _restart(self, now: int) -> None:
         """Simulated agent-process restart: all soft state is lost and the
         agent is blind until the blackout lapses (missed triggers included)."""
-        self.restarts += 1
         self._last_restart = now
         self._blackout_until = now + AGENT_RESTART_BLACKOUT_NS
         self._base_rtt.clear()

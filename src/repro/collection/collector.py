@@ -54,13 +54,6 @@ class CollectionStats:
     full_dump_bytes: int = 0
     report_packets_cpu: int = 0
     report_packets_dataplane: int = 0
-    # Reliability accounting (only nonzero under fault injection).
-    dma_retries: int = 0
-    dma_reads_abandoned: int = 0
-    stale_reads: int = 0
-    reports_lost: int = 0
-    reports_truncated: int = 0
-    reports_delayed: int = 0
 
 
 _collect_time = attrgetter("collect_time")
@@ -225,7 +218,6 @@ class TelemetryCollector:
                 )
             budget = DMA_RETRY_BUDGET if self._retry else 0
             if _attempt < budget:
-                self.stats.dma_retries += 1
                 injector.count(
                     "dma_read_retried", switch_name, now, f"attempt={_attempt + 1}"
                 )
@@ -236,7 +228,6 @@ class TelemetryCollector:
                     _attempt + 1,
                 )
             else:
-                self.stats.dma_reads_abandoned += 1
                 injector.count("dma_read_abandoned", switch_name, now)
             return None
 
@@ -247,7 +238,6 @@ class TelemetryCollector:
             # analyzer sees a current-looking report with aged content.
             read_at = max(0, now - DMA_STALE_AGE_NS)
             flags.append("stale")
-            self.stats.stale_reads += 1
         report = telem.snapshot(read_at)
         report.collect_time = now
         skew = injector.clock_skew_for(switch_name)
@@ -266,7 +256,6 @@ class TelemetryCollector:
 
         report_fate, delay_ns = injector.report_fate(now, switch_name)
         if report_fate == REPORT_LOST:
-            self.stats.reports_lost += 1
             if obs is not None:
                 obs.on_report("lost", switch_name, victim, now, faults=tuple(flags))
             return None
@@ -275,13 +264,11 @@ class TelemetryCollector:
             # every report of the window.
             report.epochs = report.epochs[-1:]
             flags.append("truncated")
-            self.stats.reports_truncated += 1
             if obs is not None:
                 obs.on_report("truncated", switch_name, victim, now)
         if flags:
             report.faults = tuple(flags)
         if report_fate == REPORT_DELAYED:
-            self.stats.reports_delayed += 1
             if obs is not None:
                 obs.on_report(
                     "delayed", switch_name, victim, now, delay_ns=delay_ns

@@ -80,7 +80,6 @@ class PollingEngine:
         self._mirror_listeners: List = []
         self.polling_packets_forwarded = 0
         self.polling_packets_suppressed = 0
-        self.polling_packets_lost = 0
         for name in deployment.telemetry:
             network.switches[name].polling_handler = self._handle
 
@@ -120,7 +119,6 @@ class PollingEngine:
             # Lost or corrupted on the hop into this switch: no CPU mirror,
             # no forwarding — the trace is truncated here until the agent's
             # retransmission (if enabled) replays it.
-            self.polling_packets_lost += 1
             if self._obs is not None:
                 self._obs.on_polling_lost(switch.name, victim, now)
             return []

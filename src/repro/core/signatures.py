@@ -1,9 +1,9 @@
 """Anomaly signatures over the provenance graph (Table 2).
 
 Each predicate checks one row of Table 2 against an annotated provenance
-graph.  They are used by the diagnosis procedure for validation and by the
-test suite directly; the diagnosis procedure itself (Algorithm 2) walks the
-graph once instead of evaluating every signature independently.
+graph.  The diagnoser never calls them: Algorithm 2 walks the graph once
+instead of evaluating every signature independently.  The fuzzer's
+coverage fingerprint (:mod:`repro.fuzz.coverage`) and the tests do.
 """
 
 from __future__ import annotations

@@ -3,14 +3,15 @@
 Every :func:`repro.experiments.run_scenario` call times the simulation and
 snapshots the engine's event-loop counters into a :class:`PerfStats`
 record: events executed, events per wall-clock second, peak event-queue
-depth, purged (cancelled) entries and compaction sweeps.  ``repro run
---perf-json`` writes the record out; the wall-clock benchmark under
-``bench/`` measures the program end to end and layer by layer.
+depth, purged (cancelled) entries and compaction sweeps.  It is the
+in-process record the wall-clock benchmark under ``bench/`` reads; every
+count and timing in it is also in the run's metrics registry, which
+``--metrics-json`` writes out.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
 
@@ -28,22 +29,21 @@ class PerfStats:
     # Memoization-cache effectiveness: cache name -> {"hits": N, "misses": N}.
     # Covers the process-global caches (report aggregation, replay
     # contribution) scoped to this run by before/after differencing, plus
-    # the per-run telemetry caches (snapshot, epoch materialization).
+    # the per-run telemetry caches (snapshot, epoch materialization) and
+    # the epoch misses split (shared, rebuilt) as ``telemetry_epoch_share``.
     caches: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    # Fault-injection and reliability counters (chaos runs): incident kind
-    # or recovery action -> count.  Empty on fault-free runs.
-    faults: Dict[str, int] = field(default_factory=dict)
     # Per-stage wall-clock breakdown from the runner's StageProfile:
     # stage name -> {"wall_s": float, "calls": int}.  Stages cover the whole
     # pipeline (simulate, flush_pending, select_reports, graph_build,
-    # diagnose, qualify), so ``--perf-json`` can show where time goes.
+    # diagnose, qualify).
     stages: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     # Sharded execution (``repro.experiments.shardrun``): worker count,
     # barrier accounting, and the aggregate event rate — total events
     # divided by the *slowest* shard's busy CPU seconds, i.e. the rate
     # the fabric achieves with one core per shard (CPU time so that
     # core-starved CI machines don't charge a shard for its siblings'
-    # scheduler slices).  All zero on single-process runs.
+    # scheduler slices).  All zero on single-process runs; a sharded run
+    # also writes them as the ``shard.*`` metrics.
     shards: int = 0
     barrier_epochs: int = 0
     barrier_stall_s: float = 0.0
@@ -57,13 +57,6 @@ class PerfStats:
     # ``{"serial_reason": ...}`` when the config never went to the shard
     # engine.  Empty on plain ``run_scenario`` runs.
     supervision: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PerfStats":
-        return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
 
 
 def global_cache_counters() -> Dict[str, Tuple[int, int]]:

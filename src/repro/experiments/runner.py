@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import gc
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -223,7 +224,7 @@ def diagnose_victims(
     outcomes no matter which execution produced the telemetry.
     """
     if profile is None:
-        profile = StageProfile(MetricsRegistry())
+        profile = StageProfile()
     diagnoser = Diagnoser()
     outcomes: List[VictimOutcome] = []
     for victim in scenario.victims:
@@ -346,7 +347,6 @@ class SessionTotals:
     data_pkts_sent: int
     # Per-run telemetry caches (snapshot, epoch materialization).
     caches: Dict[str, Dict[str, int]]
-    fault_stats: Dict[str, int]
     fault_incidents: List[FaultIncident]
     # Filled by shard workers only: busy CPU seconds and stage profile.
     busy_s: float = 0.0
@@ -410,11 +410,11 @@ def account_run(
     cache_stats = diff_cache_counters(caches_before, global_cache_counters())
     cache_stats.update(totals.caches)
 
-    # The injector's tally, one name per incident-log entry.  What the
-    # components did about the faults (retransmissions, DMA retries, lost
-    # reports) stays under their own ``agent.*``/``collection.*``/
-    # ``polling.*`` metrics below.
-    fault_counters: Dict[str, int] = dict(totals.fault_stats)
+    # The incident log tallied by kind: the one count of each injected
+    # fault and of each recovery action the injector logged.
+    fault_counters: Dict[str, int] = dict(
+        Counter(incident.kind for incident in totals.fault_incidents)
+    )
     collection = totals.collection
 
     sim = totals.sim
@@ -428,7 +428,6 @@ def account_run(
         events_purged=sim["events_purged"],
         compactions=sim["compactions"],
         caches=cache_stats,
-        faults=fault_counters,
         stages=profile.to_dict(),
     )
 
@@ -737,7 +736,6 @@ class FabricSession:
                 {
                     "packets_forwarded": engine.polling_packets_forwarded,
                     "packets_suppressed": engine.polling_packets_suppressed,
-                    "packets_lost": engine.polling_packets_lost,
                 }
                 if engine is not None
                 else {}
@@ -746,13 +744,11 @@ class FabricSession:
                 "retransmissions": agent.retransmissions,
                 "retries_recovered": agent.retries_recovered,
                 "retries_exhausted": agent.retries_exhausted,
-                "restarts": agent.restarts,
             },
             sim=net.sim.counters(),
             data_pkt_hops=sum(sw.stats.data_pkts for sw in net.switches.values()),
             data_pkts_sent=sum(f.packets_sent for f in net.flows),
             caches=caches,
-            fault_stats=injector.stats if injector is not None else {},
             fault_incidents=injector.incidents if injector is not None else [],
         )
 

@@ -237,7 +237,6 @@ def _sum_totals(parts: Sequence[SessionTotals]) -> SessionTotals:
         data_pkt_hops=sum(part.data_pkt_hops for part in parts),
         data_pkts_sent=sum(part.data_pkts_sent for part in parts),
         # No injector ever runs in a worker (``serial_reason``).
-        fault_stats={},
         fault_incidents=[],
         busy_s=max(part.busy_s for part in parts),
         stages=merge_stage_dicts([part.stages for part in parts]),
@@ -451,4 +450,16 @@ def run_scenario_sharded(
     )
     perf.transport = {"pipe_frames": pipe_frames}
     perf.supervision = {"timeout_s": timeout_s}
+    result.metrics.absorb_counters("shard", {
+        "shards": perf.shards,
+        "barrier_epochs": barrier_epochs,
+        "barrier_stall_s": perf.barrier_stall_s,
+        "events_per_s_cpu_model": perf.aggregate_events_per_sec,
+        "pipe_frames": pipe_frames,
+        # The workers' own stages (``shard.run.*``, ``shard.transport.*``):
+        # summed wall_s and calls, and the slowest shard's max_wall_s.
+        **{name[len("shard_"):]: entry
+           for name, entry in total.stages.items()
+           if name.startswith("shard_")},
+    })
     return result

@@ -10,12 +10,12 @@ keying is why incident logs reproduce at all: a switch's fault stream is
 a pure function of (plan seed, category, switch), whatever else shares
 the run.
 
-Each decision is recorded twice: as a counter in :attr:`FaultInjector.stats`
-(surfaced as ``PerfStats.faults``, the ``faults.*`` metrics and ``repro
-chaos --json``) and as a
-:class:`FaultIncident` in the incident log.  ``incident_log()`` renders
-the log in canonical ``(time, where, kind, detail)`` order, which the
-determinism tests compare.
+Each decision is recorded once, as a :class:`FaultIncident` in the
+incident log.  The run's ``fault_counters`` (the ``faults.*`` metrics and
+``repro chaos --json``) tally that log by kind, and no component keeps
+its own count of the same events.  ``incident_log()`` renders the log in
+canonical ``(time, where, kind, detail)`` order, which the determinism
+tests compare.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.stats: Dict[str, int] = {}
         self.incidents: List[FaultIncident] = []
         self._streams: Dict[Tuple[str, str], random.Random] = {}
         self._skew: Dict[str, int] = {}
@@ -86,7 +85,6 @@ class FaultInjector:
         return rng
 
     def _record(self, time_ns: int, kind: str, where: str, detail: str = "") -> None:
-        self.stats[kind] = self.stats.get(kind, 0) + 1
         self.incidents.append(FaultIncident(time_ns, kind, where, detail))
 
     def incident_log(self) -> List[str]:

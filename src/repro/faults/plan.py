@@ -23,7 +23,6 @@ yields the same incident sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
 
 from ..units import usec
 
@@ -128,10 +127,3 @@ class FaultPlan:
             ", " + ", ".join(active) if active else ""
         ) + ")"
 
-
-def plan_or_none(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    """Normalize: a plan that injects nothing is treated as no plan at all,
-    keeping the fault-free hot path free of per-event injector calls."""
-    if plan is None or not plan.enabled:
-        return None
-    return plan

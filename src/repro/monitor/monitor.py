@@ -201,7 +201,7 @@ class FabricMonitor(SwitchObserver):
         self.heavy = HeavyHitters(HEAVY_HITTERS)
         xoff = network.config.pfc.xoff_bytes
         self.engine = RuleEngine(rules if rules is not None else default_rules(xoff))
-        self.timeline = IncidentTimeline()
+        self.timeline = IncidentTimeline(self.engine.alerts)
         # metric -> subject -> series (also reachable via the port probes).
         self.series: Dict[str, Dict[str, RingSeries]] = {}
         self._tick = 0
@@ -325,7 +325,6 @@ class FabricMonitor(SwitchObserver):
         interval = self.config.interval_ns
         step = self.engine.step
         engine = self.engine
-        raised: List[Alert] = []
 
         for probe in self._probes:
             port = probe.port
@@ -360,10 +359,10 @@ class FabricMonitor(SwitchObserver):
                 host_share = 0.0
             if probe.s_host_share is not None:
                 probe.s_host_share.append(host_share)
-                raised += step(probe.s_host_share, now)
-            raised += step(probe.s_tx, now)
-            raised += step(probe.s_ingress, now)
-            raised += step(probe.s_pause_frac, now)
+                step(probe.s_host_share, now)
+            step(probe.s_tx, now)
+            step(probe.s_ingress, now)
+            step(probe.s_pause_frac, now)
 
         # Per-switch ECN marks (delta of the switch's own counter).
         for name, switch in self.network.switches.items():
@@ -381,11 +380,11 @@ class FabricMonitor(SwitchObserver):
         accum = self._rtt_accum
         for host, series in self._host_series.items():
             series.append(accum.pop(host, 0.0))
-            raised += engine.step(series, now)
+            engine.step(series, now)
         for host, inflation in list(accum.items()):
             series = self._host_series[host] = self._series("rtt_inflation", host)
             series.append(inflation)
-            raised += engine.step(series, now)
+            engine.step(series, now)
         accum.clear()
 
         # Per-flow byte counts into the bounded sketch.
@@ -410,8 +409,6 @@ class FabricMonitor(SwitchObserver):
             estimate = sketch.add_at(cached[0], delta)
             heavy.offer(cached[1], estimate)
 
-        for alert in raised:
-            self.timeline.record_alert(alert)
         self._tick += 1
 
     # -- queries -------------------------------------------------------------

@@ -137,14 +137,14 @@ INCIDENT_LOOKBACK_NS = 10_000_000
 
 
 class IncidentTimeline:
-    """Chronological record of alerts and the diagnoses they preceded."""
+    """Chronological record of alerts and the diagnoses they preceded.
 
-    def __init__(self) -> None:
-        self.alerts: List[Alert] = []
+    ``alerts`` is the rule engine's own list, read, never copied.
+    """
+
+    def __init__(self, alerts: List[Alert]) -> None:
+        self.alerts = alerts
         self.incidents: List[MonitorIncident] = []
-
-    def record_alert(self, alert: Alert) -> None:
-        self.alerts.append(alert)
 
     def record_diagnosis(
         self,

@@ -8,10 +8,10 @@ Three planes, one package:
   tracer is built).  A traced run is one process, so its records
   compare raw across runs.  :class:`SimTraceObserver` is also the
   fabric's ground-truth recorder (PFC pause episodes per port);
-- **metrics** (:mod:`.metrics`): counters/gauges/histograms absorbing the
-  legacy per-component counter dicts, exported via ``--metrics-json``;
-- **profiling** (:mod:`.profile`): per-stage wall-clock accounting folded
-  into ``PerfStats.stages``, exported via ``--perf-json``.
+- **metrics** (:mod:`.metrics`): counters/gauges/histograms holding every
+  run number, exported via ``--metrics-json``;
+- **profiling** (:mod:`.profile`): per-stage wall-clock timings, kept as
+  the registry's ``stage.<name>_s`` histograms.
 
 :mod:`.tree` turns retained records back into the causal span tree the
 ``repro trace`` CLI renders and the invariant tests validate.

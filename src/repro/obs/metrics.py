@@ -1,20 +1,21 @@
 """Metrics registry: counters, gauges and histograms with a JSON export.
 
-The registry is the single place run-level numbers end up.  It absorbs
-(and supersedes as the canonical export) the ad-hoc counter dicts that
-grew across PR1-PR3 — ``PerfStats`` event-loop/cache counters,
-``FaultInjector.stats``, ``CollectionStats`` and the polling/agent
-reliability tallies — plus the trace-derived per-kind event counts, so
-``--metrics-json`` gives one coherent document per run.
+The registry is the single place run-level numbers end up, and
+``--metrics-json`` writes it out: one document per run.  It holds the
+simulator's event-loop counters, the cache hit/miss tallies, the
+components' accounting (``CollectionStats``, the polling and agent
+counters), the injector's fault tally, the stage timings and the
+trace-derived per-kind event counts.
 
 Two usage modes:
 
-- **live**: components increment counters as they go (the sim-trace
-  observer and :class:`~repro.obs.pipeline.PipelineObs` do this — the
-  trace-property tests assert live counters match trace event counts);
-- **absorb**: at end of run the runner pulls every legacy counter dict in
-  with :meth:`MetricsRegistry.absorb_counters`, which namespaces them
-  without touching the sources (the old attributes keep working).
+- **live**: components record as they go (the sim-trace observer,
+  :class:`~repro.obs.pipeline.PipelineObs` and the stage profile's
+  ``stage.<name>_s`` histograms — the trace-property tests assert live
+  counters match trace event counts);
+- **absorb**: at end of run the runner reads each component's own
+  counters in with :meth:`MetricsRegistry.absorb_counters`, which
+  namespaces them (``collection.*``, ``agent.*``, ``faults.*``...).
 
 Metric names are dotted paths (``polling.packets_forwarded``); the export
 nests them by the first segment and sorts keys, so the JSON is stable.
@@ -172,6 +173,14 @@ class MetricsRegistry:
     def counter_value(self, name: str) -> int:
         metric = self._counters.get(name)
         return metric.value if metric is not None else 0
+
+    def histograms(self, prefix: str) -> Dict[str, Histogram]:
+        """Every histogram whose name starts with ``prefix``."""
+        return {
+            name: metric
+            for name, metric in self._histograms.items()
+            if name.startswith(prefix)
+        }
 
     def absorb_counters(self, prefix: str, counters: Mapping[str, Any]) -> None:
         """Fold a legacy counter mapping in under ``prefix.``.

@@ -1,14 +1,14 @@
 """Per-stage wall-clock profiling for the pipeline.
 
-A :class:`StageProfile` accumulates wall seconds and call counts per named
-pipeline stage (simulate, flush, select-reports, graph-build, diagnose,
-qualify).  The runner keeps one per run and folds the result into
-``PerfStats.stages`` so ``--perf-json`` carries per-stage breakdowns;
-when a :class:`~repro.obs.metrics.MetricsRegistry` is attached, each stage
-exit also feeds a ``stage.<name>_s`` histogram with the per-call duration.
+A :class:`StageProfile` times named pipeline stages (simulate, flush,
+select-reports, graph-build, diagnose, qualify) into its
+:class:`~repro.obs.metrics.MetricsRegistry`: each stage exit observes one
+``stage.<name>_s`` histogram with the call's duration.  The histograms are
+the only store; :meth:`StageProfile.to_dict` reads ``PerfStats.stages``
+from them.
 
 Wall-clock numbers never enter the trace stream (they would break the
-byte-identical determinism contract); they live only here and in metrics.
+byte-identical determinism contract); they live only in metrics.
 """
 
 from __future__ import annotations
@@ -19,14 +19,15 @@ from typing import Any, Dict, Iterator, Optional
 
 from .metrics import MetricsRegistry
 
+_PREFIX, _SUFFIX = "stage.", "_s"
+
 
 class StageProfile:
-    """Accumulates {stage: (wall seconds, calls)} with ~two clock reads/call."""
+    """Times stages into ``stage.<name>_s`` histograms, two clock reads
+    per call."""
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        self._wall: Dict[str, float] = {}
-        self._calls: Dict[str, int] = {}
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
@@ -34,23 +35,19 @@ class StageProfile:
         try:
             yield
         finally:
-            self.add(name, time.perf_counter() - t0)
-
-    def add(self, name: str, wall_s: float, calls: int = 1) -> None:
-        self._wall[name] = self._wall.get(name, 0.0) + wall_s
-        self._calls[name] = self._calls.get(name, 0) + calls
-        if self.metrics is not None:
-            self.metrics.histogram(f"stage.{name}_s").observe(wall_s)
-
-    def wall_s(self, name: str) -> float:
-        return self._wall.get(name, 0.0)
+            self.metrics.histogram(f"{_PREFIX}{name}{_SUFFIX}").observe(
+                time.perf_counter() - t0
+            )
 
     def to_dict(self) -> Dict[str, Dict[str, Any]]:
         """``PerfStats.stages`` payload: {stage: {wall_s, calls}}, sorted."""
-        return {
-            name: {"wall_s": self._wall[name], "calls": self._calls[name]}
-            for name in sorted(self._wall)
+        stages = {
+            name[len(_PREFIX):-len(_SUFFIX)]: {
+                "wall_s": histogram.total, "calls": histogram.count
+            }
+            for name, histogram in self.metrics.histograms(_PREFIX).items()
         }
+        return dict(sorted(stages.items()))
 
 
 def merge_stage_dicts(

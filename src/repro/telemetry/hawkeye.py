@@ -182,6 +182,10 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         self.snapshot_cache_misses = 0
         self.epoch_cache_hits = 0
         self.epoch_cache_misses = 0
+        # A miss either shares flow entries with the bank's previous view
+        # or rebuilds every one (a first view, or one after an eviction).
+        self.epoch_views_shared = 0
+        self.epoch_views_rebuilt = 0
         # Live-bank membership memo: changes only when time advances or a
         # bank is reset, tracked by a generation counter.
         self._reset_gen = 0
@@ -411,11 +415,13 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         table = bank.table
         evicted = bank.evicted
         prev_flows = prev.flows if prev is not None and not evicted else {}
+        shared = False
         entries = chain(evicted, [table[slot] for slot in sorted(table)])
         for _kid, egress, pkt, paused, qdepth, byte_count, qd_paused, key in entries:
             old = prev_flows.get(key)
             if old is not None and old.pkt_count == pkt:
                 flows[key] = old
+                shared = True
                 continue
             existing = flows.get(key)
             if existing is None:
@@ -460,6 +466,10 @@ class HawkeyeSwitchTelemetry(SwitchObserver):
         for mi in bank.meter_touched:
             meters[divmod(mi, num_ports)] = meter[mi]
         epoch.entry_bytes = epoch.payload_bytes()
+        if shared:
+            self.epoch_views_shared += 1
+        else:
+            self.epoch_views_rebuilt += 1
         bank.mat = epoch
         bank.mat_version = bank.version
         return epoch
@@ -543,14 +553,18 @@ class HawkeyeDeployment:
         return name in self.telemetry
 
     def cache_counters(self) -> Dict[str, Tuple[int, int]]:
-        """Aggregate (hits, misses) for the snapshot/epoch caches."""
-        snap_h = snap_m = epoch_h = epoch_m = 0
+        """Aggregate (hits, misses) for the snapshot/epoch caches, and the
+        epoch misses split (shared, rebuilt) as ``telemetry_epoch_share``."""
+        snap_h = snap_m = epoch_h = epoch_m = shared = rebuilt = 0
         for telem in self.telemetry.values():
             snap_h += telem.snapshot_cache_hits
             snap_m += telem.snapshot_cache_misses
             epoch_h += telem.epoch_cache_hits
             epoch_m += telem.epoch_cache_misses
+            shared += telem.epoch_views_shared
+            rebuilt += telem.epoch_views_rebuilt
         return {
             "telemetry_snapshot": (snap_h, snap_m),
             "telemetry_epoch_materialize": (epoch_h, epoch_m),
+            "telemetry_epoch_share": (shared, rebuilt),
         }

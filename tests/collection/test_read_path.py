@@ -66,7 +66,8 @@ CHAOS = FaultPlan(
 
 
 class TestChaosReads:
-    """Every report and CollectionStats field under a chaos plan, pinned.
+    """Every report and CollectionStats field under a chaos plan, pinned,
+    with the injector's tally of the read-path faults.
 
     The digests and counts are those of the read path before snapshots
     were memoized on the write generation; only ``full_dump_bytes`` and
@@ -75,7 +76,7 @@ class TestChaosReads:
     """
 
     @pytest.mark.parametrize(
-        "name, system, digest, stats",
+        "name, system, digest, stats, faults",
         [
             (
                 "incast-backpressure",
@@ -85,8 +86,8 @@ class TestChaosReads:
                     collections=26, mirrored_packets=104, suppressed_collections=78,
                     filtered_bytes=2816, full_dump_bytes=3199664,
                     report_packets_cpu=26, report_packets_dataplane=16666,
-                    stale_reads=11, reports_truncated=4, reports_delayed=5,
                 ),
+                dict(dma_read_stale=11, report_truncated=4, report_delayed=5),
             ),
             (
                 "pfc-storm",
@@ -96,12 +97,12 @@ class TestChaosReads:
                     collections=79, mirrored_packets=0, suppressed_collections=460,
                     filtered_bytes=6881, full_dump_bytes=17227740,
                     report_packets_cpu=79, report_packets_dataplane=89740,
-                    stale_reads=24, reports_truncated=16, reports_delayed=18,
                 ),
+                dict(dma_read_stale=24, report_truncated=16, report_delayed=18),
             ),
         ],
     )
-    def test_reports_and_stats_pinned(self, name, system, digest, stats):
+    def test_reports_and_stats_pinned(self, name, system, digest, stats, faults):
         scenario = SCENARIO_BUILDERS[name](seed=1)
         session = FabricSession(
             scenario, RunConfig(system=system, faults=CHAOS, retry=True)
@@ -111,6 +112,6 @@ class TestChaosReads:
         reports = session.collector.reports
         assert {f for r in reports for f in r.faults} == {"skewed", "stale", "truncated"}
         assert reports_digest(reports) == digest
-        want = dict.fromkeys(asdict(session.collector.stats), 0)
-        want.update(stats)
-        assert asdict(session.collector.stats) == want
+        assert asdict(session.collector.stats) == stats
+        kinds = [i.kind for i in session.injector.incidents]
+        assert {kind: kinds.count(kind) for kind in faults} == faults

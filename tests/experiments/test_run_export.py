@@ -1,21 +1,23 @@
 """What a run's ``--metrics-json`` holds, and that it holds each number once.
 
-An injected fault is tallied by the injector (``faults.<kind>``, one per
-incident-log entry).  The components' own counters of the same events
-must agree with that tally.  ``PerfStats``, the in-process record the
-benchmark reads, must be carried by the registry the export writes.
+An injected fault is tallied only by the injector (``faults.<kind>``, one
+per incident-log entry); no component keeps a second count of the same
+events.  ``PerfStats``, the in-process record the benchmark reads, is
+carried by the registry the export writes, shard figures included.
 """
 
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
 
+from repro.experiments import ScenarioSpec, run_scenario_sharded
 from repro.experiments.runner import RunConfig, run_scenario
 from repro.faults import CHAOS_SCENARIOS, FaultPlan
 from repro.units import usec
 from repro.workloads import SCENARIO_BUILDERS
 
-# A component counter and the injector kinds that count the same events.
+# A deleted component counter and the injector kinds that count its events.
 TWINS = {
     "collection.stale_reads": ("dma_read_stale",),
     "collection.reports_lost": ("report_lost",),
@@ -69,11 +71,15 @@ def _tally(counters, kinds):
     "name, plan, retry", GRID + ALL_KINDS_CELLS,
     ids=lambda v: v.describe() if isinstance(v, FaultPlan) else str(v),
 )
-def test_each_component_copy_equals_its_fault_tally(name, plan, retry):
+def test_only_the_fault_tally_counts_a_fault(name, plan, retry):
     result, counters = _counters(name, plan, retry)
-    for copy, kinds in TWINS.items():
-        assert counters[copy] == _tally(counters, kinds), copy
-    for kind, count in result.fault_counters.items():
+    for copy in TWINS:
+        assert copy not in counters
+    incidents = Counter(
+        line.split(" @ ")[0].split()[-1] for line in result.fault_incidents
+    )
+    assert result.fault_counters == incidents
+    for kind, count in incidents.items():
         assert counters[f"faults.{kind}"] == count
 
 
@@ -105,8 +111,12 @@ def test_the_registry_carries_every_perf_number(builder):
     for cache, tally in perf.pop("caches").items():
         for key, value in tally.items():
             assert counters[f"cache.{cache}.{key}"] == value
-    for kind, count in perf.pop("faults", {}).items():
-        assert counters[f"faults.{kind}"] == count
+    # Every epoch miss either shared entries or rebuilt them.
+    assert (
+        counters["cache.telemetry_epoch_share.hits"]
+        + counters["cache.telemetry_epoch_share.misses"]
+        == counters["cache.telemetry_epoch_materialize.misses"]
+    )
     stages = perf.pop("stages")
     assert stages
     for stage, entry in stages.items():
@@ -119,3 +129,24 @@ def test_the_registry_carries_every_perf_number(builder):
         shards=0, barrier_epochs=0, barrier_stall_s=0.0,
         aggregate_events_per_sec=0.0, transport={}, supervision={},
     )
+
+
+def test_a_sharded_run_writes_its_shard_figures():
+    result = run_scenario_sharded(
+        ScenarioSpec("pfc-storm", seed=1), RunConfig(shards=2)
+    )
+    perf = result.perf
+    assert perf.shards == 2
+    doc = result.metrics.to_dict()
+    counters, gauges = doc["counters"], doc["gauges"]
+    assert counters["shard.shards"] == perf.shards
+    assert counters["shard.barrier_epochs"] == perf.barrier_epochs > 0
+    assert counters["shard.pipe_frames"] == perf.transport["pipe_frames"] > 0
+    assert gauges["shard.barrier_stall_s"] == perf.barrier_stall_s
+    assert gauges["shard.events_per_s_cpu_model"] == perf.aggregate_events_per_sec
+    for stage in ("shard_run", "shard_transport"):
+        entry = perf.stages[stage]
+        name = "shard." + stage[len("shard_"):]
+        assert counters[f"{name}.calls"] == entry["calls"]
+        assert gauges[f"{name}.wall_s"] == entry["wall_s"]
+        assert gauges[f"{name}.max_wall_s"] == entry["max_wall_s"]

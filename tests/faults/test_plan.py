@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import FaultPlan, plan_or_none
+from repro.faults import FaultPlan
 from repro.faults.plan import backoff_ns
 from repro.units import usec
 
@@ -48,12 +48,6 @@ class TestFaultPlanSemantics:
         assert "seed=3" in text
         assert "report_loss_rate=0.5" in text
         assert "dma_failure_rate" not in text
-
-    def test_plan_or_none_normalizes(self):
-        assert plan_or_none(None) is None
-        assert plan_or_none(FaultPlan()) is None
-        live = FaultPlan.lossy(0.1)
-        assert plan_or_none(live) is live
 
 
 class TestRetryPolicy:

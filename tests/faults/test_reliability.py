@@ -127,9 +127,10 @@ class TestAgentRestart:
             "incast-backpressure",
             faults=FaultPlan(seed=1, agent_restart_rate=0.2),
         )
-        restarts = result.metrics.to_dict()["counters"]["agent.restarts"]
+        restarts = result.fault_counters.get("agent_restarted", 0)
         assert restarts > 0
-        assert restarts == result.fault_counters.get("agent_restarted", 0)
+        counters = result.metrics.to_dict()["counters"]
+        assert counters["faults.agent_restarted"] == restarts
 
 
 class TestFaultFlagsSurvivePlumbing:

@@ -45,9 +45,9 @@ class TestMetricKinds:
 class TestAbsorbCounters:
     def test_absorbs_flat_ints_as_counters(self):
         reg = MetricsRegistry()
-        reg.absorb_counters("agent", {"triggers": 4, "restarts": 1})
+        reg.absorb_counters("agent", {"triggers": 4, "retransmissions": 1})
         assert reg.counter_value("agent.triggers") == 4
-        assert reg.counter_value("agent.restarts") == 1
+        assert reg.counter_value("agent.retransmissions") == 1
 
     def test_recurses_nested_mappings(self):
         reg = MetricsRegistry()

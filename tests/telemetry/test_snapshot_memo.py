@@ -292,6 +292,24 @@ class TestEntrySharing:
         assert new.ports[2] is old.ports[2]  # ports never merge
         _assert_reports_identical(first, first_ref)
 
+    def test_a_write_counts_as_shared_and_an_eviction_as_rebuilt(self):
+        pair, _first, _first_ref = self._two_flows()
+        col = pair.col
+
+        def split():
+            shared, rebuilt = col.epoch_views_shared, col.epoch_views_rebuilt
+            assert shared + rebuilt == col.epoch_cache_misses
+            return shared, rebuilt
+
+        shared, rebuilt = split()
+        pair.apply(_data(T0 + 20))  # FLOW's slot again
+        assert not pair.read(T0 + 30)
+        assert split() == (shared + 1, rebuilt)
+        pair.apply(_data(T0 + 40, egress=3, flow=RIVAL))
+        assert not pair.read(T0 + 50)
+        assert col.evictions == 1
+        assert split() == (shared + 1, rebuilt + 1)
+
 
 @pytest.mark.parametrize("seed", range(4))
 def test_interleaved_reads_match_the_reference(seed):

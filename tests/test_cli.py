@@ -17,16 +17,13 @@ class TestRun:
     def test_run_storm_correct(self, tmp_path, capsys):
         import json
 
-        from repro.experiments import PerfStats
-
-        perf = tmp_path / "perf.json"
-        rc = main(["run", "pfc-storm", "--seed", "1", "--perf-json", str(perf)])
+        metrics = tmp_path / "metrics.json"
+        rc = main(["run", "pfc-storm", "--seed", "1", "--metrics-json", str(metrics)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "pfc-storm" in out
         assert "CORRECT" in out
-        (run,) = json.loads(perf.read_text())["runs"]
-        assert PerfStats.from_dict(run).events_run > 0
+        assert json.loads(metrics.read_text())["counters"]["sim.events_run"] > 0
 
     def test_run_with_baseline_system(self, capsys):
         rc = main(["run", "pfc-storm", "--system", "spidermon"])
@@ -255,7 +252,7 @@ SUBCOMMAND_OPTIONS = {
     "list": set(),
     "run": {
         "--seed", "--system", "--epoch-us", "--threshold", "--dot",
-        "--perf-json", "--metrics-json", "--profile", "--shards",
+        "--metrics-json", "--shards",
     },
     "trace": {
         "--scenario", "--seed", "--jsonl", "--max-lines", "--metrics-json",

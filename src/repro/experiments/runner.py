@@ -345,7 +345,8 @@ class SessionTotals:
     sim: Dict[str, int]
     data_pkt_hops: int
     data_pkts_sent: int
-    # Per-run telemetry caches (snapshot, epoch materialization).
+    # Per-run telemetry caches (snapshot, epoch materialization and its
+    # shared/rebuilt split).
     caches: Dict[str, Dict[str, int]]
     fault_incidents: List[FaultIncident]
     # Filled by shard workers only: busy CPU seconds and stage profile.

@@ -19,7 +19,7 @@ from ..collection.polling import PollingEngine
 from ..core.build import AnnotatedGraph
 from ..core.diagnosis import Diagnoser
 from ..core.report import Diagnosis
-from ..obs import StageProfile
+from ..obs import MetricsRegistry
 from ..sim.network import Network
 from ..sim.packet import FlowKey
 from ..units import usec
@@ -78,7 +78,7 @@ class AnalyzerService:
         if self.config.scheme() != scheme:
             raise ValueError(f"no RunConfig describes the epoch ring {scheme}")
         self.diagnoser = Diagnoser()
-        self.profile = StageProfile()
+        self.metrics = MetricsRegistry()
         self.incidents: List[Incident] = []
         self._open: List[Incident] = []
         agent.add_trigger_listener(self._on_trigger)
@@ -129,7 +129,7 @@ class AnalyzerService:
             outcome = _diagnose_one(
                 victim, incident.first_trigger, self.config, self.network,
                 self.collector.index, self.engine.switches_traced_for, now,
-                self.diagnoser, self.profile,
+                self.diagnoser, self.metrics,
             )
             diagnosis = outcome.diagnosis
             if not diagnosis.findings:

@@ -4,9 +4,10 @@ Every :func:`repro.experiments.run_scenario` call times the simulation and
 snapshots the engine's event-loop counters into a :class:`PerfStats`
 record: events executed, events per wall-clock second, peak event-queue
 depth, purged (cancelled) entries and compaction sweeps.  It is the
-in-process record the wall-clock benchmark under ``bench/`` reads; every
-count and timing in it is also in the run's metrics registry, which
-``--metrics-json`` writes out.
+in-process record the wall-clock benchmark under ``bench/`` reads, built
+once per run by ``account_run`` from the same numbers it writes into the
+run's metrics registry, which ``--metrics-json`` exports: a snapshot,
+not a second counter.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ class PerfStats:
     # the per-run telemetry caches (snapshot, epoch materialization) and
     # the epoch misses split (shared, rebuilt) as ``telemetry_epoch_share``.
     caches: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    # Per-stage wall-clock breakdown from the runner's StageProfile:
-    # stage name -> {"wall_s": float, "calls": int}.  Stages cover the whole
-    # pipeline (simulate, flush_pending, select_reports, graph_build,
-    # diagnose, qualify).
+    # Per-stage wall-clock breakdown, ``MetricsRegistry.stages()``:
+    # stage name -> {"wall_s": float, "calls": int} for simulate,
+    # flush_pending, select_reports, graph_build, diagnose and qualify; a
+    # sharded run adds ``shard_run``/``shard_transport`` with ``max_wall_s``.
     stages: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     # Sharded execution (``repro.experiments.shardrun``): worker count,
     # barrier accounting, and the aggregate event rate — total events

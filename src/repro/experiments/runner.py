@@ -45,7 +45,6 @@ from ..obs import (
     ObsConfig,
     PipelineObs,
     SimTraceObserver,
-    StageProfile,
     Tracer,
 )
 from ..sim.packet import POLLING_PACKET_SIZE, FlowKey
@@ -210,9 +209,9 @@ def diagnose_victims(
     triggers: Sequence[TriggerEvent],
     traced_of: Optional[Callable[[FlowKey], Set[str]]],
     now_ns: int,
+    metrics: MetricsRegistry,
     obs: Optional[PipelineObs] = None,
     monitor: Optional[FabricMonitor] = None,
-    profile: Optional[StageProfile] = None,
 ) -> List[VictimOutcome]:
     """Produce one :class:`VictimOutcome` per scenario victim.
 
@@ -223,8 +222,6 @@ def diagnose_victims(
     diagnosis and qualification — identical inputs produce identical
     outcomes no matter which execution produced the telemetry.
     """
-    if profile is None:
-        profile = StageProfile()
     diagnoser = Diagnoser()
     outcomes: List[VictimOutcome] = []
     for victim in scenario.victims:
@@ -234,7 +231,7 @@ def diagnose_victims(
         else:
             outcome = _diagnose_one(
                 victim.key, trigger, config, net, reports, traced_of,
-                now_ns, diagnoser, profile, obs=obs, monitor=monitor,
+                now_ns, diagnoser, metrics, obs=obs, monitor=monitor,
             )
         outcomes.append(outcome)
     return outcomes
@@ -249,7 +246,7 @@ def _diagnose_one(
     traced_of: Optional[Callable[[FlowKey], Set[str]]],
     now_ns: int,
     diagnoser: Diagnoser,
-    profile: StageProfile,
+    metrics: MetricsRegistry,
     obs: Optional[PipelineObs] = None,
     monitor: Optional[FabricMonitor] = None,
 ) -> VictimOutcome:
@@ -257,13 +254,13 @@ def _diagnose_one(
     (batch, sharded, served and the continuous :mod:`.analyzer` service).
 
     Reports are selected at ``trigger``'s time.  Pure function of its
-    telemetry inputs (plus perf side effects on ``profile`` and the
+    telemetry inputs (plus the stage timings in ``metrics`` and the
     ``obs``/``monitor`` hooks).
     """
     kind = config.system
     scheme = config.scheme()
     src_host = net.topology.host_of_ip(victim.src_ip)
-    with profile.stage("select_reports"):
+    with metrics.stage("select_reports"):
         raw = reports.select(trigger.time_ns)
     if traced_of is not None:
         # Each diagnosis consumes telemetry only from the switches its
@@ -278,7 +275,7 @@ def _diagnose_one(
         on_path = set(net.routing.switch_path(src_host, victim.dst_ip, victim))
         raw = {name: r for name, r in raw.items() if name in on_path}
     reports = {name: apply_visibility(kind, r) for name, r in raw.items()}
-    with profile.stage("graph_build"):
+    with metrics.stage("graph_build"):
         annotated = build_provenance(
             reports,
             net.topology,
@@ -290,7 +287,7 @@ def _diagnose_one(
             now_ns=now_ns,
         )
     victim_path = net.routing.flow_path(src_host, victim.dst_ip, victim)[1:]
-    with profile.stage("diagnose"):
+    with metrics.stage("diagnose"):
         diagnosis = diagnoser.diagnose(
             annotated,
             victim,
@@ -298,7 +295,7 @@ def _diagnose_one(
             obs=obs,
             now_ns=now_ns,
         )
-    with profile.stage("qualify"):
+    with metrics.stage("qualify"):
         _qualify_diagnosis(diagnosis, net, traced_of, victim, src_host, reports)
     if monitor is not None:
         # The obs span must be read before on_verdict closes it.
@@ -349,7 +346,7 @@ class SessionTotals:
     # shared/rebuilt split).
     caches: Dict[str, Dict[str, int]]
     fault_incidents: List[FaultIncident]
-    # Filled by shard workers only: busy CPU seconds and stage profile.
+    # Filled by shard workers only: busy CPU seconds and stage timings.
     busy_s: float = 0.0
     stages: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
@@ -359,7 +356,7 @@ def account_run(
     config: RunConfig,
     totals: SessionTotals,
     now_ns: int,
-    profile: StageProfile,
+    metrics: MetricsRegistry,
     wall_start: float,
     caches_before: Dict[str, Tuple[int, int]],
     obs: Optional[PipelineObs] = None,
@@ -367,16 +364,15 @@ def account_run(
 ) -> RunResult:
     """Diagnose every victim from ``totals`` and account the run.
 
-    The one epilogue of every execution mode.  ``profile`` (and the
-    registry it feeds), ``obs`` and ``monitor`` are the caller's live
-    objects: the session's own in-process, the parent's merged profile
-    when sharded (a traced or monitored run is never sharded).
+    The one epilogue of every execution mode.  ``metrics``, ``obs`` and
+    ``monitor`` are the caller's live objects: the session's own
+    in-process, the parent's registry when sharded (a traced or
+    monitored run is never sharded).
     ``caches_before`` scopes the process-global cache counters to this
     run by differencing.
     """
     net = scenario.network
     kind = config.system
-    metrics = profile.metrics
     traced = totals.traced
     traced_of: Optional[Callable[[FlowKey], Set[str]]] = None
     if traced is not None:
@@ -384,8 +380,7 @@ def account_run(
 
     outcomes = diagnose_victims(
         scenario, config, net, ReportIndex(totals.reports), totals.triggers,
-        traced_of,
-        now_ns, obs=obs, monitor=monitor, profile=profile,
+        traced_of, now_ns, metrics, obs=obs, monitor=monitor,
     )
 
     data_pkt_hops = totals.data_pkt_hops
@@ -429,7 +424,7 @@ def account_run(
         events_purged=sim["events_purged"],
         compactions=sim["compactions"],
         caches=cache_stats,
-        stages=profile.to_dict(),
+        stages=metrics.stages(),
     )
 
     # Fold every legacy counter surface into the one registry the
@@ -533,7 +528,6 @@ class FabricSession:
         self._caches_before = global_cache_counters()
 
         self.metrics = metrics = MetricsRegistry()
-        self.profile = StageProfile(metrics)
         self._sim_obs: Optional[SimTraceObserver] = None
         obs: Optional[PipelineObs] = None
         if config.obs is not None and config.obs.trace:
@@ -661,7 +655,7 @@ class FabricSession:
         """
         target = min(until_ns, self.scenario.duration_ns)
         if target > self.net.sim.now:
-            with self.profile.stage("simulate"), cycle_sweeps_off():
+            with self.metrics.stage("simulate"), cycle_sweeps_off():
                 self.net.run(target, max_events, stop, stop_every)
         return self.net.sim.now
 
@@ -670,7 +664,7 @@ class FabricSession:
         if self._finalized:
             return
         self._finalized = True
-        with self.profile.stage("flush_pending"):
+        with self.metrics.stage("flush_pending"):
             self.collector.flush_pending(self.net.sim.now)
         if self._sim_obs is not None:
             self._sim_obs.finish(self.net.sim.now)
@@ -710,7 +704,7 @@ class FabricSession:
             self.engine.switches_traced_for if self.engine is not None else None,
             self.net.sim.now,
             Diagnoser(),
-            self.profile,
+            self.metrics,
             obs=None,
             monitor=self.monitor if record_incident else None,
         )
@@ -757,7 +751,7 @@ class FabricSession:
         """Finalize, diagnose every victim and account — the batch epilogue."""
         return account_run(
             self.scenario, self.config, self.totals(), self.net.sim.now,
-            self.profile, self.wall_start, self._caches_before,
+            self.metrics, self.wall_start, self._caches_before,
             obs=self.obs, monitor=self.monitor,
         )
 
@@ -832,7 +826,6 @@ class RunSummary:
     bandwidth_bytes: int = 0
     polling_packets: int = 0
     collections: int = 0
-    perf: Optional[PerfStats] = None
     fault_counters: Dict[str, int] = field(default_factory=dict)
     fault_incidents: List[str] = field(default_factory=list)
     # Continuous-monitoring reduction (zero/empty when monitoring was off).
@@ -892,7 +885,6 @@ def summarize_run(
         bandwidth_bytes=result.bandwidth_bytes,
         polling_packets=result.polling_packets,
         collections=result.collections,
-        perf=result.perf,
         fault_counters=dict(result.fault_counters),
         fault_incidents=list(result.fault_incidents),
         alerts=len(monitor.alerts) if monitor is not None else 0,

@@ -66,7 +66,7 @@ import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-from ..obs import MetricsRegistry, StageProfile, merge_stage_dicts
+from ..obs import MetricsRegistry
 from ..sim.packet import FlowKey
 from ..sim.shard import shard_build_context
 from ..topology.partition import ShardPlan, partition_topology
@@ -130,7 +130,7 @@ def _shard_worker_main(
             scenario = spec.build()
         session = FabricSession(scenario, config)
         net = session.net
-        profile = session.profile
+        metrics = session.metrics
 
         duration = scenario.duration_ns
         node_shard = plan.assignment
@@ -141,7 +141,7 @@ def _shard_worker_main(
             if msg[0] == "finish":
                 totals = session.totals()
                 totals.busy_s = busy_s
-                totals.stages = profile.to_dict()
+                totals.stages = metrics.stages()
                 conn.send(("final", totals))
                 conn.close()
                 return
@@ -157,7 +157,7 @@ def _shard_worker_main(
             # charge each shard for its siblings' slices.  With one
             # core per shard the two are equal.
             t0 = time.process_time()
-            with profile.stage("shard_run"), cycle_sweeps_off():
+            with metrics.stage("shard_run"), cycle_sweeps_off():
                 net.deliver_wire_batch(frames)
                 net.run(until)
             busy_s += time.process_time() - t0
@@ -169,7 +169,7 @@ def _shard_worker_main(
             out_min: Optional[int] = None
             frames_out: Dict[int, List[tuple]] = {}
             if outbox:
-                with profile.stage("shard_transport"):
+                with metrics.stage("shard_transport"):
                     for frame in outbox:
                         arrival = frame[0]
                         if out_min is None or arrival < out_min:
@@ -198,6 +198,24 @@ def _add_counters(into: Dict[str, Any], counters: Dict[str, Any]) -> None:
             _add_counters(into.setdefault(key, {}), value)
         else:
             into[key] = into.get(key, 0) + value
+
+
+def _merge_stages(
+    stage_dicts: Sequence[Dict[str, Dict[str, Any]]],
+) -> Dict[str, Dict[str, Any]]:
+    """Merge the workers' ``MetricsRegistry.stages()``: ``wall_s`` and
+    ``calls`` summed (the workers run concurrently, so the sum is CPU, not
+    elapsed time) plus ``max_wall_s``, the slowest shard's ``wall_s``."""
+    merged: Dict[str, Dict[str, Any]] = {}
+    for stages in stage_dicts:
+        for name, entry in stages.items():
+            slot = merged.setdefault(
+                name, {"wall_s": 0.0, "calls": 0, "max_wall_s": 0.0}
+            )
+            slot["wall_s"] += entry["wall_s"]
+            slot["calls"] += entry["calls"]
+            slot["max_wall_s"] = max(slot["max_wall_s"], entry["wall_s"])
+    return dict(sorted(merged.items()))
 
 
 def _sum_totals(parts: Sequence[SessionTotals]) -> SessionTotals:
@@ -239,7 +257,7 @@ def _sum_totals(parts: Sequence[SessionTotals]) -> SessionTotals:
         # No injector ever runs in a worker (``serial_reason``).
         fault_incidents=[],
         busy_s=max(part.busy_s for part in parts),
-        stages=merge_stage_dicts([part.stages for part in parts]),
+        stages=_merge_stages([part.stages for part in parts]),
         **summed,
     )
 
@@ -272,7 +290,6 @@ def run_scenario_sharded(
 
     caches_before = global_cache_counters()
     metrics = MetricsRegistry()
-    profile = StageProfile(metrics)
 
     ctx = fork_context()
 
@@ -359,7 +376,7 @@ def run_scenario_sharded(
             conns.append(parent_conn)
             procs.append(proc)
 
-        with profile.stage("simulate"):
+        with metrics.stage("simulate"):
             until = 0
             while True:
                 epoch_no = barrier_epochs
@@ -388,7 +405,7 @@ def run_scenario_sharded(
                     until = min(
                         duration, max(earliest + lookahead - 1, until + 1)
                     )
-        with profile.stage("flush_pending"):
+        with metrics.stage("flush_pending"):
             deadline = time.monotonic() + timeout_s
             for conn in conns:
                 conn.send(("finish",))
@@ -431,7 +448,7 @@ def run_scenario_sharded(
 
     total = _sum_totals(shard_totals)
     result = account_run(
-        scenario, config, total, duration, profile, wall_start, caches_before
+        scenario, config, total, duration, metrics, wall_start, caches_before
     )
 
     # Parent stages (simulate, flush_pending, analyzer stages) carry

@@ -129,10 +129,6 @@ class CollapseRule(AlertRule):
         return None
 
 
-# Shared empty result for the (overwhelmingly common) no-alert step.
-_NO_ALERTS: List["Alert"] = []
-
-
 @dataclass
 class RuleEngine:
     """Evaluates rules against series and latches per-subject episodes."""
@@ -148,17 +144,16 @@ class RuleEngine:
         for rule in self.rules:
             self._by_metric.setdefault(rule.metric, []).append((rule, {}))
 
-    def step(self, series: RingSeries, now_ns: int) -> List[Alert]:
+    def step(self, series: RingSeries, now_ns: int) -> None:
         """Evaluate every rule watching ``series.metric`` at this sample.
 
-        Returns the alerts newly raised this step (an episode already
-        firing stays silent until it clears).  The common no-change case
-        allocates nothing.
+        A newly raised alert is appended to :attr:`alerts` (an episode
+        already firing stays silent until it clears).  The common
+        no-change case allocates nothing.
         """
         rules = self._by_metric.get(series.metric)
         if not rules:
-            return _NO_ALERTS
-        raised = _NO_ALERTS
+            return
         subject = series.subject
         for rule, firing in rules:
             hit = rule.check(series)
@@ -178,10 +173,6 @@ class RuleEngine:
                 threshold=hit[1],
             )
             self.alerts.append(alert)
-            if raised is _NO_ALERTS:
-                raised = []
-            raised.append(alert)
-        return raised
 
     def alerts_by_category(self) -> Dict[str, int]:
         tally: Dict[str, int] = {}

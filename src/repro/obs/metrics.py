@@ -10,7 +10,7 @@ trace-derived per-kind event counts.
 Two usage modes:
 
 - **live**: components record as they go (the sim-trace observer,
-  :class:`~repro.obs.pipeline.PipelineObs` and the stage profile's
+  :class:`~repro.obs.pipeline.PipelineObs` and :meth:`MetricsRegistry.stage`'s
   ``stage.<name>_s`` histograms — the trace-property tests assert live
   counters match trace event counts);
 - **absorb**: at end of run the runner reads each component's own
@@ -19,18 +19,25 @@ Two usage modes:
 
 Metric names are dotted paths (``polling.packets_forwarded``); the export
 nests them by the first segment and sorts keys, so the JSON is stable.
+
+Wall-clock numbers (the stage timings) live only here, never in the
+trace stream, whose records must stay byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional
+import time
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 # Histogram quantile resolution: 64 power-of-two buckets centered on 1.0.
 # Bucket ``i`` covers ``[2**(i-33), 2**(i-32))``; the extremes clamp, so
 # any positive value lands somewhere and zero/negatives take bucket 0.
 _HIST_BUCKETS = 64
 _HIST_BIAS = 32
+# A pipeline stage's wall time is the histogram ``stage.<name>_s``.
+_STAGE_PREFIX, _STAGE_SUFFIX = "stage.", "_s"
 
 
 def _bucket_index(value: float) -> int:
@@ -174,13 +181,30 @@ class MetricsRegistry:
         metric = self._counters.get(name)
         return metric.value if metric is not None else 0
 
-    def histograms(self, prefix: str) -> Dict[str, Histogram]:
-        """Every histogram whose name starts with ``prefix``."""
-        return {
-            name: metric
-            for name, metric in self._histograms.items()
-            if name.startswith(prefix)
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        """Time one pipeline stage (simulate, flush_pending, select_reports,
+        graph_build, diagnose, qualify) into ``stage.<name>_s``, one
+        observation per call, also when the body raises."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.histogram(f"{_STAGE_PREFIX}{name}{_STAGE_SUFFIX}").observe(
+                time.perf_counter() - t0
+            )
+
+    def stages(self) -> Dict[str, Dict[str, Any]]:
+        """``{stage: {wall_s, calls}}`` from the stage histograms, sorted
+        (what ``PerfStats.stages`` holds)."""
+        stages = {
+            name[len(_STAGE_PREFIX):-len(_STAGE_SUFFIX)]: {
+                "wall_s": histogram.total, "calls": histogram.count
+            }
+            for name, histogram in self._histograms.items()
+            if name.startswith(_STAGE_PREFIX)
         }
+        return dict(sorted(stages.items()))
 
     def absorb_counters(self, prefix: str, counters: Mapping[str, Any]) -> None:
         """Fold a legacy counter mapping in under ``prefix.``.

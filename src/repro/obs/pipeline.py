@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from .metrics import MetricsRegistry
-from .trace import JsonlSink, NullSink, Sink, Span, Tracer
+from .trace import JsonlSink, Span, Tracer
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,11 @@ class ObsConfig:
     jsonl_path: Optional[str] = None  # also stream records to this file
     sim_events: bool = False       # per-packet sim events (heavy; tests/CLI)
 
-    def build_sink(self) -> Sink:
-        """JSONL when ``jsonl_path`` is set; the tracer keeps every record
-        in memory (``tracer.records()``) either way."""
-        if self.jsonl_path:
-            return JsonlSink(self.jsonl_path)
-        return NullSink()
+    def build_sink(self) -> Optional[JsonlSink]:
+        """The JSONL writer when ``jsonl_path`` is set, else ``None``; the
+        tracer keeps every record in memory (``tracer.records()``) either
+        way."""
+        return JsonlSink(self.jsonl_path) if self.jsonl_path else None
 
 
 class PipelineObs:

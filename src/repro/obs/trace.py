@@ -1,11 +1,11 @@
-"""Structured tracing: typed span/event records over swappable sinks.
+"""Structured tracing: typed span/event records, kept and optionally written.
 
 The :class:`Tracer` is the pipeline's flight recorder.  Every record is
 timestamped in **simulated** nanoseconds (never wall clock), carries a
 monotonically increasing record id and an explicit parent link, and is
 therefore a pure function of the run it observed: identical (seed,
 scenario) runs emit byte-identical record streams, which the determinism
-suite pins by comparing JSONL sink output bytes.
+suite pins by comparing JSONL output bytes.
 
 Two record types exist:
 
@@ -15,13 +15,12 @@ Two record types exist:
 - an **event** marks an instant (RTT trigger, polling mirror/forward,
   report delivery, signature match, verdict) inside a span.
 
-Sink contract (see DESIGN.md "Observability"): a sink's ``emit`` receives
-each finished record exactly once, in emission order — events when they
-fire, spans when they *end* — as a plain JSON-serializable dict.  Sinks
-must not mutate records.  The tracer additionally retains every span and
-event on itself (``tracer.spans`` / ``tracer.events``), so in-process
-consumers (the span-tree renderer, the invariant tests) read
-:meth:`Tracer.records` and never depend on a sink.
+The tracer retains every span and event on itself (``tracer.spans`` /
+``tracer.events``); in-process consumers (the span-tree renderer, the
+invariant tests) read :meth:`Tracer.records`.  Given a
+:class:`JsonlSink`, it also writes each finished record exactly once, in
+emission order — events when they fire, spans when they *end* — as one
+JSON line (see DESIGN.md "Observability").
 
 Tracing off is no tracer at all: every instrumented call site holds an
 optional :class:`~repro.obs.pipeline.PipelineObs` and checks ``obs is
@@ -35,22 +34,8 @@ import json
 from typing import Any, Dict, List, Optional, Union
 
 
-class Sink:
-    """Where finished trace records go.  Base class doubles as the no-op."""
-
-    def emit(self, record: Dict[str, Any]) -> None:  # pragma: no cover - interface
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-class NullSink(Sink):
-    """Discards every record (the leave-it-on default)."""
-
-
-class JsonlSink(Sink):
-    """Streams records as JSON lines (sorted keys, compact separators).
+class JsonlSink:
+    """Writes records as JSON lines (sorted keys, compact separators).
 
     With deterministic inputs the output file is byte-identical across
     runs — the determinism differential test compares raw bytes.
@@ -63,28 +48,16 @@ class JsonlSink(Sink):
         else:
             self._fh = target
             self._owns = False
-        self.emitted = 0
 
     def emit(self, record: Dict[str, Any]) -> None:
         self._fh.write(
             json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         )
-        self.emitted += 1
 
     def close(self) -> None:
         self._fh.flush()
         if self._owns:
             self._fh.close()
-
-
-class ListSink(Sink):
-    """Unbounded in-memory sink (tests and the CLI tree renderer)."""
-
-    def __init__(self) -> None:
-        self.records: List[Dict[str, Any]] = []
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        self.records.append(record)
 
 
 class Span:
@@ -167,7 +140,8 @@ class Event:
 
 
 class Tracer:
-    """Emits spans and events; retains them and forwards finished records.
+    """Emits spans and events; retains them and writes finished records to
+    its sink, when it has one.
 
     Record ids are a single shared sequence over spans and events, so the
     id order is the global emission order — the invariant tests use it to
@@ -176,8 +150,8 @@ class Tracer:
     so two runs of one spec compare by their raw :meth:`records`.
     """
 
-    def __init__(self, sink: Optional[Sink] = None) -> None:
-        self.sink = sink if sink is not None else NullSink()
+    def __init__(self, sink: Optional[JsonlSink] = None) -> None:
+        self.sink = sink
         self.spans: List[Span] = []
         self.events: List[Event] = []
         self._next_id = 1
@@ -215,7 +189,8 @@ class Tracer:
             span.attrs.update(attrs)
         span.end_ns = max(end_ns, span.start_ns)
         self._open.pop(span.span_id, None)
-        self.sink.emit(span.to_record())
+        if self.sink is not None:
+            self.sink.emit(span.to_record())
 
     def event(
         self,
@@ -235,7 +210,8 @@ class Tracer:
         )
         self._next_id += 1
         self.events.append(event)
-        self.sink.emit(event.to_record())
+        if self.sink is not None:
+            self.sink.emit(event.to_record())
         return event
 
     # -- teardown -------------------------------------------------------------
@@ -254,7 +230,8 @@ class Tracer:
         for span in sorted(self._open.values(), key=lambda s: s.span_id):
             self.end_span(span, end_ns, unclosed=True)
         self.finished = True
-        self.sink.close()
+        if self.sink is not None:
+            self.sink.close()
 
     # -- introspection --------------------------------------------------------
 

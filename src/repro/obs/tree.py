@@ -1,14 +1,13 @@
 """Span-tree assembly, rendering and invariant checking.
 
-Works on the plain record dicts every sink receives (and
-``Tracer.records()`` returns), so the same code serves three consumers:
-the ``repro trace`` CLI renderer, the trace-invariant test suite, and
-anyone replaying a JSONL trace file offline.
+Works on the plain record dicts ``Tracer.records()`` returns (one per
+line of a ``--jsonl`` file), so the same code serves the ``repro trace``
+CLI renderer, the trace-invariant test suite, and anyone replaying a
+JSONL trace file offline.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 # The causal chain a completed diagnosis must show, in order: the trigger
@@ -53,12 +52,6 @@ class SpanNode:
         for node in self.walk():
             out.extend(node.events)
         return out
-
-
-def load_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Read a JsonlSink file back into records."""
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 def build_tree(

@@ -135,7 +135,7 @@ class TestOneDiagnosisPath:
 
     def test_every_stage_runs_once_per_victim_diagnosis(self, recorded_run):
         analyzer, calls = recorded_run
-        stages = analyzer.profile.to_dict()
+        stages = analyzer.metrics.stages()
         assert set(stages) == {"select_reports", "graph_build", "diagnose", "qualify"}
         assert {stage["calls"] for stage in stages.values()} == {len(calls)}
 

@@ -131,6 +131,15 @@ def test_the_registry_carries_every_perf_number(builder):
     )
 
 
+def test_a_serial_runs_perf_stages_are_its_registrys_stages():
+    result = run_scenario(SCENARIO_BUILDERS["pfc-storm"](seed=1))
+    assert result.perf.stages == result.metrics.stages()
+    assert list(result.perf.stages) == [
+        "diagnose", "flush_pending", "graph_build", "qualify",
+        "select_reports", "simulate",
+    ]
+
+
 def test_a_sharded_run_writes_its_shard_figures():
     result = run_scenario_sharded(
         ScenarioSpec("pfc-storm", seed=1), RunConfig(shards=2)

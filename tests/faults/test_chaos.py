@@ -69,20 +69,6 @@ class TestHighLossNeverLies:
             assert not o.wrong_full_confidence
 
 
-class TestFaultTally:
-    def test_one_count_per_incident_on_every_cell(self):
-        """``fault_counters`` is the injector's tally: one name per event,
-        so it sums to the incident log on every cell, fault-free ones
-        (no injector, nothing to count) included."""
-        for retry in (True, False):
-            for loss_rate, o in chaos_sweep(
-                loss_rates=(0.0, 0.10, 0.25), retry=retry
-            ):
-                assert sum(o.fault_counters.values()) == len(o.fault_incidents), (
-                    o.spec.builder, loss_rate, o.fault_counters
-                )
-
-
 class TestHarnessMechanics:
     def test_cell_never_raises_even_on_bad_scenario(self):
         outcome = run_chaos_cell(cell("no-such-scenario", FaultPlan.lossy(0.1)))

@@ -60,7 +60,9 @@ class TestRuleEngine:
         raised = []
         for t, v in enumerate([1, 1, 1, 1, 0, 1, 1], start=1):
             series.append(float(v))
-            raised += engine.step(series, t * 100)
+            before = len(engine.alerts)
+            assert engine.step(series, t * 100) is None
+            raised += engine.alerts[before:]
         # One alert for the first episode, one after the dip re-armed it.
         assert len(raised) == 2
         assert [a.time_ns for a in raised] == [200, 700]
@@ -72,15 +74,18 @@ class TestRuleEngine:
         )
         s1 = make_series([1], subject="p1")
         s2 = make_series([1], subject="p2")
-        assert len(engine.step(s1, 100)) == 1
-        assert len(engine.step(s2, 100)) == 1
+        engine.step(s1, 100)
+        assert [a.subject for a in engine.alerts] == ["p1"]
+        engine.step(s2, 100)
+        assert [a.subject for a in engine.alerts] == ["p1", "p2"]
 
     def test_unwatched_metric_is_free(self):
         engine = RuleEngine(
             [SustainedRule(name="r", category="c", metric="m", threshold=1.0)]
         )
         other = make_series([9, 9, 9], metric="unrelated")
-        assert engine.step(other, 100) == []
+        engine.step(other, 100)
+        assert engine.alerts == []
 
     def test_alerts_by_category(self):
         engine = RuleEngine(

@@ -83,6 +83,30 @@ class TestExport:
         assert json.loads(json.dumps(doc)) == doc
 
 
+class TestStageTimer:
+    def test_a_stage_that_raises_still_records_one_observation(self):
+        reg = MetricsRegistry()
+        with pytest.raises(RuntimeError):
+            with reg.stage("graph_build"):
+                raise RuntimeError("boom")
+        histogram = reg.to_dict()["histograms"]["stage.graph_build_s"]
+        assert histogram["count"] == 1
+        assert histogram["sum"] >= 0.0
+        assert reg.stages() == {
+            "graph_build": {"wall_s": histogram["sum"], "calls": 1}
+        }
+
+    def test_stages_are_sorted_and_read_only_stage_histograms(self):
+        reg = MetricsRegistry()
+        for name in ("simulate", "diagnose", "simulate"):
+            with reg.stage(name):
+                pass
+        reg.histogram("span.diagnosis_s").observe(1.0)  # not a stage
+        stages = reg.stages()
+        assert list(stages) == ["diagnose", "simulate"]
+        assert [entry["calls"] for entry in stages.values()] == [1, 2]
+
+
 class TestHistogramQuantiles:
     def test_empty_histogram_quantiles_are_none(self):
         h = Histogram()

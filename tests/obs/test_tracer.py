@@ -1,11 +1,12 @@
-"""Tracer unit tests: span lifecycle and sink contract."""
+"""Tracer unit tests: span lifecycle and the JSONL writer's contract."""
 
 import io
 import json
 
 import pytest
 
-from repro.obs import JsonlSink, ListSink, NullSink, Tracer
+from repro.obs import JsonlSink, ObsConfig, Tracer
+from repro.obs import trace as trace_module
 
 
 class TestSpanLifecycle:
@@ -21,14 +22,14 @@ class TestSpanLifecycle:
         assert root.span_id < child.span_id < grandchild.span_id
 
     def test_end_span_is_idempotent(self):
-        sink = ListSink()
-        tracer = Tracer(sink)
+        buf = io.StringIO()
+        tracer = Tracer(JsonlSink(buf))
         span = tracer.begin_span("epoch_read", "SW1", 100)
         tracer.end_span(span, 200, epochs=3)
         tracer.end_span(span, 999, epochs=777)  # second end: ignored
         assert span.end_ns == 200
         assert span.attrs["epochs"] == 3
-        assert len(sink.records) == 1
+        assert len(lines_of(buf)) == 1
 
     def test_end_clamps_to_start(self):
         tracer = Tracer()
@@ -45,15 +46,15 @@ class TestSpanLifecycle:
         assert [s.span_id for s in tracer.open_spans()] == [a.span_id]
 
     def test_finish_flags_unclosed_spans(self):
-        sink = ListSink()
-        tracer = Tracer(sink)
+        buf = io.StringIO()
+        tracer = Tracer(JsonlSink(buf))
         a = tracer.begin_span("scenario", "run", 0)
         tracer.begin_span("diagnosis", "v1", 5, parent=a)
         tracer.finish(100)
         assert tracer.finished
         assert not tracer.open_spans()
         # Both spans were force-closed at finish time, flagged not dropped.
-        assert all(r["end_ns"] == 100 and r["attrs"]["unclosed"] for r in sink.records)
+        assert all(r["end_ns"] == 100 and r["attrs"]["unclosed"] for r in lines_of(buf))
 
     def test_records_merged_in_id_order(self):
         tracer = Tracer()
@@ -70,21 +71,42 @@ class TestSpanLifecycle:
 
 class TestSinks:
     def test_sink_receives_events_immediately_spans_on_end(self):
-        sink = ListSink()
-        tracer = Tracer(sink)
+        buf = io.StringIO()
+        tracer = Tracer(JsonlSink(buf))
         span = tracer.begin_span("scenario", "run", 0)
-        assert sink.records == []  # spans are emitted when they *end*
+        assert lines_of(buf) == []  # spans are emitted when they *end*
         tracer.event("polling_mirror", span=span, time_ns=5, switch="SW1")
-        assert [r["type"] for r in sink.records] == ["event"]
+        assert [r["type"] for r in lines_of(buf)] == ["event"]
         tracer.end_span(span, 10)
-        assert [r["type"] for r in sink.records] == ["event", "span"]
+        assert [r["type"] for r in lines_of(buf)] == ["event", "span"]
 
     def test_tracer_keeps_every_record_over_a_null_sink(self):
         """In-process consumers read ``records()``, never a sink."""
-        tracer = Tracer(NullSink())
+        tracer = Tracer()
         for i in range(5):
             tracer.event("pkt_enqueue", time_ns=i)
         assert [r["time_ns"] for r in tracer.records()] == [0, 1, 2, 3, 4]
+
+    def test_a_tracer_without_a_file_keeps_every_record_and_opens_nothing(
+        self, monkeypatch
+    ):
+        def no_open(*args, **kwargs):
+            raise AssertionError(f"a tracer without a file opened {args}")
+
+        monkeypatch.setattr(trace_module, "open", no_open, raising=False)
+        sink = ObsConfig(trace=True).build_sink()
+        assert sink is None
+        tracer = Tracer(sink)
+        root = tracer.begin_span("scenario", "run", 0)
+        child = tracer.begin_span("diagnosis", "v1", 1, parent=root)
+        for i in range(3):
+            tracer.event("pkt_enqueue", span=child, time_ns=i)
+        tracer.end_span(child, 4)
+        tracer.finish(9)  # closes root, flagged unclosed
+        records = tracer.records()
+        assert [r["id"] for r in records] == [1, 2, 3, 4, 5]
+        assert [r["type"] for r in records] == ["span"] * 2 + ["event"] * 3
+        assert records[0]["attrs"] == {"unclosed": True}
 
     def test_jsonl_sink_writes_sorted_compact_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -110,7 +132,8 @@ class TestSinks:
         assert buf.getvalue().count("\n") == 1
 
     def test_sink_swap_between_runs(self, tmp_path):
-        """The same instrumentation drives any sink: records are identical."""
+        """The same instrumentation with or without a file: records are
+        identical, and the file holds each of them once."""
         def run(sink):
             tracer = Tracer(sink)
             root = tracer.begin_span("scenario", "run", 0)
@@ -118,8 +141,13 @@ class TestSinks:
             tracer.finish(5)
             return tracer.records()
 
-        buf, lst = io.StringIO(), ListSink()
-        assert run(NullSink()) == run(JsonlSink(buf)) == run(lst)
-        assert [json.loads(line) for line in buf.getvalue().splitlines()] == (
-            lst.records
-        )
+        buf, again = io.StringIO(), io.StringIO()
+        records = run(None)
+        assert records == run(JsonlSink(buf)) == run(JsonlSink(again))
+        assert buf.getvalue() == again.getvalue()
+        assert sorted(lines_of(buf), key=lambda r: r["id"]) == records
+
+
+def lines_of(buf):
+    """The records a ``JsonlSink`` wrote to ``buf``, in emission order."""
+    return [json.loads(line) for line in buf.getvalue().splitlines()]

@@ -121,9 +121,7 @@ def fingerprint(result):
             if name.startswith("sim.")
         },
         "observation": observe(result),
-        "summary": dataclasses.replace(
-            summarize_run(None, result.scenario, result), perf=None
-        ),
+        "summary": summarize_run(None, result.scenario, result),
     }
     monitor = result.monitor
     if monitor is not None:
@@ -228,7 +226,7 @@ def test_pool(jobs, specs, mode):
     summaries = run_scenarios_parallel(specs, config, jobs=jobs)
     assert [s.spec for s in summaries] == specs  # spec order, not finish order
     for summary, one in zip(summaries, specs):
-        summary = dataclasses.replace(summary, spec=None, perf=None)
+        summary = dataclasses.replace(summary, spec=None)
         assert summary == serial(one, mode)["summary"]
 
 
